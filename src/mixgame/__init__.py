@@ -13,10 +13,9 @@ from .process import (ContaminationSpec, MixingProfile, ProcessModel, SamplePath
                       conditional_loss_expectations, exact_phi,
                       fit_mixing_profile, model_from_json, phi_gap, phi_table,
                       replicate_seed, sample_path, two_state_chain)
-from .learner import (HypothesisSpace, PosteriorDist, empirical_loss,
-                      empirical_losses, erm, exact_generalization_error,
-                      gibbs_posterior, kl_divergence, space_from_json,
-                      test_loss, test_losses)
+from .learner import (HypothesisSpace, PosteriorDist, empirical_losses, erm,
+                      exact_generalization_error, gibbs_posterior,
+                      kl_divergence, space_from_json, test_losses)
 from .game import (GameTrace, decompose, export_trace_csv, generalization_gap,
                    instance_regrets, martingale_term, play_costs,
                    realized_regret, run_game)
@@ -32,8 +31,7 @@ from .bounds import (BoundReport, EtaGrid, algebraic_bound, algebraic_main_term,
                      tune_delay_algebraic, tune_delay_geometric)
 from .dynamic import (DiscountedLoss, MemoryTableLoss, block_mixing_profile,
                       composite_phi_check, dynamic_conditional_expectations,
-                      dynamic_phi, dynamic_phi_gap, dynamic_phi_mc,
-                      dynamic_phi_mirror,
+                      dynamic_phi, dynamic_phi_gaps, dynamic_phi_mc,
                       exact_block_beta, forgetting_profile, limit_test_losses,
                       limit_test_losses_mc, loss_from_json, run_dynamic_game)
 from .experiments import (CoverageResult, ExperimentConfig, config_from_dict,

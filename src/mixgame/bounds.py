@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .game import decompose, realized_regret, run_game
+from .game import decompose, run_game
 from .learner import HypothesisSpace, PosteriorDist, gibbs_posterior, kl_divergence
 from .online import delayed_ewa_bound, make_learner
 from .process import ProcessModel, exact_phi, sample_path

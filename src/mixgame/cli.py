@@ -20,6 +20,9 @@ from .online import make_learner
 from .process import sample_path
 from .reporting import write_csv, write_json
 
+REPORT_COLUMNS = ["tag", "n", "d", "delta", "regret_term", "phi_term",
+                  "deviation_term", "total"]
+
 
 def _load_config(args) -> dict:
     doc = json.loads(Path(args.config).read_text())
@@ -41,10 +44,8 @@ def cmd_simulate(args) -> None:
     write_csv(out / "summary.csv", result["header"], result["rows"])
     reports = [r.to_dict() for r in result["reports"]]
     if reports:
-        keys = ["tag", "n", "d", "delta", "regret_term", "phi_term",
-                "deviation_term", "total"]
-        write_csv(out / "bound_reports.csv", keys,
-                  [[r[k] for k in keys] for r in reports])
+        write_csv(out / "bound_reports.csv", REPORT_COLUMNS,
+                  [[r[k] for k in REPORT_COLUMNS] for r in reports])
     if args.format == "json":
         write_json(out / "summary.json",
                    {"header": result["header"],
@@ -94,39 +95,44 @@ def cmd_mixing(args) -> None:
 
 def cmd_bounds(args) -> None:
     doc = json.loads(Path(args.config).read_text())
-    spec = doc.get("bounds")
-    if spec is None:
+    spec = doc.get("bounds") if isinstance(doc, dict) else None
+    if not isinstance(spec, dict):
         raise ValidationError("config field 'bounds': missing section")
-    n, delta = int(spec["n"]), float(spec["delta"])
+
+    def field(key, kind=float, default=None, **limits):
+        return xp.config_value(spec.get(key, default), f"bounds.{key}", kind,
+                               **limits)
+
+    n = field("n", int, low=1)
+    delta = field("delta", low=0, high=1, strict=True)
+    regret = field("regret", default=0.0)
+    C = field("C", default=1.0, low=0, strict=True)
     reports = []
     if "phi_d" in spec:
-        reports.append(bd.delay_bound(float(spec.get("regret", 0.0)),
-                                      float(spec["phi_d"]), int(spec["d"]),
-                                      n, delta))
-    if "tau" in spec and "kl" in spec:
-        reports.append(bd.ewa_geometric_bound(float(spec["kl"]), float(spec["eta"]),
-                                              float(spec.get("C", 1.0)),
-                                              float(spec["tau"]), n, delta))
-    if "tau" in spec and "h_gap" in spec:
-        reports.append(bd.ftrl_geometric_bound(
-            float(spec["h_gap"]), float(spec["eta"]),
-            float(spec.get("alpha", 1.0)), float(spec.get("B", 1.0)),
-            float(spec.get("C", 1.0)), float(spec["tau"]), n, delta))
-    if "tau" in spec and "kl" not in spec and "h_gap" not in spec:
-        reports.append(bd.geometric_bound(float(spec.get("regret", 0.0)),
-                                          float(spec.get("C", 1.0)),
-                                          float(spec["tau"]), n, delta))
+        reports.append(bd.delay_bound(regret, field("phi_d", low=0),
+                                      field("d", int, low=1, high=n), n, delta))
+    if "tau" in spec:
+        tau = field("tau", low=0, strict=True)
+        if "kl" in spec:
+            reports.append(bd.ewa_geometric_bound(
+                field("kl", low=0), field("eta", low=0, strict=True), C, tau,
+                n, delta))
+        if "h_gap" in spec:
+            reports.append(bd.ftrl_geometric_bound(
+                field("h_gap", low=0), field("eta", low=0, strict=True),
+                field("alpha", default=1.0, low=0, strict=True),
+                field("B", default=1.0, low=0), C, tau, n, delta))
+        if "kl" not in spec and "h_gap" not in spec:
+            reports.append(bd.geometric_bound(regret, C, tau, n, delta))
     if "r" in spec:
-        reports.append(bd.algebraic_bound(float(spec.get("regret", 0.0)),
-                                          float(spec.get("C", 1.0)),
-                                          float(spec["r"]), n, delta))
+        reports.append(bd.algebraic_bound(regret, C, field("r", low=0, strict=True),
+                                          n, delta))
     if not reports:
         raise ValidationError("config field 'bounds': no evaluable bound found")
     out = _out_dir(args)
-    keys = ["tag", "n", "d", "delta", "regret_term", "phi_term",
-            "deviation_term", "total"]
     dicts = [r.to_dict() for r in reports]
-    write_csv(out / "bounds.csv", keys, [[r[k] for k in keys] for r in dicts])
+    write_csv(out / "bounds.csv", REPORT_COLUMNS,
+              [[r[k] for k in REPORT_COLUMNS] for r in dicts])
     if args.format == "json":
         write_json(out / "bounds.json", dicts)
 

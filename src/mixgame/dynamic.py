@@ -11,8 +11,8 @@ module computes, exactly where enumeration is feasible:
   lag 2d),
 * the dynamic mixing coefficient phi_d of the induced cost sequence,
 
-and verifies that phi_d is dominated by the composite 2*B_{ceil(d/2)} +
-beta_{ceil(d/2)} built from the two profiles.
+and verifies that phi_d is dominated by the composite 2*B_{floor(d/2)} +
+beta_{floor(d/2)} built from the two profiles.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,10 +56,8 @@ class MemoryTableLoss:
         prefix = np.asarray(prefix)
         if len(prefix) == 0:
             raise ValidationError("prefix must be non-empty")
-        if len(prefix) >= self.m:
-            return tuple(int(z) for z in prefix[-self.m:])
-        pad = [int(prefix[0])] * (self.m - len(prefix))
-        return tuple(pad + [int(z) for z in prefix])
+        pad = [int(prefix[0])] * max(0, self.m - len(prefix))
+        return tuple(pad + [int(z) for z in prefix[-self.m:]])
 
     def values(self, prefix) -> np.ndarray:
         """Loss of every hypothesis on the given prefix."""
@@ -140,25 +137,22 @@ def _check_cap(alphabet: int, length: int, cap: int = _ENUM_CAP) -> None:
                         f"cap {cap}; use the Monte Carlo fallback")
 
 
-def _block_joint(model: ProcessModel, start_dist: np.ndarray,
-                 length: int) -> np.ndarray:
-    """Joint law of a length-`length` block whose first symbol follows start_dist."""
+def _block_expectations(dl, model: ProcessModel, start_dist: np.ndarray,
+                        length: int) -> np.ndarray:
+    """E[loss(w, block)] for a block drawn with the given start distribution.
+
+    Blocks shorter than a memory loss's m are evaluated padded, like any
+    short prefix.
+    """
+    _check_cap(dl.alphabet, length)
     joint = np.asarray(start_dist, dtype=float)
     for _ in range(length - 1):
         joint = joint[..., :, None] * model.transition
-    return joint
-
-
-def _block_expectations(dl, model: ProcessModel, start_dist: np.ndarray,
-                        length: int) -> np.ndarray:
-    """E[loss(w, block)] for a block drawn with the given start distribution."""
-    _check_cap(dl.alphabet, length)
-    joint = _block_joint(model, start_dist, length).reshape(-1)
+    joint = joint.reshape(-1)
     if isinstance(dl, MemoryTableLoss) and length >= dl.m:
         # only the last m symbols matter: marginalize the head
         joint = joint.reshape((dl.alphabet ** (length - dl.m), -1)).sum(axis=0)
-        flat = dl.table.reshape(dl.n_hypotheses, -1)
-        return flat @ joint
+        return dl.table.reshape(dl.n_hypotheses, -1) @ joint
     vals = np.empty((dl.alphabet**length, dl.n_hypotheses))
     for i, block in enumerate(itertools.product(range(dl.alphabet), repeat=length)):
         vals[i] = dl.values(np.asarray(block))
@@ -173,12 +167,9 @@ def limit_test_losses(dl, model: ProcessModel, horizon: int | None = None,
     losses are truncated at the horizon with error <= the tail envelope.
     """
     if isinstance(dl, MemoryTableLoss):
-        if horizon is None:
-            horizon = dl.m
-        if horizon < dl.m:
+        if horizon is not None and horizon < dl.m:
             raise ValidationError("horizon must cover the loss memory")
-        vals = _block_expectations(dl, model, model.stationary, dl.m)
-        return vals, 0.0
+        return _block_expectations(dl, model, model.stationary, dl.m), 0.0
     if horizon is None:
         horizon = max(1, math.floor(math.log(cap) / math.log(dl.alphabet)))
     _check_cap(dl.alphabet, horizon, cap)
@@ -189,35 +180,28 @@ def limit_test_losses(dl, model: ProcessModel, horizon: int | None = None,
 def limit_test_losses_mc(dl, model: ProcessModel, horizon: int,
                          n_samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo estimate of the limiting test loss, with standard errors."""
-    rng_seed = seed
     samples = np.empty((n_samples, dl.n_hypotheses))
     for i in range(n_samples):
-        p = sample_path(model, horizon, rng_seed + i)
-        samples[i] = dl.values(p.symbols)
+        samples[i] = dl.values(sample_path(model, horizon, seed + i).symbols)
     return samples.mean(axis=0), samples.std(axis=0, ddof=1) / math.sqrt(n_samples)
 
 
 def forgetting_profile(dl, d_max: int) -> np.ndarray:
     """B_d for d = 1..d_max: worst loss change from disagreeing beyond lag d.
 
-    Memory losses get the exact profile by enumeration (zero at and beyond
-    m); discounted losses get the analytic geometric envelope.
+    Memory losses get the exact profile from the loss table (zero at and
+    beyond m); discounted losses get the analytic geometric envelope.
     """
     if isinstance(dl, DiscountedLoss):
         return np.array([dl.tail_envelope(d) for d in range(1, d_max + 1)])
     A, m, W = dl.alphabet, dl.m, dl.n_hypotheses
-    _check_cap(A, m)
     out = np.zeros(d_max)
     for d in range(1, min(m, d_max + 1)):
-        worst = 0.0
-        for suffix in itertools.product(range(A), repeat=d):
-            vals = []
-            for l in range(d, m + 1):  # lengths beyond m behave like length m
-                for head in itertools.product(range(A), repeat=l - d):
-                    vals.append(dl.values(np.asarray(head + suffix)))
-            vals = np.asarray(vals)
-            worst = max(worst, float(np.max(vals.max(axis=0) - vals.min(axis=0))))
-        out[d - 1] = worst
+        # a padded prefix shorter than m is itself an m-window, so the losses
+        # of all prefixes ending in one length-d suffix are the table entries
+        # over the m - d leading symbol axes
+        by_suffix = dl.table.reshape(W, A ** (m - d), A ** d)
+        out[d - 1] = np.max(by_suffix.max(axis=1) - by_suffix.min(axis=1))
     return out
 
 
@@ -231,28 +215,13 @@ def exact_block_beta(model: ProcessModel, dl, d: int,
     """
     if d < 1:
         raise ValidationError("d must be at least 1")
-    if isinstance(dl, MemoryTableLoss):
-        eff = min(dl.m, d)  # only the last eff symbols of the block matter
-    else:
-        eff = d
+    # only the last eff symbols of the block matter
+    eff = min(dl.m, d) if isinstance(dl, MemoryTableLoss) else d
     _check_cap(dl.alphabet, eff, cap)
     steps_to_suffix = 2 * d - eff + 1  # from Z_{t-2d} to the first used symbol
-
-    if isinstance(dl, MemoryTableLoss) and d < dl.m:
-        # the block itself is shorter than the memory: evaluate padded blocks
-        def expectations(start_dist):
-            joint = _block_joint(model, start_dist, d).reshape(-1)
-            vals = np.empty((dl.alphabet**d, dl.n_hypotheses))
-            for i, block in enumerate(itertools.product(range(dl.alphabet), repeat=d)):
-                vals[i] = dl.values(np.asarray(block))
-            return vals.T @ joint
-    else:
-        def expectations(start_dist):
-            return _block_expectations(dl, model, start_dist, eff)
-
-    stat = expectations(model.stationary)  # (W,)
+    stat = _block_expectations(dl, model, model.stationary, eff)  # (W,)
     P_lag = np.linalg.matrix_power(model.transition, steps_to_suffix)
-    gaps = [stat - expectations(P_lag[s]) for s in range(model.n_states)]
+    gaps = [stat - _block_expectations(dl, model, row, eff) for row in P_lag]
     return max(0.0, float(np.max(gaps)))
 
 
@@ -265,39 +234,29 @@ def dynamic_conditional_expectations(model: ProcessModel, dl: MemoryTableLoss,
     """E[loss(w, Z_t, ..., Z_1) | Z_{t-d} = s] for every (s, w); needs d >= m."""
     if d < dl.m:
         raise ValidationError("exact evaluation needs d >= m; use the MC fallback")
-    steps = d - dl.m + 1
-    P_lag = np.linalg.matrix_power(model.transition, steps)
-    return np.stack([_block_expectations(dl, model, P_lag[s], dl.m)
-                     for s in range(model.n_states)])
+    P_lag = np.linalg.matrix_power(model.transition, d - dl.m + 1)
+    return np.stack([_block_expectations(dl, model, row, dl.m) for row in P_lag])
 
 
-def dynamic_phi_gap(model: ProcessModel, dl: MemoryTableLoss, d: int) -> float:
-    """Unclamped max over (w, s) of conditional expected loss minus the limit loss."""
+def dynamic_phi_gaps(model: ProcessModel, dl: MemoryTableLoss,
+                     d: int) -> tuple[float, float]:
+    """Both one-sided gaps of the dynamic cost sequence at lag d, unclamped.
+
+    The first is the max over (w, s) of conditional expected loss minus the
+    limit loss, the dynamic mixing convention.  The second, the mirror, is
+    the max of limit loss minus conditional expected loss: the static
+    convention, the side the blocked martingale argument consumes and the
+    side the composite 2*B + beta bound actually dominates.  On symmetric
+    instances the two coincide.
+    """
     limit, _ = limit_test_losses(dl, model)
-    cond = dynamic_conditional_expectations(model, dl, d)
-    return float(np.max(cond - limit[None, :]))
+    diff = dynamic_conditional_expectations(model, dl, d) - limit[None, :]
+    return float(np.max(diff)), float(np.max(-diff))
 
 
 def dynamic_phi(model: ProcessModel, dl: MemoryTableLoss, d: int) -> float:
-    """Mixing coefficient of the dynamic cost sequence, clamped at zero.
-
-    Note the one-sided gap here is (loss minus limit loss), the mirror of
-    the static convention (test loss minus loss); each is computed exactly
-    as defined.
-    """
-    return max(0.0, dynamic_phi_gap(model, dl, d))
-
-
-def dynamic_phi_mirror(model: ProcessModel, dl: MemoryTableLoss, d: int) -> float:
-    """Clamped max over (w, s) of limit loss minus conditional expected loss.
-
-    This is the side of the gap that the blocked martingale argument
-    consumes, and the side the composite 2*B + beta bound actually
-    dominates; on symmetric instances it coincides with dynamic_phi.
-    """
-    limit, _ = limit_test_losses(dl, model)
-    cond = dynamic_conditional_expectations(model, dl, d)
-    return max(0.0, float(np.max(limit[None, :] - cond)))
+    """Mixing coefficient of the dynamic cost sequence, clamped at zero."""
+    return max(0.0, dynamic_phi_gaps(model, dl, d)[0])
 
 
 def dynamic_phi_mc(model: ProcessModel, dl, d: int, n_samples: int, seed: int,
@@ -308,8 +267,7 @@ def dynamic_phi_mc(model: ProcessModel, dl, d: int, n_samples: int, seed: int,
     sampled through the time-reversed chain, then the chain runs d steps
     forward; the estimate is the worst conditional mean minus the limit loss.
     """
-    limit, _ = limit_test_losses(dl, model, horizon=None) \
-        if isinstance(dl, MemoryTableLoss) else limit_test_losses(dl, model)
+    limit, _ = limit_test_losses(dl, model)
     pi = model.stationary
     reverse = (model.transition * pi[None, :]).T / pi[:, None]
     reverse = reverse / reverse.sum(axis=1, keepdims=True)
@@ -357,12 +315,10 @@ def composite_phi_check(model: ProcessModel, dl, d_grid,
     d_grid = [int(d) for d in d_grid]
     if min(d_grid) < 2:
         raise ValidationError("composite check needs d >= 2")
-    d_half_max = max(d // 2 for d in d_grid)
-    B = forgetting_profile(dl, d_half_max)
+    B = forgetting_profile(dl, max(d // 2 for d in d_grid))
     for d in d_grid:
         dh = d // 2
-        lhs = dynamic_phi(model, dl, d)
-        mirror = dynamic_phi_mirror(model, dl, d)
+        lhs, mirror = (max(0.0, gap) for gap in dynamic_phi_gaps(model, dl, d))
         beta = exact_block_beta(model, dl, dh)
         rhs = 2.0 * B[dh - 1] + beta
         rows.append({"d": d, "d_half": dh, "phi_dynamic": lhs,

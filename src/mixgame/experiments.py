@@ -17,7 +17,7 @@ import numpy as np
 from . import bounds as bd
 from . import dynamic as dyn
 from .errors import ValidationError
-from .game import decompose, play_costs, realized_regret, run_game
+from .game import GameTrace, decompose, realized_regret, run_game
 from .learner import (HypothesisSpace, PosteriorDist, erm, gibbs_posterior,
                       kl_divergence, space_from_json, test_losses)
 from .online import delayed_ewa_bound, make_learner
@@ -55,11 +55,35 @@ def _require(cond: bool, name: str, msg: str) -> None:
         raise ValidationError(f"config field {name!r}: {msg}")
 
 
+def config_value(value, name: str, kind: type, *, low: float = -math.inf,
+                 high: float = math.inf, strict: bool = False):
+    """Convert one config value to ``kind`` and range-check it.
+
+    ``None`` means the field is missing.  Booleans are rejected, since JSON
+    true/false would otherwise read as 1/0, and so are floats that ``kind``
+    would change (2.5 as an int, NaN).  ``low`` and ``high`` are inclusive
+    bounds, exclusive ones when ``strict``.  Every error names the field.
+    """
+    _require(value is not None, name, "missing")
+    try:
+        number = None if isinstance(value, bool) else kind(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if isinstance(value, float) and number != value:
+        number = None
+    _require(number is not None, name, f"cannot read {value!r} as {kind.__name__}")
+    inside = low < number < high if strict else low <= number <= high
+    left, right = ("(", ")") if strict else ("[", "]")
+    _require(inside, name, f"must lie in {left}{low}, {high}{right}")
+    return number
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Parse and validate the experiment JSON document."""
     _require(isinstance(doc, dict), "<root>", "must be a JSON object")
     for section in ("process", "loss", "experiment"):
-        _require(section in doc, section, "missing section")
+        _require(isinstance(doc.get(section), dict), section,
+                 "missing, or not a JSON object")
     model = model_from_json(doc["process"])
 
     loss_doc = doc["loss"]
@@ -74,32 +98,35 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
                  "loss alphabet must match the number of states")
 
     learner_doc = doc.get("learner", {"kind": "gibbs", "beta": 1.0})
+    _require(isinstance(learner_doc, dict), "learner", "must be a JSON object")
     kind = learner_doc.get("kind", "gibbs")
     _require(kind in ("gibbs", "erm"), "learner.kind", "must be 'gibbs' or 'erm'")
-    beta = float(learner_doc.get("beta", 1.0))
-    _require(beta >= 0, "learner.beta", "must be non-negative")
+    beta = config_value(learner_doc.get("beta", 1.0), "learner.beta", float, low=0)
 
     online_doc = doc.get("online", {})
+    _require(isinstance(online_doc, dict), "online", "must be a JSON object")
     algorithm = online_doc.get("algorithm", "ewa")
     _require(algorithm in ("ewa", "ftrl-entropy", "ftrl-sqnorm"),
              "online.algorithm", "unknown algorithm")
-    eta = float(online_doc.get("eta", 0.1))
-    _require(eta > 0, "online.eta", "must be positive")
+    eta = config_value(online_doc.get("eta", 0.1), "online.eta", float, low=0,
+                       strict=True)
     delay_spec = online_doc.get("delay", 1)
-    if not isinstance(delay_spec, int):
-        _require(delay_spec in ("auto-geometric", "auto-algebraic"),
-                 "online.delay", "must be an integer or auto-geometric/auto-algebraic")
+    _require((isinstance(delay_spec, int) and not isinstance(delay_spec, bool))
+             or delay_spec in ("auto-geometric", "auto-algebraic"),
+             "online.delay", "must be an integer or auto-geometric/auto-algebraic")
 
     exp = doc["experiment"]
-    n = int(exp.get("n", 0))
-    _require(n >= 1, "experiment.n", "must be at least 1")
-    replicates = int(exp.get("replicates", 1))
-    _require(replicates >= 1, "experiment.replicates", "must be at least 1")
-    delta = float(exp.get("delta", 0.05))
-    _require(0 < delta < 1, "experiment.delta", "must lie in (0, 1)")
-    seed = int(exp.get("seed", 0))
-    d_grid = [int(v) for v in exp.get("d_grid", [])]
-    d_max = int(exp.get("d_max", 30))
+    n = config_value(exp.get("n"), "experiment.n", int, low=1)
+    replicates = config_value(exp.get("replicates", 1), "experiment.replicates",
+                              int, low=1)
+    delta = config_value(exp.get("delta", 0.05), "experiment.delta", float,
+                         low=0, high=1, strict=True)
+    seed = config_value(exp.get("seed", 0), "experiment.seed", int)
+    grid = exp.get("d_grid", [])
+    _require(isinstance(grid, list), "experiment.d_grid", "must be a list of delays")
+    d_grid = [config_value(v, f"experiment.d_grid[{i}]", int, low=1)
+              for i, v in enumerate(grid)]
+    d_max = config_value(exp.get("d_max", 30), "experiment.d_max", int, low=1)
 
     cfg = ExperimentConfig(model=model, space=space, dynamic_loss=dynamic_loss,
                            learner_kind=kind, beta=beta, algorithm=algorithm,
@@ -122,6 +149,8 @@ def resolve_delay(cfg: ExperimentConfig) -> int:
     if np.all(table <= 0):
         return 1  # i.i.d. losses: no reason to delay
     positive = table[table > 1e-15]
+    _require(len(positive) >= 3, "experiment.d_max", "auto delay tuning needs "
+             "at least 3 positive phi_d values for d <= min(d_max, n)")
     if cfg.delay_spec == "auto-geometric":
         prof = fit_mixing_profile(positive, "geometric")
         return bd.tune_delay_geometric(prof.tau, cfg.n)
@@ -174,20 +203,33 @@ class CoverageResult:
                 for k in range(self.replicates)]
 
 
-def _replicate_run(cfg: ExperimentConfig, k: int):
-    """One replicate: path, comparator, trace, decomposition."""
+def _replicate_run(cfg: ExperimentConfig, k: int, closed_form: bool = False):
+    """One replicate: path, comparator, trace, decomposition.
+
+    With closed_form, wrapped-EWA plays on a static table come from
+    delayed_ewa_posteriors instead of the per-round game loop.
+    """
     seed = replicate_seed(cfg.seed, k)
     path = sample_path(cfg.model, cfg.n, seed)
     prior = PosteriorDist.uniform(cfg.n_hypotheses)
-    if cfg.space is not None:
-        comparator = statistical_posterior(cfg, path)
-        learner = make_learner(cfg.algorithm, prior, cfg.eta, d=cfg.delay)
-        trace = run_game(cfg.model, cfg.space, path, learner, cfg.delay)
-    else:
+    if cfg.space is None:
         comparator = prior  # black-box posterior stand-in for dynamic losses
         learner = make_learner(cfg.algorithm, prior, cfg.eta, d=cfg.delay)
         trace = dyn.run_dynamic_game(cfg.model, cfg.dynamic_loss, path,
                                      learner, cfg.delay)
+    elif closed_form:
+        comparator = statistical_posterior(cfg, path)
+        tl = test_losses(cfg.space, cfg.model)
+        loss_rows = cfg.space.loss_table[:, path.symbols].T
+        costs = loss_rows - tl[None, :]
+        posts = delayed_ewa_posteriors(costs, prior.log_weights, cfg.eta, cfg.delay)
+        trace = GameTrace(n=cfg.n, d=cfg.delay, symbols=path.symbols,
+                          posteriors=posts, costs=costs, loss_rows=loss_rows,
+                          test_loss_vec=tl)
+    else:
+        comparator = statistical_posterior(cfg, path)
+        learner = make_learner(cfg.algorithm, prior, cfg.eta, d=cfg.delay)
+        trace = run_game(cfg.model, cfg.space, path, learner, cfg.delay)
     parts = decompose(trace, comparator)
     return seed, path, comparator, trace, parts
 
@@ -235,43 +277,23 @@ def coverage_experiment(cfg: ExperimentConfig, mode: str = "mn") -> CoverageResu
     """Empirical violation rate of the martingale or generalization bound.
 
     Uses the closed-form wrapped-EWA posteriors when the configured
-    algorithm is EWA, and the generic game loop otherwise.
+    algorithm is EWA, and the generic game loop otherwise; either way the
+    plays go through the checked decomposition.
     """
     if mode not in ("mn", "gen"):
         raise ValidationError("coverage mode must be 'mn' or 'gen'")
     phi = experiment_phi(cfg)
     dev = bd.deviation_term(cfg.delay, cfg.n, cfg.delta)
     mn_bound = phi + dev
-    fast = cfg.algorithm == "ewa" and cfg.space is not None
     values = np.empty(cfg.replicates)
     bound_values = np.empty(cfg.replicates)
-    prior = PosteriorDist.uniform(cfg.n_hypotheses)
-    tl = test_losses(cfg.space, cfg.model) if cfg.space is not None else None
     for k in range(cfg.replicates):
-        if fast:
-            seed = replicate_seed(cfg.seed, k)
-            path = sample_path(cfg.model, cfg.n, seed)
-            loss_rows = cfg.space.loss_table[:, path.symbols].T
-            costs = loss_rows - tl[None, :]
-            posts = delayed_ewa_posteriors(costs, prior.log_weights, cfg.eta,
-                                           cfg.delay)
-            mn = float(-np.mean(np.sum(posts * costs, axis=1)))
-            if mode == "mn":
-                values[k], bound_values[k] = mn, mn_bound
-            else:
-                comparator = statistical_posterior(cfg, path)
-                gen = float(comparator.probs @ (tl - loss_rows.mean(axis=0)))
-                diff = posts - comparator.probs[None, :]
-                regret = float(np.sum(diff * costs))
-                values[k] = gen
-                bound_values[k] = regret / cfg.n + mn_bound
+        parts = _replicate_run(cfg, k, closed_form=cfg.algorithm == "ewa")[-1]
+        if mode == "mn":
+            values[k], bound_values[k] = parts["martingale"], mn_bound
         else:
-            _, _, comparator, trace, parts = _replicate_run(cfg, k)
-            if mode == "mn":
-                values[k], bound_values[k] = parts["martingale"], mn_bound
-            else:
-                values[k] = parts["gen"]
-                bound_values[k] = parts["regret_over_n"] + mn_bound
+            values[k] = parts["gen"]
+            bound_values[k] = parts["regret_over_n"] + mn_bound
     violated = values > bound_values
     rate = float(violated.mean())
     stderr = None

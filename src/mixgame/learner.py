@@ -77,26 +77,15 @@ class PosteriorDist:
         lw[w] = 0.0
         return PosteriorDist(lw)
 
-    def to_json_dict(self) -> dict:
-        return {"log_weights": self.log_weights.tolist()}
-
 
 def test_losses(space: HypothesisSpace, model: ProcessModel) -> np.ndarray:
     """Exact test loss of every hypothesis under the stationary marginal."""
     return space.loss_table @ model.stationary
 
 
-def test_loss(space: HypothesisSpace, model: ProcessModel, w: int) -> float:
-    return float(space.loss_table[w] @ model.stationary)
-
-
 def empirical_losses(space: HypothesisSpace, path: SamplePath) -> np.ndarray:
     """Training loss of every hypothesis: mean of its losses along the path."""
     return space.loss_table[:, path.symbols].mean(axis=1)
-
-
-def empirical_loss(space: HypothesisSpace, path: SamplePath, w: int) -> float:
-    return float(space.loss_table[w, path.symbols].mean())
 
 
 def gibbs_posterior(space: HypothesisSpace, path: SamplePath, beta: float,

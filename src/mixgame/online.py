@@ -22,22 +22,14 @@ from .learner import PosteriorDist
 
 @dataclass(frozen=True)
 class Regularizer:
-    """Strong-convexity bookkeeping for FTRL: modulus and the norm pair used."""
+    """Strong-convexity bookkeeping for FTRL: the regularizer and its modulus."""
 
     kind: str          # "negative-entropy" | "half-squared-norm"
     alpha: float = 1.0
-    norm_pair: str = ""
 
     def __post_init__(self):
-        pairs = {"negative-entropy": "(L1, Linf)", "half-squared-norm": "(L2, L2)"}
-        if self.kind not in pairs:
+        if self.kind not in ("negative-entropy", "half-squared-norm"):
             raise ValidationError(f"unknown regularizer kind {self.kind!r}")
-        object.__setattr__(self, "norm_pair", pairs[self.kind])
-
-    def dual_norm(self, cost: np.ndarray) -> float:
-        if self.kind == "negative-entropy":
-            return float(np.max(np.abs(cost)))
-        return float(np.linalg.norm(cost))
 
 
 NEGATIVE_ENTROPY = Regularizer("negative-entropy")

@@ -10,7 +10,7 @@ conditional expected loss.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,19 +52,6 @@ class ProcessModel:
     @property
     def n_states(self) -> int:
         return self.transition.shape[0]
-
-    def is_iid(self, tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.transition - self.stationary)) <= tol)
-
-    def to_json_dict(self) -> dict:
-        doc = {
-            "states": list(range(self.n_states)),
-            "transition": self.transition.tolist(),
-            "kind": self.kind,
-        }
-        if self.alpha is not None:
-            doc["alpha"] = self.alpha
-        return doc
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from mixgame import (EWA, FTRL, HypothesisSpace, MemoryTableLoss,
                      PosteriorDist, algebraic_main_term, build_markov,
                      composite_phi_check, conditional_loss_expectations,
                      decompose, dynamic_conditional_expectations,
-                     dynamic_phi_mirror, exact_block_beta, exact_phi,
+                     dynamic_phi_gaps, exact_block_beta, exact_phi,
                      ewa_regret_bound, instance_regrets, limit_test_losses,
                      make_learner, phi_gap, play_costs, project_simplex,
                      realized_regret, run_dynamic_game, run_game, sample_path,
@@ -282,7 +282,7 @@ def test_11_memory1_losses_reduce_to_the_static_machinery():
         np.testing.assert_allclose(
             dynamic_conditional_expectations(model, dl, d),
             conditional_loss_expectations(model, table, d), atol=1e-12)
-        assert abs(dynamic_phi_mirror(model, dl, d)
+        assert abs(max(0.0, dynamic_phi_gaps(model, dl, d)[1])
                    - exact_phi(model, table, d)) < 1e-12
         assert abs(exact_block_beta(model, dl, d)
                    - max(0.0, phi_gap(model, table, 2 * d))) < 1e-12

@@ -128,7 +128,7 @@ def test_seed_override_changes_output(tmp_path):
         != (out2 / "summary.csv").read_bytes()
 
 
-def test_exit_code_2_on_bad_input(tmp_path):
+def test_exit_code_2_on_bad_input(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path / "o")]) == 2
     bad = tmp_path / "bad.json"
@@ -140,6 +140,21 @@ def test_exit_code_2_on_bad_input(tmp_path):
     cfg = write_config(tmp_path, doc, "invalid.json")
     assert main(["simulate", "--config", cfg,
                  "--out", str(tmp_path / "o")]) == 2
+    # each bad field exits 2 with a message that names it
+    auto = {"algorithm": "ewa", "eta": 0.3, "delay": "auto-geometric"}
+    bad_docs = [
+        ("simulate", static_config(n="abc"), "experiment.n"),
+        ("simulate", dict(static_config(), online={"delay": True}), "online.delay"),
+        ("simulate", dict(static_config(d_max=0), online=auto), "experiment.d_max"),
+        ("simulate", dict(static_config(d_max=2), online=auto), "experiment.d_max"),
+        ("bounds", {"bounds": {"delta": 0.1}}, "bounds.n"),
+    ]
+    capsys.readouterr()
+    for i, (command, doc, field) in enumerate(bad_docs):
+        cfg = write_config(tmp_path, doc, f"bad-{i}.json")
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert field in capsys.readouterr().err
 
 
 def test_exit_code_3_on_model_failure(tmp_path):

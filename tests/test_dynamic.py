@@ -5,7 +5,7 @@ from mixgame import (DiscountedLoss, MemoryTableLoss, PosteriorDist,
                      ValidationError, block_mixing_profile,
                      composite_phi_check, conditional_loss_expectations,
                      decompose, dynamic_conditional_expectations, dynamic_phi,
-                     dynamic_phi_gap, dynamic_phi_mc, dynamic_phi_mirror,
+                     dynamic_phi_gaps, dynamic_phi_mc,
                      exact_block_beta, forgetting_profile, limit_test_losses,
                      limit_test_losses_mc, loss_from_json, make_learner,
                      phi_gap, run_dynamic_game, sample_path, two_state_chain)
@@ -81,12 +81,37 @@ def test_dynamic_phi_memory1_reduces_to_static():
     test_vec = table @ model.stationary
     for d in (1, 2, 5):
         # the mirror gap (limit minus conditional) is the static convention
-        assert dynamic_phi_mirror(model, dl, d) == pytest.approx(
+        gap, mirror = dynamic_phi_gaps(model, dl, d)
+        assert max(0.0, mirror) == pytest.approx(
             max(0.0, phi_gap(model, table, d)), abs=1e-12)
         # the one-sided gap as printed points the other way
         cond = conditional_loss_expectations(model, table, d)
-        assert dynamic_phi_gap(model, dl, d) == pytest.approx(
+        assert gap == pytest.approx(
             float((cond - test_vec[None, :]).max()), abs=1e-12)
+
+
+def test_memory3_profiles_and_gaps_frozen():
+    # values recorded from the per-block enumeration; beta_1 and beta_2 are
+    # blocks shorter than the memory, evaluated padded
+    rng = np.random.default_rng(2406)
+    model = random_chain(rng, 3)
+    dl = MemoryTableLoss(3, rng.random((2, 3, 3, 3)))
+    np.testing.assert_allclose(forgetting_profile(dl, 4),
+                               [0.9632516545620537, 0.8842924169736586,
+                                0.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(block_mixing_profile(model, dl, 4),
+                               [0.02209981812500511, 0.003676051773563449,
+                                0.0005049366003819777, 4.639548880269739e-05],
+                               atol=1e-12)
+    gaps = [dynamic_phi_gaps(model, dl, d) for d in range(3, 7)]
+    np.testing.assert_allclose([g for g, _ in gaps],
+                               [0.031368201629412895, 0.008445258186328353,
+                                0.003004422603297696, 0.0008871885372947474],
+                               atol=1e-12)
+    np.testing.assert_allclose([m for _, m in gaps],
+                               [0.028467634992647872, 0.006025898217227987,
+                                0.0019657404595180283, 0.0005049366003819777],
+                               atol=1e-12)
 
 
 def test_dynamic_phi_is_zero_on_symmetric_xor():
@@ -100,7 +125,8 @@ def test_dynamic_phi_is_zero_on_symmetric_xor():
 
 def test_dynamic_phi_decays_geometrically_on_asymmetric_chain():
     model = two_state_chain(0.1, 0.3)  # second eigenvalue 0.6
-    vals = [dynamic_phi_mirror(model, xor_loss(), d) for d in range(2, 9)]
+    vals = [max(0.0, dynamic_phi_gaps(model, xor_loss(), d)[1])
+            for d in range(2, 9)]
     ratios = np.diff(np.log(vals))
     np.testing.assert_allclose(ratios, np.log(0.6), atol=1e-9)
 
