@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import SizeError, ValidationError
 from .game import GameTrace, play_costs
-from .process import ProcessModel, SamplePath, sample_path
+from .process import ProcessModel, SamplePath, _walk_chain, sample_path
 
 _ENUM_CAP = 10**6
 
@@ -124,11 +124,15 @@ def loss_from_json(doc: str | dict):
     if isinstance(doc, str):
         doc = json.loads(doc)
     kind = doc.get("kind")
-    if kind == "memory-table":
-        return MemoryTableLoss(doc["m"], doc["table"])
-    if kind == "discounted":
-        return DiscountedLoss(doc["gamma"], doc["scale"], doc["g_table"])
-    raise ValidationError(f"unknown dynamic loss kind {kind!r}")
+    schemas = {"memory-table": (MemoryTableLoss, ("m", "table")),
+               "discounted": (DiscountedLoss, ("gamma", "scale", "g_table"))}
+    if kind not in schemas:
+        raise ValidationError(f"unknown dynamic loss kind {kind!r}")
+    cls, keys = schemas[kind]
+    for key in keys:
+        if key not in doc:
+            raise ValidationError(f"config field 'loss.{key}': missing")
+    return cls(*(doc[key] for key in keys))
 
 
 def _check_cap(alphabet: int, length: int, cap: int = _ENUM_CAP) -> None:
@@ -290,14 +294,9 @@ def dynamic_phi_mc(model: ProcessModel, dl, d: int, n_samples: int, seed: int,
 
 
 def _walk(model: ProcessModel, start: int, steps: int, rng) -> np.ndarray:
+    # one rng.random(steps) draws the same stream as steps rng.random() calls
     cum = np.cumsum(model.transition, axis=1)
-    out = np.empty(steps, dtype=np.int64)
-    s = start
-    for t in range(steps):
-        s = min(int(np.searchsorted(cum[s], rng.random(), side="right")),
-                model.n_states - 1)
-        out[t] = s
-    return out
+    return np.array(_walk_chain(cum, start, rng.random(steps)), dtype=np.int64)
 
 
 def composite_phi_check(model: ProcessModel, dl, d_grid,

@@ -313,6 +313,8 @@ def mixing_table(cfg: ExperimentConfig) -> dict:
         raise ValidationError("phi table is not non-increasing")  # invariant gate
     fits = {}
     if np.all(table > 0):
+        _require(len(table) >= 3, "experiment.d_max",
+                 "decay-law fits need at least 3 phi_d values")
         for kind in ("geometric", "algebraic"):
             prof = fit_mixing_profile(table, kind)
             fits[kind] = {"C": prof.C, "tau": prof.tau, "r": prof.r,

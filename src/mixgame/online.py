@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ValidationError
-from .learner import PosteriorDist
+from .learner import PosteriorDist, _logsumexp
 
 
 @dataclass(frozen=True)
@@ -85,7 +84,7 @@ class EWA:
 
     def observe(self, cost: np.ndarray) -> None:
         lw = self._log_weights - self.eta * np.asarray(cost, float)
-        self._log_weights = lw - logsumexp(lw)
+        self._log_weights = lw - _logsumexp(lw)
 
 
 class FTRL:

@@ -10,6 +10,7 @@ conditional expected loss.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,15 +193,27 @@ def sample_path(model: ProcessModel, n: int, seed: int) -> SamplePath:
     rng = np.random.default_rng(seed)
     u = rng.random(n)
     cum_pi = np.cumsum(model.stationary)
-    cum_rows = np.cumsum(model.transition, axis=1)
-    m = model.n_states
-    symbols = np.empty(n, dtype=np.int64)
-    s = min(int(np.searchsorted(cum_pi, u[0], side="right")), m - 1)
-    symbols[0] = s
-    for t in range(1, n):
-        s = min(int(np.searchsorted(cum_rows[s], u[t], side="right")), m - 1)
-        symbols[t] = s
+    s = min(int(np.searchsorted(cum_pi, u[0], side="right")), model.n_states - 1)
+    walk = _walk_chain(np.cumsum(model.transition, axis=1), s, u[1:])
+    symbols = np.array([s] + walk, dtype=np.int64)
     return SamplePath(symbols=symbols, seed=seed, model=model)
+
+
+def _walk_chain(cum_rows: np.ndarray, s: int, u: np.ndarray) -> list[int]:
+    """States visited from state ``s``, one inverse-CDF step per uniform in ``u``.
+
+    Each step equals ``searchsorted(cum_rows[s], x, side="right")`` clipped
+    to the last state, at a fraction of the cost of a numpy call: ``bisect``
+    runs on Python lists, and searching a row without its last entry does
+    the clipping (the last state takes every ``x`` at or beyond the
+    second-to-last cumulative sum, whatever rounding left in the row sum).
+    """
+    rows = cum_rows[:, :-1].tolist()
+    states = []
+    for x in u.tolist():
+        s = bisect_right(rows[s], x)
+        states.append(s)
+    return states
 
 
 def conditional_loss_expectations(model: ProcessModel, loss_table,

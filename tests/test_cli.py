@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -115,6 +119,13 @@ def test_dynamic_command(tmp_path):
     game = json.loads((out / "dynamic_game.json").read_text())
     assert abs(game["gen"] - game["regret_over_n"] - game["martingale"]) \
         < 1e-10
+    # a negative seed is read modulo 2**64, as replicate seeds are
+    outs = [tmp_path / "neg", tmp_path / "wrapped"]
+    for seed, o in zip(["-1", str(2**64 - 1)], outs):
+        assert main(["dynamic", "--config", cfg, "--out", str(o),
+                     "--seed", seed]) == 0
+    assert (outs[0] / "dynamic_game.json").read_bytes() \
+        == (outs[1] / "dynamic_game.json").read_bytes()
 
 
 def test_seed_override_changes_output(tmp_path):
@@ -148,7 +159,18 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
         ("simulate", dict(static_config(d_max=0), online=auto), "experiment.d_max"),
         ("simulate", dict(static_config(d_max=2), online=auto), "experiment.d_max"),
         ("bounds", {"bounds": {"delta": 0.1}}, "bounds.n"),
+        ("mixing", static_config(d_max=1), "experiment.d_max"),
+        ("mixing", static_config(d_max=2), "experiment.d_max"),
     ]
+    x = [[0.0, 1.0], [1.0, 0.0]]
+    dynamic_losses = [{"kind": "memory-table", "m": 2, "table": [x, x]},
+                      {"kind": "discounted", "gamma": 0.9, "scale": 0.1,
+                       "g_table": x}]
+    for loss in dynamic_losses:
+        for key in [k for k in loss if k != "kind"]:
+            partial = {k: v for k, v in loss.items() if k != key}
+            bad_docs.append(("simulate", dict(static_config(), loss=partial),
+                             f"loss.{key}"))
     capsys.readouterr()
     for i, (command, doc, field) in enumerate(bad_docs):
         cfg = write_config(tmp_path, doc, f"bad-{i}.json")
@@ -163,3 +185,17 @@ def test_exit_code_3_on_model_failure(tmp_path):
     cfg = write_config(tmp_path, doc)
     assert main(["simulate", "--config", cfg,
                  "--out", str(tmp_path / "o")]) == 3
+
+
+def test_scipy_is_not_imported(tmp_path):
+    cfg = write_config(tmp_path, static_config())
+    code = ("import sys, mixgame.cli; "
+            f"assert mixgame.cli.main(['simulate', '--config', {cfg!r}, "
+            f"'--out', {str(tmp_path / 'out')!r}]) == 0; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from mixgame import (DiscountedLoss, MemoryTableLoss, PosteriorDist,
                      exact_block_beta, forgetting_profile, limit_test_losses,
                      limit_test_losses_mc, loss_from_json, make_learner,
                      phi_gap, run_dynamic_game, sample_path, two_state_chain)
+from mixgame.dynamic import _walk
 
 from conftest import random_chain
 
@@ -136,6 +139,25 @@ def test_dynamic_phi_mc_agrees_with_exact():
     exact = dynamic_phi(model, xor_loss(), 3)
     mc, stderr = dynamic_phi_mc(model, xor_loss(), 3, n_samples=5000, seed=1)
     assert abs(mc - exact) < max(5 * stderr, 0.02)
+
+
+# sha256 prefixes of the walked states and the next draw of the generator,
+# recorded with the per-step searchsorted walk that the bisect walk replaced
+FROZEN_WALK_DIGESTS = {2: "b2fa3e23bdf3b47f", 3: "d387662468c751fa",
+                       4: "e5aab5b8f26a84b9", 16: "dcd7ca9d8f488a5e",
+                       200: "77e1af9dbe15358c"}
+
+
+@pytest.mark.parametrize("n_states", sorted(FROZEN_WALK_DIGESTS))
+def test_walk_frozen_with_generator_position(n_states):
+    model = random_chain(np.random.default_rng(n_states), n_states)
+    h = hashlib.sha256()
+    for steps in (1, 7, 64):
+        for seed in (0, 11):
+            rng = np.random.default_rng(seed)
+            h.update(_walk(model, seed % n_states, steps, rng).astype("<i8").tobytes())
+            h.update(np.float64(rng.random()).tobytes())
+    assert h.hexdigest()[:16] == FROZEN_WALK_DIGESTS[n_states]
 
 
 def test_dynamic_conditional_expectations_need_enough_lag():

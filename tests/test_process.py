@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -8,7 +9,7 @@ from mixgame import (MixingProfile, ModelError, ValidationError,
                      conditional_loss_expectations, exact_phi,
                      fit_mixing_profile, model_from_json, phi_gap, phi_table,
                      replicate_seed, sample_path, two_state_chain)
-from mixgame.process import ContaminationSpec
+from mixgame.process import ContaminationSpec, _walk_chain
 
 from conftest import random_chain
 
@@ -99,6 +100,37 @@ def test_sample_path_deterministic_and_stationary():
     long = sample_path(model, 200_000, seed=1)
     freq = np.bincount(long.symbols, minlength=2) / long.symbols.size
     np.testing.assert_allclose(freq, model.stationary, atol=0.01)
+
+
+# sha256 prefixes of the symbols, recorded with the per-step searchsorted
+# sampler that the bisect walk replaced
+FROZEN_PATH_DIGESTS = {2: "e51abd003841de18", 3: "df3c72a560c3e456",
+                       4: "2c908c33d2a2d813", 16: "cc65ec79de948234",
+                       200: "7e254f0ae999af4c"}
+
+
+@pytest.mark.parametrize("n_states", sorted(FROZEN_PATH_DIGESTS))
+def test_sample_path_frozen(n_states):
+    model = random_chain(np.random.default_rng(n_states), n_states)
+    h = hashlib.sha256()
+    for n in (1, 2, 7, 2000):
+        for seed in (0, 7, replicate_seed(5, 3)):
+            h.update(sample_path(model, n, seed).symbols.astype("<i8").tobytes())
+    assert h.hexdigest()[:16] == FROZEN_PATH_DIGESTS[n_states]
+
+
+def test_walk_chain_matches_clipped_searchsorted():
+    rng = np.random.default_rng(4)
+    for n_states in (1, 2, 3, 5):
+        cum = np.cumsum(rng.random((n_states, n_states)), axis=1)
+        cum /= cum[:, -1:] * rng.uniform(0.9, 1.1, (n_states, 1))  # row ends off 1
+        # uniforms on, between and beyond the cumulative sums
+        u = np.concatenate([cum.ravel(), rng.random(200), [0.0, 1.0, 1.2]])
+        s, expected = 0, []
+        for x in u:
+            s = min(int(np.searchsorted(cum[s], x, side="right")), n_states - 1)
+            expected.append(s)
+        assert _walk_chain(cum, 0, u) == expected
 
 
 def test_replicate_seed_is_injective_over_small_range():

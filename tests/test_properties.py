@@ -1,17 +1,26 @@
 """Property-based checks for the numerical kernels."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.special import logsumexp
 
 from mixgame import (PosteriorDist, ewa_step, kl_divergence, project_simplex,
                      two_state_chain)
 from mixgame import phi_table
+from mixgame.learner import _logsumexp
 
 
 finite_vectors = arrays(np.float64, st.integers(2, 6),
                         elements=st.floats(-5, 5))
+
+# log-weights: small and huge magnitudes, repeated values (ties at the max),
+# and -inf entries such as the log of a zero probability
+log_weight_vectors = arrays(
+    np.float64, st.integers(1, 40),
+    elements=st.one_of(st.floats(-50, 50), st.floats(-1e300, 1e300),
+                       st.sampled_from([-np.inf, 0.0, 1.0, 700.0])))
 
 
 @settings(max_examples=200, deadline=None)
@@ -49,3 +58,17 @@ def test_phi_decays_on_two_state_chains(p, q, seed):
     table = phi_table(model, losses, 10)
     assert np.all(table >= 0)
     assert np.all(np.diff(table) <= 1e-12)
+
+
+@settings(max_examples=500, deadline=None)
+@given(log_weight_vectors)
+@example(np.full(3, -np.inf))
+@example(np.array([-np.inf]))
+@example(np.array([2.0, 2.0, -np.inf, 2.0]))
+@example(np.array([1e300, -1e300, 1e300]))
+@example(np.array([np.inf, 0.0]))
+@example(np.array([np.nan, 0.0]))
+def test_logsumexp_matches_scipy_bit_for_bit(a):
+    with np.errstate(all="ignore"):
+        expected = logsumexp(a)
+    assert np.float64(_logsumexp(a)).tobytes() == np.float64(expected).tobytes()
