@@ -17,7 +17,7 @@ from . import experiments as xp
 from .errors import MixgameError, ValidationError
 from .learner import PosteriorDist
 from .online import make_learner
-from .process import _MASK64, sample_path
+from .process import sample_path
 from .reporting import write_csv, write_json
 
 REPORT_COLUMNS = ["tag", "n", "d", "delta", "regret_term", "phi_term",
@@ -150,8 +150,7 @@ def cmd_dynamic(args) -> None:
     write_csv(out / "dynamic_phi_check.csv", header,
               [[r[k] for k in header] for r in rows])
     # one seeded game replicate as a smoke summary
-    # masked to 64 bits like the replicate seeds, so a negative seed is valid
-    path = sample_path(cfg.model, cfg.n, cfg.seed & _MASK64)
+    path = sample_path(cfg.model, cfg.n, cfg.seed)
     prior = PosteriorDist.uniform(cfg.n_hypotheses)
     learner = make_learner(cfg.algorithm, prior, cfg.eta, d=cfg.delay)
     trace = dyn.run_dynamic_game(cfg.model, cfg.dynamic_loss, path, learner,

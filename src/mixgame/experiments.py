@@ -121,7 +121,9 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
                               int, low=1)
     delta = config_value(exp.get("delta", 0.05), "experiment.delta", float,
                          low=0, high=1, strict=True)
-    seed = config_value(exp.get("seed", 0), "experiment.seed", int)
+    # read modulo 2**64, as replicate seeds are, so a negative seed is valid
+    # wherever the master seed reaches a generator
+    seed = config_value(exp.get("seed", 0), "experiment.seed", int) % 2**64
     grid = exp.get("d_grid", [])
     _require(isinstance(grid, list), "experiment.d_grid", "must be a list of delays")
     d_grid = [config_value(v, f"experiment.d_grid[{i}]", int, low=1)

@@ -19,8 +19,6 @@ import numpy as np
 from .errors import ValidationError
 from .process import ProcessModel, SamplePath
 
-_SIMPLEX_TOL = 1e-10
-
 
 def _logsumexp(a: np.ndarray) -> np.float64:
     """log(sum(exp(a))) of a 1-D float array, -inf when ``a`` is empty.

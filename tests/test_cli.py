@@ -128,6 +128,27 @@ def test_dynamic_command(tmp_path):
         == (outs[1] / "dynamic_game.json").read_bytes()
 
 
+def test_negative_seed_reads_modulo_2_64(tmp_path):
+    sweep = static_config(d_grid=[1, 2, 4])
+    # a memory-2 loss at delay 1 takes phi_d from the Monte-Carlo estimate,
+    # which is seeded with the master seed
+    memory = dict(static_config(), online={"algorithm": "ewa", "eta": 0.3,
+                                           "delay": 1})
+    x = [[0.0, 1.0], [1.0, 0.0]]
+    memory["loss"] = {"kind": "memory-table", "m": 2,
+                      "table": [x, [[1.0, 0.0], [0.0, 1.0]]]}
+    for command, doc in [("sweep-delay", sweep), ("simulate", memory)]:
+        cfg = write_config(tmp_path, doc, f"{command}.json")
+        outs = [tmp_path / f"{command}-neg", tmp_path / f"{command}-wrapped"]
+        for seed, o in zip(["-1", str(2**64 - 1)], outs):
+            assert main([command, "--config", cfg, "--out", str(o),
+                         "--seed", seed]) == 0
+        files = sorted(p.name for p in outs[0].iterdir())
+        assert files == sorted(p.name for p in outs[1].iterdir())
+        for name in files:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_seed_override_changes_output(tmp_path):
     cfg = write_config(tmp_path, static_config())
     out1, out2 = tmp_path / "a", tmp_path / "b"

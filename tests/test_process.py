@@ -4,11 +4,12 @@ import json
 import numpy as np
 import pytest
 
-from mixgame import (MixingProfile, ModelError, ValidationError,
+from mixgame import (ConsistencyError, MixingProfile, ModelError, ValidationError,
                      build_contaminated, build_iid, build_markov,
                      conditional_loss_expectations, exact_phi,
                      fit_mixing_profile, model_from_json, phi_gap, phi_table,
                      replicate_seed, sample_path, two_state_chain)
+from mixgame.cli import main
 from mixgame.process import ContaminationSpec, _walk_chain
 
 from conftest import random_chain
@@ -62,6 +63,36 @@ def test_phi_table_matches_pointwise(symmetric_quarter_chain, indicator_space):
                           indicator_space.loss_table, d)
                 for d in range(1, 9)]
     np.testing.assert_allclose(table, expected, atol=0)
+
+
+def test_stepped_phi_table_matches_matrix_powers():
+    rng = np.random.default_rng(17)
+    lazy = build_markov(0.5 * np.eye(30) + 0.5 * random_chain(rng, 30).transition)
+    cases = [(random_chain(rng, 200), rng.random((50, 200)), 200),
+             (lazy, rng.random((10, 30)), 400)]
+    for model, losses, d_max in cases:
+        table = phi_table(model, losses, d_max)
+        expected = [exact_phi(model, losses, d) for d in range(1, d_max + 1)]
+        assert table.shape == (d_max,)
+        np.testing.assert_allclose(table, expected, rtol=0, atol=1e-12)
+    assert phi_table(model, losses, 0).shape == (0,)
+
+
+def test_phi_table_drift_is_a_consistency_error(tmp_path, monkeypatch):
+    import mixgame.process as process
+    exact = process.exact_phi
+    monkeypatch.setattr(process, "exact_phi",
+                        lambda model, losses, d: exact(model, losses, d) + 1e-9)
+    model = two_state_chain(0.25, 0.25)
+    with pytest.raises(ConsistencyError, match="d_max=8"):
+        phi_table(model, [[0.0, 1.0], [1.0, 0.0]], 8)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "process": {"transition": model.transition.tolist()},
+        "loss": {"losses": [[0.0, 1.0], [1.0, 0.0]]},
+        "experiment": {"n": 50, "d_max": 8}}))
+    assert main(["mixing", "--config", str(config),
+                 "--out", str(tmp_path / "out")]) == 3
 
 
 def test_phi_nonincreasing_on_two_state_chains():
