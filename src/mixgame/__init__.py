@@ -11,7 +11,7 @@ from .errors import (ConsistencyError, MixgameError, ModelError, ProtocolError,
 from .process import (ContaminationSpec, MixingProfile, ProcessModel, SamplePath,
                       build_contaminated, build_iid, build_markov,
                       conditional_loss_expectations, exact_phi,
-                      fit_mixing_profile, model_from_json, phi_gap, phi_table,
+                      fit_mixing_profile, model_from_json, phi_table,
                       replicate_seed, sample_path, two_state_chain)
 from .learner import (HypothesisSpace, PosteriorDist, empirical_losses, erm,
                       exact_generalization_error, gibbs_posterior,
@@ -20,20 +20,16 @@ from .game import (GameTrace, decompose, export_trace_csv, generalization_gap,
                    instance_regrets, martingale_term, play_costs,
                    realized_regret, run_game)
 from .online import (EWA, FTRL, HALF_SQUARED_NORM, NEGATIVE_ENTROPY,
-                     DelayedLearner, Regularizer, delayed_ewa_bound,
-                     delayed_regret_bound, ewa_regret_bound, ewa_step,
-                     ftrl_regret_bound, ftrl_step, make_learner,
-                     project_simplex)
-from .bounds import (BoundReport, EtaGrid, algebraic_bound, algebraic_main_term,
-                     blocking_tail_bound, delay_bound, deviation_term,
-                     eta_grid_bound, ewa_geometric_bound, ftrl_geometric_bound,
-                     geometric_bound, make_eta_grid, sweep_delay,
-                     tune_delay_algebraic, tune_delay_geometric)
+                     DelayedLearner, Regularizer, delayed_regret_bound,
+                     ewa_step, ftrl_step, make_learner, project_simplex,
+                     regret_bound)
+from .bounds import (BoundReport, delay_bound, deviation_term, sweep_delay,
+                     tune_delay_algebraic, tune_delay_geometric, tuned_bound)
 from .dynamic import (DiscountedLoss, MemoryTableLoss, block_mixing_profile,
                       composite_phi_check, dynamic_conditional_expectations,
                       dynamic_phi, dynamic_phi_gaps, dynamic_phi_mc,
                       exact_block_beta, forgetting_profile, limit_test_losses,
-                      limit_test_losses_mc, loss_from_json, run_dynamic_game)
+                      loss_from_json, run_dynamic_game)
 from .experiments import (CoverageResult, ExperimentConfig, config_from_dict,
                           coverage_experiment, delay_sweep,
                           delayed_ewa_posteriors, mixing_table, run_experiment)

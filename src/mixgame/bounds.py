@@ -1,23 +1,29 @@
 """Closed-form generalization bounds, delay tuning rules, and the delay sweep.
 
 Every bound is assembled into a BoundReport with the three-term structure
-regret_term + phi_term + deviation_term = total.  Logarithms are natural
+regret_term + phi_term + deviation_term = total.  ``delay_bound`` takes
+phi_d at a given delay; ``tuned_bound`` tunes the delay to a MixingProfile
+through a table keyed by the profile kind.  Logarithms are natural
 throughout: the geometric mixing law is C*exp(-d/tau), so the tuned delay
 ceil(tau * ln n) guarantees phi_d <= C/n only with natural logs.
+
+The algebraic row is the paper's rate C (1 + sqrt(ln(1/delta))) n^(-r/(1+2r)),
+split into a delta-free phi part and a confidence part; it is not a bound at
+its own tuned delay (at C=1, r=1, n=1000, delta=0.05 the confidence part is
+0.173, deviation_term(10) is 0.245).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 from .errors import ValidationError
 from .game import decompose, run_game
 from .learner import HypothesisSpace, PosteriorDist, gibbs_posterior, kl_divergence
-from .online import delayed_ewa_bound, make_learner
-from .process import ProcessModel, exact_phi, sample_path
+from .online import delayed_regret_bound, make_learner
+from .process import MixingProfile, ProcessModel, exact_phi, sample_path
 
 
 @dataclass(frozen=True)
@@ -40,31 +46,7 @@ class BoundReport:
             self, "total", self.regret_term + self.phi_term + self.deviation_term)
 
     def to_dict(self) -> dict:
-        return {"n": self.n, "d": self.d, "delta": self.delta,
-                "regret_term": self.regret_term, "phi_term": self.phi_term,
-                "deviation_term": self.deviation_term, "total": self.total,
-                "tag": self.tag}
-
-
-@dataclass(frozen=True)
-class EtaGrid:
-    """Halving grid eta_0 * 2^-k with the confidence split uniformly across it."""
-
-    etas: np.ndarray
-    delta_each: float
-
-    def __post_init__(self):
-        e = np.asarray(self.etas, dtype=float)
-        if len(e) < 1 or np.any(np.diff(e) >= 0):
-            raise ValidationError("eta grid must be non-empty and strictly decreasing")
-        object.__setattr__(self, "etas", e)
-
-
-def make_eta_grid(eta0: float, n: int, delta: float, K: int | None = None) -> EtaGrid:
-    if K is None:
-        K = max(1, math.ceil(math.log2(n)))
-    etas = eta0 * 0.5 ** np.arange(K)
-    return EtaGrid(etas=etas, delta_each=delta / K)
+        return asdict(self)
 
 
 def deviation_term(d: int, n: int, delta: float) -> float:
@@ -74,11 +56,6 @@ def deviation_term(d: int, n: int, delta: float) -> float:
     if not 1 <= d <= n:
         raise ValidationError("need 1 <= d <= n")
     return math.sqrt(2.0 * d * math.log(1.0 / delta) / n)
-
-
-def blocking_tail_bound(phi_d: float, d: int, n: int, delta: float) -> float:
-    """High-probability bound on the martingale term: phi_d + deviation."""
-    return phi_d + deviation_term(d, n, delta)
 
 
 def delay_bound(regret_value: float, phi_d: float, d: int, n: int, delta: float,
@@ -107,76 +84,38 @@ def tune_delay_algebraic(C: float, r: float, n: int) -> int:
     return min(max(1, math.ceil((C * C * n) ** (1.0 / (1.0 + 2.0 * r)))), n)
 
 
-def _geometric_deviation(tau: float, n: int, delta: float) -> float:
-    return math.sqrt(2.0 * (tau * math.log(n) + 1.0) * math.log(1.0 / delta) / n)
+def _tuned_geometric(profile: MixingProfile, n: int, delta: float):
+    d = tune_delay_geometric(profile.tau, n)
+    log_n = math.log(n)
+    # C/n bounds C e^{-d/tau} once d >= tau ln n, not when d is clamped to n
+    phi = profile.C / n if d >= profile.tau * log_n else profile.phi(d)
+    # d <= tau ln n + 1, so this bounds deviation_term(d)
+    dev = math.sqrt(2.0 * (profile.tau * log_n + 1.0) * math.log(1.0 / delta) / n)
+    return d, phi, dev
 
 
-def geometric_bound(regret_value: float, C: float, tau: float, n: int,
-                    delta: float) -> BoundReport:
-    """Tuned-delay bound for geometric mixing: regret/n + C/n + deviation."""
-    d = tune_delay_geometric(tau, n)
-    return BoundReport(n=n, d=d, delta=delta, regret_term=regret_value / n,
-                       phi_term=C / n,
-                       deviation_term=_geometric_deviation(tau, n, delta),
-                       tag="geometric")
+def _tuned_algebraic(profile: MixingProfile, n: int, delta: float):
+    d = tune_delay_algebraic(profile.C, profile.r, n)
+    main = profile.C * n ** (-profile.r / (1.0 + 2.0 * profile.r))
+    return d, main, main * math.sqrt(math.log(1.0 / delta))
 
 
-def algebraic_bound(regret_value: float, C: float, r: float, n: int,
-                    delta: float) -> BoundReport:
-    """Tuned-delay bound for algebraic mixing.
+# MixingProfile.kind -> (delay, phi_term, deviation_term) at the tuned delay
+_TUNED = {"geometric": _tuned_geometric, "algebraic": _tuned_algebraic}
 
-    The main term C * (1 + sqrt(ln(1/delta))) * n^(-r/(1+2r)) is split into
-    its delta-free part (phi_term) and its confidence part (deviation_term).
-    The exponent -r/(1+2r) is the simplified form of -2r/(2(1+2r)).
+
+def tuned_bound(profile: MixingProfile, n: int, delta: float,
+                regret: Callable[[int], float], tag_prefix: str = "") -> BoundReport:
+    """regret(d)/n + phi_term + deviation_term at the delay d tuned to the profile.
+
+    ``regret`` maps d to a cumulative regret; the tag is ``tag_prefix`` + kind.
     """
-    d = tune_delay_algebraic(C, r, n)
-    main = C * n ** (-r / (1.0 + 2.0 * r))
-    return BoundReport(n=n, d=d, delta=delta, regret_term=regret_value / n,
-                       phi_term=main,
-                       deviation_term=main * math.sqrt(math.log(1.0 / delta)),
-                       tag="algebraic")
-
-
-def algebraic_main_term(C: float, r: float, n: int, delta: float) -> float:
-    return C * (1.0 + math.sqrt(math.log(1.0 / delta))) * n ** (-r / (1.0 + 2.0 * r))
-
-
-def ewa_geometric_bound(kl: float, eta: float, C: float, tau: float, n: int,
-                        delta: float) -> BoundReport:
-    """Geometric-mixing bound with the wrapped-EWA regret composite.
-
-    The regret term is (d * KL/eta + eta * n / 2) / n at d = ceil(tau ln n),
-    the exact sum of the d per-instance EWA bounds.
-    """
-    if kl < 0 or eta <= 0:
-        raise ValidationError("need kl >= 0 and eta > 0")
-    d = tune_delay_geometric(tau, n)
-    regret = delayed_ewa_bound(kl, eta, d, n)
-    return BoundReport(n=n, d=d, delta=delta, regret_term=regret / n,
-                       phi_term=C / n,
-                       deviation_term=_geometric_deviation(tau, n, delta),
-                       tag="ewa-geometric")
-
-
-def ftrl_geometric_bound(h_gap: float, eta: float, alpha: float, B: float,
-                         C: float, tau: float, n: int, delta: float) -> BoundReport:
-    """Geometric-mixing bound for wrapped FTRL with dual-norm cost bound B."""
-    if eta <= 0 or alpha <= 0 or B < 0:
-        raise ValidationError("need eta > 0, alpha > 0, B >= 0")
-    d = tune_delay_geometric(tau, n)
-    regret = d * h_gap / eta + eta * B * B * n / (2.0 * alpha)
-    return BoundReport(n=n, d=d, delta=delta, regret_term=regret / n,
-                       phi_term=C / n,
-                       deviation_term=_geometric_deviation(tau, n, delta),
-                       tag="ftrl-geometric")
-
-
-def eta_grid_bound(base_bound, grid: EtaGrid) -> float:
-    """min over the grid of base_bound(eta, delta/K): the union-bound tuning."""
-    values = [base_bound(float(eta), grid.delta_each) for eta in grid.etas]
-    if not values:
-        raise ValidationError("empty eta grid")
-    return min(values)
+    if profile.kind not in _TUNED:
+        raise ValidationError(f"no tuned bound for profile kind {profile.kind!r}")
+    d, phi, dev = _TUNED[profile.kind](profile, n, delta)
+    return BoundReport(n=n, d=d, delta=delta, regret_term=regret(d) / n,
+                       phi_term=phi, deviation_term=dev,
+                       tag=tag_prefix + profile.kind)
 
 
 def sweep_delay(model: ProcessModel, space: HypothesisSpace, n: int, delta: float,
@@ -202,14 +141,13 @@ def sweep_delay(model: ProcessModel, space: HypothesisSpace, n: int, delta: floa
         learner = make_learner(algorithm, prior, eta, d=d)
         trace = run_game(model, space, path, learner, d)
         parts = decompose(trace, comparator)
-        regret_term = delayed_ewa_bound(kl, eta, d, n) / n
-        dev = deviation_term(d, n, delta)
+        rep = delay_bound(delayed_regret_bound(kl, eta, d, n), phi, d, n, delta)
         rows.append({
             "d": d,
             "phi_term": phi,
-            "deviation_term": dev,
-            "regret_term": regret_term,
-            "total_bound": regret_term + phi + dev,
+            "deviation_term": rep.deviation_term,
+            "regret_term": rep.regret_term,
+            "total_bound": rep.total,
             "empirical_gen": parts["gen"],
         })
     return rows

@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 validation error, 3 runtime/consistency error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -16,8 +17,8 @@ from . import dynamic as dyn
 from . import experiments as xp
 from .errors import MixgameError, ValidationError
 from .learner import PosteriorDist
-from .online import make_learner
-from .process import sample_path
+from .online import delayed_regret_bound, make_learner
+from .process import MixingProfile, sample_path
 from .reporting import write_csv, write_json
 
 REPORT_COLUMNS = ["tag", "n", "d", "delta", "regret_term", "phi_term",
@@ -93,6 +94,23 @@ def cmd_mixing(args) -> None:
                {"fits": result["fits"], "fit_skipped": result["fit_skipped"]})
 
 
+# `mixgame bounds` tuned rows: law key -> (MixingProfile kind, {regret key ->
+# (tag prefix, regret at d)}); with no regret key present, the plain regret.
+TUNED_ROWS = {
+    "tau": ("geometric", {
+        "kl": ("ewa-", lambda field, n: functools.partial(
+            delayed_regret_bound, field("kl", low=0),
+            field("eta", low=0, strict=True), n=n)),
+        "h_gap": ("ftrl-", lambda field, n: functools.partial(
+            delayed_regret_bound, field("h_gap", low=0),
+            field("eta", low=0, strict=True), n=n,
+            alpha=field("alpha", default=1.0, low=0, strict=True),
+            B=field("B", default=1.0, low=0))),
+    }),
+    "r": ("algebraic", {}),
+}
+
+
 def cmd_bounds(args) -> None:
     doc = json.loads(Path(args.config).read_text())
     spec = doc.get("bounds") if isinstance(doc, dict) else None
@@ -111,22 +129,15 @@ def cmd_bounds(args) -> None:
     if "phi_d" in spec:
         reports.append(bd.delay_bound(regret, field("phi_d", low=0),
                                       field("d", int, low=1, high=n), n, delta))
-    if "tau" in spec:
-        tau = field("tau", low=0, strict=True)
-        if "kl" in spec:
-            reports.append(bd.ewa_geometric_bound(
-                field("kl", low=0), field("eta", low=0, strict=True), C, tau,
-                n, delta))
-        if "h_gap" in spec:
-            reports.append(bd.ftrl_geometric_bound(
-                field("h_gap", low=0), field("eta", low=0, strict=True),
-                field("alpha", default=1.0, low=0, strict=True),
-                field("B", default=1.0, low=0), C, tau, n, delta))
-        if "kl" not in spec and "h_gap" not in spec:
-            reports.append(bd.geometric_bound(regret, C, tau, n, delta))
-    if "r" in spec:
-        reports.append(bd.algebraic_bound(regret, C, field("r", low=0, strict=True),
-                                          n, delta))
+    for law_key, (kind, composites) in TUNED_ROWS.items():
+        if law_key not in spec:
+            continue
+        profile = MixingProfile(kind, C=C,
+                                **{law_key: field(law_key, low=0, strict=True)})
+        rows = [(prefix, make(field, n)) for key, (prefix, make)
+                in composites.items() if key in spec]
+        for prefix, regret_at in rows or [("", lambda d: regret)]:
+            reports.append(bd.tuned_bound(profile, n, delta, regret_at, prefix))
     if not reports:
         raise ValidationError("config field 'bounds': no evaluable bound found")
     out = _out_dir(args)

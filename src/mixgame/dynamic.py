@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import SizeError, ValidationError
 from .game import GameTrace, play_costs
-from .process import ProcessModel, SamplePath, _walk_chain, sample_path
+from .process import ProcessModel, SamplePath, _walk_chain
 
 _ENUM_CAP = 10**6
 
@@ -179,15 +179,6 @@ def limit_test_losses(dl, model: ProcessModel, horizon: int | None = None,
     _check_cap(dl.alphabet, horizon, cap)
     vals = _block_expectations(dl, model, model.stationary, horizon)
     return vals, dl.tail_envelope(horizon)
-
-
-def limit_test_losses_mc(dl, model: ProcessModel, horizon: int,
-                         n_samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo estimate of the limiting test loss, with standard errors."""
-    samples = np.empty((n_samples, dl.n_hypotheses))
-    for i in range(n_samples):
-        samples[i] = dl.values(sample_path(model, horizon, seed + i).symbols)
-    return samples.mean(axis=0), samples.std(axis=0, ddof=1) / math.sqrt(n_samples)
 
 
 def forgetting_profile(dl, d_max: int) -> np.ndarray:

@@ -20,12 +20,12 @@ from .errors import ValidationError
 from .game import GameTrace, decompose, realized_regret, run_game
 from .learner import (HypothesisSpace, PosteriorDist, erm, gibbs_posterior,
                       kl_divergence, space_from_json, test_losses)
-from .online import delayed_ewa_bound, make_learner
+from .online import delayed_regret_bound, make_learner
 from .process import (ProcessModel, exact_phi, fit_mixing_profile,
                       model_from_json, phi_table, replicate_seed, sample_path)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     model: ProcessModel
     space: HypothesisSpace | None        # static loss table, or
@@ -34,14 +34,13 @@ class ExperimentConfig:
     beta: float
     algorithm: str                       # "ewa" | "ftrl-entropy" | "ftrl-sqnorm"
     eta: float
-    delay_spec: object                   # int | "auto-geometric" | "auto-algebraic"
+    delay: int                           # resolved from online.delay, in [1, n]
     n: int
     replicates: int
     delta: float
     seed: int
     d_grid: list = field(default_factory=list)
     d_max: int = 30
-    delay: int = 1
 
     @property
     def n_hypotheses(self) -> int:
@@ -130,34 +129,32 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
               for i, v in enumerate(grid)]
     d_max = config_value(exp.get("d_max", 30), "experiment.d_max", int, low=1)
 
-    cfg = ExperimentConfig(model=model, space=space, dynamic_loss=dynamic_loss,
-                           learner_kind=kind, beta=beta, algorithm=algorithm,
-                           eta=eta, delay_spec=delay_spec, n=n,
-                           replicates=replicates, delta=delta, seed=seed,
-                           d_grid=d_grid, d_max=d_max)
-    cfg.delay = resolve_delay(cfg)
-    return cfg
+    delay = resolve_delay(delay_spec, model, space, n, d_max)
+    return ExperimentConfig(model=model, space=space, dynamic_loss=dynamic_loss,
+                            learner_kind=kind, beta=beta, algorithm=algorithm,
+                            eta=eta, delay=delay, n=n, replicates=replicates,
+                            delta=delta, seed=seed, d_grid=d_grid, d_max=d_max)
 
 
-def resolve_delay(cfg: ExperimentConfig) -> int:
-    """Turn the delay spec into a concrete integer in [1, n]."""
-    if isinstance(cfg.delay_spec, int):
-        d = cfg.delay_spec
-        _require(1 <= d <= cfg.n, "online.delay", "must lie in [1, n]")
-        return d
-    _require(cfg.space is not None, "online.delay",
+def resolve_delay(delay_spec, model: ProcessModel, space: HypothesisSpace | None,
+                  n: int, d_max: int) -> int:
+    """Turn the online.delay spec into a concrete integer in [1, n]."""
+    if isinstance(delay_spec, int):
+        _require(1 <= delay_spec <= n, "online.delay", "must lie in [1, n]")
+        return delay_spec
+    _require(space is not None, "online.delay",
              "auto delay tuning needs a static loss table")
-    table = phi_table(cfg.model, cfg.space.loss_table, min(cfg.d_max, cfg.n))
+    table = phi_table(model, space.loss_table, min(d_max, n))
     if np.all(table <= 0):
         return 1  # i.i.d. losses: no reason to delay
     positive = table[table > 1e-15]
     _require(len(positive) >= 3, "experiment.d_max", "auto delay tuning needs "
              "at least 3 positive phi_d values for d <= min(d_max, n)")
-    if cfg.delay_spec == "auto-geometric":
+    if delay_spec == "auto-geometric":
         prof = fit_mixing_profile(positive, "geometric")
-        return bd.tune_delay_geometric(prof.tau, cfg.n)
+        return bd.tune_delay_geometric(prof.tau, n)
     prof = fit_mixing_profile(positive, "algebraic")
-    return bd.tune_delay_algebraic(prof.C, prof.r, cfg.n)
+    return bd.tune_delay_algebraic(prof.C, prof.r, n)
 
 
 def statistical_posterior(cfg: ExperimentConfig, path) -> PosteriorDist:
@@ -267,7 +264,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                 prior = PosteriorDist.uniform(cfg.n_hypotheses)
                 kl = kl_divergence(comparator, prior)
                 if math.isfinite(kl):
-                    apriori = delayed_ewa_bound(kl, cfg.eta, cfg.delay, cfg.n)
+                    apriori = delayed_regret_bound(kl, cfg.eta, cfg.delay, cfg.n)
                     reports.append(bd.delay_bound(apriori, phi, cfg.delay, cfg.n,
                                                   cfg.delta, tag="delay-apriori"))
     header = ["replicate", "seed", "gen", "regret_over_n", "martingale",

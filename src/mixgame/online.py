@@ -9,7 +9,6 @@ running d independent instances, one per residue class of rounds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -146,28 +145,19 @@ def make_learner(algorithm: str, prior: PosteriorDist, eta: float,
     return DelayedLearner(factories[algorithm], d)
 
 
-def ewa_regret_bound(kl: float, eta: float, sup_norm_sq_sum: float) -> float:
-    """Regret bound KL/eta + (eta/2) * sum of squared sup-norms of the costs."""
-    if kl < 0 or eta <= 0:
-        raise ValidationError("need kl >= 0 and eta > 0")
-    return kl / eta + 0.5 * eta * sup_norm_sq_sum
-
-def ftrl_regret_bound(h_gap: float, eta: float, alpha: float,
-                      dual_norm_sq_sum: float) -> float:
-    """Regret bound (h(P*) - h(P_1))/eta + (eta/2 alpha) * sum of squared dual norms."""
+def regret_bound(h_gap: float, eta: float, alpha: float,
+                 dual_norm_sq_sum: float) -> float:
+    """Regret bound (h(P*) - h(P_1))/eta + (eta/2 alpha) * sum of squared dual norms;
+    exponential weights is the case h_gap = KL, alpha = 1, sup norms."""
     if eta <= 0 or alpha <= 0:
         raise ValidationError("need eta > 0 and alpha > 0")
     return h_gap / eta + eta / (2.0 * alpha) * dual_norm_sq_sum
 
 
-def delayed_regret_bound(base_bound: Callable[[int], float], d: int, n: int) -> float:
-    """d * R(ceil(n/d)): the per-instance sum for d round-robin copies."""
-    if d < 1 or n < 1:
-        raise ValidationError("need d >= 1 and n >= 1")
-    return d * base_bound(math.ceil(n / d))
-
-
-def delayed_ewa_bound(kl: float, eta: float, d: int, n: int,
-                      sup_norm_bound: float = 1.0) -> float:
-    """d * KL/eta + (eta/2) * n * B_inf^2: exact per-instance sum for wrapped EWA."""
-    return d * kl / eta + 0.5 * eta * n * sup_norm_bound**2
+def delayed_regret_bound(h_gap: float, eta: float, d: int, n: int,
+                         alpha: float = 1.0, B: float = 1.0) -> float:
+    """d * h_gap/eta + eta * B^2 * n / (2 alpha): the d round-robin instances'
+    bounds summed, for costs of dual norm <= B; EWA is h_gap = KL, B = alpha = 1."""
+    if eta <= 0 or alpha <= 0 or B < 0 or d < 1 or n < 1:
+        raise ValidationError("need eta > 0, alpha > 0, B >= 0, d >= 1, n >= 1")
+    return d * h_gap / eta + eta * B * B * n / (2.0 * alpha)

@@ -91,10 +91,9 @@ class ContaminationSpec:
 
 @dataclass(frozen=True)
 class MixingProfile:
-    """A phi_d sequence: explicit table, geometric C*exp(-d/tau), or algebraic C*d**-r."""
+    """A phi_d decay law: geometric C*exp(-d/tau) or algebraic C*d**-r."""
 
-    kind: str  # "table" | "geometric" | "algebraic"
-    table: np.ndarray | None = None
+    kind: str  # "geometric" | "algebraic"
     C: float | None = None
     tau: float | None = None
     r: float | None = None
@@ -106,11 +105,6 @@ class MixingProfile:
             out = self.C * np.exp(-d / self.tau)
         elif self.kind == "algebraic":
             out = self.C * d ** (-self.r)
-        elif self.kind == "table":
-            idx = d.astype(int) - 1
-            if np.any(idx < 0) or np.any(idx >= len(self.table)):
-                raise ValidationError("d outside the tabulated range")
-            out = self.table[idx]
         else:
             raise ValidationError(f"unknown profile kind {self.kind!r}")
         return float(out) if out.ndim == 0 else out
@@ -231,17 +225,12 @@ def conditional_loss_expectations(model: ProcessModel, loss_table,
     return Pd @ L.T  # (states, W)
 
 
-def phi_gap(model: ProcessModel, loss_table, d: int) -> float:
-    """Unclamped worst-case gap: max over (w, s) of L(w) - E[loss | Z_{t-d}=s]."""
+def exact_phi(model: ProcessModel, loss_table, d: int) -> float:
+    """phi_d = max over (w, s) of L(w) - E[loss | Z_{t-d}=s], clamped at zero."""
     L = np.asarray(loss_table, dtype=float)
     test = L @ model.stationary  # (W,)
     cond = conditional_loss_expectations(model, L, d)  # (states, W)
-    return float(np.max(test[None, :] - cond))
-
-
-def exact_phi(model: ProcessModel, loss_table, d: int) -> float:
-    """The mixing coefficient phi_d of the loss class, clamped at zero."""
-    return max(0.0, phi_gap(model, loss_table, d))
+    return max(0.0, float(np.max(test[None, :] - cond)))
 
 
 def phi_table(model: ProcessModel, loss_table, d_max: int) -> np.ndarray:

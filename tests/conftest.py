@@ -10,6 +10,26 @@ def random_chain(rng, n_states=2, smoothing=0.05):
     return build_markov(T / T.sum(axis=1, keepdims=True))
 
 
+def limit_test_losses_mc(dl, model, horizon, n_samples, seed):
+    """Monte Carlo estimate of a dynamic loss's limiting test loss, with
+    standard errors: n_samples stationary length-horizon paths, all drawn
+    from one generator, one inverse-CDF step per symbol for all paths at once.
+    """
+    rng = np.random.default_rng(seed)
+    cum = np.cumsum(model.transition, axis=1)[:, :-1]
+    paths = np.empty((n_samples, horizon), dtype=np.int64)
+    paths[:, 0] = np.searchsorted(np.cumsum(model.stationary)[:-1],
+                                  rng.random(n_samples), side="right")
+    for t in range(1, horizon):
+        u = rng.random(n_samples)
+        paths[:, t] = (u[:, None] >= cum[paths[:, t - 1]]).sum(axis=1)
+    # a loss reads a whole path, so evaluate each distinct path once
+    distinct, inverse = np.unique(paths, axis=0, return_inverse=True)
+    values = np.array([dl.values(p) for p in distinct])
+    samples = values[inverse.reshape(-1)]
+    return samples.mean(axis=0), samples.std(axis=0, ddof=1) / np.sqrt(n_samples)
+
+
 def random_space(rng, n_hypotheses, n_symbols):
     return HypothesisSpace(rng.random((n_hypotheses, n_symbols)))
 

@@ -13,14 +13,14 @@ import numpy as np
 import pytest
 
 from mixgame import (EWA, FTRL, HypothesisSpace, MemoryTableLoss,
-                     PosteriorDist, algebraic_main_term, build_markov,
+                     MixingProfile, PosteriorDist, build_markov,
                      composite_phi_check, conditional_loss_expectations,
                      decompose, dynamic_conditional_expectations,
                      dynamic_phi_gaps, exact_block_beta, exact_phi,
-                     ewa_regret_bound, instance_regrets, limit_test_losses,
-                     make_learner, phi_gap, play_costs, project_simplex,
-                     realized_regret, run_dynamic_game, run_game, sample_path,
-                     tune_delay_algebraic, tune_delay_geometric,
+                     instance_regrets, limit_test_losses, make_learner,
+                     play_costs, project_simplex, realized_regret,
+                     regret_bound, run_dynamic_game, run_game, sample_path,
+                     tune_delay_algebraic, tune_delay_geometric, tuned_bound,
                      two_state_chain)
 from mixgame import test_losses as stationary_losses
 from mixgame.cli import main as cli_main
@@ -86,7 +86,7 @@ def test_02_ewa_regret_never_exceeds_its_bound():
         for eta in etas:
             posts = delayed_ewa_posteriors(costs, prior.log_weights, eta, 1)
             regret = float(np.sum(posts * costs)) - best
-            if regret > ewa_regret_bound(math.log(4), eta, sup_sq) + 1e-12:
+            if regret > regret_bound(math.log(4), eta, 1.0, sup_sq) + 1e-12:
                 violations += 1
     assert violations == 0
     _report("[2/12] exponential-weights regret bound held on 1000 streams x "
@@ -228,8 +228,9 @@ def test_08_delay_tuning_formulas_and_rate_exponent():
     assert tune_delay_geometric(2.0, 1000) == 14
     assert tune_delay_algebraic(1.0, 1.0, 1000) == 10
     for r in (0.5, 1.0, 2.0):
-        v1 = algebraic_main_term(1.0, r, 10**4, 0.05)
-        v2 = algebraic_main_term(1.0, r, 10**7, 0.05)
+        profile = MixingProfile("algebraic", C=1.0, r=r)
+        v1 = tuned_bound(profile, 10**4, 0.05, lambda d: 0.0).total
+        v2 = tuned_bound(profile, 10**7, 0.05, lambda d: 0.0).total
         slope = (math.log(v2) - math.log(v1)) / math.log(10**3)
         assert abs(slope + r / (1 + 2 * r)) < 1e-12
     _report("[8/12] delay tuning (geometric 14, algebraic 10) and the "
@@ -285,7 +286,7 @@ def test_11_memory1_losses_reduce_to_the_static_machinery():
         assert abs(max(0.0, dynamic_phi_gaps(model, dl, d)[1])
                    - exact_phi(model, table, d)) < 1e-12
         assert abs(exact_block_beta(model, dl, d)
-                   - max(0.0, phi_gap(model, table, 2 * d))) < 1e-12
+                   - exact_phi(model, table, 2 * d)) < 1e-12
     path = sample_path(model, 200, seed=5)
     t_dyn = run_dynamic_game(model, dl, path,
                              make_learner("ewa", PosteriorDist.uniform(3),

@@ -1,14 +1,22 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from mixgame import (HypothesisSpace, ValidationError, algebraic_bound,
-                     algebraic_main_term, blocking_tail_bound, delay_bound,
-                     deviation_term, eta_grid_bound, ewa_geometric_bound,
-                     ftrl_geometric_bound, geometric_bound, make_eta_grid,
+from mixgame import (HypothesisSpace, MixingProfile, ValidationError,
+                     delay_bound, delayed_regret_bound, deviation_term,
                      sweep_delay, tune_delay_algebraic, tune_delay_geometric,
-                     two_state_chain)
+                     tuned_bound, two_state_chain)
+from mixgame.cli import main
+
+
+def no_regret(d):
+    return 0.0
+
+
+def geometric(C=1.0, tau=2.0):
+    return MixingProfile("geometric", C=C, tau=tau)
 
 
 def test_deviation_term_formula():
@@ -17,7 +25,8 @@ def test_deviation_term_formula():
 
 
 def test_blocking_tail_bound_frozen():
-    assert blocking_tail_bound(0.05, 4, 400, 0.05) == pytest.approx(
+    # the martingale term's high-probability bound: phi_d + deviation
+    assert 0.05 + deviation_term(4, 400, 0.05) == pytest.approx(
         0.29477468306808163, abs=1e-12)
 
 
@@ -30,22 +39,29 @@ def test_delay_bound_report_totals():
 
 
 def test_geometric_bound_frozen():
-    rep = geometric_bound(0.0, C=1.0, tau=2.0, n=1000, delta=0.05)
+    rep = tuned_bound(geometric(), n=1000, delta=0.05, regret=no_regret)
+    assert rep.tag == "geometric" and rep.d == 14
     assert rep.phi_term == pytest.approx(0.001, abs=1e-15)
     assert rep.deviation_term == pytest.approx(0.2979372522115134, abs=1e-12)
     assert rep.total == pytest.approx(0.2989372522115134, abs=1e-12)
 
 
 def test_algebraic_bound_frozen():
-    rep = algebraic_bound(0.0, C=1.0, r=1.0, n=1000, delta=0.05)
+    rep = tuned_bound(MixingProfile("algebraic", C=1.0, r=1.0), n=1000,
+                      delta=0.05, regret=no_regret)
+    assert rep.tag == "algebraic" and rep.d == 10
     assert rep.total == pytest.approx(0.2730818382602286, abs=1e-12)
-    assert rep.total == pytest.approx(algebraic_main_term(1.0, 1.0, 1000, 0.05),
-                                      abs=1e-15)
+    # the rate C (1 + sqrt(ln(1/delta))) n^(-r/(1+2r))
+    assert rep.total == pytest.approx(
+        (1.0 + math.sqrt(math.log(20))) * 1000 ** (-1 / 3), abs=1e-15)
 
 
 def test_ewa_geometric_bound_frozen():
-    rep = ewa_geometric_bound(kl=math.log(2), eta=0.1, C=1.0, tau=2.0,
-                              n=10**4, delta=0.05)
+    rep = tuned_bound(geometric(), n=10**4, delta=0.05,
+                      regret=lambda d: delayed_regret_bound(math.log(2), 0.1,
+                                                            d, 10**4),
+                      tag_prefix="ewa-")
+    assert rep.tag == "ewa-geometric"
     assert rep.regret_term == pytest.approx(0.06316979643063896, abs=1e-12)
     assert rep.phi_term == pytest.approx(1e-4, abs=1e-15)
     assert rep.deviation_term == pytest.approx(0.10786951383875487, abs=1e-12)
@@ -53,8 +69,11 @@ def test_ewa_geometric_bound_frozen():
 
 
 def test_ftrl_geometric_bound_frozen():
-    rep = ftrl_geometric_bound(h_gap=0.5, eta=0.1, alpha=1.0, B=1.0, C=1.0,
-                               tau=2.0, n=10**4, delta=0.05)
+    rep = tuned_bound(geometric(), n=10**4, delta=0.05,
+                      regret=lambda d: delayed_regret_bound(
+                          0.5, 0.1, d, 10**4, alpha=1.0, B=1.0),
+                      tag_prefix="ftrl-")
+    assert rep.tag == "ftrl-geometric"
     assert rep.regret_term == pytest.approx(0.0595, abs=1e-12)
     assert rep.total == pytest.approx(0.16746951383875486, abs=1e-12)
 
@@ -68,25 +87,27 @@ def test_tuned_delays_frozen_and_clamped():
 
 def test_algebraic_main_term_log_log_slope():
     for r in (0.5, 1.0, 2.0):
-        v1 = algebraic_main_term(1.0, r, 10**4, 0.05)
-        v2 = algebraic_main_term(1.0, r, 10**6, 0.05)
+        profile = MixingProfile("algebraic", C=1.0, r=r)
+        v1 = tuned_bound(profile, 10**4, 0.05, no_regret).total
+        v2 = tuned_bound(profile, 10**6, 0.05, no_regret).total
         slope = (math.log(v2) - math.log(v1)) / (math.log(10**6)
                                                  - math.log(10**4))
         assert slope == pytest.approx(-r / (1 + 2 * r), abs=1e-12)
 
 
-def test_eta_grid_takes_the_minimum_with_split_confidence():
-    grid = make_eta_grid(1.0, n=1000, delta=0.05)
-    assert grid.delta_each == pytest.approx(0.05 / len(grid.etas))
-    assert len(grid.etas) == math.ceil(math.log2(1000))
-    np.testing.assert_allclose(grid.etas, [2.0**-k
-                                           for k in range(len(grid.etas))])
-
-    def base(eta, delta):
-        return (eta - 0.125) ** 2 + delta  # minimized inside the grid
-
-    best = eta_grid_bound(base, grid)
-    assert best == pytest.approx(base(0.125, grid.delta_each), abs=1e-15)
+def test_bounds_command_clamped_geometric_row(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"bounds": {"n": 50, "delta": 0.9, "C": 2.0,
+                                          "tau": 60.0}}))
+    assert main(["bounds", "--config", str(cfg), "--out", str(tmp_path),
+                 "--format", "json"]) == 0
+    # tau ln n = 235 > n = 50 clamps d to n, where C/n = 0.04 no longer
+    # bounds C e^{-d/tau}: the row must dominate the bound at its own delay
+    [row] = json.loads((tmp_path / "bounds.json").read_text())
+    assert row["tag"] == "geometric" and row["d"] == 50
+    assert row["phi_term"] == pytest.approx(2.0 * math.exp(-50 / 60), abs=1e-15)
+    at_d = delay_bound(0.0, 2.0 * math.exp(-50 / 60), 50, 50, 0.9)
+    assert row["total"] >= at_d.total
 
 
 def test_sweep_delay_rows_are_consistent():
@@ -111,4 +132,6 @@ def test_bound_inputs_validated():
     with pytest.raises(ValidationError):
         deviation_term(5, 100, 1.5)
     with pytest.raises(ValidationError):
-        make_eta_grid(-1.0, 100, 0.05)
+        delayed_regret_bound(0.5, -0.1, 4, 100)
+    with pytest.raises(ValidationError):
+        tuned_bound(MixingProfile("exponential", C=1.0), 100, 0.05, no_regret)

@@ -7,13 +7,13 @@ from mixgame import (DiscountedLoss, MemoryTableLoss, PosteriorDist,
                      ValidationError, block_mixing_profile,
                      composite_phi_check, conditional_loss_expectations,
                      decompose, dynamic_conditional_expectations, dynamic_phi,
-                     dynamic_phi_gaps, dynamic_phi_mc,
-                     exact_block_beta, forgetting_profile, limit_test_losses,
-                     limit_test_losses_mc, loss_from_json, make_learner,
-                     phi_gap, run_dynamic_game, sample_path, two_state_chain)
+                     dynamic_phi_gaps, dynamic_phi_mc, exact_block_beta,
+                     exact_phi, forgetting_profile, limit_test_losses,
+                     loss_from_json, make_learner, run_dynamic_game,
+                     sample_path, two_state_chain)
 from mixgame.dynamic import _walk
 
-from conftest import random_chain
+from conftest import limit_test_losses_mc, random_chain
 
 
 def xor_loss():
@@ -66,7 +66,7 @@ def test_block_beta_memory1_equals_static_gap_at_double_lag():
     dl = MemoryTableLoss(1, table)
     for d in (1, 2, 3, 4):
         beta = exact_block_beta(model, dl, d)
-        assert beta == pytest.approx(max(0.0, phi_gap(model, table, 2 * d)),
+        assert beta == pytest.approx(exact_phi(model, table, 2 * d),
                                      abs=1e-12)
 
 
@@ -86,7 +86,7 @@ def test_dynamic_phi_memory1_reduces_to_static():
         # the mirror gap (limit minus conditional) is the static convention
         gap, mirror = dynamic_phi_gaps(model, dl, d)
         assert max(0.0, mirror) == pytest.approx(
-            max(0.0, phi_gap(model, table, d)), abs=1e-12)
+            exact_phi(model, table, d), abs=1e-12)
         # the one-sided gap as printed points the other way
         cond = conditional_loss_expectations(model, table, d)
         assert gap == pytest.approx(

@@ -3,10 +3,9 @@ import pytest
 from scipy.special import softmax
 
 from mixgame import (EWA, FTRL, HALF_SQUARED_NORM, DelayedLearner,
-                     PosteriorDist, ValidationError, delayed_ewa_bound,
-                     delayed_regret_bound, ewa_regret_bound, ewa_step,
-                     ftrl_regret_bound, ftrl_step, make_learner,
-                     project_simplex)
+                     PosteriorDist, ValidationError, delayed_regret_bound,
+                     ewa_step, ftrl_step, make_learner, project_simplex,
+                     regret_bound)
 
 
 def test_project_simplex_frozen():
@@ -75,24 +74,26 @@ def test_ewa_realized_regret_within_bound():
     eta = 0.2
     plays = _run_stream(EWA(PosteriorDist.uniform(4), eta), costs)
     regret = np.sum(plays * costs) - costs.sum(axis=0).min()
-    bound = ewa_regret_bound(np.log(4), eta,
-                             float(np.sum(np.abs(costs).max(axis=1) ** 2)))
+    bound = regret_bound(np.log(4), eta, 1.0,
+                         float(np.sum(np.abs(costs).max(axis=1) ** 2)))
     assert regret <= bound + 1e-12
 
 
 def test_regret_bound_values_frozen():
-    assert ewa_regret_bound(np.log(2), 0.1, 100.0) == pytest.approx(
+    assert regret_bound(np.log(2), 0.1, 1.0, 100.0) == pytest.approx(
         11.931471805599452, abs=1e-12)
-    assert ftrl_regret_bound(0.5, 0.1, 1.0, 100.0) == pytest.approx(
+    assert regret_bound(0.5, 0.1, 1.0, 100.0) == pytest.approx(
         10.0, abs=1e-12)
-    assert delayed_ewa_bound(np.log(2), 0.1, d=4, n=100) == pytest.approx(
+    assert delayed_regret_bound(np.log(2), 0.1, d=4, n=100) == pytest.approx(
         4 * np.log(2) / 0.1 + 0.05 * 100, abs=1e-12)
 
 
 def test_delayed_regret_bound_composes_base_bound():
-    base = lambda rounds: 2.0 * np.sqrt(rounds)
-    assert delayed_regret_bound(base, d=3, n=10) == pytest.approx(
-        3 * 2.0 * np.sqrt(4), abs=1e-12)
+    # d instances each see n/d rounds of costs with squared dual norm B^2
+    h, eta, alpha, B, d, n = 0.7, 0.2, 0.5, 1.5, 3, 12
+    per_instance = regret_bound(h, eta, alpha, B * B * n / d)
+    assert delayed_regret_bound(h, eta, d, n, alpha=alpha, B=B) == pytest.approx(
+        d * per_instance, abs=1e-12)
 
 
 def test_delayed_learner_round_robin_matches_independent_copies():
