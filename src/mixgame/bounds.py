@@ -5,7 +5,8 @@ regret_term + phi_term + deviation_term = total.  ``delay_bound`` takes
 phi_d at a given delay; ``tuned_bound`` tunes the delay to a MixingProfile
 through a table keyed by the profile kind.  Logarithms are natural
 throughout: the geometric mixing law is C*exp(-d/tau), so the tuned delay
-ceil(tau * ln n) guarantees phi_d <= C/n only with natural logs.
+ceil(tau * ln n) guarantees phi_d <= C/n only with natural logs.  When that
+delay is clamped to n, the geometric row is ``delay_bound`` at d = n.
 
 The algebraic row is the paper's rate C (1 + sqrt(ln(1/delta))) n^(-r/(1+2r)),
 split into a delta-free phi part and a confidence part; it is not a bound at
@@ -86,12 +87,13 @@ def tune_delay_algebraic(C: float, r: float, n: int) -> int:
 
 def _tuned_geometric(profile: MixingProfile, n: int, delta: float):
     d = tune_delay_geometric(profile.tau, n)
-    log_n = math.log(n)
-    # C/n bounds C e^{-d/tau} once d >= tau ln n, not when d is clamped to n
-    phi = profile.C / n if d >= profile.tau * log_n else profile.phi(d)
+    tau_log_n = profile.tau * math.log(n)
+    if d < tau_log_n:
+        # clamped to n: C/n no longer bounds C e^{-d/tau}, so pay the bound at d
+        return d, profile.phi(d), deviation_term(d, n, delta)
     # d <= tau ln n + 1, so this bounds deviation_term(d)
-    dev = math.sqrt(2.0 * (profile.tau * log_n + 1.0) * math.log(1.0 / delta) / n)
-    return d, phi, dev
+    dev = math.sqrt(2.0 * (tau_log_n + 1.0) * math.log(1.0 / delta) / n)
+    return d, profile.C / n, dev
 
 
 def _tuned_algebraic(profile: MixingProfile, n: int, delta: float):

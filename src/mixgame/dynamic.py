@@ -1,23 +1,20 @@
 """Sequence-dependent losses: bounded memory or geometric discounting.
 
-A dynamic loss reads a whole data prefix instead of a single symbol.  The
-module computes, exactly where enumeration is feasible:
-
-* the limiting test loss (expected loss of a long stationary prefix),
-* forgetting coefficients B_d (worst change from altering symbols older
-  than d steps),
-* block mixing coefficients beta_d (conditional-expectation gap between a
-  length-d block and an independent stationary copy, given the past at
-  lag 2d),
-* the dynamic mixing coefficient phi_d of the induced cost sequence,
-
-and verifies that phi_d is dominated by the composite 2*B_{floor(d/2)} +
-beta_{floor(d/2)} built from the two profiles.
+A dynamic loss reads a whole data prefix instead of a single symbol.  Each
+exact quantity reduces it to a static W x S table: ``block_table(L)`` is the
+loss on every length-L block, ``process.window_expectations`` turns it into
+F[s, w] = E[loss(w, block) | block starts in s], and the static kernels act
+on F.T.  That gives the limiting test loss F.T @ pi, the block mixing
+coefficients beta_d (conditional-expectation gap between a length-d block
+and an independent stationary copy, given the past at lag 2d) and the
+dynamic mixing coefficient phi_d of the induced cost sequence.  Forgetting
+coefficients B_d (worst change from altering symbols older than d steps)
+come from the loss itself, and phi_d is checked against the composite
+2*B_{floor(d/2)} + beta_{floor(d/2)} built from the two profiles.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 
@@ -25,12 +22,35 @@ import numpy as np
 
 from .errors import SizeError, ValidationError
 from .game import GameTrace, play_costs
-from .process import ProcessModel, SamplePath, _walk_chain
+from .process import (ProcessModel, SamplePath, _walk_chain,
+                      conditional_loss_expectations, exact_phi,
+                      window_expectations)
 
 _ENUM_CAP = 10**6
 
 
-class MemoryTableLoss:
+class _BlockLoss:
+    """What the dynamic losses share: their value on one prefix or on all blocks."""
+
+    def values(self, prefix) -> np.ndarray:
+        """Loss of every hypothesis on the given prefix."""
+        prefix = np.asarray(prefix)
+        if len(prefix) == 0:
+            raise ValidationError("prefix must be non-empty")
+        return self._on_prefixes(prefix)
+
+    def block_table(self, L: int, cap: int = _ENUM_CAP) -> np.ndarray:
+        """(W,) + (A,)*L tensor of the loss on every length-L prefix."""
+        if self.alphabet**L > cap:
+            raise SizeError(f"enumeration of {self.alphabet}^{L} blocks exceeds "
+                            f"cap {cap}; use the Monte Carlo fallback")
+        shape = (self.alphabet,) * L
+        # a memory loss leaves unit axes for the head of a block longer than m
+        table = self._on_prefixes(np.indices(shape, sparse=True))
+        return np.broadcast_to(table, (self.n_hypotheses,) + shape)
+
+
+class MemoryTableLoss(_BlockLoss):
     """Loss that reads the last m symbols; a table indexed by that window.
 
     Prefixes shorter than m are left-padded with their own first symbol, so
@@ -52,27 +72,20 @@ class MemoryTableLoss:
         self.n_hypotheses = table.shape[0]
         self.alphabet = table.shape[1]
 
-    def window(self, prefix) -> tuple:
-        prefix = np.asarray(prefix)
-        if len(prefix) == 0:
-            raise ValidationError("prefix must be non-empty")
-        pad = [int(prefix[0])] * max(0, self.m - len(prefix))
-        return tuple(pad + [int(z) for z in prefix[-self.m:]])
-
-    def values(self, prefix) -> np.ndarray:
-        """Loss of every hypothesis on the given prefix."""
-        return self.table[(slice(None),) + self.window(prefix)]
+    def _on_prefixes(self, z) -> np.ndarray:
+        # z[j] holds symbol j of every prefix; a short window pads with z[0]
+        cols = tuple(z[max(0, j)] for j in range(len(z) - self.m, len(z)))
+        return self.table[(slice(None),) + cols]
 
     def loss_rows(self, symbols) -> np.ndarray:
         """(n, W) losses of the running prefixes, vectorized over rounds."""
         symbols = np.asarray(symbols)
-        n = len(symbols)
-        t = np.arange(n)
+        t = np.arange(len(symbols))
         cols = tuple(symbols[np.maximum(t - self.m + 1 + j, 0)] for j in range(self.m))
         return self.table[(slice(None),) + cols].T
 
 
-class DiscountedLoss:
+class DiscountedLoss(_BlockLoss):
     """Geometrically discounted running loss, clipped to [0, 1].
 
     value(w, prefix) = clip(scale * sum_k gamma^k g(w, z_{t-k}), 0, 1) with
@@ -95,13 +108,10 @@ class DiscountedLoss:
         self.n_hypotheses = g.shape[0]
         self.alphabet = g.shape[1]
 
-    def values(self, prefix) -> np.ndarray:
-        prefix = np.asarray(prefix)
-        if len(prefix) == 0:
-            raise ValidationError("prefix must be non-empty")
-        weights = self.gamma ** np.arange(len(prefix))[::-1]
-        raw = self.scale * (self.g[:, prefix] @ weights)
-        return np.clip(raw, 0.0, 1.0)
+    def _on_prefixes(self, z) -> np.ndarray:
+        weights = self.gamma ** np.arange(len(z))[::-1]
+        raw = sum(w * self.g[:, zj] for w, zj in zip(weights, z))
+        return np.clip(self.scale * raw, 0.0, 1.0)
 
     def loss_rows(self, symbols) -> np.ndarray:
         symbols = np.asarray(symbols)
@@ -135,34 +145,6 @@ def loss_from_json(doc: str | dict):
     return cls(*(doc[key] for key in keys))
 
 
-def _check_cap(alphabet: int, length: int, cap: int = _ENUM_CAP) -> None:
-    if alphabet**length > cap:
-        raise SizeError(f"enumeration of {alphabet}^{length} blocks exceeds "
-                        f"cap {cap}; use the Monte Carlo fallback")
-
-
-def _block_expectations(dl, model: ProcessModel, start_dist: np.ndarray,
-                        length: int) -> np.ndarray:
-    """E[loss(w, block)] for a block drawn with the given start distribution.
-
-    Blocks shorter than a memory loss's m are evaluated padded, like any
-    short prefix.
-    """
-    _check_cap(dl.alphabet, length)
-    joint = np.asarray(start_dist, dtype=float)
-    for _ in range(length - 1):
-        joint = joint[..., :, None] * model.transition
-    joint = joint.reshape(-1)
-    if isinstance(dl, MemoryTableLoss) and length >= dl.m:
-        # only the last m symbols matter: marginalize the head
-        joint = joint.reshape((dl.alphabet ** (length - dl.m), -1)).sum(axis=0)
-        return dl.table.reshape(dl.n_hypotheses, -1) @ joint
-    vals = np.empty((dl.alphabet**length, dl.n_hypotheses))
-    for i, block in enumerate(itertools.product(range(dl.alphabet), repeat=length)):
-        vals[i] = dl.values(np.asarray(block))
-    return vals.T @ joint
-
-
 def limit_test_losses(dl, model: ProcessModel, horizon: int | None = None,
                       cap: int = _ENUM_CAP) -> tuple[np.ndarray, float]:
     """Limiting test loss of every hypothesis, with a truncation-error bound.
@@ -173,12 +155,13 @@ def limit_test_losses(dl, model: ProcessModel, horizon: int | None = None,
     if isinstance(dl, MemoryTableLoss):
         if horizon is not None and horizon < dl.m:
             raise ValidationError("horizon must cover the loss memory")
-        return _block_expectations(dl, model, model.stationary, dl.m), 0.0
-    if horizon is None:
-        horizon = max(1, math.floor(math.log(cap) / math.log(dl.alphabet)))
-    _check_cap(dl.alphabet, horizon, cap)
-    vals = _block_expectations(dl, model, model.stationary, horizon)
-    return vals, dl.tail_envelope(horizon)
+        horizon, err = dl.m, 0.0
+    else:
+        if horizon is None:
+            horizon = max(1, math.floor(math.log(cap) / math.log(dl.alphabet)))
+        err = dl.tail_envelope(horizon)
+    F = window_expectations(model, dl.block_table(horizon, cap))
+    return F.T @ model.stationary, err
 
 
 def forgetting_profile(dl, d_max: int) -> np.ndarray:
@@ -200,9 +183,8 @@ def forgetting_profile(dl, d_max: int) -> np.ndarray:
     return out
 
 
-def exact_block_beta(model: ProcessModel, dl, d: int,
-                     cap: int = _ENUM_CAP) -> float:
-    """Block mixing coefficient at lag d, exact via transition powers.
+def exact_block_beta(model: ProcessModel, dl, d: int) -> float:
+    """Block mixing coefficient at lag d: the static phi of the block's window table.
 
     Compares the expected loss of an independent stationary length-d block
     against the conditional law of the realized block given the state 2d
@@ -212,25 +194,27 @@ def exact_block_beta(model: ProcessModel, dl, d: int,
         raise ValidationError("d must be at least 1")
     # only the last eff symbols of the block matter
     eff = min(dl.m, d) if isinstance(dl, MemoryTableLoss) else d
-    _check_cap(dl.alphabet, eff, cap)
-    steps_to_suffix = 2 * d - eff + 1  # from Z_{t-2d} to the first used symbol
-    stat = _block_expectations(dl, model, model.stationary, eff)  # (W,)
-    P_lag = np.linalg.matrix_power(model.transition, steps_to_suffix)
-    gaps = [stat - _block_expectations(dl, model, row, eff) for row in P_lag]
-    return max(0.0, float(np.max(gaps)))
+    F = window_expectations(model, dl.block_table(eff))
+    # 2d - eff + 1 steps from Z_{t-2d} to the first used symbol
+    return exact_phi(model, F.T, 2 * d - eff + 1)
 
 
 def block_mixing_profile(model: ProcessModel, dl, d_max: int) -> np.ndarray:
     return np.array([exact_block_beta(model, dl, d) for d in range(1, d_max + 1)])
 
 
+def _memory_windows(model: ProcessModel, dl: MemoryTableLoss,
+                    d: int) -> tuple[np.ndarray, int]:
+    """The window table F.T and the lag from Z_{t-d} to the window's first symbol."""
+    if d < dl.m:
+        raise ValidationError("exact evaluation needs d >= m; use the MC fallback")
+    return window_expectations(model, dl.block_table(dl.m)).T, d - dl.m + 1
+
+
 def dynamic_conditional_expectations(model: ProcessModel, dl: MemoryTableLoss,
                                      d: int) -> np.ndarray:
     """E[loss(w, Z_t, ..., Z_1) | Z_{t-d} = s] for every (s, w); needs d >= m."""
-    if d < dl.m:
-        raise ValidationError("exact evaluation needs d >= m; use the MC fallback")
-    P_lag = np.linalg.matrix_power(model.transition, d - dl.m + 1)
-    return np.stack([_block_expectations(dl, model, row, dl.m) for row in P_lag])
+    return conditional_loss_expectations(model, *_memory_windows(model, dl, d))
 
 
 def dynamic_phi_gaps(model: ProcessModel, dl: MemoryTableLoss,
@@ -238,20 +222,19 @@ def dynamic_phi_gaps(model: ProcessModel, dl: MemoryTableLoss,
     """Both one-sided gaps of the dynamic cost sequence at lag d, unclamped.
 
     The first is the max over (w, s) of conditional expected loss minus the
-    limit loss, the dynamic mixing convention.  The second, the mirror, is
-    the max of limit loss minus conditional expected loss: the static
-    convention, the side the blocked martingale argument consumes and the
-    side the composite 2*B + beta bound actually dominates.  On symmetric
-    instances the two coincide.
+    limit loss.  The second, the mirror, is limit minus conditional: the
+    static convention, the side ``dynamic_phi`` and the bound on M_n take,
+    and the side the composite 2*B + beta dominates.  On symmetric instances
+    the two coincide.
     """
-    limit, _ = limit_test_losses(dl, model)
-    diff = dynamic_conditional_expectations(model, dl, d) - limit[None, :]
+    table, lag = _memory_windows(model, dl, d)
+    diff = conditional_loss_expectations(model, table, lag) - table @ model.stationary
     return float(np.max(diff)), float(np.max(-diff))
 
 
 def dynamic_phi(model: ProcessModel, dl: MemoryTableLoss, d: int) -> float:
-    """Mixing coefficient of the dynamic cost sequence, clamped at zero."""
-    return max(0.0, dynamic_phi_gaps(model, dl, d)[0])
+    """phi_d of the dynamic cost sequence: the mirror gap, clamped at zero."""
+    return exact_phi(model, *_memory_windows(model, dl, d))
 
 
 def dynamic_phi_mc(model: ProcessModel, dl, d: int, n_samples: int, seed: int,
@@ -260,7 +243,8 @@ def dynamic_phi_mc(model: ProcessModel, dl, d: int, n_samples: int, seed: int,
 
     For each conditioning state the stationary history before the state is
     sampled through the time-reversed chain, then the chain runs d steps
-    forward; the estimate is the worst conditional mean minus the limit loss.
+    forward; the estimate is the worst limit loss minus conditional mean, the
+    side ``dynamic_phi`` takes.
     """
     limit, _ = limit_test_losses(dl, model)
     pi = model.stationary
@@ -276,7 +260,7 @@ def dynamic_phi_mc(model: ProcessModel, dl, d: int, n_samples: int, seed: int,
             fwd = _walk(model, s, d, rng)
             prefix = np.concatenate([back, [s], fwd])
             means[i] = dl.values(prefix)
-        gap = means.mean(axis=0) - limit
+        gap = limit - means.mean(axis=0)
         j = int(np.argmax(gap))
         if gap[j] > worst_gap:
             worst_gap = float(gap[j])
@@ -297,9 +281,7 @@ def composite_phi_check(model: ProcessModel, dl, d_grid,
     The even-d reduction uses d' = d/2 exactly; for odd d the floor keeps
     2*d' <= d, so the block coefficient conditions on a finer sigma-algebra
     than the gap it must dominate (the ceiling would not).  Both one-sided
-    gaps are evaluated exactly: the (loss minus limit) convention of the
-    dynamic mixing definition and its mirror (limit minus loss), which is
-    the side the derivation dominates.
+    gaps of ``dynamic_phi_gaps`` are evaluated exactly.
     """
     rows = []
     d_grid = [int(d) for d in d_grid]

@@ -4,9 +4,10 @@ Everything here is exact linear algebra on row-stochastic matrices: the
 stationary law comes from matrix powers, d-step conditional laws from
 ``transition**d``, and the mixing coefficient of a loss class is the
 worst-case gap between the stationary expected loss and the d-step
-conditional expected loss.  The table phi_1..phi_dmax steps the conditional
-expectations one transition per d instead, and checks its last entry
-against the matrix-power value.
+conditional expected loss.  The table phi_1..phi_dmax steps the
+conditional expectations one transition per d instead, and checks its last
+entry against the matrix-power value.  ``window_expectations`` reduces a
+loss on L-symbol blocks to a static table, one transition per symbol.
 """
 
 from __future__ import annotations
@@ -223,6 +224,20 @@ def conditional_loss_expectations(model: ProcessModel, loss_table,
     L = np.asarray(loss_table, dtype=float)
     Pd = np.linalg.matrix_power(model.transition, d)
     return Pd @ L.T  # (states, W)
+
+
+def window_expectations(model: ProcessModel, table) -> np.ndarray:
+    """F[s, w] = E[table[w, Z_1, ..., Z_L] | Z_1 = s] for a (W,) + (S,)*L table.
+
+    The symbol axes are contracted from the last one back, each against one
+    transition from the axis before it; F.T is a static W x S loss table.
+    """
+    T = np.asarray(table, dtype=float)
+    P = model.transition
+    while T.ndim > 2:
+        # T[..., i, :] @ P[i, :] for every state i of the second-to-last axis
+        T = (T[..., None, :] @ P[:, :, None])[..., 0, 0]
+    return T.T
 
 
 def exact_phi(model: ProcessModel, loss_table, d: int) -> float:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,22 @@ def limit_test_losses_mc(dl, model, horizon, n_samples, seed):
     values = np.array([dl.values(p) for p in distinct])
     samples = values[inverse.reshape(-1)]
     return samples.mean(axis=0), samples.std(axis=0, ddof=1) / np.sqrt(n_samples)
+
+
+def enumerated_block_expectations(dl, model, start, length):
+    """E[loss(w, block)] for a length-`length` block whose first symbol is
+    drawn from each row of `start` (or from the vector `start`), by calling
+    dl.values on every block and weighting it by its probability under the
+    chain: one row of (W,) expectations per start law.
+    """
+    joint = np.atleast_2d(np.asarray(start, dtype=float))
+    for _ in range(length - 1):
+        joint = joint[..., None] * model.transition
+    joint = joint.reshape(len(joint), -1)
+    blocks = itertools.product(range(dl.alphabet), repeat=length)
+    values = np.array([dl.values(np.asarray(block)) for block in blocks])
+    out = joint @ values
+    return out if np.ndim(start) == 2 else out[0]
 
 
 def random_space(rng, n_hypotheses, n_symbols):

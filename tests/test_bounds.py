@@ -108,6 +108,8 @@ def test_bounds_command_clamped_geometric_row(tmp_path):
     assert row["phi_term"] == pytest.approx(2.0 * math.exp(-50 / 60), abs=1e-15)
     at_d = delay_bound(0.0, 2.0 * math.exp(-50 / 60), 50, 50, 0.9)
     assert row["total"] >= at_d.total
+    # and, with the deviation paid at d = n, it is that bound
+    assert row["total"] == pytest.approx(at_d.total, abs=1e-15)
 
 
 def test_sweep_delay_rows_are_consistent():

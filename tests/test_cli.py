@@ -53,6 +53,26 @@ def test_simulate_json_format(tmp_path):
     assert len(doc["rows"]) == 2
 
 
+def test_simulate_phi_of_memory1_loss_equals_static_table(tmp_path):
+    # a memory-1 table loss is the static loss; the bound must take the same
+    # side of the gap (limit minus conditional) for both
+    table = [[0.0, 1.0], [0.7, 0.2]]
+    static = static_config()
+    static["process"]["transition"] = [[0.9, 0.1], [0.3, 0.7]]
+    static["loss"] = {"losses": table}
+    memory = dict(static, loss={"kind": "memory-table", "m": 1, "table": table})
+    phi = []
+    for name, doc in (("static", static), ("memory", memory)):
+        cfg = write_config(tmp_path, doc, f"{name}.json")
+        assert main(["simulate", "--config", cfg,
+                     "--out", str(tmp_path / name)]) == 0
+        rows = read_csv(tmp_path / name / "summary.csv")
+        col = rows[0].index("phi_d")
+        phi.append([float(r[col]) for r in rows[1:]])
+    assert len(phi[0]) == 2
+    np.testing.assert_allclose(phi[1], phi[0], rtol=0, atol=1e-15)
+
+
 def test_coverage_modes(tmp_path):
     cfg = write_config(tmp_path, static_config(replicates=5))
     for mode in ("mn", "gen"):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -10,10 +11,11 @@ from mixgame import (DiscountedLoss, MemoryTableLoss, PosteriorDist,
                      dynamic_phi_gaps, dynamic_phi_mc, exact_block_beta,
                      exact_phi, forgetting_profile, limit_test_losses,
                      loss_from_json, make_learner, run_dynamic_game,
-                     sample_path, two_state_chain)
+                     sample_path, two_state_chain, window_expectations)
 from mixgame.dynamic import _walk
 
-from conftest import limit_test_losses_mc, random_chain
+from conftest import (enumerated_block_expectations, limit_test_losses_mc,
+                      random_chain)
 
 
 def xor_loss():
@@ -87,10 +89,69 @@ def test_dynamic_phi_memory1_reduces_to_static():
         gap, mirror = dynamic_phi_gaps(model, dl, d)
         assert max(0.0, mirror) == pytest.approx(
             exact_phi(model, table, d), abs=1e-12)
+        # dynamic_phi, which the bounds take, is that mirror
+        assert dynamic_phi(model, dl, d) == pytest.approx(
+            exact_phi(model, table, d), abs=1e-12)
         # the one-sided gap as printed points the other way
         cond = conditional_loss_expectations(model, table, d)
         assert gap == pytest.approx(
             float((cond - test_vec[None, :]).max()), abs=1e-12)
+
+
+def assert_kernels_match_enumeration(model, dl, L):
+    """block_table, window_expectations and the length-L limit loss and block
+    beta against dl.values on every block, weighted by the chain law."""
+    S, W = model.n_states, dl.n_hypotheses
+    blocks = [np.asarray(b) for b in itertools.product(range(S), repeat=L)]
+    values = np.array([dl.values(b) for b in blocks])
+    # loss_rows reads the same prefix through its own (running) path
+    np.testing.assert_allclose(
+        values, [dl.loss_rows(b)[-1] for b in blocks], rtol=0, atol=1e-12)
+    table = dl.block_table(L)
+    assert table.shape == (W,) + (S,) * L
+    np.testing.assert_allclose(table.reshape(W, -1).T, values, rtol=0, atol=1e-12)
+    lag = L + 1  # from Z_{t-2d} to the block's first symbol at d = L
+    starts = np.vstack([np.eye(S), model.stationary,
+                        np.linalg.matrix_power(model.transition, lag)])
+    expected = enumerated_block_expectations(dl, model, starts, L)
+    F, stat, cond = expected[:S], expected[S], expected[S + 1:]
+    np.testing.assert_allclose(window_expectations(model, table), F,
+                               rtol=0, atol=1e-12)
+    if isinstance(dl, DiscountedLoss) or L == dl.m:
+        horizon = L if isinstance(dl, DiscountedLoss) else None
+        np.testing.assert_allclose(limit_test_losses(dl, model, horizon)[0],
+                                   stat, rtol=0, atol=1e-12)
+    if isinstance(dl, DiscountedLoss) or L <= dl.m:
+        beta = max(0.0, float(np.max(stat - cond)))
+        assert exact_block_beta(model, dl, L) == pytest.approx(beta, abs=1e-12)
+
+
+@pytest.mark.parametrize("A", [2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_memory_kernels_match_block_enumeration(A, m):
+    rng = np.random.default_rng(10 * A + m)
+    model = random_chain(rng, A)
+    dl = MemoryTableLoss(m, rng.random((2,) + (A,) * m))
+    # blocks shorter than m are padded; a longer block ignores its head
+    for L in range(1, m + 2):
+        assert_kernels_match_enumeration(model, dl, L)
+    # beta past the memory: the last m symbols at lag 2d - m + 1
+    d = m + 1
+    stat, *cond = enumerated_block_expectations(
+        dl, model, np.vstack([model.stationary, np.linalg.matrix_power(
+            model.transition, 2 * d - m + 1)]), m)
+    assert exact_block_beta(model, dl, d) == pytest.approx(
+        max(0.0, float(np.max(stat - np.array(cond)))), abs=1e-12)
+
+
+@pytest.mark.parametrize("A", [2, 3, 5])
+def test_discounted_kernels_match_block_enumeration(A):
+    rng = np.random.default_rng(40 + A)
+    model = random_chain(rng, A)
+    # scale * max g / (1 - gamma) > 1, so long blocks clip
+    dl = DiscountedLoss(gamma=0.7, scale=0.4, g_table=rng.random((2, A)))
+    for L in range(1, 7):
+        assert_kernels_match_enumeration(model, dl, L)
 
 
 def test_memory3_profiles_and_gaps_frozen():
