@@ -37,7 +37,7 @@ for r in composite_phi_check(model, loss, [2, 4, 6, 8, 10]):
 
 path = sample_path(model, 500, seed=3)
 learner = make_learner("ewa", PosteriorDist.uniform(2), 0.4, d=4)
-trace = run_dynamic_game(model, loss, path, learner, 4)
+trace = run_dynamic_game(loss, path, learner, 4, limits)
 parts = decompose(trace, PosteriorDist.uniform(2))
 print(f"\ndelayed game on history-dependent costs (n=500, d=4):")
 print(f"  gen = {parts['gen']:+.6f}")

@@ -22,9 +22,9 @@ from typing import Callable
 
 from .errors import ValidationError
 from .game import decompose, run_game
-from .learner import HypothesisSpace, PosteriorDist, gibbs_posterior, kl_divergence
+from .learner import HypothesisSpace, PosteriorDist, kl_divergence
 from .online import delayed_regret_bound, make_learner
-from .process import MixingProfile, ProcessModel, exact_phi, sample_path
+from .process import MixingProfile, ProcessModel, SamplePath, exact_phi
 
 
 @dataclass(frozen=True)
@@ -120,19 +120,18 @@ def tuned_bound(profile: MixingProfile, n: int, delta: float,
                        tag=tag_prefix + profile.kind)
 
 
-def sweep_delay(model: ProcessModel, space: HypothesisSpace, n: int, delta: float,
-                d_grid, eta: float, beta: float, seed: int,
+def sweep_delay(model: ProcessModel, space: HypothesisSpace, path: SamplePath,
+                comparator: PosteriorDist, delta: float, d_grid, eta: float,
                 algorithm: str = "ewa") -> list[dict]:
     """Evaluate the delay trade-off along a grid of delays.
 
-    One path is sampled once; for each d the wrapped learner replays the
-    same data.  The regret term is the a-priori wrapped-EWA composite with
-    the realized posterior's KL, so the total bound is smooth in d; the
+    For each d the wrapped learner replays the same path.  The regret term
+    is the a-priori wrapped-EWA composite with the comparator's KL to the
+    uniform prior, so the total bound is smooth in d; the comparator's
     empirical generalization gap is recorded alongside.
     """
-    path = sample_path(model, n, seed)
+    n = len(path)
     prior = PosteriorDist.uniform(space.n_hypotheses)
-    comparator = gibbs_posterior(space, path, beta, prior)
     kl = kl_divergence(comparator, prior)
     rows = []
     for d in d_grid:

@@ -15,11 +15,10 @@ from pathlib import Path
 from . import bounds as bd
 from . import dynamic as dyn
 from . import experiments as xp
-from .errors import MixgameError, ValidationError
-from .learner import PosteriorDist
-from .online import delayed_regret_bound, make_learner
-from .process import MixingProfile, sample_path
-from .reporting import write_csv, write_json
+from .errors import MixgameError, ValidationError, config_value
+from .online import delayed_regret_bound
+from .process import MixingProfile
+from .reporting import svg_line_plot, write_csv, write_json
 
 REPORT_COLUMNS = ["tag", "n", "d", "delta", "regret_term", "phi_term",
                   "deviation_term", "total"]
@@ -74,7 +73,6 @@ def cmd_sweep_delay(args) -> None:
     header = ["d", "phi_term", "deviation_term", "regret_term", "total_bound",
               "empirical_gen"]
     write_csv(out / "sweep.csv", header, [[r[k] for k in header] for r in rows])
-    from .reporting import svg_line_plot
     svg_line_plot(out / "sweep.svg", [r["d"] for r in rows],
                   {"total_bound": [r["total_bound"] for r in rows],
                    "empirical_gen": [r["empirical_gen"] for r in rows]},
@@ -118,8 +116,7 @@ def cmd_bounds(args) -> None:
         raise ValidationError("config field 'bounds': missing section")
 
     def field(key, kind=float, default=None, **limits):
-        return xp.config_value(spec.get(key, default), f"bounds.{key}", kind,
-                               **limits)
+        return config_value(spec.get(key, default), f"bounds.{key}", kind, **limits)
 
     n = field("n", int, low=1)
     delta = field("delta", low=0, high=1, strict=True)
@@ -161,13 +158,7 @@ def cmd_dynamic(args) -> None:
     write_csv(out / "dynamic_phi_check.csv", header,
               [[r[k] for k in header] for r in rows])
     # one seeded game replicate as a smoke summary
-    path = sample_path(cfg.model, cfg.n, cfg.seed)
-    prior = PosteriorDist.uniform(cfg.n_hypotheses)
-    learner = make_learner(cfg.algorithm, prior, cfg.eta, d=cfg.delay)
-    trace = dyn.run_dynamic_game(cfg.model, cfg.dynamic_loss, path, learner,
-                                 cfg.delay)
-    from .game import decompose
-    parts = decompose(trace, prior)
+    parts = xp.replicate(cfg, cfg.seed, xp.limit_losses(cfg))[-1]
     write_json(out / "dynamic_game.json",
                {k: parts[k] for k in ("gen", "regret_over_n", "martingale")})
 

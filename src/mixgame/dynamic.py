@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import SizeError, ValidationError
+from .errors import SizeError, ValidationError, config_value
 from .game import GameTrace, play_costs
 from .process import (ProcessModel, SamplePath, _walk_chain,
                       conditional_loss_expectations, exact_phi,
@@ -130,19 +130,18 @@ class DiscountedLoss(_BlockLoss):
 
 
 def loss_from_json(doc: str | dict):
-    """Load a dynamic loss from its JSON schema."""
+    """Load a dynamic loss from its JSON schema; config_value reads each field."""
     if isinstance(doc, str):
         doc = json.loads(doc)
     kind = doc.get("kind")
-    schemas = {"memory-table": (MemoryTableLoss, ("m", "table")),
-               "discounted": (DiscountedLoss, ("gamma", "scale", "g_table"))}
-    if kind not in schemas:
+    schemas = {"memory-table": (MemoryTableLoss, {"m": int, "table": list}),
+               "discounted": (DiscountedLoss,
+                              {"gamma": float, "scale": float, "g_table": list})}
+    if not isinstance(kind, str) or kind not in schemas:
         raise ValidationError(f"unknown dynamic loss kind {kind!r}")
-    cls, keys = schemas[kind]
-    for key in keys:
-        if key not in doc:
-            raise ValidationError(f"config field 'loss.{key}': missing")
-    return cls(*(doc[key] for key in keys))
+    cls, fields = schemas[kind]
+    return cls(*(config_value(doc.get(key), f"loss.{key}", as_kind)
+                 for key, as_kind in fields.items()))
 
 
 def limit_test_losses(dl, model: ProcessModel, horizon: int | None = None,
@@ -301,14 +300,14 @@ def composite_phi_check(model: ProcessModel, dl, d_grid,
     return rows
 
 
-def run_dynamic_game(model: ProcessModel, dl, path: SamplePath, learner,
-                     d: int) -> GameTrace:
+def run_dynamic_game(dl, path: SamplePath, learner, d: int,
+                     limit: np.ndarray) -> GameTrace:
     """Play the generalization game with sequence-dependent costs.
 
-    Costs are loss(w, Z_t, ..., Z_1) minus the limiting test loss; the trace
-    contract matches the static game, so decompose() applies unchanged.
+    Costs are loss(w, Z_t, ..., Z_1) minus ``limit``, the limiting test loss
+    (``limit_test_losses``, one per run); the trace contract matches the
+    static game, so decompose() applies unchanged.
     """
-    limit, _ = limit_test_losses(dl, model)
     rows = dl.loss_rows(path.symbols)
     costs = rows - limit[None, :]
     return play_costs(costs, learner, d, symbols=path.symbols,

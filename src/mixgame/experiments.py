@@ -1,10 +1,11 @@
-"""Replicated experiment driver: config parsing, coverage runs, delay sweeps.
+"""Replicated experiment driver: config parsing, replicates, coverage, delay sweeps.
 
+Every replicate is one ``replicate`` call: path, comparator, delayed game and
+the checked decomposition Gen = Regret/n + M_n.  Wrapped exponential weights
+on a static table plays the closed form of ``delayed_ewa_posteriors``; every
+other case plays the game loop.  Coverage reads ``run_experiment``'s rows.
 Replicate k draws its RNG stream from the master seed via a splitmix64
-derivation, so runs are reproducible end to end and replicates are
-independent.  Coverage runs use a vectorized closed form for round-robin
-exponential-weights posteriors; its agreement with the generic game loop
-is covered by tests.
+derivation, so runs are reproducible end to end and replicates independent.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import numpy as np
 
 from . import bounds as bd
 from . import dynamic as dyn
-from .errors import ValidationError
-from .game import GameTrace, decompose, realized_regret, run_game
+from .errors import ValidationError, _require, config_value
+from .game import GameTrace, decompose, play_costs, realized_regret
 from .learner import (HypothesisSpace, PosteriorDist, erm, gibbs_posterior,
                       kl_divergence, space_from_json, test_losses)
 from .online import delayed_regret_bound, make_learner
@@ -47,34 +48,6 @@ class ExperimentConfig:
         if self.space is not None:
             return self.space.n_hypotheses
         return self.dynamic_loss.n_hypotheses
-
-
-def _require(cond: bool, name: str, msg: str) -> None:
-    if not cond:
-        raise ValidationError(f"config field {name!r}: {msg}")
-
-
-def config_value(value, name: str, kind: type, *, low: float = -math.inf,
-                 high: float = math.inf, strict: bool = False):
-    """Convert one config value to ``kind`` and range-check it.
-
-    ``None`` means the field is missing.  Booleans are rejected, since JSON
-    true/false would otherwise read as 1/0, and so are floats that ``kind``
-    would change (2.5 as an int, NaN).  ``low`` and ``high`` are inclusive
-    bounds, exclusive ones when ``strict``.  Every error names the field.
-    """
-    _require(value is not None, name, "missing")
-    try:
-        number = None if isinstance(value, bool) else kind(value)
-    except (TypeError, ValueError, OverflowError):
-        number = None
-    if isinstance(value, float) and number != value:
-        number = None
-    _require(number is not None, name, f"cannot read {value!r} as {kind.__name__}")
-    inside = low < number < high if strict else low <= number <= high
-    left, right = ("(", ")") if strict else ("[", "]")
-    _require(inside, name, f"must lie in {left}{low}, {high}{right}")
-    return number
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -202,35 +175,37 @@ class CoverageResult:
                 for k in range(self.replicates)]
 
 
-def _replicate_run(cfg: ExperimentConfig, k: int, closed_form: bool = False):
-    """One replicate: path, comparator, trace, decomposition.
+def limit_losses(cfg: ExperimentConfig) -> np.ndarray:
+    """Limiting test loss of every hypothesis, the offset of every round's cost."""
+    if cfg.space is not None:
+        return test_losses(cfg.space, cfg.model)
+    return dyn.limit_test_losses(cfg.dynamic_loss, cfg.model)[0]
 
-    With closed_form, wrapped-EWA plays on a static table come from
-    delayed_ewa_posteriors instead of the per-round game loop.
-    """
-    seed = replicate_seed(cfg.seed, k)
+
+def replicate(cfg: ExperimentConfig, seed: int, limit: np.ndarray):
+    """Play one delayed game on the path drawn from ``seed``, with ``limit`` =
+    ``limit_losses(cfg)``; return the path, comparator, trace and parts."""
     path = sample_path(cfg.model, cfg.n, seed)
     prior = PosteriorDist.uniform(cfg.n_hypotheses)
     if cfg.space is None:
         comparator = prior  # black-box posterior stand-in for dynamic losses
         learner = make_learner(cfg.algorithm, prior, cfg.eta, d=cfg.delay)
-        trace = dyn.run_dynamic_game(cfg.model, cfg.dynamic_loss, path,
-                                     learner, cfg.delay)
-    elif closed_form:
-        comparator = statistical_posterior(cfg, path)
-        tl = test_losses(cfg.space, cfg.model)
-        loss_rows = cfg.space.loss_table[:, path.symbols].T
-        costs = loss_rows - tl[None, :]
-        posts = delayed_ewa_posteriors(costs, prior.log_weights, cfg.eta, cfg.delay)
-        trace = GameTrace(n=cfg.n, d=cfg.delay, symbols=path.symbols,
-                          posteriors=posts, costs=costs, loss_rows=loss_rows,
-                          test_loss_vec=tl)
+        trace = dyn.run_dynamic_game(cfg.dynamic_loss, path, learner, cfg.delay,
+                                     limit)
     else:
         comparator = statistical_posterior(cfg, path)
-        learner = make_learner(cfg.algorithm, prior, cfg.eta, d=cfg.delay)
-        trace = run_game(cfg.model, cfg.space, path, learner, cfg.delay)
-    parts = decompose(trace, comparator)
-    return seed, path, comparator, trace, parts
+        loss_rows = cfg.space.loss_table[:, path.symbols].T
+        costs = loss_rows - limit[None, :]
+        if cfg.algorithm == "ewa":
+            plays = delayed_ewa_posteriors(costs, prior.log_weights, cfg.eta,
+                                           cfg.delay)
+        else:
+            learner = make_learner(cfg.algorithm, prior, cfg.eta, d=cfg.delay)
+            plays = play_costs(costs, learner, cfg.delay).posteriors
+        trace = GameTrace(n=cfg.n, d=cfg.delay, symbols=path.symbols,
+                          posteriors=plays, costs=costs, loss_rows=loss_rows,
+                          test_loss_vec=limit)
+    return path, comparator, trace, decompose(trace, comparator)
 
 
 def experiment_phi(cfg: ExperimentConfig) -> float:
@@ -247,26 +222,25 @@ def experiment_phi(cfg: ExperimentConfig) -> float:
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run all replicates; return the summary rows and bound reports."""
     phi = experiment_phi(cfg)
-    dev = bd.deviation_term(cfg.delay, cfg.n, cfg.delta)
+    mn_bound = phi + bd.deviation_term(cfg.delay, cfg.n, cfg.delta)
+    limit = limit_losses(cfg)
     rows, reports = [], []
     for k in range(cfg.replicates):
-        seed, path, comparator, trace, parts = _replicate_run(cfg, k)
-        regret = realized_regret(trace, comparator)
-        mn_bound = phi + dev
-        gen_bound = regret / cfg.n + phi + dev
+        seed = replicate_seed(cfg.seed, k)
+        _, comparator, trace, parts = replicate(cfg, seed, limit)
+        gen_bound = parts["regret_over_n"] + mn_bound
         rows.append([k, seed, parts["gen"], parts["regret_over_n"],
                      parts["martingale"], phi, mn_bound, gen_bound,
                      parts["martingale"] > mn_bound, parts["gen"] > gen_bound])
         if k == 0:
-            reports.append(bd.delay_bound(regret, phi, cfg.delay, cfg.n,
-                                          cfg.delta, tag="delay-realized"))
-            if cfg.space is not None:
-                prior = PosteriorDist.uniform(cfg.n_hypotheses)
-                kl = kl_divergence(comparator, prior)
-                if math.isfinite(kl):
-                    apriori = delayed_regret_bound(kl, cfg.eta, cfg.delay, cfg.n)
-                    reports.append(bd.delay_bound(apriori, phi, cfg.delay, cfg.n,
-                                                  cfg.delta, tag="delay-apriori"))
+            reports.append(bd.delay_bound(realized_regret(trace, comparator), phi,
+                                          cfg.delay, cfg.n, cfg.delta,
+                                          tag="delay-realized"))
+            if cfg.space is not None:  # KL to the uniform prior is finite
+                kl = kl_divergence(comparator, PosteriorDist.uniform(cfg.n_hypotheses))
+                apriori = delayed_regret_bound(kl, cfg.eta, cfg.delay, cfg.n)
+                reports.append(bd.delay_bound(apriori, phi, cfg.delay, cfg.n,
+                                              cfg.delta, tag="delay-apriori"))
     header = ["replicate", "seed", "gen", "regret_over_n", "martingale",
               "phi_d", "mn_bound", "gen_bound", "violated_mn", "violated_gen"]
     return {"header": header, "rows": rows, "reports": reports}
@@ -275,24 +249,16 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 def coverage_experiment(cfg: ExperimentConfig, mode: str = "mn") -> CoverageResult:
     """Empirical violation rate of the martingale or generalization bound.
 
-    Uses the closed-form wrapped-EWA posteriors when the configured
-    algorithm is EWA, and the generic game loop otherwise; either way the
-    plays go through the checked decomposition.
+    A column view of ``run_experiment``'s replicate rows: M_n against
+    mn_bound = phi_d + deviation, or Gen against gen_bound = regret/n + mn_bound.
     """
     if mode not in ("mn", "gen"):
         raise ValidationError("coverage mode must be 'mn' or 'gen'")
-    phi = experiment_phi(cfg)
-    dev = bd.deviation_term(cfg.delay, cfg.n, cfg.delta)
-    mn_bound = phi + dev
-    values = np.empty(cfg.replicates)
-    bound_values = np.empty(cfg.replicates)
-    for k in range(cfg.replicates):
-        parts = _replicate_run(cfg, k, closed_form=cfg.algorithm == "ewa")[-1]
-        if mode == "mn":
-            values[k], bound_values[k] = parts["martingale"], mn_bound
-        else:
-            values[k] = parts["gen"]
-            bound_values[k] = parts["regret_over_n"] + mn_bound
+    result = run_experiment(cfg)
+    columns = ("martingale", "mn_bound") if mode == "mn" else ("gen", "gen_bound")
+    values, bound_values = (
+        np.array([row[result["header"].index(column)] for row in result["rows"]])
+        for column in columns)
     violated = values > bound_values
     rate = float(violated.mean())
     stderr = None
@@ -322,9 +288,10 @@ def mixing_table(cfg: ExperimentConfig) -> dict:
 
 
 def delay_sweep(cfg: ExperimentConfig) -> list[dict]:
+    """``bounds.sweep_delay`` on the master seed's path and learner posterior."""
     if cfg.space is None:
         raise ValidationError("the delay sweep needs a static loss table")
     d_grid = cfg.d_grid or sorted({min(2**i, cfg.n) for i in range(7)})
-    return bd.sweep_delay(cfg.model, cfg.space, cfg.n, cfg.delta, d_grid,
-                          eta=cfg.eta, beta=cfg.beta, seed=cfg.seed,
-                          algorithm=cfg.algorithm)
+    path = sample_path(cfg.model, cfg.n, cfg.seed)
+    return bd.sweep_delay(cfg.model, cfg.space, path, statistical_posterior(cfg, path),
+                          cfg.delta, d_grid, eta=cfg.eta, algorithm=cfg.algorithm)

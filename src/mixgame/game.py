@@ -112,14 +112,14 @@ def generalization_gap(trace: GameTrace, comparator: PosteriorDist) -> float:
 def decompose(trace: GameTrace, comparator: PosteriorDist) -> dict:
     """Split the generalization gap into regret/n plus the martingale term.
 
-    The identity is exact; a residual beyond 1e-10 signals an internal bug
-    and raises ConsistencyError.
+    The identity is exact; a residual beyond 1e-10, or a NaN one (a NaN
+    cost or play), signals an internal bug and raises ConsistencyError.
     """
     gen = generalization_gap(trace, comparator)
     regret_over_n = realized_regret(trace, comparator) / trace.n
     mart = martingale_term(trace)
     residual = gen - regret_over_n - mart
-    if abs(residual) > _IDENTITY_TOL:
+    if not abs(residual) <= _IDENTITY_TOL:
         raise ConsistencyError(f"decomposition identity violated: residual={residual:.3e}")
     return {"gen": gen, "regret_over_n": regret_over_n, "martingale": mart,
             "residual": residual}

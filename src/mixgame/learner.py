@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, config_value
 from .process import ProcessModel, SamplePath
 
 
@@ -149,6 +149,4 @@ def space_from_json(doc: str | dict) -> HypothesisSpace:
     """Load a loss table from {"losses": [[...]]}."""
     if isinstance(doc, str):
         doc = json.loads(doc)
-    if "losses" not in doc:
-        raise ValidationError("loss JSON must contain 'losses'")
-    return HypothesisSpace(np.asarray(doc["losses"], dtype=float))
+    return HypothesisSpace(config_value(doc.get("losses"), "loss.losses", list))

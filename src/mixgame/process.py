@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, ModelError, SizeError, ValidationError
+from .errors import (ConsistencyError, ModelError, SizeError, ValidationError,
+                     config_value)
 
 _ROW_SUM_TOL = 1e-9
 _STATIONARY_TOL = 1e-12
@@ -315,9 +316,8 @@ def model_from_json(doc: str | dict) -> ProcessModel:
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
-    if "transition" not in doc:
-        raise ValidationError("model JSON must contain 'transition'")
+    transition = config_value(doc.get("transition"), "process.transition", list)
     kind = doc.get("kind", "plain-markov")
     if kind not in ("plain-markov", "contaminated"):
         raise ValidationError(f"unknown model kind {kind!r}")
-    return build_markov(doc["transition"], kind=kind, alpha=doc.get("alpha"))
+    return build_markov(transition, kind=kind, alpha=doc.get("alpha"))

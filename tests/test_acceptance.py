@@ -60,7 +60,8 @@ def test_01_regret_decomposition_identity_randomized():
         else:
             dl = _random_memory_loss(rng, n_hyp, n_states,
                                      int(rng.integers(1, 4)))
-            trace = run_dynamic_game(model, dl, path, learner, d)
+            trace = run_dynamic_game(dl, path, learner, d,
+                                     limit_test_losses(dl, model)[0])
         comparator = PosteriorDist.from_probs(rng.dirichlet(np.ones(n_hyp)))
         parts = decompose(trace, comparator)
         residual = abs(parts["gen"] - parts["regret_over_n"]
@@ -288,9 +289,9 @@ def test_11_memory1_losses_reduce_to_the_static_machinery():
         assert abs(exact_block_beta(model, dl, d)
                    - exact_phi(model, table, 2 * d)) < 1e-12
     path = sample_path(model, 200, seed=5)
-    t_dyn = run_dynamic_game(model, dl, path,
+    t_dyn = run_dynamic_game(dl, path,
                              make_learner("ewa", PosteriorDist.uniform(3),
-                                          0.4, d=3), 3)
+                                          0.4, d=3), 3, limits)
     t_static = run_game(model, space, path,
                         make_learner("ewa", PosteriorDist.uniform(3),
                                      0.4, d=3), 3)

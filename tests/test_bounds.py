@@ -6,8 +6,9 @@ import pytest
 
 from mixgame import (HypothesisSpace, MixingProfile, ValidationError,
                      delay_bound, delayed_regret_bound, deviation_term,
-                     sweep_delay, tune_delay_algebraic, tune_delay_geometric,
-                     tuned_bound, two_state_chain)
+                     gibbs_posterior, sample_path, sweep_delay,
+                     tune_delay_algebraic, tune_delay_geometric, tuned_bound,
+                     two_state_chain)
 from mixgame.cli import main
 
 
@@ -115,8 +116,9 @@ def test_bounds_command_clamped_geometric_row(tmp_path):
 def test_sweep_delay_rows_are_consistent():
     model = two_state_chain(0.25, 0.25)
     space = HypothesisSpace(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    rows = sweep_delay(model, space, n=200, delta=0.1, d_grid=[1, 2, 4, 8],
-                       eta=0.3, beta=1.0, seed=5)
+    path = sample_path(model, 200, seed=5)
+    rows = sweep_delay(model, space, path, gibbs_posterior(space, path, 1.0),
+                       delta=0.1, d_grid=[1, 2, 4, 8], eta=0.3)
     assert [r["d"] for r in rows] == [1, 2, 4, 8]
     for r in rows:
         assert r["phi_term"] == pytest.approx(0.5 * 0.5 ** r["d"], abs=1e-12)

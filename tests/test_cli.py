@@ -6,7 +6,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from mixgame import (HypothesisSpace, build_markov, erm,
+                     exact_generalization_error, sample_path)
 from mixgame.cli import main
 
 
@@ -98,6 +101,25 @@ def test_sweep_delay_outputs_table_and_plot(tmp_path):
     assert [r[0] for r in rows[1:]] == ["1", "2", "4"]
     svg = (out / "sweep.svg").read_text()
     assert svg.count("<polyline") == 2
+
+
+def test_sweep_delay_honours_learner_kind(tmp_path):
+    rows = {}
+    for kind in ("gibbs", "erm"):
+        doc = static_config(n=200, d_grid=[1, 2, 4])
+        doc["learner"] = {"kind": kind, "beta": 1.0}
+        cfg = write_config(tmp_path, doc, f"{kind}.json")
+        assert main(["sweep-delay", "--config", cfg,
+                     "--out", str(tmp_path / kind)]) == 0
+        rows[kind] = read_csv(tmp_path / kind / "sweep.csv")
+    assert rows["gibbs"] != rows["erm"]
+    # erm's gap is the gap of the ERM Dirac on the master seed's path
+    model = build_markov(doc["process"]["transition"])
+    space = HypothesisSpace(np.array(doc["loss"]["losses"]))
+    path = sample_path(model, 200, seed=3)
+    gap = exact_generalization_error(erm(space, path), space, path, model)
+    for row in rows["erm"][1:]:
+        assert float(row[5]) == pytest.approx(gap, abs=1e-12)
 
 
 def test_mixing_outputs(tmp_path):
@@ -218,6 +240,42 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
         assert main([command, "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 2
         assert field in capsys.readouterr().err
+
+
+X = [[0.0, 1.0], [1.0, 0.0]]
+MEMORY_LOSS = {"kind": "memory-table", "m": 2, "table": [X, X]}
+DISCOUNTED_LOSS = {"kind": "discounted", "gamma": 0.9, "scale": 0.1, "g_table": X}
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("loss, field, value", [
+    (None, "process.transition", "abc"),
+    (None, "process.transition", [[0.75, 0.25], [0.25]]),
+    (None, "process.transition", [[0.75, {"p": 0.25}], [0.25, 0.75]]),
+    (None, "process.transition", [[NAN, 0.25], [0.25, 0.75]]),
+    (None, "loss.losses", "abc"),
+    (None, "loss.losses", [[0.0, 1.0], [1.0]]),
+    (None, "loss.losses", [[NAN, 1.0], [1.0, 0.0]]),
+    (MEMORY_LOSS, "loss.table", "abc"),
+    (MEMORY_LOSS, "loss.table", [[[NAN, 1.0], [1.0, 0.0]], X]),
+    (MEMORY_LOSS, "loss.m", "2"),
+    (MEMORY_LOSS, "loss.m", True),
+    (DISCOUNTED_LOSS, "loss.g_table", [[0.0, 1.0], [1.0]]),
+    (DISCOUNTED_LOSS, "loss.g_table", [[NAN, 1.0], [1.0, 0.0]]),
+    (DISCOUNTED_LOSS, "loss.gamma", "0.9"),
+    (DISCOUNTED_LOSS, "loss.scale", INF),
+    (DISCOUNTED_LOSS, "loss.scale", True),
+])
+def test_bad_array_and_dynamic_loss_fields_exit_2(tmp_path, capsys, loss, field,
+                                                  value):
+    doc = static_config()
+    if loss is not None:
+        doc["loss"] = dict(loss)
+    section, key = field.split(".")
+    doc[section][key] = value
+    assert main(["simulate", "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert f"'{field}'" in capsys.readouterr().err
 
 
 def test_exit_code_3_on_model_failure(tmp_path):

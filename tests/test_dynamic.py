@@ -251,7 +251,8 @@ def test_dynamic_game_decomposition_identity():
     model = random_chain(rng, 2)
     path = sample_path(model, 120, seed=3)
     learner = make_learner("ewa", PosteriorDist.uniform(2), 0.3, d=4)
-    trace = run_dynamic_game(model, xor_loss(), path, learner, 4)
+    trace = run_dynamic_game(xor_loss(), path, learner, 4,
+                             limit_test_losses(xor_loss(), model)[0])
     comparator = PosteriorDist.from_probs(rng.dirichlet(np.ones(2)))
     parts = decompose(trace, comparator)
     assert abs(parts["gen"] - parts["regret_over_n"] - parts["martingale"]) \

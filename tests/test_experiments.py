@@ -1,5 +1,9 @@
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixgame import (PosteriorDist, ValidationError, make_learner, play_costs,
                      sample_path)
@@ -117,3 +121,42 @@ def test_resolve_delay_rejects_out_of_range():
     doc = base_config(online={"algorithm": "ewa", "eta": 0.3, "delay": 61})
     with pytest.raises(ValidationError, match="online.delay"):
         config_from_dict(doc)
+
+
+X = [[0.0, 1.0], [1.0, 0.0]]
+MISSING = object()
+VALID_CONFIGS = {
+    "static": base_config(experiment={"n": 60, "replicates": 2, "delta": 0.1,
+                                      "seed": 7, "d_grid": [1, 2], "d_max": 10}),
+    "memory": base_config(loss={"kind": "memory-table", "m": 2, "table": [X, X]}),
+    "discounted": base_config(loss={"kind": "discounted", "gamma": 0.9,
+                                    "scale": 0.1, "g_table": X}),
+    "auto": base_config(online={"algorithm": "ewa", "eta": 0.3,
+                                "delay": "auto-geometric"}),
+}
+# (config, section, key): key None changes the whole section
+CONFIG_FIELDS = [(name, section, key) for name, doc in VALID_CONFIGS.items()
+                 for section in doc for key in [None, *doc[section]]]
+BAD_VALUES = st.one_of(
+    st.sampled_from(["x", "2", {"a": 1}, [], [[1.0], [1.0, 2.0]], [[0.5, "x"]],
+                     True, False, None, MISSING]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+    st.lists(st.one_of(st.floats(), st.booleans(), st.integers(-3, 3)),
+             max_size=3))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(CONFIG_FIELDS), BAD_VALUES)
+def test_one_malformed_field_is_accepted_or_a_validation_error(field, value):
+    name, section, key = field
+    doc = copy.deepcopy(VALID_CONFIGS[name])
+    holder, slot = (doc, section) if key is None else (doc[section], key)
+    if value is MISSING:
+        del holder[slot]
+    else:
+        holder[slot] = value
+    try:
+        config_from_dict(doc)
+    except ValidationError:
+        pass

@@ -3,8 +3,9 @@ import csv
 import numpy as np
 import pytest
 
-from mixgame import (HypothesisSpace, PosteriorDist, ProtocolError,
-                     decompose, export_trace_csv, generalization_gap,
+from mixgame import (ConsistencyError, GameTrace, HypothesisSpace,
+                     PosteriorDist, ProtocolError, decompose,
+                     export_trace_csv, generalization_gap,
                      instance_regrets, make_learner, martingale_term,
                      play_costs, realized_regret, run_game, sample_path,
                      two_state_chain)
@@ -120,3 +121,13 @@ def test_indicator_game_costs_are_centered_losses(symmetric_quarter_chain,
     test_vec = indicator_space.loss_table @ symmetric_quarter_chain.stationary
     expected = indicator_space.loss_table[:, path.symbols].T - test_vec
     np.testing.assert_allclose(trace.costs, expected, atol=1e-14)
+
+
+def test_decompose_rejects_a_nan_cost():
+    # abs(nan) > tol is False, so a NaN residual must fail the check itself
+    trace = GameTrace(n=2, d=1, symbols=np.zeros(2, dtype=np.int64),
+                      posteriors=np.full((2, 2), 0.5),
+                      costs=np.array([[0.2, np.nan], [0.1, 0.3]]),
+                      loss_rows=np.zeros((2, 2)), test_loss_vec=np.zeros(2))
+    with pytest.raises(ConsistencyError, match="residual=nan"):
+        decompose(trace, PosteriorDist.uniform(2))
