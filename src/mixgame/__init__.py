@@ -8,12 +8,11 @@ tuned delays, and Monte-Carlo-checks their coverage.
 
 from .errors import (ConsistencyError, MixgameError, ModelError, ProtocolError,
                      SizeError, ValidationError)
-from .process import (ContaminationSpec, MixingProfile, ProcessModel, SamplePath,
-                      build_contaminated, build_iid, build_markov,
-                      conditional_loss_expectations, exact_phi,
+from .process import (MixingProfile, ProcessModel, SamplePath, build_iid,
+                      build_markov, conditional_loss_expectations, exact_phi,
                       fit_mixing_profile, model_from_json, phi_table,
-                      replicate_seed, sample_path, two_state_chain,
-                      window_expectations)
+                      product_chain, replicate_seed, sample_path,
+                      two_state_chain, window_expectations)
 from .learner import (HypothesisSpace, PosteriorDist, empirical_losses, erm,
                       exact_generalization_error, gibbs_posterior,
                       kl_divergence, space_from_json, test_losses)

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import SizeError, ValidationError, config_value
+from .errors import SizeError, ValidationError, build_field, config_value
 from .game import GameTrace, play_costs
 from .process import (ProcessModel, SamplePath, _walk_chain,
                       conditional_loss_expectations, exact_phi,
@@ -57,13 +57,11 @@ class MemoryTableLoss(_BlockLoss):
     the loss is defined on sequences of every length.
     """
 
-    kind = "memory-table"
-
     def __init__(self, m: int, table):
         table = np.asarray(table, dtype=float)
         if m < 1 or table.ndim != m + 1:
             raise ValidationError("table must have shape (W,) + (A,)*m")
-        if np.any(table < 0) or np.any(table > 1):
+        if not np.all((0 <= table) & (table <= 1)):
             raise ValidationError("loss values must lie in [0, 1]")
         if len(set(table.shape[1:])) > 1:
             raise ValidationError("all symbol axes must share the alphabet size")
@@ -92,15 +90,13 @@ class DiscountedLoss(_BlockLoss):
     g a per-symbol table in [0, 1].
     """
 
-    kind = "discounted"
-
     def __init__(self, gamma: float, scale: float, g_table):
         if not 0 < gamma < 1:
             raise ValidationError("gamma must lie in (0, 1)")
-        if scale <= 0:
+        if not scale > 0:
             raise ValidationError("scale must be positive")
         g = np.asarray(g_table, dtype=float)
-        if g.ndim != 2 or np.any(g < 0) or np.any(g > 1):
+        if g.ndim != 2 or not np.all((0 <= g) & (g <= 1)):
             raise ValidationError("g_table must be W x A with entries in [0, 1]")
         self.gamma = gamma
         self.scale = scale
@@ -137,11 +133,15 @@ def loss_from_json(doc: str | dict):
     schemas = {"memory-table": (MemoryTableLoss, {"m": int, "table": list}),
                "discounted": (DiscountedLoss,
                               {"gamma": float, "scale": float, "g_table": list})}
+    ranges = {"m": {"low": 1}, "gamma": {"low": 0, "high": 1, "strict": True},
+              "scale": {"low": 0, "strict": True}}
     if not isinstance(kind, str) or kind not in schemas:
         raise ValidationError(f"unknown dynamic loss kind {kind!r}")
     cls, fields = schemas[kind]
-    return cls(*(config_value(doc.get(key), f"loss.{key}", as_kind)
-                 for key, as_kind in fields.items()))
+    args = [config_value(doc.get(key), f"loss.{key}", as_kind, **ranges.get(key, {}))
+            for key, as_kind in fields.items()]
+    *_, table_key = fields  # the scalars passed their ranges; name the table
+    return build_field(f"loss.{table_key}", cls, *args)
 
 
 def limit_test_losses(dl, model: ProcessModel, horizon: int | None = None,

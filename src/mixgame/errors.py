@@ -36,6 +36,14 @@ def _require(cond: bool, name: str, msg: str) -> None:
         raise ValidationError(f"config field {name!r}: {msg}")
 
 
+def build_field(name: str, build, *args):
+    """``build(*args)``, reporting a ValidationError as one of config field ``name``."""
+    try:
+        return build(*args)
+    except ValidationError as err:  # the message is built only on failure
+        raise ValidationError(f"config field {name!r}: {err}") from None
+
+
 def config_value(value, name: str, kind: type, *, low: float = -math.inf,
                  high: float = math.inf, strict: bool = False):
     """Read one config value as ``kind`` (int, float, or list) and range-check it.

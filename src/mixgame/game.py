@@ -59,7 +59,7 @@ def play_costs(costs: np.ndarray, learner, d: int,
     posts = np.empty((n, W))
     for t in range(n):  # 0-indexed round
         p = learner.act().probs
-        if abs(p.sum() - 1.0) > _SIMPLEX_TOL or np.any(p < -_SIMPLEX_TOL):
+        if not (abs(p.sum() - 1.0) <= _SIMPLEX_TOL and p.min() >= -_SIMPLEX_TOL):
             raise ProtocolError(f"learner emitted a non-simplex play at round {t + 1}")
         posts[t] = p
         if t + 1 >= d:

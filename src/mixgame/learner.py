@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, config_value
+from .errors import ValidationError, build_field, config_value
 from .process import ProcessModel, SamplePath
 
 
@@ -52,7 +52,7 @@ class HypothesisSpace:
         L = np.asarray(self.loss_table, dtype=float)
         if L.ndim != 2:
             raise ValidationError("loss table must be two-dimensional (W x m)")
-        if np.any(L < 0) or np.any(L > 1):
+        if not np.all((0 <= L) & (L <= 1)):
             raise ValidationError("loss table entries must lie in [0, 1]")
         object.__setattr__(self, "loss_table", L)
 
@@ -86,7 +86,7 @@ class PosteriorDist:
     @staticmethod
     def from_probs(p) -> "PosteriorDist":
         p = np.asarray(p, dtype=float)
-        if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-8:
+        if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-8):
             raise ValidationError("not a probability vector")
         with np.errstate(divide="ignore"):
             return PosteriorDist(np.log(p))
@@ -149,4 +149,5 @@ def space_from_json(doc: str | dict) -> HypothesisSpace:
     """Load a loss table from {"losses": [[...]]}."""
     if isinstance(doc, str):
         doc = json.loads(doc)
-    return HypothesisSpace(config_value(doc.get("losses"), "loss.losses", list))
+    losses = config_value(doc.get("losses"), "loss.losses", list)
+    return build_field("loss.losses", HypothesisSpace, losses)

@@ -2,24 +2,26 @@
 
 Everything here is exact linear algebra on row-stochastic matrices: the
 stationary law comes from matrix powers, d-step conditional laws from
-``transition**d``, and the mixing coefficient of a loss class is the
-worst-case gap between the stationary expected loss and the d-step
-conditional expected loss.  The table phi_1..phi_dmax steps the
-conditional expectations one transition per d instead, and checks its last
+``transition**d``, and phi_d of a loss class is the worst-case gap between
+the stationary and the d-step conditional expected loss.  ``phi_table``
+steps the conditional expectations one transition per d and checks its last
 entry against the matrix-power value.  ``window_expectations`` reduces a
-loss on L-symbol blocks to a static table, one transition per symbol.
+loss on L-symbol blocks to a static table, one transition per symbol, and
+``product_chain`` runs independent chains side by side as one chain.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .errors import (ConsistencyError, ModelError, SizeError, ValidationError,
-                     config_value)
+                     build_field, config_value)
 
 _ROW_SUM_TOL = 1e-9
 _STATIONARY_TOL = 1e-12
@@ -52,8 +54,6 @@ class ProcessModel:
 
     transition: np.ndarray
     stationary: np.ndarray
-    kind: str = "plain-markov"
-    alpha: float | None = None
 
     @property
     def n_states(self) -> int:
@@ -62,33 +62,12 @@ class ProcessModel:
 
 @dataclass(frozen=True)
 class SamplePath:
-    """A seeded realization of a model, symbols drawn from the stationary start."""
+    """A realization of a model, symbols drawn from the stationary start."""
 
     symbols: np.ndarray
-    seed: int
-    model: ProcessModel
 
     def __len__(self) -> int:
         return len(self.symbols)
-
-
-@dataclass(frozen=True)
-class ContaminationSpec:
-    """I.i.d. clean losses plus an additive mixing noise chain scaled by alpha."""
-
-    base_probs: np.ndarray
-    noise_model: ProcessModel
-    noise_values: np.ndarray
-    alpha: float
-
-    def __post_init__(self):
-        p = np.asarray(self.base_probs, dtype=float)
-        if p.ndim != 1 or np.any(p < 0) or abs(p.sum() - 1.0) > _ROW_SUM_TOL:
-            raise ValidationError("base_probs must be a probability vector")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValidationError("alpha must lie in [0, 1]")
-        if len(self.noise_values) != self.noise_model.n_states:
-            raise ValidationError("need one noise value per noise state")
 
 
 @dataclass(frozen=True)
@@ -112,8 +91,7 @@ class MixingProfile:
         return float(out) if out.ndim == 0 else out
 
 
-def build_markov(transition, kind: str = "plain-markov",
-                 alpha: float | None = None) -> ProcessModel:
+def build_markov(transition) -> ProcessModel:
     """Validate a row-stochastic matrix and compute its unique stationary law.
 
     Convergence is established by repeated squaring of the transition
@@ -123,9 +101,9 @@ def build_markov(transition, kind: str = "plain-markov",
     P = np.asarray(transition, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValidationError("transition matrix must be square")
-    if np.any(P < 0):
+    if not np.all(P >= 0):
         raise ValidationError("transition matrix entries must be non-negative")
-    if np.max(np.abs(P.sum(axis=1) - 1.0)) > _ROW_SUM_TOL:
+    if not np.max(np.abs(P.sum(axis=1) - 1.0)) <= _ROW_SUM_TOL:
         raise ValidationError("transition matrix rows must sum to 1")
 
     B = P.copy()
@@ -143,7 +121,7 @@ def build_markov(transition, kind: str = "plain-markov",
     pi = pi / pi.sum()
     if np.max(np.abs(pi @ P - pi)) > 1e-10:
         raise ModelError("stationary vector fails the invariance check")
-    return ProcessModel(transition=P, stationary=pi, kind=kind, alpha=alpha)
+    return ProcessModel(transition=P, stationary=pi)
 
 
 def build_iid(probs) -> ProcessModel:
@@ -157,32 +135,18 @@ def two_state_chain(p: float, q: float) -> ProcessModel:
     return build_markov([[1 - p, p], [q, 1 - q]])
 
 
-def build_contaminated(spec: ContaminationSpec, base_losses,
-                       state_cap: int = _PRODUCT_STATE_CAP):
-    """Product chain over (clean symbol, noise state) with composite losses.
+def product_chain(models) -> ProcessModel:
+    """Independent chains run side by side, the first as the slowest index.
 
-    The composite loss is ``clip(l0(w, z') + alpha * eps, 0, 1)``.  Returns
-    the product ProcessModel together with the composite W x (mc*ne) loss
-    table; wrap the table in a HypothesisSpace to use it downstream.
+    State (s_1, ..., s_K) is the row-major index into the np.kron of the
+    transition matrices, and the np.kron of the stationary laws is invariant.
     """
-    l0 = np.asarray(base_losses, dtype=float)
-    mc = len(spec.base_probs)
-    ne = spec.noise_model.n_states
-    if l0.ndim != 2 or l0.shape[1] != mc:
-        raise ValidationError("base loss table must be W x len(base_probs)")
-    if mc * ne > state_cap:
-        raise SizeError(f"product state count {mc * ne} exceeds cap {state_cap}")
-
-    iid_block = np.tile(np.asarray(spec.base_probs, float), (mc, 1))
-    transition = np.kron(iid_block, spec.noise_model.transition)
-    stationary = np.kron(np.asarray(spec.base_probs, float),
-                         spec.noise_model.stationary)
-    model = ProcessModel(transition=transition, stationary=stationary,
-                         kind="contaminated", alpha=spec.alpha)
-
-    vals = np.asarray(spec.noise_values, dtype=float)
-    table = np.repeat(l0, ne, axis=1) + spec.alpha * np.tile(vals, mc)
-    return model, np.clip(table, 0.0, 1.0)
+    size = math.prod(m.n_states for m in models)
+    if size > _PRODUCT_STATE_CAP:
+        raise SizeError(f"product state count {size} exceeds cap {_PRODUCT_STATE_CAP}")
+    return ProcessModel(
+        transition=reduce(np.kron, [m.transition for m in models], np.ones((1, 1))),
+        stationary=reduce(np.kron, [m.stationary for m in models], np.ones(1)))
 
 
 def sample_path(model: ProcessModel, n: int, seed: int) -> SamplePath:
@@ -195,7 +159,7 @@ def sample_path(model: ProcessModel, n: int, seed: int) -> SamplePath:
     s = min(int(np.searchsorted(cum_pi, u[0], side="right")), model.n_states - 1)
     walk = _walk_chain(np.cumsum(model.transition, axis=1), s, u[1:])
     symbols = np.array([s] + walk, dtype=np.int64)
-    return SamplePath(symbols=symbols, seed=seed, model=model)
+    return SamplePath(symbols=symbols)
 
 
 def _walk_chain(cum_rows: np.ndarray, s: int, u: np.ndarray) -> list[int]:
@@ -309,15 +273,8 @@ def fit_mixing_profile(phi_values, kind: str) -> MixingProfile:
 
 
 def model_from_json(doc: str | dict) -> ProcessModel:
-    """Load a model from the JSON document schema.
-
-    Schema: {"states": [...], "transition": [[...]], "kind": "plain-markov"
-    | "contaminated", "alpha": x}.
-    """
+    """Load a model from the schema {"transition": [[...]]}; other keys are ignored."""
     if isinstance(doc, str):
         doc = json.loads(doc)
     transition = config_value(doc.get("transition"), "process.transition", list)
-    kind = doc.get("kind", "plain-markov")
-    if kind not in ("plain-markov", "contaminated"):
-        raise ValidationError(f"unknown model kind {kind!r}")
-    return build_markov(transition, kind=kind, alpha=doc.get("alpha"))
+    return build_field("process.transition", build_markov, transition)

@@ -265,6 +265,16 @@ NAN, INF = float("nan"), float("inf")
     (DISCOUNTED_LOSS, "loss.gamma", "0.9"),
     (DISCOUNTED_LOSS, "loss.scale", INF),
     (DISCOUNTED_LOSS, "loss.scale", True),
+    # readable arrays that their constructor refuses, and scalars out of range
+    (None, "process.transition", [0.5, 0.5]),
+    (None, "process.transition", [[0.5, 0.6], [0.5, 0.5]]),
+    (None, "loss.losses", [X, X]),
+    (None, "loss.losses", [[0.0, 1.5], [1.0, 0.0]]),
+    (MEMORY_LOSS, "loss.table", X),
+    (MEMORY_LOSS, "loss.m", 0),
+    (DISCOUNTED_LOSS, "loss.g_table", [0.0, 1.0]),
+    (DISCOUNTED_LOSS, "loss.gamma", 1.0),
+    (DISCOUNTED_LOSS, "loss.scale", 0.0),
 ])
 def test_bad_array_and_dynamic_loss_fields_exit_2(tmp_path, capsys, loss, field,
                                                   value):

@@ -131,3 +131,12 @@ def test_decompose_rejects_a_nan_cost():
                       loss_rows=np.zeros((2, 2)), test_loss_vec=np.zeros(2))
     with pytest.raises(ConsistencyError, match="residual=nan"):
         decompose(trace, PosteriorDist.uniform(2))
+
+
+def test_a_nan_play_is_a_protocol_error():
+    # a NaN cost in round 1 makes every later EWA play NaN; NaN fails the
+    # simplex check itself, so round 2 (the first to see that cost) is named
+    learner = make_learner("ewa", PosteriorDist.uniform(2), 0.4, d=1)
+    costs = np.array([[np.nan, 0.2], [0.1, 0.3], [0.4, 0.0]])
+    with pytest.raises(ProtocolError, match="round 2"):
+        play_costs(costs, learner, 1)

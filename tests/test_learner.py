@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from mixgame import (HypothesisSpace, PosteriorDist, ValidationError,
-                     build_iid, empirical_losses, erm,
+from mixgame import (DiscountedLoss, HypothesisSpace, MemoryTableLoss,
+                     PosteriorDist, ValidationError, build_iid, build_markov,
+                     empirical_losses, erm,
                      exact_generalization_error, gibbs_posterior,
                      kl_divergence, sample_path, space_from_json,
                      two_state_chain)
@@ -12,8 +13,8 @@ from mixgame.process import SamplePath
 from conftest import random_chain, random_space
 
 
-def _path(model, symbols):
-    return SamplePath(symbols=np.asarray(symbols), seed=0, model=model)
+def _path(symbols):
+    return SamplePath(symbols=np.asarray(symbols))
 
 
 def test_gibbs_matches_softmax_frozen():
@@ -21,7 +22,7 @@ def test_gibbs_matches_softmax_frozen():
     # beta * n: posterior is sigmoid(1) = (0.7311, 0.2689)
     model = two_state_chain(0.25, 0.25)
     space = HypothesisSpace(np.array([[0.0, 0.0], [1.0, 1.0]]))
-    post = gibbs_posterior(space, _path(model, [0]), beta=1.0)
+    post = gibbs_posterior(space, _path([0]), beta=1.0)
     np.testing.assert_allclose(
         post.probs, [0.7310585786300049, 0.2689414213699951], atol=1e-12)
 
@@ -50,7 +51,7 @@ def test_gibbs_beta_zero_returns_prior():
 def test_erm_is_dirac_at_lowest_index_minimizer():
     model = two_state_chain(0.25, 0.25)
     space = HypothesisSpace(np.array([[0.5, 0.5], [0.2, 0.2], [0.2, 0.2]]))
-    post = erm(space, _path(model, [0, 1, 0]))
+    post = erm(space, _path([0, 1, 0]))
     np.testing.assert_allclose(post.probs, [0.0, 1.0, 0.0], atol=0)
 
 
@@ -83,7 +84,7 @@ def test_test_losses_against_stationary_average():
 def test_empirical_losses_are_path_averages():
     model = two_state_chain(0.25, 0.25)
     space = HypothesisSpace(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    emp = empirical_losses(space, _path(model, [0, 0, 1, 0]))
+    emp = empirical_losses(space, _path([0, 0, 1, 0]))
     np.testing.assert_allclose(emp, [0.25, 0.75], atol=1e-12)
 
 
@@ -111,3 +112,21 @@ def test_space_from_json_validates():
         space_from_json({"not-losses": []})
     with pytest.raises(ValidationError):
         HypothesisSpace(np.array([[0.0, 1.5]]))  # outside [0, 1]
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: HypothesisSpace(np.array([[NAN, 1.0], [1.0, 0.0]])),
+    lambda: MemoryTableLoss(1, np.array([[NAN, 1.0], [1.0, 0.0]])),
+    lambda: DiscountedLoss(0.9, 0.1, np.array([[NAN, 1.0], [1.0, 0.0]])),
+    lambda: DiscountedLoss(0.9, NAN, np.array([[0.0, 1.0], [1.0, 0.0]])),
+    lambda: PosteriorDist.from_probs([NAN, 0.5]),
+    lambda: build_markov([[NAN, 0.5], [0.5, 0.5]]),
+], ids=["space", "memory-table", "discounted-g", "discounted-scale",
+        "from-probs", "markov"])
+def test_constructors_reject_nan(build):
+    # every check is written so that a NaN fails it (NaN < 0 is False)
+    with pytest.raises(ValidationError):
+        build()

@@ -4,13 +4,14 @@ import json
 import numpy as np
 import pytest
 
-from mixgame import (ConsistencyError, MixingProfile, ModelError, ValidationError,
-                     build_contaminated, build_iid, build_markov,
+from mixgame import (ConsistencyError, MixingProfile, ModelError, SizeError,
+                     ValidationError, build_iid, build_markov,
                      conditional_loss_expectations, exact_phi,
                      fit_mixing_profile, model_from_json, phi_table,
-                     replicate_seed, sample_path, two_state_chain)
+                     product_chain, replicate_seed, sample_path,
+                     two_state_chain)
 from mixgame.cli import main
-from mixgame.process import ContaminationSpec, _walk_chain
+from mixgame.process import _walk_chain
 
 from conftest import random_chain
 
@@ -171,16 +172,18 @@ def test_replicate_seed_is_injective_over_small_range():
     assert replicate_seed(123, 5) == replicate_seed(123, 5)
 
 
-def test_contaminated_model_is_product_chain():
-    spec = ContaminationSpec(base_probs=np.array([0.6, 0.4]),
-                             noise_model=two_state_chain(0.3, 0.2),
-                             noise_values=np.array([-1.0, 1.0]), alpha=0.1)
-    base_losses = np.full((2, 2), 0.5)
-    model, losses = build_contaminated(spec, base_losses)
-    assert model.transition.shape == (4, 4)
-    assert model.kind == "contaminated"
-    # composite loss 0.5 + 0.1 * eps stays inside [0, 1]: no clipping
-    np.testing.assert_allclose(np.sort(np.unique(losses)), [0.4, 0.6])
+def test_product_chain_is_the_kronecker_product_below_its_size_cap():
+    a, b = two_state_chain(0.3, 0.2), build_iid([0.6, 0.4])
+    model = product_chain([a, b])
+    np.testing.assert_array_equal(model.transition,
+                                  np.kron(a.transition, b.transition))
+    # state (i, j) is index 2 i + j, and the product law is the invariant one
+    np.testing.assert_allclose(model.stationary.reshape(2, 2),
+                               np.outer(a.stationary, b.stationary), atol=1e-15)
+    np.testing.assert_allclose(build_markov(model.transition).stationary,
+                               model.stationary, atol=1e-12)
+    with pytest.raises(SizeError):
+        product_chain([a] * 14)  # 2**14 states, refused before any product
 
 
 def test_mixing_profile_fit_recovers_geometric_law():
@@ -206,11 +209,10 @@ def test_mixing_profile_phi_evaluation():
 
 
 def test_model_from_json_roundtrip_and_errors():
+    # keys other than "transition" are ignored
     doc = json.dumps({"states": [0, 1], "kind": "plain-markov",
                       "transition": [[0.9, 0.1], [0.3, 0.7]]})
     model = model_from_json(doc)
     np.testing.assert_allclose(model.stationary, [0.75, 0.25], atol=1e-12)
     with pytest.raises(ValidationError):
         model_from_json({"kind": "plain-markov"})
-    with pytest.raises(ValidationError):
-        model_from_json({"transition": [[1.0]], "kind": "mystery"})
