@@ -8,10 +8,10 @@ tuned delays, and Monte-Carlo-checks their coverage.
 
 from .errors import (ConsistencyError, MixgameError, ModelError, ProtocolError,
                      SizeError, ValidationError)
-from .process import (MixingProfile, ProcessModel, SamplePath, build_iid,
-                      build_markov, conditional_loss_expectations, exact_phi,
-                      fit_mixing_profile, model_from_json, phi_table,
-                      product_chain, replicate_seed, sample_path,
+from .process import (DECAY_LAWS, MixingProfile, ProcessModel, SamplePath,
+                      build_iid, build_markov, conditional_loss_expectations,
+                      exact_phi, fit_mixing_profile, model_from_json,
+                      phi_table, product_chain, replicate_seed, sample_path,
                       two_state_chain, window_expectations)
 from .learner import (HypothesisSpace, PosteriorDist, empirical_losses, erm,
                       exact_generalization_error, gibbs_posterior,
@@ -19,12 +19,10 @@ from .learner import (HypothesisSpace, PosteriorDist, empirical_losses, erm,
 from .game import (GameTrace, decompose, export_trace_csv, generalization_gap,
                    instance_regrets, martingale_term, play_costs,
                    realized_regret, run_game)
-from .online import (EWA, FTRL, HALF_SQUARED_NORM, NEGATIVE_ENTROPY,
-                     DelayedLearner, Regularizer, delayed_regret_bound,
-                     ewa_step, ftrl_step, make_learner, project_simplex,
-                     regret_bound)
+from .online import (EWA, FTRL, DelayedLearner, delayed_regret_bound, ewa_step,
+                     ftrl_step, make_learner, project_simplex, regret_bound)
 from .bounds import (BoundReport, delay_bound, deviation_term, sweep_delay,
-                     tune_delay_algebraic, tune_delay_geometric, tuned_bound)
+                     tuned_bound)
 from .dynamic import (DiscountedLoss, MemoryTableLoss, block_mixing_profile,
                       composite_phi_check, dynamic_conditional_expectations,
                       dynamic_phi, dynamic_phi_gaps, dynamic_phi_mc,

@@ -1,17 +1,10 @@
-"""Closed-form generalization bounds, delay tuning rules, and the delay sweep.
+"""Closed-form generalization bounds at a delay, tuned to a profile, and swept.
 
 Every bound is assembled into a BoundReport with the three-term structure
 regret_term + phi_term + deviation_term = total.  ``delay_bound`` takes
-phi_d at a given delay; ``tuned_bound`` tunes the delay to a MixingProfile
-through a table keyed by the profile kind.  Logarithms are natural
-throughout: the geometric mixing law is C*exp(-d/tau), so the tuned delay
-ceil(tau * ln n) guarantees phi_d <= C/n only with natural logs.  When that
-delay is clamped to n, the geometric row is ``delay_bound`` at d = n.
-
-The algebraic row is the paper's rate C (1 + sqrt(ln(1/delta))) n^(-r/(1+2r)),
-split into a delta-free phi part and a confidence part; it is not a bound at
-its own tuned delay (at C=1, r=1, n=1000, delta=0.05 the confidence part is
-0.173, deviation_term(10) is 0.245).
+phi_d at a given delay; ``tuned_bound`` is ``delay_bound`` at the delay a
+MixingProfile tunes (``MixingProfile.tuned_delay``), paying the profile's
+own phi_d and the deviation term there.
 """
 
 from __future__ import annotations
@@ -71,52 +64,14 @@ def delay_bound(regret_value: float, phi_d: float, d: int, n: int, delta: float,
                        tag=tag)
 
 
-def tune_delay_geometric(tau: float, n: int) -> int:
-    """ceil(tau * ln n), clamped to [1, n]; guarantees C e^{-d/tau} <= C/n."""
-    if tau <= 0 or n < 1:
-        raise ValidationError("need tau > 0 and n >= 1")
-    return min(max(1, math.ceil(tau * math.log(n))), n)
-
-
-def tune_delay_algebraic(C: float, r: float, n: int) -> int:
-    """ceil((C^2 n)^(1/(1+2r))), clamped to [1, n]."""
-    if C <= 0 or r <= 0 or n < 1:
-        raise ValidationError("need C > 0, r > 0, n >= 1")
-    return min(max(1, math.ceil((C * C * n) ** (1.0 / (1.0 + 2.0 * r)))), n)
-
-
-def _tuned_geometric(profile: MixingProfile, n: int, delta: float):
-    d = tune_delay_geometric(profile.tau, n)
-    tau_log_n = profile.tau * math.log(n)
-    if d < tau_log_n:
-        # clamped to n: C/n no longer bounds C e^{-d/tau}, so pay the bound at d
-        return d, profile.phi(d), deviation_term(d, n, delta)
-    # d <= tau ln n + 1, so this bounds deviation_term(d)
-    dev = math.sqrt(2.0 * (tau_log_n + 1.0) * math.log(1.0 / delta) / n)
-    return d, profile.C / n, dev
-
-
-def _tuned_algebraic(profile: MixingProfile, n: int, delta: float):
-    d = tune_delay_algebraic(profile.C, profile.r, n)
-    main = profile.C * n ** (-profile.r / (1.0 + 2.0 * profile.r))
-    return d, main, main * math.sqrt(math.log(1.0 / delta))
-
-
-# MixingProfile.kind -> (delay, phi_term, deviation_term) at the tuned delay
-_TUNED = {"geometric": _tuned_geometric, "algebraic": _tuned_algebraic}
-
-
 def tuned_bound(profile: MixingProfile, n: int, delta: float,
                 regret: Callable[[int], float], tag_prefix: str = "") -> BoundReport:
-    """regret(d)/n + phi_term + deviation_term at the delay d tuned to the profile.
+    """``delay_bound`` at d = ``profile.tuned_delay(n)``, phi_d = ``profile.phi(d)``.
 
     ``regret`` maps d to a cumulative regret; the tag is ``tag_prefix`` + kind.
     """
-    if profile.kind not in _TUNED:
-        raise ValidationError(f"no tuned bound for profile kind {profile.kind!r}")
-    d, phi, dev = _TUNED[profile.kind](profile, n, delta)
-    return BoundReport(n=n, d=d, delta=delta, regret_term=regret(d) / n,
-                       phi_term=phi, deviation_term=dev,
+    d = profile.tuned_delay(n)
+    return delay_bound(regret(d), profile.phi(d), d, n, delta,
                        tag=tag_prefix + profile.kind)
 
 

@@ -17,7 +17,7 @@ from . import dynamic as dyn
 from . import experiments as xp
 from .errors import MixgameError, ValidationError, config_value
 from .online import delayed_regret_bound
-from .process import MixingProfile
+from .process import DECAY_LAWS, MixingProfile
 from .reporting import svg_line_plot, write_csv, write_json
 
 REPORT_COLUMNS = ["tag", "n", "d", "delta", "regret_term", "phi_term",
@@ -92,10 +92,10 @@ def cmd_mixing(args) -> None:
                {"fits": result["fits"], "fit_skipped": result["fit_skipped"]})
 
 
-# `mixgame bounds` tuned rows: law key -> (MixingProfile kind, {regret key ->
-# (tag prefix, regret at d)}); with no regret key present, the plain regret.
+# `mixgame bounds` tuned rows: MixingProfile kind -> {regret key -> (tag
+# prefix, regret at d)}; with no regret key present, the plain regret.
 TUNED_ROWS = {
-    "tau": ("geometric", {
+    "geometric": {
         "kl": ("ewa-", lambda field, n: functools.partial(
             delayed_regret_bound, field("kl", low=0),
             field("eta", low=0, strict=True), n=n)),
@@ -104,8 +104,7 @@ TUNED_ROWS = {
             field("eta", low=0, strict=True), n=n,
             alpha=field("alpha", default=1.0, low=0, strict=True),
             B=field("B", default=1.0, low=0))),
-    }),
-    "r": ("algebraic", {}),
+    },
 }
 
 
@@ -126,13 +125,13 @@ def cmd_bounds(args) -> None:
     if "phi_d" in spec:
         reports.append(bd.delay_bound(regret, field("phi_d", low=0),
                                       field("d", int, low=1, high=n), n, delta))
-    for law_key, (kind, composites) in TUNED_ROWS.items():
-        if law_key not in spec:
+    for kind, law in DECAY_LAWS.items():
+        if law.rate not in spec:
             continue
         profile = MixingProfile(kind, C=C,
-                                **{law_key: field(law_key, low=0, strict=True)})
+                                **{law.rate: field(law.rate, low=0, strict=True)})
         rows = [(prefix, make(field, n)) for key, (prefix, make)
-                in composites.items() if key in spec]
+                in TUNED_ROWS.get(kind, {}).items() if key in spec]
         for prefix, regret_at in rows or [("", lambda d: regret)]:
             reports.append(bd.tuned_bound(profile, n, delta, regret_at, prefix))
     if not reports:

@@ -17,12 +17,12 @@ import numpy as np
 
 from . import bounds as bd
 from . import dynamic as dyn
-from .errors import ValidationError, _require, config_value
+from .errors import ValidationError, _require, build_field, config_value
 from .game import GameTrace, decompose, play_costs, realized_regret
 from .learner import (HypothesisSpace, PosteriorDist, erm, gibbs_posterior,
                       kl_divergence, space_from_json, test_losses)
 from .online import delayed_regret_bound, make_learner
-from .process import (ProcessModel, exact_phi, fit_mixing_profile,
+from .process import (DECAY_LAWS, ProcessModel, exact_phi, fit_mixing_profile,
                       model_from_json, phi_table, replicate_seed, sample_path)
 
 
@@ -83,9 +83,10 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     eta = config_value(online_doc.get("eta", 0.1), "online.eta", float, low=0,
                        strict=True)
     delay_spec = online_doc.get("delay", 1)
+    auto_delays = [f"auto-{kind}" for kind in DECAY_LAWS]  # fit a law, tune to it
     _require((isinstance(delay_spec, int) and not isinstance(delay_spec, bool))
-             or delay_spec in ("auto-geometric", "auto-algebraic"),
-             "online.delay", "must be an integer or auto-geometric/auto-algebraic")
+             or delay_spec in auto_delays,
+             "online.delay", "must be an integer or " + "/".join(auto_delays))
 
     exp = doc["experiment"]
     n = config_value(exp.get("n"), "experiment.n", int, low=1)
@@ -123,11 +124,9 @@ def resolve_delay(delay_spec, model: ProcessModel, space: HypothesisSpace | None
     positive = table[table > 1e-15]
     _require(len(positive) >= 3, "experiment.d_max", "auto delay tuning needs "
              "at least 3 positive phi_d values for d <= min(d_max, n)")
-    if delay_spec == "auto-geometric":
-        prof = fit_mixing_profile(positive, "geometric")
-        return bd.tune_delay_geometric(prof.tau, n)
-    prof = fit_mixing_profile(positive, "algebraic")
-    return bd.tune_delay_algebraic(prof.C, prof.r, n)
+    kind = delay_spec.removeprefix("auto-")
+    return build_field("online.delay", fit_mixing_profile, positive,
+                       kind).tuned_delay(n)
 
 
 def statistical_posterior(cfg: ExperimentConfig, path) -> PosteriorDist:
@@ -280,7 +279,7 @@ def mixing_table(cfg: ExperimentConfig) -> dict:
     if np.all(table > 0):
         _require(len(table) >= 3, "experiment.d_max",
                  "decay-law fits need at least 3 phi_d values")
-        for kind in ("geometric", "algebraic"):
+        for kind in DECAY_LAWS:
             prof = fit_mixing_profile(table, kind)
             fits[kind] = {"C": prof.C, "tau": prof.tau, "r": prof.r,
                           "residual": prof.fit_residual}

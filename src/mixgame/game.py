@@ -58,7 +58,10 @@ def play_costs(costs: np.ndarray, learner, d: int,
         raise ValidationError("need 1 <= d <= n")
     posts = np.empty((n, W))
     for t in range(n):  # 0-indexed round
-        p = learner.act().probs
+        try:
+            p = learner.act().probs
+        except ValidationError:  # log-weights with no finite normalizer
+            p = np.full(W, np.nan)  # which fails the check below
         if not (abs(p.sum() - 1.0) <= _SIMPLEX_TOL and p.min() >= -_SIMPLEX_TOL):
             raise ProtocolError(f"learner emitted a non-simplex play at round {t + 1}")
         posts[t] = p

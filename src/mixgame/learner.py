@@ -73,8 +73,12 @@ class PosteriorDist:
 
     def __post_init__(self):
         lw = np.asarray(self.log_weights, dtype=float)
-        lw = lw - _logsumexp(lw)
-        object.__setattr__(self, "log_weights", lw)
+        norm = _logsumexp(lw)
+        # one scalar check, not a scan: NaN, +inf or all -inf log-weights
+        # (the empty vector too) leave no finite normalizer
+        if not math.isfinite(norm):
+            raise ValidationError(f"log-weights have no finite normalizer ({norm})")
+        object.__setattr__(self, "log_weights", lw - norm)
 
     @property
     def probs(self) -> np.ndarray:

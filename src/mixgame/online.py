@@ -9,29 +9,12 @@ running d independent instances, one per residue class of rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import ValidationError
 from .learner import PosteriorDist, _logsumexp
-
-
-@dataclass(frozen=True)
-class Regularizer:
-    """Strong-convexity bookkeeping for FTRL: the regularizer and its modulus."""
-
-    kind: str          # "negative-entropy" | "half-squared-norm"
-    alpha: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("negative-entropy", "half-squared-norm"):
-            raise ValidationError(f"unknown regularizer kind {self.kind!r}")
-
-
-NEGATIVE_ENTROPY = Regularizer("negative-entropy")
-HALF_SQUARED_NORM = Regularizer("half-squared-norm")
 
 
 def ewa_step(current: PosteriorDist, cost: np.ndarray, eta: float) -> PosteriorDist:
@@ -54,19 +37,22 @@ def project_simplex(v) -> np.ndarray:
 
 
 def ftrl_step(prior: PosteriorDist, cumulative_cost: np.ndarray, eta: float,
-              reg: Regularizer = NEGATIVE_ENTROPY) -> PosteriorDist:
+              reg: str = "negative-entropy") -> PosteriorDist:
     """The FTRL point after the given cumulative cost vector.
 
     Negative entropy has the closed-form Gibbs solution; the squared-norm
     regularizer is prior-centered (h(P) = 0.5 * ||P - P_1||^2), so its
-    zero-cost argmin is the prior, matching the entropy convention.
+    zero-cost argmin is the prior, matching the entropy convention.  ``reg``
+    names the regularizer: "negative-entropy" or "half-squared-norm".
     """
     if eta <= 0:
         raise ValidationError("eta must be positive")
     c = np.asarray(cumulative_cost, dtype=float)
-    if reg.kind == "negative-entropy":
+    if reg == "negative-entropy":
         return PosteriorDist(prior.log_weights - eta * c)
-    return PosteriorDist.from_probs(project_simplex(prior.probs - eta * c))
+    if reg == "half-squared-norm":
+        return PosteriorDist.from_probs(project_simplex(prior.probs - eta * c))
+    raise ValidationError(f"unknown regularizer kind {reg!r}")
 
 
 class EWA:
@@ -90,7 +76,7 @@ class FTRL:
     """Follow-the-regularized-leader; keeps the cumulative observed cost."""
 
     def __init__(self, prior: PosteriorDist, eta: float,
-                 reg: Regularizer = NEGATIVE_ENTROPY):
+                 reg: str = "negative-entropy"):
         if eta <= 0:
             raise ValidationError("eta must be positive")
         self.prior = prior
@@ -135,8 +121,8 @@ def make_learner(algorithm: str, prior: PosteriorDist, eta: float,
     """Build a (possibly round-robin wrapped) learner from a config triple."""
     factories = {
         "ewa": lambda: EWA(prior, eta),
-        "ftrl-entropy": lambda: FTRL(prior, eta, NEGATIVE_ENTROPY),
-        "ftrl-sqnorm": lambda: FTRL(prior, eta, HALF_SQUARED_NORM),
+        "ftrl-entropy": lambda: FTRL(prior, eta, "negative-entropy"),
+        "ftrl-sqnorm": lambda: FTRL(prior, eta, "half-squared-norm"),
     }
     if algorithm not in factories:
         raise ValidationError(f"unknown algorithm {algorithm!r}")

@@ -8,6 +8,11 @@ steps the conditional expectations one transition per d and checks its last
 entry against the matrix-power value.  ``window_expectations`` reduces a
 loss on L-symbol blocks to a static table, one transition per symbol, and
 ``product_chain`` runs independent chains side by side as one chain.
+
+``DECAY_LAWS`` holds each phi_d decay law a ``MixingProfile`` can carry:
+its rate field, its phi_d, the abscissa its log-linear fit regresses
+log(phi_d) on, and its closed-form tuned delay.  Logarithms are natural, so
+the geometric delay tau * ln n guarantees C e^{-d/tau} <= C/n.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -70,25 +76,62 @@ class SamplePath:
         return len(self.symbols)
 
 
+class DecayLaw(NamedTuple):
+    """One phi_d decay law, in terms of the profile's C and rate."""
+
+    rate: str                         # the MixingProfile field holding the rate
+    phi: Callable                     # (C, rate, d) -> phi_d
+    abscissa: Callable                # d -> the regressor of log(phi_d)
+    rate_from_slope: Callable         # fitted slope of log(phi_d) -> rate
+    delay: Callable                   # (C, rate, n) -> tuned delay, unrounded
+
+
+DECAY_LAWS = {
+    "geometric": DecayLaw(
+        "tau", lambda C, tau, d: C * np.exp(-d / tau), lambda d: d,
+        lambda slope: -1.0 / slope, lambda C, tau, n: tau * math.log(n)),
+    "algebraic": DecayLaw(
+        "r", lambda C, r, d: C * d ** (-r), np.log, lambda slope: -slope,
+        lambda C, r, n: (C * C * n) ** (1.0 / (1.0 + 2.0 * r))),
+}
+
+
 @dataclass(frozen=True)
 class MixingProfile:
-    """A phi_d decay law: geometric C*exp(-d/tau) or algebraic C*d**-r."""
+    """A phi_d decay law of ``DECAY_LAWS``: C*exp(-d/tau) or C*d**-r."""
 
-    kind: str  # "geometric" | "algebraic"
+    kind: str  # a DECAY_LAWS key
     C: float | None = None
     tau: float | None = None
     r: float | None = None
     fit_residual: float = 0.0
 
-    def phi(self, d) -> np.ndarray | float:
-        d = np.asarray(d, dtype=float)
-        if self.kind == "geometric":
-            out = self.C * np.exp(-d / self.tau)
-        elif self.kind == "algebraic":
-            out = self.C * d ** (-self.r)
-        else:
+    def __post_init__(self):
+        if self.kind not in DECAY_LAWS:
             raise ValidationError(f"unknown profile kind {self.kind!r}")
+        for name in ("C", DECAY_LAWS[self.kind].rate):
+            value = getattr(self, name)
+            if not (value is not None and 0 < value < math.inf):  # NaN fails it
+                raise ValidationError(f"a {self.kind} profile needs a finite "
+                                      f"{name} > 0, not {value!r}")
+
+    @property
+    def rate(self) -> float:
+        return getattr(self, DECAY_LAWS[self.kind].rate)
+
+    def phi(self, d) -> np.ndarray | float:
+        out = DECAY_LAWS[self.kind].phi(self.C, self.rate, np.asarray(d, dtype=float))
         return float(out) if out.ndim == 0 else out
+
+    def tuned_delay(self, n: int) -> int:
+        """The law's closed-form delay, clamped to [1, n] and then rounded up.
+
+        Clamping first keeps an infinite delay (tau * ln n overflowing) at n.
+        """
+        if not n >= 1:
+            raise ValidationError("n must be at least 1")
+        delay = DECAY_LAWS[self.kind].delay(self.C, self.rate, n)
+        return math.ceil(min(max(delay, 1), n))
 
 
 def build_markov(transition) -> ProcessModel:
@@ -241,11 +284,15 @@ def phi_table(model: ProcessModel, loss_table, d_max: int) -> np.ndarray:
 
 
 def fit_mixing_profile(phi_values, kind: str) -> MixingProfile:
-    """Least-squares fit of a decay law to a phi table, in the log domain.
+    """Least-squares fit of a ``DECAY_LAWS`` law to a phi table, in the log domain.
 
-    Geometric regresses log(phi_d) on d, algebraic regresses log(phi_d) on
-    log(d).  Entries must be positive (an all-zero i.i.d. table cannot be fit).
+    log(phi_d) is regressed on the law's abscissa (d for geometric, log d
+    for algebraic).  Entries must be positive (an all-zero i.i.d. table
+    cannot be fit) and must decay.
     """
+    if kind not in DECAY_LAWS:
+        raise ValidationError(f"unknown fit kind {kind!r}")
+    law = DECAY_LAWS[kind]
     phi = np.asarray(phi_values, dtype=float)
     if len(phi) < 3:
         raise ValidationError("need at least 3 table entries to fit")
@@ -253,23 +300,16 @@ def fit_mixing_profile(phi_values, kind: str) -> MixingProfile:
         raise ValidationError("cannot log-fit a table with non-positive entries")
     if np.any(np.diff(phi) > 1e-12):
         raise ValidationError("phi table must be non-increasing")
-    d = np.arange(1, len(phi) + 1, dtype=float)
+    x = law.abscissa(np.arange(1, len(phi) + 1, dtype=float))
     y = np.log(phi)
-    if kind == "geometric":
-        slope, intercept = np.polyfit(d, y, 1)
-        if slope >= 0:
-            raise ValidationError("table does not decay; geometric fit undefined")
-        C, tau = float(np.exp(intercept)), float(-1.0 / slope)
-        fit = intercept + slope * d
-        return MixingProfile(kind="geometric", C=C, tau=tau,
-                             fit_residual=float(np.max(np.abs(fit - y))))
-    if kind == "algebraic":
-        slope, intercept = np.polyfit(np.log(d), y, 1)
-        C, r = float(np.exp(intercept)), float(-slope)
-        fit = intercept + slope * np.log(d)
-        return MixingProfile(kind="algebraic", C=C, r=r,
-                             fit_residual=float(np.max(np.abs(fit - y))))
-    raise ValidationError(f"unknown fit kind {kind!r}")
+    slope, intercept = np.polyfit(x, y, 1)
+    # a constant table's fitted slope is rounding noise of either sign
+    if not (phi[-1] < phi[0] and slope < 0):
+        raise ValidationError(f"table does not decay; {kind} fit undefined")
+    fit = intercept + slope * x
+    return MixingProfile(kind, C=float(np.exp(intercept)),
+                         fit_residual=float(np.max(np.abs(fit - y))),
+                         **{law.rate: float(law.rate_from_slope(slope))})
 
 
 def model_from_json(doc: str | dict) -> ProcessModel:

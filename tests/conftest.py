@@ -1,9 +1,11 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from mixgame import HypothesisSpace, build_markov, two_state_chain
+from mixgame import (HypothesisSpace, MixingProfile, build_markov, tuned_bound,
+                     two_state_chain)
 
 
 def random_chain(rng, n_states=2, smoothing=0.05):
@@ -62,3 +64,21 @@ def symmetric_quarter_chain():
 def indicator_space():
     """Hypothesis w predicts state w; loss is the indicator of a miss."""
     return HypothesisSpace(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def algebraic_rate_sandwich(C, r, n, delta):
+    """(low, ratio, high): the zero-regret algebraic tuned bound over the rate
+    C^{1/(1+2r)} (1 + sqrt(2 ln(1/delta))) n^{-r/(1+2r)}, and the ends
+    (1+1/x)^{-r} and sqrt(1+1/x) it lies between at x = (C^2 n)^{1/(1+2r)}.
+
+    At d = x both terms equal their rate parts; the tuned d lies in [x, x+1)
+    when no clamp applies, which lowers phi_d by at most (1+1/x)^{-r} and
+    raises the deviation by at most sqrt(1+1/x).
+    """
+    rep = tuned_bound(MixingProfile("algebraic", C=C, r=r), n, delta,
+                      lambda d: 0.0)
+    e = 1.0 / (1.0 + 2.0 * r)
+    x = (C * C * n) ** e
+    assert x <= rep.d < x + 1 and rep.d < n  # no clamp
+    rate = C**e * (1.0 + math.sqrt(2.0 * math.log(1.0 / delta))) * n ** (-r * e)
+    return (1.0 + 1.0 / x) ** -r, rep.total / rate, math.sqrt(1.0 + 1.0 / x)

@@ -21,14 +21,13 @@ from mixgame import (EWA, FTRL, HypothesisSpace, MemoryTableLoss,
                      instance_regrets, limit_test_losses, make_learner,
                      phi_table, play_costs, product_chain, project_simplex,
                      realized_regret, regret_bound, run_dynamic_game,
-                     run_game, sample_path, tune_delay_algebraic,
-                     tune_delay_geometric, tuned_bound, two_state_chain)
+                     run_game, sample_path, two_state_chain)
 from mixgame import test_losses as stationary_losses
 from mixgame.cli import main as cli_main
 from mixgame.experiments import (config_from_dict, coverage_experiment,
                                  delay_sweep, delayed_ewa_posteriors)
 
-from conftest import random_chain, random_space
+from conftest import algebraic_rate_sandwich, random_chain, random_space
 
 
 def _report(line):
@@ -227,14 +226,20 @@ def test_07_generalization_bound_coverage():
 
 
 def test_08_delay_tuning_formulas_and_rate_exponent():
-    assert tune_delay_geometric(2.0, 1000) == 14
-    assert tune_delay_algebraic(1.0, 1.0, 1000) == 10
-    for r in (0.5, 1.0, 2.0):
-        profile = MixingProfile("algebraic", C=1.0, r=r)
-        v1 = tuned_bound(profile, 10**4, 0.05, lambda d: 0.0).total
-        v2 = tuned_bound(profile, 10**7, 0.05, lambda d: 0.0).total
-        slope = (math.log(v2) - math.log(v1)) / math.log(10**3)
-        assert abs(slope + r / (1 + 2 * r)) < 1e-12
+    assert MixingProfile("geometric", C=1.0, tau=2.0).tuned_delay(1000) == 14
+    assert MixingProfile("algebraic", C=1.0, r=1.0).tuned_delay(1000) == 10
+    # the algebraic bound at its tuned delay, over the rate
+    # C^{1/(1+2r)} (1 + sqrt(2 ln(1/delta))) n^{-r/(1+2r)}, lies in
+    # [(1+1/x)^{-r}, sqrt(1+1/x)] at x = (C^2 n)^{1/(1+2r)}, ends that close
+    # in on 1 as n grows
+    for C in (1.0, 0.3):
+        for r in (0.5, 1.0, 2.0):
+            widths = []
+            for n in (10**4, 10**7, 10**10):
+                low, ratio, high = algebraic_rate_sandwich(C, r, n, 0.05)
+                assert low <= ratio <= high
+                widths.append(high - low)
+            assert widths == sorted(widths, reverse=True)
     _report("[8/13] delay tuning (geometric 14, algebraic 10) and the "
             "n^{-r/(1+2r)} rate exponent")
 

@@ -6,10 +6,11 @@ import pytest
 
 from mixgame import (HypothesisSpace, MixingProfile, ValidationError,
                      delay_bound, delayed_regret_bound, deviation_term,
-                     gibbs_posterior, sample_path, sweep_delay,
-                     tune_delay_algebraic, tune_delay_geometric, tuned_bound,
+                     gibbs_posterior, sample_path, sweep_delay, tuned_bound,
                      two_state_chain)
 from mixgame.cli import main
+
+from conftest import algebraic_rate_sandwich
 
 
 def no_regret(d):
@@ -42,19 +43,27 @@ def test_delay_bound_report_totals():
 def test_geometric_bound_frozen():
     rep = tuned_bound(geometric(), n=1000, delta=0.05, regret=no_regret)
     assert rep.tag == "geometric" and rep.d == 14
-    assert rep.phi_term == pytest.approx(0.001, abs=1e-15)
-    assert rep.deviation_term == pytest.approx(0.2979372522115134, abs=1e-12)
-    assert rep.total == pytest.approx(0.2989372522115134, abs=1e-12)
+    # the bound at its own delay: e^{-7} <= C/n, deviation_term(14) <= the
+    # closed form sqrt(2 (tau ln n + 1) ln(1/delta) / n)
+    assert rep.phi_term == pytest.approx(math.exp(-7.0), abs=1e-15)
+    assert rep.deviation_term == pytest.approx(deviation_term(14, 1000, 0.05),
+                                               abs=1e-15)
+    assert rep.total == pytest.approx(0.29053319274829326, abs=1e-12)
+    assert rep.total <= 0.2989372522115134  # the closed form C/n + deviation
 
 
 def test_algebraic_bound_frozen():
     rep = tuned_bound(MixingProfile("algebraic", C=1.0, r=1.0), n=1000,
                       delta=0.05, regret=no_regret)
     assert rep.tag == "algebraic" and rep.d == 10
-    assert rep.total == pytest.approx(0.2730818382602286, abs=1e-12)
-    # the rate C (1 + sqrt(ln(1/delta))) n^(-r/(1+2r))
-    assert rep.total == pytest.approx(
-        (1.0 + math.sqrt(math.log(20))) * 1000 ** (-1 / 3), abs=1e-15)
+    # C d^-r + deviation_term(d) at d = 10
+    assert rep.phi_term == pytest.approx(0.1, abs=1e-15)
+    assert rep.total == pytest.approx(0.3447746830680817, abs=1e-12)
+    # the paper's rate C (1 + sqrt(ln(1/delta))) n^(-r/(1+2r)) is below the
+    # bound at the tuned delay, so it is not a bound there
+    assert (1.0 + math.sqrt(math.log(20))) * 1000 ** (-1 / 3) == pytest.approx(
+        0.2730818382602286, abs=1e-15)
+    assert 0.2730818382602286 < rep.total
 
 
 def test_ewa_geometric_bound_frozen():
@@ -64,9 +73,11 @@ def test_ewa_geometric_bound_frozen():
                       tag_prefix="ewa-")
     assert rep.tag == "ewa-geometric"
     assert rep.regret_term == pytest.approx(0.06316979643063896, abs=1e-12)
-    assert rep.phi_term == pytest.approx(1e-4, abs=1e-15)
-    assert rep.deviation_term == pytest.approx(0.10786951383875487, abs=1e-12)
-    assert rep.total == pytest.approx(0.17113931026939383, abs=1e-12)
+    assert rep.d == 19 and rep.phi_term == pytest.approx(math.exp(-9.5), abs=1e-15)
+    assert rep.deviation_term == pytest.approx(deviation_term(19, 10**4, 0.05),
+                                               abs=1e-15)
+    assert rep.total == pytest.approx(0.16993945900362306, abs=1e-12)
+    assert rep.total <= 0.17113931026939383  # with the closed form
 
 
 def test_ftrl_geometric_bound_frozen():
@@ -76,24 +87,35 @@ def test_ftrl_geometric_bound_frozen():
                       tag_prefix="ftrl-")
     assert rep.tag == "ftrl-geometric"
     assert rep.regret_term == pytest.approx(0.0595, abs=1e-12)
-    assert rep.total == pytest.approx(0.16746951383875486, abs=1e-12)
+    assert rep.total == pytest.approx(0.16626966257298412, abs=1e-12)
+    assert rep.total <= 0.16746951383875486  # with the closed form
 
 
 def test_tuned_delays_frozen_and_clamped():
-    assert tune_delay_geometric(2.0, 1000) == 14
-    assert tune_delay_algebraic(1.0, 1.0, 1000) == 10
-    assert tune_delay_geometric(0.0001, 50) == 1
-    assert tune_delay_geometric(1000.0, 50) == 50
+    assert geometric(tau=2.0).tuned_delay(1000) == 14
+    assert MixingProfile("algebraic", C=1.0, r=1.0).tuned_delay(1000) == 10
+    assert geometric(tau=0.0001).tuned_delay(50) == 1
+    assert geometric(tau=1000.0).tuned_delay(50) == 50
+    # clamped before rounding: an infinite delay lands on n, not on an
+    # OverflowError from math.ceil
+    assert geometric(tau=1e308).tuned_delay(1000) == 1000
+    assert MixingProfile("algebraic", C=1e200, r=1.0).tuned_delay(1000) == 1000
+    with pytest.raises(ValidationError):
+        geometric().tuned_delay(0)
 
 
 def test_algebraic_main_term_log_log_slope():
-    for r in (0.5, 1.0, 2.0):
-        profile = MixingProfile("algebraic", C=1.0, r=r)
-        v1 = tuned_bound(profile, 10**4, 0.05, no_regret).total
-        v2 = tuned_bound(profile, 10**6, 0.05, no_regret).total
-        slope = (math.log(v2) - math.log(v1)) / (math.log(10**6)
-                                                 - math.log(10**4))
-        assert slope == pytest.approx(-r / (1 + 2 * r), abs=1e-12)
+    # total / (C^{1/(1+2r)} (1 + sqrt(2 ln(1/delta))) n^{-r/(1+2r)}) lies in
+    # [(1+1/x)^{-r}, sqrt(1+1/x)] at x = (C^2 n)^{1/(1+2r)}, and both ends
+    # close in on 1 as n grows: the n^{-r/(1+2r)} rate
+    for C in (1.0, 0.3):
+        for r in (0.5, 1.0, 2.0):
+            widths = []
+            for n in (10**4, 10**7, 10**10):
+                low, ratio, high = algebraic_rate_sandwich(C, r, n, 0.05)
+                assert low <= ratio <= high
+                widths.append(high - low)
+            assert widths == sorted(widths, reverse=True)
 
 
 def test_bounds_command_clamped_geometric_row(tmp_path):
@@ -111,6 +133,24 @@ def test_bounds_command_clamped_geometric_row(tmp_path):
     assert row["total"] >= at_d.total
     # and, with the deviation paid at d = n, it is that bound
     assert row["total"] == pytest.approx(at_d.total, abs=1e-15)
+
+
+@pytest.mark.parametrize("spec, profile", [
+    ({"tau": 1e308}, MixingProfile("geometric", C=1.0, tau=1e308)),
+    ({"r": 1.0, "C": 1e200}, MixingProfile("algebraic", C=1e200, r=1.0)),
+])
+def test_bounds_command_overflowing_delay_is_clamped_to_n(tmp_path, spec,
+                                                          profile):
+    # tau ln n and (C^2 n)^(1/(1+2r)) overflow to inf; clamping before
+    # rounding up puts the row at d = n instead of an OverflowError
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"bounds": {"n": 1000, "delta": 0.05, **spec}}))
+    assert main(["bounds", "--config", str(cfg), "--out", str(tmp_path),
+                 "--format", "json"]) == 0
+    [row] = json.loads((tmp_path / "bounds.json").read_text())
+    assert row["d"] == 1000
+    assert row == delay_bound(0.0, profile.phi(1000), 1000, 1000, 0.05,
+                              tag=profile.kind).to_dict()
 
 
 def test_sweep_delay_rows_are_consistent():

@@ -123,10 +123,18 @@ NAN = float("nan")
     lambda: DiscountedLoss(0.9, 0.1, np.array([[NAN, 1.0], [1.0, 0.0]])),
     lambda: DiscountedLoss(0.9, NAN, np.array([[0.0, 1.0], [1.0, 0.0]])),
     lambda: PosteriorDist.from_probs([NAN, 0.5]),
+    lambda: PosteriorDist(np.array([NAN, 0.0])),
+    lambda: PosteriorDist(np.full(2, -np.inf)),
     lambda: build_markov([[NAN, 0.5], [0.5, 0.5]]),
 ], ids=["space", "memory-table", "discounted-g", "discounted-scale",
-        "from-probs", "markov"])
+        "from-probs", "log-weights", "all-minus-inf", "markov"])
 def test_constructors_reject_nan(build):
     # every check is written so that a NaN fails it (NaN < 0 is False)
     with pytest.raises(ValidationError):
         build()
+
+
+def test_a_dirac_keeps_its_minus_inf_log_weights():
+    p = PosteriorDist.dirac(1, 3)
+    np.testing.assert_array_equal(p.log_weights, [-np.inf, 0.0, -np.inf])
+    np.testing.assert_array_equal(p.probs, [0.0, 1.0, 0.0])

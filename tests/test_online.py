@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from scipy.special import softmax
 
-from mixgame import (EWA, FTRL, HALF_SQUARED_NORM, DelayedLearner,
-                     PosteriorDist, ValidationError, delayed_regret_bound,
-                     ewa_step, ftrl_step, make_learner, project_simplex,
-                     regret_bound)
+from mixgame import (EWA, FTRL, DelayedLearner, PosteriorDist, ValidationError,
+                     delayed_regret_bound, ewa_step, ftrl_step, make_learner,
+                     project_simplex, regret_bound)
 
 
 def test_project_simplex_frozen():
@@ -55,9 +54,13 @@ def test_ftrl_sqnorm_step_is_projected_prior_minus_cost():
     rng = np.random.default_rng(4)
     prior = PosteriorDist.from_probs(rng.dirichlet(np.ones(4)))
     cum = rng.normal(size=4)
-    got = ftrl_step(prior, cum, eta=0.3, reg=HALF_SQUARED_NORM).probs
+    got = ftrl_step(prior, cum, eta=0.3, reg="half-squared-norm").probs
     np.testing.assert_allclose(got, project_simplex(prior.probs - 0.3 * cum),
                                atol=1e-12)
+    with pytest.raises(ValidationError):
+        ftrl_step(prior, cum, eta=0.3, reg="squared-norm")
+    with pytest.raises(ValidationError):
+        FTRL(prior, 0.3, "squared-norm").act()
 
 
 def _run_stream(learner, costs):

@@ -201,6 +201,31 @@ def test_mixing_profile_fit_recovers_algebraic_law():
     assert prof.r == pytest.approx(1.5, abs=1e-9)
 
 
+@pytest.mark.parametrize("kind, fields", [
+    ("exponential", {"C": 1.0, "tau": 2.0}),
+    ("geometric", {"C": 1.0}),
+    ("algebraic", {"C": 1.0, "tau": 2.0}),
+    ("geometric", {"tau": 2.0}),
+    ("geometric", {"C": 0.0, "tau": 2.0}),
+    ("algebraic", {"C": 1.0, "r": -0.5}),
+    ("geometric", {"C": float("nan"), "tau": 2.0}),
+    ("algebraic", {"C": 1.0, "r": float("nan")}),
+    ("geometric", {"C": 1.0, "tau": float("inf")}),
+])
+def test_mixing_profile_rejects_bad_kind_and_fields(kind, fields):
+    # NaN fails every check, so tuned_delay never reaches math.ceil(nan)
+    with pytest.raises(ValidationError):
+        MixingProfile(kind, **fields).tuned_delay(100)
+
+
+@pytest.mark.parametrize("kind", ["geometric", "algebraic"])
+def test_fit_rejects_a_non_decaying_table_for_both_kinds(kind):
+    # a constant table's fitted slope is rounding noise of either sign
+    for table in ([0.5] * 5, [0.3] * 3, [0.5] * 30):
+        with pytest.raises(ValidationError, match="does not decay"):
+            fit_mixing_profile(table, kind)
+
+
 def test_mixing_profile_phi_evaluation():
     geo = MixingProfile(kind="geometric", C=1.0, tau=2.0)
     assert geo.phi(4) == pytest.approx(np.exp(-2.0))

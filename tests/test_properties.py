@@ -1,13 +1,16 @@
 """Property-based checks for the numerical kernels."""
 
+import math
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp
 
-from mixgame import (PosteriorDist, ewa_step, kl_divergence, project_simplex,
-                     two_state_chain)
+from mixgame import (MixingProfile, PosteriorDist, delay_bound,
+                     delayed_regret_bound, ewa_step, kl_divergence,
+                     project_simplex, tuned_bound, two_state_chain)
 from mixgame import phi_table
 from mixgame.learner import _logsumexp
 
@@ -72,3 +75,32 @@ def test_logsumexp_matches_scipy_bit_for_bit(a):
     with np.errstate(all="ignore"):
         expected = logsumexp(a)
     assert np.float64(_logsumexp(a)).tobytes() == np.float64(expected).tobytes()
+
+
+# a tuned bound's regret: a line in d, or the wrapped-EWA composite
+regrets = st.one_of(
+    st.builds(lambda a, b: lambda d: a + b * d,
+              st.floats(0, 1e3), st.floats(0, 1e3)),
+    st.builds(lambda kl, eta, n: lambda d: delayed_regret_bound(kl, eta, d, n),
+              st.floats(0, 10), st.floats(1e-3, 10), st.integers(1, 10**6)))
+profiles = st.one_of(
+    st.builds(lambda C, tau: MixingProfile("geometric", C=C, tau=tau),
+              st.floats(1e-6, 1e6), st.floats(1e-3, 1e308)),
+    st.builds(lambda C, r: MixingProfile("algebraic", C=C, r=r),
+              st.floats(1e-6, 1e200), st.floats(1e-3, 10)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(profiles, st.integers(1, 10**12), st.floats(1e-12, 1 - 1e-12), regrets)
+def test_tuned_rows_are_delay_bounds_at_the_tuned_delay(profile, n, delta, regret):
+    rep = tuned_bound(profile, n, delta, regret)
+    d = profile.tuned_delay(n)
+    assert rep == delay_bound(regret(d), profile.phi(d), d, n, delta,
+                              tag=profile.kind)
+    tau_log_n = math.inf if profile.tau is None else profile.tau * math.log(n)
+    if tau_log_n <= n:
+        # unclamped, d = ceil(tau ln n) makes C e^{-d/tau} <= C/n and
+        # d <= tau ln n + 1; at d = n the C/n guarantee does not hold
+        closed = profile.C / n + math.sqrt(
+            2.0 * (tau_log_n + 1.0) * math.log(1.0 / delta) / n)
+        assert rep.phi_term + rep.deviation_term <= closed
