@@ -12,13 +12,13 @@ unchanged for history-dependent costs.
 
 import numpy as np
 
-from mixgame import (MemoryTableLoss, PosteriorDist, composite_phi_check,
+from mixgame import (HypothesisSpace, PosteriorDist, composite_phi_check,
                      decompose, forgetting_profile, limit_test_losses,
                      make_learner, run_dynamic_game, sample_path,
                      two_state_chain)
 
 x = np.array([[0.0, 1.0], [1.0, 0.0]])       # parity of the last two symbols
-loss = MemoryTableLoss(2, np.stack([x, 1.0 - x]))
+loss = HypothesisSpace(np.stack([x, 1.0 - x]))  # memory 2: two symbol axes
 model = two_state_chain(0.25, 0.25)
 
 limits, err = limit_test_losses(loss, model)

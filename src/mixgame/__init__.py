@@ -15,7 +15,7 @@ from .process import (DECAY_LAWS, MixingProfile, ProcessModel, SamplePath,
                       two_state_chain, window_expectations)
 from .learner import (HypothesisSpace, PosteriorDist, empirical_losses, erm,
                       exact_generalization_error, gibbs_posterior,
-                      kl_divergence, space_from_json, test_losses)
+                      kl_divergence, test_losses)
 from .game import (GameTrace, decompose, export_trace_csv, generalization_gap,
                    instance_regrets, martingale_term, play_costs,
                    realized_regret, run_game)
@@ -23,7 +23,7 @@ from .online import (EWA, FTRL, DelayedLearner, delayed_regret_bound, ewa_step,
                      ftrl_step, make_learner, project_simplex, regret_bound)
 from .bounds import (BoundReport, delay_bound, deviation_term, sweep_delay,
                      tuned_bound)
-from .dynamic import (DiscountedLoss, MemoryTableLoss, block_mixing_profile,
+from .dynamic import (DiscountedLoss, block_mixing_profile,
                       composite_phi_check, dynamic_conditional_expectations,
                       dynamic_phi, dynamic_phi_gaps, dynamic_phi_mc,
                       exact_block_beta, forgetting_profile, limit_test_losses,

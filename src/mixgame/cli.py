@@ -146,18 +146,16 @@ def cmd_bounds(args) -> None:
 
 def cmd_dynamic(args) -> None:
     cfg = xp.config_from_dict(_load_config(args))
-    if cfg.dynamic_loss is None:
-        raise ValidationError("config field 'loss': the dynamic command needs "
-                              "a dynamic loss")
     out = _out_dir(args)
     d_grid = cfg.d_grid or list(range(2, 21, 2))
-    rows = dyn.composite_phi_check(cfg.model, cfg.dynamic_loss, d_grid)
+    rows = dyn.composite_phi_check(cfg.model, cfg.loss, d_grid)
     header = ["d", "d_half", "phi_dynamic", "phi_mirror", "forgetting_2B",
               "block_beta", "rhs", "ok", "ok_mirror"]
     write_csv(out / "dynamic_phi_check.csv", header,
               [[r[k] for k in header] for r in rows])
     # one seeded game replicate as a smoke summary
-    parts = xp.replicate(cfg, cfg.seed, xp.limit_losses(cfg))[-1]
+    parts = xp.replicate(cfg, cfg.seed,
+                         dyn.limit_test_losses(cfg.loss, cfg.model)[0])[-1]
     write_json(out / "dynamic_game.json",
                {k: parts[k] for k in ("gen", "regret_over_n", "martingale")})
 

@@ -1,8 +1,11 @@
 """Sequence-dependent losses: bounded memory or geometric discounting.
 
-A dynamic loss reads a whole data prefix instead of a single symbol.  Each
-exact quantity reduces it to a static W x S table: ``block_table(L)`` is the
-loss on every length-L block, ``process.window_expectations`` turns it into
+A dynamic loss reads a whole data prefix instead of a single symbol: a
+``learner.HypothesisSpace`` table of memory m (a static table is m = 1), or
+the discounted loss defined here.  Each exact quantity reduces it to a
+static W x S table: ``block_table(L)`` is the loss on every length-L block
+(a memory-m table is its own length-m block table),
+``process.window_expectations`` turns it into
 F[s, w] = E[loss(w, block) | block starts in s], and the static kernels act
 on F.T.  That gives the limiting test loss F.T @ pi, the block mixing
 coefficients beta_d (conditional-expectation gap between a length-d block
@@ -15,72 +18,18 @@ come from the loss itself, and phi_d is checked against the composite
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 
 import numpy as np
 
-from .errors import SizeError, ValidationError, build_field, config_value
+from .errors import ValidationError, _require, build_field, config_value
 from .game import GameTrace, play_costs
+from .learner import _ENUM_CAP, HypothesisSpace, _BlockLoss, test_losses
 from .process import (ProcessModel, SamplePath, _walk_chain,
                       conditional_loss_expectations, exact_phi,
                       window_expectations)
-
-_ENUM_CAP = 10**6
-
-
-class _BlockLoss:
-    """What the dynamic losses share: their value on one prefix or on all blocks."""
-
-    def values(self, prefix) -> np.ndarray:
-        """Loss of every hypothesis on the given prefix."""
-        prefix = np.asarray(prefix)
-        if len(prefix) == 0:
-            raise ValidationError("prefix must be non-empty")
-        return self._on_prefixes(prefix)
-
-    def block_table(self, L: int, cap: int = _ENUM_CAP) -> np.ndarray:
-        """(W,) + (A,)*L tensor of the loss on every length-L prefix."""
-        if self.alphabet**L > cap:
-            raise SizeError(f"enumeration of {self.alphabet}^{L} blocks exceeds "
-                            f"cap {cap}; use the Monte Carlo fallback")
-        shape = (self.alphabet,) * L
-        # a memory loss leaves unit axes for the head of a block longer than m
-        table = self._on_prefixes(np.indices(shape, sparse=True))
-        return np.broadcast_to(table, (self.n_hypotheses,) + shape)
-
-
-class MemoryTableLoss(_BlockLoss):
-    """Loss that reads the last m symbols; a table indexed by that window.
-
-    Prefixes shorter than m are left-padded with their own first symbol, so
-    the loss is defined on sequences of every length.
-    """
-
-    def __init__(self, m: int, table):
-        table = np.asarray(table, dtype=float)
-        if m < 1 or table.ndim != m + 1:
-            raise ValidationError("table must have shape (W,) + (A,)*m")
-        if not np.all((0 <= table) & (table <= 1)):
-            raise ValidationError("loss values must lie in [0, 1]")
-        if len(set(table.shape[1:])) > 1:
-            raise ValidationError("all symbol axes must share the alphabet size")
-        self.m = m
-        self.table = table
-        self.n_hypotheses = table.shape[0]
-        self.alphabet = table.shape[1]
-
-    def _on_prefixes(self, z) -> np.ndarray:
-        # z[j] holds symbol j of every prefix; a short window pads with z[0]
-        cols = tuple(z[max(0, j)] for j in range(len(z) - self.m, len(z)))
-        return self.table[(slice(None),) + cols]
-
-    def loss_rows(self, symbols) -> np.ndarray:
-        """(n, W) losses of the running prefixes, vectorized over rounds."""
-        symbols = np.asarray(symbols)
-        t = np.arange(len(symbols))
-        cols = tuple(symbols[np.maximum(t - self.m + 1 + j, 0)] for j in range(self.m))
-        return self.table[(slice(None),) + cols].T
 
 
 class DiscountedLoss(_BlockLoss):
@@ -125,42 +74,55 @@ class DiscountedLoss(_BlockLoss):
         return self.scale * span * self.gamma**d / (1.0 - self.gamma)
 
 
+def _memory_table(m: int, table) -> HypothesisSpace:
+    loss = HypothesisSpace(table)
+    if loss.m != m:
+        raise ValidationError(f"table must have shape (W,) + (A,)*{m}")
+    return loss
+
+
+# "kind" -> (builder, its fields in argument order, the table last); a loss
+# with no kind is a static {"losses": ...} table, the memory-1 case
+LOSS_SCHEMAS = {
+    None: (functools.partial(_memory_table, 1), {"losses": list}),
+    "memory-table": (_memory_table, {"m": int, "table": list}),
+    "discounted": (DiscountedLoss, {"gamma": float, "scale": float, "g_table": list}),
+}
+_FIELD_RANGES = {"m": {"low": 1}, "gamma": {"low": 0, "high": 1, "strict": True},
+                 "scale": {"low": 0, "strict": True}}
+
+
 def loss_from_json(doc: str | dict):
-    """Load a dynamic loss from its JSON schema; config_value reads each field."""
+    """Load a loss from its ``LOSS_SCHEMAS`` entry; config_value reads each field."""
     if isinstance(doc, str):
         doc = json.loads(doc)
     kind = doc.get("kind")
-    schemas = {"memory-table": (MemoryTableLoss, {"m": int, "table": list}),
-               "discounted": (DiscountedLoss,
-                              {"gamma": float, "scale": float, "g_table": list})}
-    ranges = {"m": {"low": 1}, "gamma": {"low": 0, "high": 1, "strict": True},
-              "scale": {"low": 0, "strict": True}}
-    if not isinstance(kind, str) or kind not in schemas:
-        raise ValidationError(f"unknown dynamic loss kind {kind!r}")
-    cls, fields = schemas[kind]
-    args = [config_value(doc.get(key), f"loss.{key}", as_kind, **ranges.get(key, {}))
+    _require((kind is None or isinstance(kind, str)) and kind in LOSS_SCHEMAS,
+             "loss.kind", f"unknown loss kind {kind!r}")
+    build, fields = LOSS_SCHEMAS[kind]
+    args = [config_value(doc.get(key), f"loss.{key}", as_kind,
+                         **_FIELD_RANGES.get(key, {}))
             for key, as_kind in fields.items()]
     *_, table_key = fields  # the scalars passed their ranges; name the table
-    return build_field(f"loss.{table_key}", cls, *args)
+    return build_field(f"loss.{table_key}", build, *args)
 
 
 def limit_test_losses(dl, model: ProcessModel, horizon: int | None = None,
                       cap: int = _ENUM_CAP) -> tuple[np.ndarray, float]:
     """Limiting test loss of every hypothesis, with a truncation-error bound.
 
-    Memory losses are exact at any horizon >= m (error 0); discounted
-    losses are truncated at the horizon with error <= the tail envelope.
+    Table losses are exact at any horizon >= m (error 0: ``test_losses``);
+    discounted losses are truncated at the horizon with error <= the tail
+    envelope.
     """
-    if isinstance(dl, MemoryTableLoss):
+    if isinstance(dl, HypothesisSpace):
         if horizon is not None and horizon < dl.m:
             raise ValidationError("horizon must cover the loss memory")
-        horizon, err = dl.m, 0.0
-    else:
-        if horizon is None:
-            horizon = max(1, math.floor(math.log(cap) / math.log(dl.alphabet)))
-        err = dl.tail_envelope(horizon)
+        return test_losses(dl, model), 0.0
+    if horizon is None:
+        horizon = max(1, math.floor(math.log(cap) / math.log(dl.alphabet)))
     F = window_expectations(model, dl.block_table(horizon, cap))
-    return F.T @ model.stationary, err
+    return F.T @ model.stationary, dl.tail_envelope(horizon)
 
 
 def forgetting_profile(dl, d_max: int) -> np.ndarray:
@@ -177,7 +139,7 @@ def forgetting_profile(dl, d_max: int) -> np.ndarray:
         # a padded prefix shorter than m is itself an m-window, so the losses
         # of all prefixes ending in one length-d suffix are the table entries
         # over the m - d leading symbol axes
-        by_suffix = dl.table.reshape(W, A ** (m - d), A ** d)
+        by_suffix = dl.loss_table.reshape(W, A ** (m - d), A ** d)
         out[d - 1] = np.max(by_suffix.max(axis=1) - by_suffix.min(axis=1))
     return out
 
@@ -192,7 +154,7 @@ def exact_block_beta(model: ProcessModel, dl, d: int) -> float:
     if d < 1:
         raise ValidationError("d must be at least 1")
     # only the last eff symbols of the block matter
-    eff = min(dl.m, d) if isinstance(dl, MemoryTableLoss) else d
+    eff = min(dl.m, d) if isinstance(dl, HypothesisSpace) else d
     F = window_expectations(model, dl.block_table(eff))
     # 2d - eff + 1 steps from Z_{t-2d} to the first used symbol
     return exact_phi(model, F.T, 2 * d - eff + 1)
@@ -202,21 +164,25 @@ def block_mixing_profile(model: ProcessModel, dl, d_max: int) -> np.ndarray:
     return np.array([exact_block_beta(model, dl, d) for d in range(1, d_max + 1)])
 
 
-def _memory_windows(model: ProcessModel, dl: MemoryTableLoss,
+def _memory_windows(model: ProcessModel, dl: HypothesisSpace,
                     d: int) -> tuple[np.ndarray, int]:
-    """The window table F.T and the lag from Z_{t-d} to the window's first symbol."""
+    """The window table F.T and the lag from Z_{t-d} to the window's first symbol.
+
+    F.T contracts the loss table itself, so a static table (m = 1) is its own
+    window table, bit for bit.
+    """
     if d < dl.m:
         raise ValidationError("exact evaluation needs d >= m; use the MC fallback")
-    return window_expectations(model, dl.block_table(dl.m)).T, d - dl.m + 1
+    return window_expectations(model, dl.loss_table).T, d - dl.m + 1
 
 
-def dynamic_conditional_expectations(model: ProcessModel, dl: MemoryTableLoss,
+def dynamic_conditional_expectations(model: ProcessModel, dl: HypothesisSpace,
                                      d: int) -> np.ndarray:
     """E[loss(w, Z_t, ..., Z_1) | Z_{t-d} = s] for every (s, w); needs d >= m."""
     return conditional_loss_expectations(model, *_memory_windows(model, dl, d))
 
 
-def dynamic_phi_gaps(model: ProcessModel, dl: MemoryTableLoss,
+def dynamic_phi_gaps(model: ProcessModel, dl: HypothesisSpace,
                      d: int) -> tuple[float, float]:
     """Both one-sided gaps of the dynamic cost sequence at lag d, unclamped.
 
@@ -231,7 +197,7 @@ def dynamic_phi_gaps(model: ProcessModel, dl: MemoryTableLoss,
     return float(np.max(diff)), float(np.max(-diff))
 
 
-def dynamic_phi(model: ProcessModel, dl: MemoryTableLoss, d: int) -> float:
+def dynamic_phi(model: ProcessModel, dl: HypothesisSpace, d: int) -> float:
     """phi_d of the dynamic cost sequence: the mirror gap, clamped at zero."""
     return exact_phi(model, *_memory_windows(model, dl, d))
 

@@ -6,6 +6,10 @@ import reprlib
 
 import numpy as np
 
+# The largest integer any config field takes but the seed, and the largest
+# exponent a matrix power takes: a bigger one would only overflow or never end.
+INT_CEILING = 10**9
+
 
 class MixgameError(Exception):
     """Base class for all package errors."""
@@ -45,16 +49,19 @@ def build_field(name: str, build, *args):
 
 
 def config_value(value, name: str, kind: type, *, low: float = -math.inf,
-                 high: float = math.inf, strict: bool = False):
+                 high: float | None = None, strict: bool = False):
     """Read one config value as ``kind`` (int, float, or list) and range-check it.
 
     ``None`` means the field is missing.  Only finite numbers are read, not
     strings, booleans (JSON true/false would read as 1/0), NaN, infinities or
     floats that int would change (2.5); list reads a rectangular nested list
     as a float array.  ``low`` and ``high`` are inclusive bounds, exclusive
-    ones when ``strict``.  Every error names the field.
+    ones when ``strict``; ``high`` defaults to ``INT_CEILING`` for an int and
+    to infinity otherwise.  Every error names the field.
     """
     _require(value is not None, name, "missing")
+    if high is None:
+        high = INT_CEILING if kind is int else math.inf
     number = None
     try:
         leaves = np.array(value, dtype=object)  # a ragged list keeps lists as leaves

@@ -1,9 +1,11 @@
 """Replicated experiment driver: config parsing, replicates, coverage, delay sweeps.
 
 Every replicate is one ``replicate`` call: path, comparator, delayed game and
-the checked decomposition Gen = Regret/n + M_n.  Wrapped exponential weights
-on a static table plays the closed form of ``delayed_ewa_posteriors``; every
-other case plays the game loop.  Coverage reads ``run_experiment``'s rows.
+the checked decomposition Gen = Regret/n + M_n.  The config carries one
+loss, a table of memory m (static: m = 1) or a discounted loss, and every
+step reads it the same way.  Wrapped exponential weights plays the closed
+form of ``delayed_ewa_posteriors``; every other algorithm plays the game
+loop.  Coverage reads ``run_experiment``'s rows.
 Replicate k draws its RNG stream from the master seed via a splitmix64
 derivation, so runs are reproducible end to end and replicates independent.
 """
@@ -18,19 +20,17 @@ import numpy as np
 from . import bounds as bd
 from . import dynamic as dyn
 from .errors import ValidationError, _require, build_field, config_value
-from .game import GameTrace, decompose, play_costs, realized_regret
-from .learner import (HypothesisSpace, PosteriorDist, erm, gibbs_posterior,
-                      kl_divergence, space_from_json, test_losses)
+from .game import GameTrace, decompose, realized_regret
+from .learner import PosteriorDist, erm, gibbs_posterior, kl_divergence
 from .online import delayed_regret_bound, make_learner
-from .process import (DECAY_LAWS, ProcessModel, exact_phi, fit_mixing_profile,
+from .process import (DECAY_LAWS, ProcessModel, fit_mixing_profile,
                       model_from_json, phi_table, replicate_seed, sample_path)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     model: ProcessModel
-    space: HypothesisSpace | None        # static loss table, or
-    dynamic_loss: object | None          # a dynamic loss object
+    loss: object                         # dyn.LOSS_SCHEMAS: a table or discounted loss
     learner_kind: str                    # "gibbs" | "erm"
     beta: float
     algorithm: str                       # "ewa" | "ftrl-entropy" | "ftrl-sqnorm"
@@ -43,12 +43,6 @@ class ExperimentConfig:
     d_grid: list = field(default_factory=list)
     d_max: int = 30
 
-    @property
-    def n_hypotheses(self) -> int:
-        if self.space is not None:
-            return self.space.n_hypotheses
-        return self.dynamic_loss.n_hypotheses
-
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Parse and validate the experiment JSON document."""
@@ -57,17 +51,9 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         _require(isinstance(doc.get(section), dict), section,
                  "missing, or not a JSON object")
     model = model_from_json(doc["process"])
-
-    loss_doc = doc["loss"]
-    space, dynamic_loss = None, None
-    if "losses" in loss_doc:
-        space = space_from_json(loss_doc)
-        _require(space.n_symbols == model.n_states, "loss.losses",
-                 "loss table width must match the number of states")
-    else:
-        dynamic_loss = dyn.loss_from_json(loss_doc)
-        _require(dynamic_loss.alphabet == model.n_states, "loss",
-                 "loss alphabet must match the number of states")
+    loss = dyn.loss_from_json(doc["loss"])
+    _require(loss.alphabet == model.n_states, "loss",
+             "loss alphabet must match the number of states")
 
     learner_doc = doc.get("learner", {"kind": "gibbs", "beta": 1.0})
     _require(isinstance(learner_doc, dict), "learner", "must be a JSON object")
@@ -96,29 +82,39 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
                          low=0, high=1, strict=True)
     # read modulo 2**64, as replicate seeds are, so a negative seed is valid
     # wherever the master seed reaches a generator
-    seed = config_value(exp.get("seed", 0), "experiment.seed", int) % 2**64
+    seed = config_value(exp.get("seed", 0), "experiment.seed", int,
+                        high=math.inf) % 2**64
     grid = exp.get("d_grid", [])
     _require(isinstance(grid, list), "experiment.d_grid", "must be a list of delays")
     d_grid = [config_value(v, f"experiment.d_grid[{i}]", int, low=1)
               for i, v in enumerate(grid)]
     d_max = config_value(exp.get("d_max", 30), "experiment.d_max", int, low=1)
 
-    delay = resolve_delay(delay_spec, model, space, n, d_max)
-    return ExperimentConfig(model=model, space=space, dynamic_loss=dynamic_loss,
-                            learner_kind=kind, beta=beta, algorithm=algorithm,
-                            eta=eta, delay=delay, n=n, replicates=replicates,
-                            delta=delta, seed=seed, d_grid=d_grid, d_max=d_max)
+    delay = resolve_delay(delay_spec, model, loss, n, d_max)
+    return ExperimentConfig(model=model, loss=loss, learner_kind=kind, beta=beta,
+                            algorithm=algorithm, eta=eta, delay=delay, n=n,
+                            replicates=replicates, delta=delta, seed=seed,
+                            d_grid=d_grid, d_max=d_max)
 
 
-def resolve_delay(delay_spec, model: ProcessModel, space: HypothesisSpace | None,
-                  n: int, d_max: int) -> int:
+def static_table(loss, message: str) -> np.ndarray:
+    """The W x S table of a memory-1 loss, which phi_d at every lag needs.
+
+    Raises ValidationError(``message``) for a memory m > 1 or a discounted loss.
+    """
+    if getattr(loss, "m", None) != 1:
+        raise ValidationError(message)
+    return loss.loss_table
+
+
+def resolve_delay(delay_spec, model: ProcessModel, loss, n: int, d_max: int) -> int:
     """Turn the online.delay spec into a concrete integer in [1, n]."""
     if isinstance(delay_spec, int):
         _require(1 <= delay_spec <= n, "online.delay", "must lie in [1, n]")
         return delay_spec
-    _require(space is not None, "online.delay",
-             "auto delay tuning needs a static loss table")
-    table = phi_table(model, space.loss_table, min(d_max, n))
+    table = phi_table(model, build_field("online.delay", static_table, loss,
+                                         "auto delay tuning needs a static loss table"),
+                      min(d_max, n))
     if np.all(table <= 0):
         return 1  # i.i.d. losses: no reason to delay
     positive = table[table > 1e-15]
@@ -130,11 +126,10 @@ def resolve_delay(delay_spec, model: ProcessModel, space: HypothesisSpace | None
 
 
 def statistical_posterior(cfg: ExperimentConfig, path) -> PosteriorDist:
-    if cfg.space is None:
-        raise ValidationError("statistical learners need a static loss table")
+    """The configured learner's posterior, from the mean of the path's loss rows."""
     if cfg.learner_kind == "erm":
-        return erm(cfg.space, path)
-    return gibbs_posterior(cfg.space, path, cfg.beta)
+        return erm(cfg.loss, path)
+    return gibbs_posterior(cfg.loss, path, cfg.beta)
 
 
 def delayed_ewa_posteriors(costs: np.ndarray, prior_log: np.ndarray, eta: float,
@@ -174,46 +169,30 @@ class CoverageResult:
                 for k in range(self.replicates)]
 
 
-def limit_losses(cfg: ExperimentConfig) -> np.ndarray:
-    """Limiting test loss of every hypothesis, the offset of every round's cost."""
-    if cfg.space is not None:
-        return test_losses(cfg.space, cfg.model)
-    return dyn.limit_test_losses(cfg.dynamic_loss, cfg.model)[0]
-
-
 def replicate(cfg: ExperimentConfig, seed: int, limit: np.ndarray):
-    """Play one delayed game on the path drawn from ``seed``, with ``limit`` =
-    ``limit_losses(cfg)``; return the path, comparator, trace and parts."""
+    """Play one delayed game on the path drawn from ``seed``, with ``limit`` the
+    loss's ``dyn.limit_test_losses``; return the path, comparator, trace and parts."""
     path = sample_path(cfg.model, cfg.n, seed)
-    prior = PosteriorDist.uniform(cfg.n_hypotheses)
-    if cfg.space is None:
-        comparator = prior  # black-box posterior stand-in for dynamic losses
-        learner = make_learner(cfg.algorithm, prior, cfg.eta, d=cfg.delay)
-        trace = dyn.run_dynamic_game(cfg.dynamic_loss, path, learner, cfg.delay,
-                                     limit)
-    else:
-        comparator = statistical_posterior(cfg, path)
-        loss_rows = cfg.space.loss_table[:, path.symbols].T
+    prior = PosteriorDist.uniform(cfg.loss.n_hypotheses)
+    comparator = statistical_posterior(cfg, path)
+    if cfg.algorithm == "ewa":
+        loss_rows = cfg.loss.loss_rows(path.symbols)
         costs = loss_rows - limit[None, :]
-        if cfg.algorithm == "ewa":
-            plays = delayed_ewa_posteriors(costs, prior.log_weights, cfg.eta,
-                                           cfg.delay)
-        else:
-            learner = make_learner(cfg.algorithm, prior, cfg.eta, d=cfg.delay)
-            plays = play_costs(costs, learner, cfg.delay).posteriors
+        plays = delayed_ewa_posteriors(costs, prior.log_weights, cfg.eta, cfg.delay)
         trace = GameTrace(n=cfg.n, d=cfg.delay, symbols=path.symbols,
                           posteriors=plays, costs=costs, loss_rows=loss_rows,
                           test_loss_vec=limit)
+    else:
+        learner = make_learner(cfg.algorithm, prior, cfg.eta, d=cfg.delay)
+        trace = dyn.run_dynamic_game(cfg.loss, path, learner, cfg.delay, limit)
     return path, comparator, trace, decompose(trace, comparator)
 
 
 def experiment_phi(cfg: ExperimentConfig) -> float:
-    if cfg.space is not None:
-        return exact_phi(cfg.model, cfg.space.loss_table, cfg.delay)
-    if isinstance(cfg.dynamic_loss, dyn.MemoryTableLoss) \
-            and cfg.delay >= cfg.dynamic_loss.m:
-        return dyn.dynamic_phi(cfg.model, cfg.dynamic_loss, cfg.delay)
-    phi, _ = dyn.dynamic_phi_mc(cfg.model, cfg.dynamic_loss, cfg.delay,
+    """phi_d at the delay: exact when d >= m, else the Monte-Carlo estimate."""
+    if cfg.delay >= getattr(cfg.loss, "m", math.inf):
+        return dyn.dynamic_phi(cfg.model, cfg.loss, cfg.delay)
+    phi, _ = dyn.dynamic_phi_mc(cfg.model, cfg.loss, cfg.delay,
                                 n_samples=200, seed=cfg.seed)
     return phi
 
@@ -222,7 +201,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run all replicates; return the summary rows and bound reports."""
     phi = experiment_phi(cfg)
     mn_bound = phi + bd.deviation_term(cfg.delay, cfg.n, cfg.delta)
-    limit = limit_losses(cfg)
+    limit = dyn.limit_test_losses(cfg.loss, cfg.model)[0]
     rows, reports = [], []
     for k in range(cfg.replicates):
         seed = replicate_seed(cfg.seed, k)
@@ -235,11 +214,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             reports.append(bd.delay_bound(realized_regret(trace, comparator), phi,
                                           cfg.delay, cfg.n, cfg.delta,
                                           tag="delay-realized"))
-            if cfg.space is not None:  # KL to the uniform prior is finite
-                kl = kl_divergence(comparator, PosteriorDist.uniform(cfg.n_hypotheses))
-                apriori = delayed_regret_bound(kl, cfg.eta, cfg.delay, cfg.n)
-                reports.append(bd.delay_bound(apriori, phi, cfg.delay, cfg.n,
-                                              cfg.delta, tag="delay-apriori"))
+            kl = kl_divergence(comparator, PosteriorDist.uniform(cfg.loss.n_hypotheses))
+            apriori = delayed_regret_bound(kl, cfg.eta, cfg.delay, cfg.n)
+            reports.append(bd.delay_bound(apriori, phi, cfg.delay, cfg.n,
+                                          cfg.delta, tag="delay-apriori"))
     header = ["replicate", "seed", "gen", "regret_over_n", "martingale",
               "phi_d", "mn_bound", "gen_bound", "violated_mn", "violated_gen"]
     return {"header": header, "rows": rows, "reports": reports}
@@ -270,9 +248,8 @@ def coverage_experiment(cfg: ExperimentConfig, mode: str = "mn") -> CoverageResu
 
 def mixing_table(cfg: ExperimentConfig) -> dict:
     """phi_d table for d = 1..d_max plus decay-law fits where possible."""
-    if cfg.space is None:
-        raise ValidationError("mixing tables need a static loss table")
-    table = phi_table(cfg.model, cfg.space.loss_table, cfg.d_max)
+    table = phi_table(cfg.model, static_table(
+        cfg.loss, "mixing tables need a static loss table"), cfg.d_max)
     if np.any(np.diff(table) > 1e-12):
         raise ValidationError("phi table is not non-increasing")  # invariant gate
     fits = {}
@@ -288,9 +265,8 @@ def mixing_table(cfg: ExperimentConfig) -> dict:
 
 def delay_sweep(cfg: ExperimentConfig) -> list[dict]:
     """``bounds.sweep_delay`` on the master seed's path and learner posterior."""
-    if cfg.space is None:
-        raise ValidationError("the delay sweep needs a static loss table")
+    static_table(cfg.loss, "the delay sweep needs a static loss table")
     d_grid = cfg.d_grid or sorted({min(2**i, cfg.n) for i in range(7)})
     path = sample_path(cfg.model, cfg.n, cfg.seed)
-    return bd.sweep_delay(cfg.model, cfg.space, path, statistical_posterior(cfg, path),
+    return bd.sweep_delay(cfg.model, cfg.loss, path, statistical_posterior(cfg, path),
                           cfg.delta, d_grid, eta=cfg.eta, algorithm=cfg.algorithm)

@@ -82,7 +82,7 @@ def run_game(model: ProcessModel, space: HypothesisSpace, path: SamplePath,
              learner, d: int) -> GameTrace:
     """Play the generalization game along a sampled path."""
     tl = test_losses(space, model)
-    loss_rows = space.loss_table[:, path.symbols].T  # (n, W)
+    loss_rows = space.loss_rows(path.symbols)  # (n, W)
     costs = loss_rows - tl[None, :]
     return play_costs(costs, learner, d, symbols=path.symbols,
                       loss_rows=loss_rows, test_loss_vec=tl)

@@ -1,4 +1,8 @@
-"""Finite hypothesis spaces, exact losses, and randomized statistical learners.
+"""Finite hypothesis spaces, their loss tables, and randomized statistical learners.
+
+A ``HypothesisSpace`` is the one table loss: its table has a hypothesis axis
+and m symbol axes, and reads the last m symbols (m = 1 is a static table).
+The statistical learners read any loss through its ``loss_rows`` on a path.
 
 All posterior arithmetic happens in natural-log space with logsumexp
 normalization so that inverse temperatures up to ~1e8 stay finite.  The
@@ -10,14 +14,15 @@ pay once per round.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, build_field, config_value
-from .process import ProcessModel, SamplePath
+from .errors import SizeError, ValidationError
+from .process import ProcessModel, SamplePath, window_expectations
+
+_ENUM_CAP = 10**6
 
 
 def _logsumexp(a: np.ndarray) -> np.float64:
@@ -42,27 +47,79 @@ def _logsumexp(a: np.ndarray) -> np.float64:
         return np.log(np.exp(a).sum())
 
 
+class _BlockLoss:
+    """What every loss shares: its value on one prefix or on all blocks.
+
+    A loss gives ``n_hypotheses``, ``alphabet``, ``loss_rows(symbols)`` (the
+    (n, W) losses of the running prefixes of a path) and ``_on_prefixes(z)``,
+    the losses of the prefixes whose symbol j is ``z[j]``.
+    """
+
+    def values(self, prefix) -> np.ndarray:
+        """Loss of every hypothesis on the given prefix."""
+        prefix = np.asarray(prefix)
+        if len(prefix) == 0:
+            raise ValidationError("prefix must be non-empty")
+        return self._on_prefixes(prefix)
+
+    def block_table(self, L: int, cap: int = _ENUM_CAP) -> np.ndarray:
+        """(W,) + (A,)*L tensor of the loss on every length-L prefix."""
+        if self.alphabet**L > cap:
+            raise SizeError(f"enumeration of {self.alphabet}^{L} blocks exceeds "
+                            f"cap {cap}; use the Monte Carlo fallback")
+        shape = (self.alphabet,) * L
+        # fancy indexing leaves the hypothesis axis innermost; a C-ordered table
+        # contracts to the bits of the loss table a memory-m loss already is
+        table = np.ascontiguousarray(self._on_prefixes(np.indices(shape, sparse=True)))
+        # a memory loss leaves unit axes for the head of a block longer than m
+        return np.broadcast_to(table, (self.n_hypotheses,) + shape)
+
+
 @dataclass(frozen=True)
-class HypothesisSpace:
-    """A finite hypothesis set with a W x m loss table, entries in [0, 1]."""
+class HypothesisSpace(_BlockLoss):
+    """A finite hypothesis set with a (W,) + (A,)*m loss table, entries in [0, 1].
+
+    ``loss_table[w, z_{t-m+1}, ..., z_t]`` is the loss of w at round t, so
+    the memory m is the number of symbol axes; a static W x A table is
+    m = 1.  Prefixes shorter than m are left-padded with their own first
+    symbol, so the loss is defined on sequences of every length.
+    """
 
     loss_table: np.ndarray
 
     def __post_init__(self):
         L = np.asarray(self.loss_table, dtype=float)
-        if L.ndim != 2:
-            raise ValidationError("loss table must be two-dimensional (W x m)")
+        if L.ndim < 2 or len(set(L.shape[1:])) > 1:
+            raise ValidationError("loss table must have shape (W,) + (A,)*m")
         if not np.all((0 <= L) & (L <= 1)):
             raise ValidationError("loss table entries must lie in [0, 1]")
         object.__setattr__(self, "loss_table", L)
+
+    @property
+    def m(self) -> int:
+        return self.loss_table.ndim - 1
 
     @property
     def n_hypotheses(self) -> int:
         return self.loss_table.shape[0]
 
     @property
-    def n_symbols(self) -> int:
+    def alphabet(self) -> int:
         return self.loss_table.shape[1]
+
+    def _on_prefixes(self, z) -> np.ndarray:
+        # z[j] holds symbol j of every prefix; a short window pads with z[0]
+        cols = tuple(z[max(0, j)] for j in range(len(z) - self.m, len(z)))
+        return self.loss_table[(slice(None),) + cols]
+
+    def loss_rows(self, symbols) -> np.ndarray:
+        """(n, W) losses of the running prefixes, vectorized over rounds."""
+        symbols = np.asarray(symbols)
+        n = len(symbols)
+        # round t reads symbols t-m+1 .. t; the first m-1 rounds pad with symbol 0
+        padded = np.concatenate([np.repeat(symbols[:1], self.m - 1), symbols])
+        cols = tuple(padded[j:j + n] for j in range(self.m))
+        return self.loss_table[(slice(None),) + cols].T
 
 
 @dataclass(frozen=True)
@@ -107,16 +164,20 @@ class PosteriorDist:
 
 
 def test_losses(space: HypothesisSpace, model: ProcessModel) -> np.ndarray:
-    """Exact test loss of every hypothesis under the stationary marginal."""
-    return space.loss_table @ model.stationary
+    """Exact limiting test loss of every hypothesis under the stationary law.
+
+    The loss table is its own window table: ``window_expectations`` contracts
+    its m symbol axes to a W x S table, a static table's (m = 1) unchanged.
+    """
+    return window_expectations(model, space.loss_table).T @ model.stationary
 
 
-def empirical_losses(space: HypothesisSpace, path: SamplePath) -> np.ndarray:
+def empirical_losses(space, path: SamplePath) -> np.ndarray:
     """Training loss of every hypothesis: mean of its losses along the path."""
-    return space.loss_table[:, path.symbols].mean(axis=1)
+    return space.loss_rows(path.symbols).mean(axis=0)
 
 
-def gibbs_posterior(space: HypothesisSpace, path: SamplePath, beta: float,
+def gibbs_posterior(space, path: SamplePath, beta: float,
                     prior: PosteriorDist | None = None) -> PosteriorDist:
     """Gibbs tilt of the prior: log-weights -beta * n * empirical loss."""
     if beta < 0:
@@ -127,7 +188,7 @@ def gibbs_posterior(space: HypothesisSpace, path: SamplePath, beta: float,
     return PosteriorDist(prior.log_weights - beta * n * empirical_losses(space, path))
 
 
-def erm(space: HypothesisSpace, path: SamplePath) -> PosteriorDist:
+def erm(space, path: SamplePath) -> PosteriorDist:
     """Dirac on the empirical minimizer; ties broken by lowest index."""
     emp = empirical_losses(space, path)
     return PosteriorDist.dirac(int(np.argmin(emp)), space.n_hypotheses)
@@ -147,11 +208,3 @@ def kl_divergence(p: PosteriorDist, q: PosteriorDist) -> float:
     if np.any(np.isinf(q.log_weights[mask])):
         return float("inf")
     return float(np.sum(pp[mask] * (p.log_weights[mask] - q.log_weights[mask])))
-
-
-def space_from_json(doc: str | dict) -> HypothesisSpace:
-    """Load a loss table from {"losses": [[...]]}."""
-    if isinstance(doc, str):
-        doc = json.loads(doc)
-    losses = config_value(doc.get("losses"), "loss.losses", list)
-    return build_field("loss.losses", HypothesisSpace, losses)

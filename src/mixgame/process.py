@@ -26,13 +26,12 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import (ConsistencyError, ModelError, SizeError, ValidationError,
-                     build_field, config_value)
+from .errors import (INT_CEILING, ConsistencyError, ModelError, SizeError,
+                     ValidationError, build_field, config_value)
 
 _ROW_SUM_TOL = 1e-9
 _STATIONARY_TOL = 1e-12
 _MAX_SQUARINGS = 200
-_MATRIX_POWER_CAP = 10**9
 _PRODUCT_STATE_CAP = 10**4
 _PHI_DRIFT_TOL = 1e-12
 _MASK64 = (1 << 64) - 1
@@ -227,8 +226,8 @@ def conditional_loss_expectations(model: ProcessModel, loss_table,
     """E[loss(w, Z_t) | Z_{t-d} = s] for every (s, w), via the d-th matrix power."""
     if d < 1:
         raise ValidationError("d must be at least 1")
-    if d > _MATRIX_POWER_CAP:
-        raise ValidationError(f"d exceeds the matrix-power budget {_MATRIX_POWER_CAP}")
+    if d > INT_CEILING:
+        raise ValidationError(f"d exceeds the matrix-power budget {INT_CEILING}")
     L = np.asarray(loss_table, dtype=float)
     Pd = np.linalg.matrix_power(model.transition, d)
     return Pd @ L.T  # (states, W)

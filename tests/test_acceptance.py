@@ -12,12 +12,13 @@ import time
 import numpy as np
 import pytest
 
-from mixgame import (EWA, FTRL, HypothesisSpace, MemoryTableLoss,
-                     MixingProfile, PosteriorDist, build_iid, build_markov,
+from mixgame import (EWA, FTRL, HypothesisSpace, MixingProfile,
+                     PosteriorDist, build_iid, build_markov,
                      composite_phi_check, conditional_loss_expectations,
                      decompose, deviation_term,
-                     dynamic_conditional_expectations, dynamic_phi_gaps,
-                     exact_block_beta, exact_phi, fit_mixing_profile,
+                     dynamic_conditional_expectations, dynamic_phi,
+                     dynamic_phi_gaps, empirical_losses, exact_block_beta,
+                     exact_phi, fit_mixing_profile,
                      instance_regrets, limit_test_losses, make_learner,
                      phi_table, play_costs, product_chain, project_simplex,
                      realized_regret, regret_bound, run_dynamic_game,
@@ -35,7 +36,7 @@ def _report(line):
 
 
 def _random_memory_loss(rng, n_hyp, alphabet, m):
-    return MemoryTableLoss(m, rng.random((n_hyp,) + (alphabet,) * m))
+    return HypothesisSpace(rng.random((n_hyp,) + (alphabet,) * m))
 
 
 def test_01_regret_decomposition_identity_randomized():
@@ -267,7 +268,7 @@ def test_09_delay_sweep_is_u_shaped_and_tuning_is_near_optimal():
 def test_10_composite_mixing_inequality_memory2():
     start = time.monotonic()
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    dl = MemoryTableLoss(2, np.stack([x, 1.0 - x]))
+    dl = HypothesisSpace(np.stack([x, 1.0 - x]))
     for p in (0.05, 0.25):
         rows = composite_phi_check(two_state_chain(p, p), dl, range(2, 21))
         assert all(r["ok"] and r["ok_mirror"] for r in rows)
@@ -281,7 +282,7 @@ def test_11_memory1_losses_reduce_to_the_static_machinery():
     model = two_state_chain(0.1, 0.3)
     table = np.array([[0.1, 0.9], [0.6, 0.2], [0.4, 0.4]])
     space = HypothesisSpace(table)
-    dl = MemoryTableLoss(1, table)
+    dl = HypothesisSpace(table)
     limits, err = limit_test_losses(dl, model)
     np.testing.assert_allclose(limits, stationary_losses(space, model),
                                atol=1e-12)
@@ -304,8 +305,26 @@ def test_11_memory1_losses_reduce_to_the_static_machinery():
     np.testing.assert_array_equal(t_dyn.costs, t_static.costs)
     assert all(np.array_equal(a, b) for a, b in zip(t_dyn.posteriors,
                                                     t_static.posteriors))
+    # bit for bit: the memory-1 route against the raw-array kernels, so that
+    # static-table outputs keep their bytes through any layout change
+    rng = np.random.default_rng(1111)
+    for _ in range(60):
+        S, W = (int(k) for k in rng.integers(2, 7, size=2))
+        model = random_chain(rng, S)
+        L = rng.random((W, S))
+        space = HypothesisSpace(L)
+        path = sample_path(model, 50, seed=int(rng.integers(2**31)))
+        raw_rows = L[:, path.symbols]
+        assert np.array_equal(space.loss_rows(path.symbols), raw_rows.T)
+        assert np.array_equal(empirical_losses(space, path), raw_rows.mean(axis=1))
+        assert np.array_equal(limit_test_losses(space, model)[0],
+                              L @ model.stationary)
+        for d in range(1, 21):
+            assert dynamic_phi(model, space, d) == exact_phi(model, L, d)
+            assert exact_block_beta(model, space, d) == exact_phi(model, L, 2 * d)
     _report("[11/13] memory-1 dynamic losses reproduce the static limits, "
-            "conditionals, mixing gaps and game traces (1e-12)")
+            "conditionals, mixing gaps and game traces (1e-12), and on 60 "
+            "random chains the static kernels' bits")
 
 
 def test_12_cli_runs_are_byte_identical(tmp_path):

@@ -76,6 +76,24 @@ def test_simulate_phi_of_memory1_loss_equals_static_table(tmp_path):
     np.testing.assert_allclose(phi[1], phi[0], rtol=0, atol=1e-15)
 
 
+def test_simulate_applies_the_learner_to_a_memory_table_loss(tmp_path):
+    # every loss takes its comparator from learner.kind, and that posterior's
+    # KL to the uniform prior gives the a-priori report
+    doc = static_config()
+    doc["loss"] = {"kind": "memory-table", "m": 2,
+                   "table": [[[0.4, 0.6], [0.5, 0.5]], [[0.5, 0.45], [0.55, 0.5]]]}
+    outs = {}
+    for kind in ("gibbs", "erm"):
+        doc["learner"] = {"kind": kind, "beta": 1.0}
+        outs[kind] = tmp_path / kind
+        assert main(["simulate", "--config", write_config(tmp_path, doc, f"{kind}.json"),
+                     "--out", str(outs[kind])]) == 0
+        tags = [row[0] for row in read_csv(outs[kind] / "bound_reports.csv")[1:]]
+        assert tags == ["delay-realized", "delay-apriori"]
+    assert (outs["gibbs"] / "summary.csv").read_bytes() \
+        != (outs["erm"] / "summary.csv").read_bytes()
+
+
 def test_coverage_modes(tmp_path):
     cfg = write_config(tmp_path, static_config(replicates=5))
     for mode in ("mn", "gen"):
@@ -224,6 +242,12 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
         ("bounds", {"bounds": {"delta": 0.1}}, "bounds.n"),
         ("mixing", static_config(d_max=1), "experiment.d_max"),
         ("mixing", static_config(d_max=2), "experiment.d_max"),
+        # integers beyond the 10**9 ceiling
+        ("bounds", {"bounds": {"n": 10**400, "delta": 0.1, "tau": 2.0}}, "bounds.n"),
+        ("simulate", static_config(n=10**400), "experiment.n"),
+        ("simulate", static_config(replicates=10**400), "experiment.replicates"),
+        ("simulate", dict(static_config(d_max=10**400), online=auto),
+         "experiment.d_max"),
     ]
     x = [[0.0, 1.0], [1.0, 0.0]]
     dynamic_losses = [{"kind": "memory-table", "m": 2, "table": [x, x]},

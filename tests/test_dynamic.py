@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from mixgame import (DiscountedLoss, MemoryTableLoss, PosteriorDist,
+from mixgame import (DiscountedLoss, HypothesisSpace, PosteriorDist,
                      ValidationError, block_mixing_profile,
                      composite_phi_check, conditional_loss_expectations,
                      decompose, dynamic_conditional_expectations, dynamic_phi,
@@ -22,7 +22,7 @@ def xor_loss():
     """Memory-2 loss: hypothesis 0 pays the XOR of the last two symbols,
     hypothesis 1 pays its complement."""
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    return MemoryTableLoss(2, np.stack([x, 1.0 - x]))
+    return HypothesisSpace(np.stack([x, 1.0 - x]))
 
 
 def test_memory_window_left_pads_with_first_symbol():
@@ -65,7 +65,7 @@ def test_forgetting_profile_discounted_envelope():
 def test_block_beta_memory1_equals_static_gap_at_double_lag():
     model = two_state_chain(0.1, 0.3)
     table = np.array([[0.0, 1.0], [0.7, 0.2]])
-    dl = MemoryTableLoss(1, table)
+    dl = HypothesisSpace(table)
     for d in (1, 2, 3, 4):
         beta = exact_block_beta(model, dl, d)
         assert beta == pytest.approx(exact_phi(model, table, 2 * d),
@@ -82,7 +82,7 @@ def test_block_mixing_profile_matches_pointwise():
 def test_dynamic_phi_memory1_reduces_to_static():
     model = two_state_chain(0.1, 0.3)
     table = np.array([[0.0, 1.0], [0.7, 0.2]])
-    dl = MemoryTableLoss(1, table)
+    dl = HypothesisSpace(table)
     test_vec = table @ model.stationary
     for d in (1, 2, 5):
         # the mirror gap (limit minus conditional) is the static convention
@@ -131,7 +131,7 @@ def assert_kernels_match_enumeration(model, dl, L):
 def test_memory_kernels_match_block_enumeration(A, m):
     rng = np.random.default_rng(10 * A + m)
     model = random_chain(rng, A)
-    dl = MemoryTableLoss(m, rng.random((2,) + (A,) * m))
+    dl = HypothesisSpace(rng.random((2,) + (A,) * m))
     # blocks shorter than m are padded; a longer block ignores its head
     for L in range(1, m + 2):
         assert_kernels_match_enumeration(model, dl, L)
@@ -159,7 +159,7 @@ def test_memory3_profiles_and_gaps_frozen():
     # blocks shorter than the memory, evaluated padded
     rng = np.random.default_rng(2406)
     model = random_chain(rng, 3)
-    dl = MemoryTableLoss(3, rng.random((2, 3, 3, 3)))
+    dl = HypothesisSpace(rng.random((2, 3, 3, 3)))
     np.testing.assert_allclose(forgetting_profile(dl, 4),
                                [0.9632516545620537, 0.8842924169736586,
                                 0.0, 0.0], atol=1e-12)
@@ -274,7 +274,7 @@ def test_discounted_loss_rows_follow_recurrence():
 def test_loss_from_json_schemas():
     dl = loss_from_json({"kind": "memory-table", "m": 2,
                          "table": np.stack([np.eye(2), 1 - np.eye(2)]).tolist()})
-    assert isinstance(dl, MemoryTableLoss) and dl.m == 2
+    assert isinstance(dl, HypothesisSpace) and dl.m == 2
     dd = loss_from_json({"kind": "discounted", "gamma": 0.9, "scale": 0.05,
                          "g_table": [[0.0, 1.0]]})
     assert isinstance(dd, DiscountedLoss)

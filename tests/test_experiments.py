@@ -142,6 +142,7 @@ BAD_VALUES = st.one_of(
                      True, False, None, MISSING]),
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+    st.sampled_from([10**9 + 1, 2**64, 10**400]),
     st.lists(st.one_of(st.floats(), st.booleans(), st.integers(-3, 3)),
              max_size=3))
 

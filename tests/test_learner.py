@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from mixgame import (DiscountedLoss, HypothesisSpace, MemoryTableLoss,
-                     PosteriorDist, ValidationError, build_iid, build_markov,
+from mixgame import (DiscountedLoss, HypothesisSpace, PosteriorDist,
+                     ValidationError, build_iid, build_markov,
                      empirical_losses, erm,
                      exact_generalization_error, gibbs_posterior,
-                     kl_divergence, sample_path, space_from_json,
+                     kl_divergence, loss_from_json, sample_path,
                      two_state_chain)
 from mixgame import test_losses as stationary_losses
 from mixgame.process import SamplePath
@@ -105,11 +105,11 @@ def test_generalization_error_is_linear_in_posterior():
     assert gm == pytest.approx(lam * gp + (1 - lam) * gq, abs=1e-12)
 
 
-def test_space_from_json_validates():
-    space = space_from_json('{"losses": [[0.0, 1.0], [1.0, 0.0]]}')
-    assert space.n_hypotheses == 2 and space.n_symbols == 2
+def test_loss_from_json_reads_a_static_table():
+    space = loss_from_json('{"losses": [[0.0, 1.0], [1.0, 0.0]]}')
+    assert space.n_hypotheses == 2 and space.alphabet == 2 and space.m == 1
     with pytest.raises(ValidationError):
-        space_from_json({"not-losses": []})
+        loss_from_json({"not-losses": []})
     with pytest.raises(ValidationError):
         HypothesisSpace(np.array([[0.0, 1.5]]))  # outside [0, 1]
 
@@ -119,7 +119,7 @@ NAN = float("nan")
 
 @pytest.mark.parametrize("build", [
     lambda: HypothesisSpace(np.array([[NAN, 1.0], [1.0, 0.0]])),
-    lambda: MemoryTableLoss(1, np.array([[NAN, 1.0], [1.0, 0.0]])),
+    lambda: HypothesisSpace(np.array([[[NAN, 1.0], [1.0, 0.0]]] * 2)),
     lambda: DiscountedLoss(0.9, 0.1, np.array([[NAN, 1.0], [1.0, 0.0]])),
     lambda: DiscountedLoss(0.9, NAN, np.array([[0.0, 1.0], [1.0, 0.0]])),
     lambda: PosteriorDist.from_probs([NAN, 0.5]),
