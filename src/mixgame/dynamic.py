@@ -31,6 +31,8 @@ from .process import (ProcessModel, SamplePath, _walk_chain,
                       conditional_loss_expectations, exact_phi,
                       window_expectations)
 
+_COMPOSITE_TOL = 1e-9
+
 
 class DiscountedLoss(_BlockLoss):
     """Geometrically discounted running loss, clipped to [0, 1].
@@ -160,10 +162,6 @@ def exact_block_beta(model: ProcessModel, dl, d: int) -> float:
     return exact_phi(model, F.T, 2 * d - eff + 1)
 
 
-def block_mixing_profile(model: ProcessModel, dl, d_max: int) -> np.ndarray:
-    return np.array([exact_block_beta(model, dl, d) for d in range(1, d_max + 1)])
-
-
 def _memory_windows(model: ProcessModel, dl: HypothesisSpace,
                     d: int) -> tuple[np.ndarray, int]:
     """The window table F.T and the lag from Z_{t-d} to the window's first symbol.
@@ -239,8 +237,7 @@ def _walk(model: ProcessModel, start: int, steps: int, rng) -> np.ndarray:
     return np.array(_walk_chain(cum, start, rng.random(steps)), dtype=np.int64)
 
 
-def composite_phi_check(model: ProcessModel, dl, d_grid,
-                        tol: float = 1e-9) -> list[dict]:
+def composite_phi_check(model: ProcessModel, dl, d_grid) -> list[dict]:
     """Check phi_d <= 2*B_{d'} + beta_{d'} with d' = floor(d/2) along a grid.
 
     The even-d reduction uses d' = d/2 exactly; for odd d the floor keeps
@@ -261,8 +258,8 @@ def composite_phi_check(model: ProcessModel, dl, d_grid,
         rows.append({"d": d, "d_half": dh, "phi_dynamic": lhs,
                      "phi_mirror": mirror,
                      "forgetting_2B": 2.0 * B[dh - 1], "block_beta": beta,
-                     "rhs": rhs, "ok": lhs <= rhs + tol,
-                     "ok_mirror": mirror <= rhs + tol})
+                     "rhs": rhs, "ok": lhs <= rhs + _COMPOSITE_TOL,
+                     "ok_mirror": mirror <= rhs + _COMPOSITE_TOL})
     return rows
 
 
@@ -274,7 +271,4 @@ def run_dynamic_game(dl, path: SamplePath, learner, d: int,
     (``limit_test_losses``, one per run); the trace contract matches the
     static game, so decompose() applies unchanged.
     """
-    rows = dl.loss_rows(path.symbols)
-    costs = rows - limit[None, :]
-    return play_costs(costs, learner, d, symbols=path.symbols,
-                      loss_rows=rows, test_loss_vec=limit)
+    return play_costs(dl.loss_rows(path.symbols), limit, learner, d)

@@ -27,7 +27,7 @@ from .process import (DECAY_LAWS, ProcessModel, fit_mixing_profile,
                       model_from_json, phi_table, replicate_seed, sample_path)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     model: ProcessModel
     loss: object                         # dyn.LOSS_SCHEMAS: a table or discounted loss
@@ -97,13 +97,13 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
                             d_grid=d_grid, d_max=d_max)
 
 
-def static_table(loss, message: str) -> np.ndarray:
+def static_table(loss, name: str, message: str) -> np.ndarray:
     """The W x S table of a memory-1 loss, which phi_d at every lag needs.
 
-    Raises ValidationError(``message``) for a memory m > 1 or a discounted loss.
+    A memory m > 1 or a discounted loss is a ValidationError of config
+    field ``name``.
     """
-    if getattr(loss, "m", None) != 1:
-        raise ValidationError(message)
+    _require(getattr(loss, "m", None) == 1, name, message)
     return loss.loss_table
 
 
@@ -112,8 +112,8 @@ def resolve_delay(delay_spec, model: ProcessModel, loss, n: int, d_max: int) -> 
     if isinstance(delay_spec, int):
         _require(1 <= delay_spec <= n, "online.delay", "must lie in [1, n]")
         return delay_spec
-    table = phi_table(model, build_field("online.delay", static_table, loss,
-                                         "auto delay tuning needs a static loss table"),
+    table = phi_table(model, static_table(loss, "online.delay", "auto delay "
+                                          "tuning needs a static loss table"),
                       min(d_max, n))
     if np.all(table <= 0):
         return 1  # i.i.d. losses: no reason to delay
@@ -152,7 +152,7 @@ def delayed_ewa_posteriors(costs: np.ndarray, prior_log: np.ndarray, eta: float,
     return p / p.sum(axis=1, keepdims=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoverageResult:
     """Per-replicate bound-violation bookkeeping for one coverage run."""
 
@@ -176,12 +176,10 @@ def replicate(cfg: ExperimentConfig, seed: int, limit: np.ndarray):
     prior = PosteriorDist.uniform(cfg.loss.n_hypotheses)
     comparator = statistical_posterior(cfg, path)
     if cfg.algorithm == "ewa":
-        loss_rows = cfg.loss.loss_rows(path.symbols)
-        costs = loss_rows - limit[None, :]
-        plays = delayed_ewa_posteriors(costs, prior.log_weights, cfg.eta, cfg.delay)
-        trace = GameTrace(n=cfg.n, d=cfg.delay, symbols=path.symbols,
-                          posteriors=plays, costs=costs, loss_rows=loss_rows,
-                          test_loss_vec=limit)
+        rows = cfg.loss.loss_rows(path.symbols)
+        plays = delayed_ewa_posteriors(rows - limit, prior.log_weights, cfg.eta,
+                                       cfg.delay)
+        trace = GameTrace(cfg.delay, plays, rows, limit)
     else:
         learner = make_learner(cfg.algorithm, prior, cfg.eta, d=cfg.delay)
         trace = dyn.run_dynamic_game(cfg.loss, path, learner, cfg.delay, limit)
@@ -249,7 +247,7 @@ def coverage_experiment(cfg: ExperimentConfig, mode: str = "mn") -> CoverageResu
 def mixing_table(cfg: ExperimentConfig) -> dict:
     """phi_d table for d = 1..d_max plus decay-law fits where possible."""
     table = phi_table(cfg.model, static_table(
-        cfg.loss, "mixing tables need a static loss table"), cfg.d_max)
+        cfg.loss, "loss", "mixing tables need a static loss table"), cfg.d_max)
     if np.any(np.diff(table) > 1e-12):
         raise ValidationError("phi table is not non-increasing")  # invariant gate
     fits = {}
@@ -265,7 +263,7 @@ def mixing_table(cfg: ExperimentConfig) -> dict:
 
 def delay_sweep(cfg: ExperimentConfig) -> list[dict]:
     """``bounds.sweep_delay`` on the master seed's path and learner posterior."""
-    static_table(cfg.loss, "the delay sweep needs a static loss table")
+    static_table(cfg.loss, "loss", "the delay sweep needs a static loss table")
     d_grid = cfg.d_grid or sorted({min(2**i, cfg.n) for i in range(7)})
     path = sample_path(cfg.model, cfg.n, cfg.seed)
     return bd.sweep_delay(cfg.model, cfg.loss, path, statistical_posterior(cfg, path),

@@ -12,51 +12,52 @@ holds exactly (it is algebra, not probability), and ``decompose`` asserts it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConsistencyError, ProtocolError, ValidationError
 from .learner import HypothesisSpace, PosteriorDist, test_losses
 from .process import ProcessModel, SamplePath
-from .reporting import write_csv
 
 _IDENTITY_TOL = 1e-10
 _SIMPLEX_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GameTrace:
-    """Per-round record of one game: plays, costs, and the raw loss rows."""
+    """One game: the learner's plays, the path's loss rows and the limit test loss.
 
-    n: int
+    The costs ``loss_rows - limit`` are computed once, on construction.
+    """
+
     d: int
-    symbols: np.ndarray            # (n,) realized data symbols
     posteriors: np.ndarray         # (n, W) learner plays
-    costs: np.ndarray              # (n, W) cost vectors
     loss_rows: np.ndarray          # (n, W) loss(w, Z_t) per round
-    test_loss_vec: np.ndarray      # (W,) exact test losses
+    limit: np.ndarray              # (W,) limiting test losses
+    costs: np.ndarray = field(init=False)  # (n, W) cost vectors
+
+    def __post_init__(self):
+        object.__setattr__(self, "costs", self.loss_rows - self.limit)
 
     @property
-    def per_round_cost(self) -> np.ndarray:
-        """<P_t, c_t> for every round."""
-        return np.sum(self.posteriors * self.costs, axis=1)
+    def n(self) -> int:
+        return len(self.loss_rows)
 
 
-def play_costs(costs: np.ndarray, learner, d: int,
-               symbols: np.ndarray | None = None,
-               loss_rows: np.ndarray | None = None,
-               test_loss_vec: np.ndarray | None = None) -> GameTrace:
-    """Run any learner against a precomputed (n, W) cost matrix with delay d.
+def play_costs(loss_rows: np.ndarray, limit: np.ndarray, learner,
+               d: int) -> GameTrace:
+    """Run any learner on the costs ``loss_rows - limit`` with delay d.
 
     Before acting at round t the learner has been fed costs c_1 .. c_{t-d},
     in order.  Raises ProtocolError if a play leaves the simplex.
     """
-    costs = np.asarray(costs, dtype=float)
-    n, W = costs.shape
+    loss_rows = np.asarray(loss_rows, dtype=float)
+    n, W = loss_rows.shape
     if not 1 <= d <= n:
         raise ValidationError("need 1 <= d <= n")
-    posts = np.empty((n, W))
+    trace = GameTrace(d, np.empty((n, W)), loss_rows, limit)
+    posts, costs = trace.posteriors, trace.costs
     for t in range(n):  # 0-indexed round
         try:
             p = learner.act().probs
@@ -67,30 +68,19 @@ def play_costs(costs: np.ndarray, learner, d: int,
         posts[t] = p
         if t + 1 >= d:
             learner.observe(costs[t + 1 - d])
-    if symbols is None:
-        symbols = np.full(n, -1, dtype=np.int64)
-    if loss_rows is None:
-        loss_rows = costs  # caller supplied raw costs directly
-    if test_loss_vec is None:
-        test_loss_vec = np.zeros(W)
-    return GameTrace(n=n, d=d, symbols=np.asarray(symbols),
-                     posteriors=posts, costs=costs, loss_rows=loss_rows,
-                     test_loss_vec=test_loss_vec)
+    return trace
 
 
 def run_game(model: ProcessModel, space: HypothesisSpace, path: SamplePath,
              learner, d: int) -> GameTrace:
     """Play the generalization game along a sampled path."""
-    tl = test_losses(space, model)
-    loss_rows = space.loss_rows(path.symbols)  # (n, W)
-    costs = loss_rows - tl[None, :]
-    return play_costs(costs, learner, d, symbols=path.symbols,
-                      loss_rows=loss_rows, test_loss_vec=tl)
+    return play_costs(space.loss_rows(path.symbols), test_losses(space, model),
+                      learner, d)
 
 
 def martingale_term(trace: GameTrace) -> float:
     """M_n = -(1/n) sum_t <P_t, c_t>."""
-    return float(-np.mean(trace.per_round_cost))
+    return float(-np.mean(np.sum(trace.posteriors * trace.costs, axis=1)))
 
 
 def realized_regret(trace: GameTrace, comparator: PosteriorDist) -> float:
@@ -99,17 +89,9 @@ def realized_regret(trace: GameTrace, comparator: PosteriorDist) -> float:
     return float(np.sum(diff * trace.costs))
 
 
-def instance_regrets(trace: GameTrace, comparator: PosteriorDist,
-                     d: int) -> np.ndarray:
-    """Per-residue-class regrets; their sum is the total regret exactly."""
-    diff = trace.posteriors - comparator.probs[None, :]
-    per_round = np.sum(diff * trace.costs, axis=1)
-    return np.array([per_round[i::d].sum() for i in range(d)])
-
-
 def generalization_gap(trace: GameTrace, comparator: PosteriorDist) -> float:
     """<P*, test loss - mean training loss>, computed from the raw loss rows."""
-    return float(comparator.probs @ (trace.test_loss_vec - trace.loss_rows.mean(axis=0)))
+    return float(comparator.probs @ (trace.limit - trace.loss_rows.mean(axis=0)))
 
 
 def decompose(trace: GameTrace, comparator: PosteriorDist) -> dict:
@@ -127,15 +109,3 @@ def decompose(trace: GameTrace, comparator: PosteriorDist) -> dict:
     return {"gen": gen, "regret_over_n": regret_over_n, "martingale": mart,
             "residual": residual}
 
-
-def export_trace_csv(trace: GameTrace, comparator: PosteriorDist, path) -> None:
-    """Write the per-round trace: t, z_t, cost_dot_Pt, regret_partial, mn_partial."""
-    per_round = trace.per_round_cost
-    comp_cost = trace.costs @ comparator.probs
-    regret_partial = np.cumsum(per_round - comp_cost)
-    mn_partial = -np.cumsum(per_round) / np.arange(1, trace.n + 1)
-    rows = [
-        [t + 1, int(trace.symbols[t]), per_round[t], regret_partial[t], mn_partial[t]]
-        for t in range(trace.n)
-    ]
-    write_csv(path, ["t", "z_t", "cost_dot_Pt", "regret_partial", "mn_partial"], rows)

@@ -75,7 +75,7 @@ class _BlockLoss:
         return np.broadcast_to(table, (self.n_hypotheses,) + shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HypothesisSpace(_BlockLoss):
     """A finite hypothesis set with a (W,) + (A,)*m loss table, entries in [0, 1].
 
@@ -122,7 +122,7 @@ class HypothesisSpace(_BlockLoss):
         return self.loss_table[(slice(None),) + cols].T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PosteriorDist:
     """A distribution over hypotheses stored as normalized log-weights."""
 
@@ -177,13 +177,11 @@ def empirical_losses(space, path: SamplePath) -> np.ndarray:
     return space.loss_rows(path.symbols).mean(axis=0)
 
 
-def gibbs_posterior(space, path: SamplePath, beta: float,
-                    prior: PosteriorDist | None = None) -> PosteriorDist:
-    """Gibbs tilt of the prior: log-weights -beta * n * empirical loss."""
+def gibbs_posterior(space, path: SamplePath, beta: float) -> PosteriorDist:
+    """Gibbs tilt of the uniform prior: log-weights -beta * n * empirical loss."""
     if beta < 0:
         raise ValidationError("beta must be non-negative")
-    if prior is None:
-        prior = PosteriorDist.uniform(space.n_hypotheses)
+    prior = PosteriorDist.uniform(space.n_hypotheses)
     n = len(path)
     return PosteriorDist(prior.log_weights - beta * n * empirical_losses(space, path))
 
@@ -192,13 +190,6 @@ def erm(space, path: SamplePath) -> PosteriorDist:
     """Dirac on the empirical minimizer; ties broken by lowest index."""
     emp = empirical_losses(space, path)
     return PosteriorDist.dirac(int(np.argmin(emp)), space.n_hypotheses)
-
-
-def exact_generalization_error(posterior: PosteriorDist, space: HypothesisSpace,
-                               path: SamplePath, model: ProcessModel) -> float:
-    """Posterior-averaged gap between test and training loss, no sampling."""
-    gap = test_losses(space, model) - empirical_losses(space, path)
-    return float(posterior.probs @ gap)
 
 
 def kl_divergence(p: PosteriorDist, q: PosteriorDist) -> float:

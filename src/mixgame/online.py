@@ -17,13 +17,6 @@ from .errors import ValidationError
 from .learner import PosteriorDist, _logsumexp
 
 
-def ewa_step(current: PosteriorDist, cost: np.ndarray, eta: float) -> PosteriorDist:
-    """One multiplicative-weights update: weights *= exp(-eta * cost)."""
-    if eta <= 0:
-        raise ValidationError("eta must be positive")
-    return PosteriorDist(current.log_weights - eta * np.asarray(cost, float))
-
-
 def project_simplex(v) -> np.ndarray:
     """Euclidean projection onto the simplex via sort-and-threshold."""
     v = np.asarray(v, dtype=float)
@@ -129,15 +122,6 @@ def make_learner(algorithm: str, prior: PosteriorDist, eta: float,
     if d == 1:
         return factories[algorithm]()
     return DelayedLearner(factories[algorithm], d)
-
-
-def regret_bound(h_gap: float, eta: float, alpha: float,
-                 dual_norm_sq_sum: float) -> float:
-    """Regret bound (h(P*) - h(P_1))/eta + (eta/2 alpha) * sum of squared dual norms;
-    exponential weights is the case h_gap = KL, alpha = 1, sup norms."""
-    if eta <= 0 or alpha <= 0:
-        raise ValidationError("need eta > 0 and alpha > 0")
-    return h_gap / eta + eta / (2.0 * alpha) * dual_norm_sq_sum
 
 
 def delayed_regret_bound(h_gap: float, eta: float, d: int, n: int,

@@ -49,7 +49,7 @@ def replicate_seed(master_seed: int, k: int) -> int:
     return (master_seed ^ _splitmix64(k + 1)) & _MASK64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProcessModel:
     """A stationary finite-state Markov source.
 
@@ -65,7 +65,7 @@ class ProcessModel:
         return self.transition.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SamplePath:
     """A realization of a model, symbols drawn from the stationary start."""
 
@@ -164,12 +164,6 @@ def build_markov(transition) -> ProcessModel:
     if np.max(np.abs(pi @ P - pi)) > 1e-10:
         raise ModelError("stationary vector fails the invariance check")
     return ProcessModel(transition=P, stationary=pi)
-
-
-def build_iid(probs) -> ProcessModel:
-    """An i.i.d. source, i.e. a chain whose every row is the marginal."""
-    p = np.asarray(probs, dtype=float)
-    return build_markov(np.tile(p, (len(p), 1)))
 
 
 def two_state_chain(p: float, q: float) -> ProcessModel:

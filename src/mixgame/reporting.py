@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
+_SVG_WIDTH, _SVG_HEIGHT, _SVG_MARGIN = 640, 400, 50
+
 
 def fmt(value) -> str:
     if isinstance(value, (bool, np.bool_)):
@@ -34,11 +36,10 @@ def write_json(path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def svg_line_plot(path, x, series: dict, title: str = "",
-                  width: int = 640, height: int = 400) -> None:
+def svg_line_plot(path, x, series: dict, title: str = "") -> None:
     """Self-contained SVG with one polyline per series and a plain frame."""
     x = list(map(float, x))
-    margin = 50
+    width, height, margin = _SVG_WIDTH, _SVG_HEIGHT, _SVG_MARGIN
     all_y = [float(v) for ys in series.values() for v in ys]
     x_lo, x_hi = min(x), max(x)
     y_lo, y_hi = min(all_y), max(all_y)

@@ -8,6 +8,25 @@ from mixgame import (HypothesisSpace, MixingProfile, build_markov, tuned_bound,
                      two_state_chain)
 
 
+def build_iid(probs):
+    """An i.i.d. source, i.e. a chain whose every row is the marginal."""
+    p = np.asarray(probs, dtype=float)
+    return build_markov(np.tile(p, (len(p), 1)))
+
+
+def instance_regrets(trace, comparator, d):
+    """Per-residue-class regrets; their sum is the total regret exactly."""
+    diff = trace.posteriors - comparator.probs[None, :]
+    per_round = np.sum(diff * trace.costs, axis=1)
+    return np.array([per_round[i::d].sum() for i in range(d)])
+
+
+def regret_bound(h_gap, eta, alpha, dual_norm_sq_sum):
+    """Regret bound (h(P*) - h(P_1))/eta + (eta/2 alpha) * sum of squared dual norms;
+    exponential weights is the case h_gap = KL, alpha = 1, sup norms."""
+    return h_gap / eta + eta / (2.0 * alpha) * dual_norm_sq_sum
+
+
 def random_chain(rng, n_states=2, smoothing=0.05):
     """A random aperiodic, irreducible transition matrix."""
     T = rng.random((n_states, n_states)) + smoothing

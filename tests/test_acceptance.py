@@ -13,22 +13,21 @@ import numpy as np
 import pytest
 
 from mixgame import (EWA, FTRL, HypothesisSpace, MixingProfile,
-                     PosteriorDist, build_iid, build_markov,
-                     composite_phi_check, conditional_loss_expectations,
-                     decompose, deviation_term,
+                     PosteriorDist, composite_phi_check,
+                     conditional_loss_expectations, decompose, deviation_term,
                      dynamic_conditional_expectations, dynamic_phi,
                      dynamic_phi_gaps, empirical_losses, exact_block_beta,
-                     exact_phi, fit_mixing_profile,
-                     instance_regrets, limit_test_losses, make_learner,
-                     phi_table, play_costs, product_chain, project_simplex,
-                     realized_regret, regret_bound, run_dynamic_game,
+                     exact_phi, fit_mixing_profile, limit_test_losses,
+                     make_learner, phi_table, play_costs, product_chain,
+                     project_simplex, realized_regret, run_dynamic_game,
                      run_game, sample_path, two_state_chain)
 from mixgame import test_losses as stationary_losses
 from mixgame.cli import main as cli_main
 from mixgame.experiments import (config_from_dict, coverage_experiment,
                                  delay_sweep, delayed_ewa_posteriors)
 
-from conftest import algebraic_rate_sandwich, random_chain, random_space
+from conftest import (algebraic_rate_sandwich, build_iid, instance_regrets,
+                      random_chain, random_space, regret_bound)
 
 
 def _report(line):
@@ -104,15 +103,15 @@ def test_03_delayed_wrapper_exactness_and_bound():
         n = int(rng.integers(30, 120))
         costs = rng.uniform(-1, 1, size=(n, 4))
         d = int(rng.choice([2, 4, 8]))
-        trace = play_costs(costs, make_learner("ewa", prior, eta, d=d), d)
+        trace = play_costs(costs, np.zeros(4), make_learner("ewa", prior, eta, d=d), d)
         dirac = PosteriorDist.dirac(int(np.argmin(costs.sum(axis=0))), 4)
         total = realized_regret(trace, dirac)
         per = instance_regrets(trace, dirac, d)
         assert abs(total - per.sum()) < 1e-12
         assert total <= d * math.log(4) / eta + eta * n / 2 + 1e-12
     costs = rng.uniform(-1, 1, size=(60, 4))
-    wrapped = play_costs(costs, make_learner("ewa", prior, eta, d=1), 1)
-    bare = play_costs(costs, EWA(prior, eta), 1)
+    wrapped = play_costs(costs, np.zeros(4), make_learner("ewa", prior, eta, d=1), 1)
+    bare = play_costs(costs, np.zeros(4), EWA(prior, eta), 1)
     assert all(np.array_equal(a, b) for a, b in zip(wrapped.posteriors,
                                                     bare.posteriors))
     _report("[3/13] delayed round-robin wrapper: exact per-instance regret "

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixgame import (HypothesisSpace, build_markov, erm,
-                     exact_generalization_error, sample_path)
+from mixgame import HypothesisSpace, build_markov, empirical_losses, erm, sample_path
+from mixgame import test_losses as stationary_losses
 from mixgame.cli import main
 
 
@@ -135,7 +135,8 @@ def test_sweep_delay_honours_learner_kind(tmp_path):
     model = build_markov(doc["process"]["transition"])
     space = HypothesisSpace(np.array(doc["loss"]["losses"]))
     path = sample_path(model, 200, seed=3)
-    gap = exact_generalization_error(erm(space, path), space, path, model)
+    gap = erm(space, path).probs @ (stationary_losses(space, model)
+                                    - empirical_losses(space, path))
     for row in rows["erm"][1:]:
         assert float(row[5]) == pytest.approx(gap, abs=1e-12)
 
@@ -253,6 +254,9 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
     dynamic_losses = [{"kind": "memory-table", "m": 2, "table": [x, x]},
                       {"kind": "discounted", "gamma": 0.9, "scale": 0.1,
                        "g_table": x}]
+    # the commands that need phi_d at every lag refuse a non-static loss
+    bad_docs += [(command, dict(static_config(), loss=loss), "loss")
+                 for command in ("mixing", "sweep-delay") for loss in dynamic_losses]
     for loss in dynamic_losses:
         for key in [k for k in loss if k != "kind"]:
             partial = {k: v for k, v in loss.items() if k != key}
@@ -263,7 +267,7 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
         cfg = write_config(tmp_path, doc, f"bad-{i}.json")
         assert main([command, "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 2
-        assert field in capsys.readouterr().err
+        assert f"config field {field!r}" in capsys.readouterr().err
 
 
 X = [[0.0, 1.0], [1.0, 0.0]]

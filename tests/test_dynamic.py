@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from mixgame import (DiscountedLoss, HypothesisSpace, PosteriorDist,
-                     ValidationError, block_mixing_profile,
-                     composite_phi_check, conditional_loss_expectations,
-                     decompose, dynamic_conditional_expectations, dynamic_phi,
+                     ValidationError, composite_phi_check,
+                     conditional_loss_expectations, decompose,
+                     dynamic_conditional_expectations, dynamic_phi,
                      dynamic_phi_gaps, dynamic_phi_mc, exact_block_beta,
                      exact_phi, forgetting_profile, limit_test_losses,
                      loss_from_json, make_learner, run_dynamic_game,
@@ -70,13 +70,6 @@ def test_block_beta_memory1_equals_static_gap_at_double_lag():
         beta = exact_block_beta(model, dl, d)
         assert beta == pytest.approx(exact_phi(model, table, 2 * d),
                                      abs=1e-12)
-
-
-def test_block_mixing_profile_matches_pointwise():
-    model = two_state_chain(0.2, 0.4)
-    prof = block_mixing_profile(model, xor_loss(), 4)
-    expected = [exact_block_beta(model, xor_loss(), d) for d in range(1, 5)]
-    np.testing.assert_allclose(prof, expected, atol=0)
 
 
 def test_dynamic_phi_memory1_reduces_to_static():
@@ -163,7 +156,8 @@ def test_memory3_profiles_and_gaps_frozen():
     np.testing.assert_allclose(forgetting_profile(dl, 4),
                                [0.9632516545620537, 0.8842924169736586,
                                 0.0, 0.0], atol=1e-12)
-    np.testing.assert_allclose(block_mixing_profile(model, dl, 4),
+    betas = [exact_block_beta(model, dl, d) for d in range(1, 5)]
+    np.testing.assert_allclose(betas,
                                [0.02209981812500511, 0.003676051773563449,
                                 0.0005049366003819777, 4.639548880269739e-05],
                                atol=1e-12)

@@ -52,7 +52,8 @@ def test_closed_form_wrapped_ewa_matches_game_loop():
     prior = PosteriorDist.uniform(3)
     for d in (1, 3, 7):
         fast = delayed_ewa_posteriors(costs, prior.log_weights, 0.4, d)
-        trace = play_costs(costs, make_learner("ewa", prior, 0.4, d=d), d)
+        trace = play_costs(costs, np.zeros(3), make_learner("ewa", prior, 0.4, d=d),
+                           d)
         np.testing.assert_allclose(fast, np.array(trace.posteriors),
                                    atol=1e-13)
 

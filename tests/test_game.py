@@ -1,16 +1,12 @@
-import csv
-
 import numpy as np
 import pytest
 
-from mixgame import (ConsistencyError, GameTrace, HypothesisSpace,
-                     PosteriorDist, ProtocolError, decompose,
-                     export_trace_csv, generalization_gap,
-                     instance_regrets, make_learner, martingale_term,
-                     play_costs, realized_regret, run_game, sample_path,
-                     two_state_chain)
+from mixgame import (ConsistencyError, GameTrace, PosteriorDist,
+                     ProtocolError, decompose, generalization_gap,
+                     make_learner, martingale_term, play_costs,
+                     realized_regret, run_game, sample_path)
 
-from conftest import random_chain, random_space
+from conftest import instance_regrets, random_chain, random_space
 
 
 def _setup(seed=0, n=80, d=3, algorithm="ewa"):
@@ -66,8 +62,8 @@ def test_delay_contract_cost_at_t_affects_plays_from_t_plus_d():
     bumped = costs.copy()
     bumped[t_hit] += 0.5
     prior = PosteriorDist.uniform(3)
-    ref = play_costs(costs, make_learner("ewa", prior, 0.5, d=d), d)
-    alt = play_costs(bumped, make_learner("ewa", prior, 0.5, d=d), d)
+    ref = play_costs(costs, np.zeros(3), make_learner("ewa", prior, 0.5, d=d), d)
+    alt = play_costs(bumped, np.zeros(3), make_learner("ewa", prior, 0.5, d=d), d)
     for t in range(30):
         same = np.array_equal(ref.posteriors[t], alt.posteriors[t])
         affected = t >= t_hit + d and t % d == t_hit % d
@@ -85,7 +81,7 @@ def test_rogue_learner_triggers_protocol_error():
     rogue = Rogue()
     rogue.act = lambda: type("P", (), {"probs": np.array([1.5, -0.5])})()
     with pytest.raises(ProtocolError):
-        play_costs(np.zeros((3, 2)), rogue, 1)
+        play_costs(np.zeros((3, 2)), np.zeros(2), rogue, 1)
 
 
 def test_ftrl_sqnorm_game_also_satisfies_identity():
@@ -93,24 +89,6 @@ def test_ftrl_sqnorm_game_also_satisfies_identity():
     parts = decompose(trace, PosteriorDist.uniform(4))
     assert abs(parts["gen"] - parts["regret_over_n"] - parts["martingale"]) \
         < 1e-12
-
-
-def test_export_trace_csv_schema(tmp_path):
-    model, space, path, trace = _setup(seed=9, n=25, d=2)
-    out = tmp_path / "trace.csv"
-    export_trace_csv(trace, PosteriorDist.uniform(4), out)
-    with open(out, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["t", "z_t", "cost_dot_Pt", "regret_partial",
-                       "mn_partial"]
-    assert len(rows) == 26
-    assert [int(r[0]) for r in rows[1:]] == list(range(1, 26))
-    # partial sums in the last row agree with the full-trace quantities
-    comparator = PosteriorDist.uniform(4)
-    assert float(rows[-1][3]) == pytest.approx(
-        realized_regret(trace, comparator), abs=1e-10)
-    assert float(rows[-1][4]) == pytest.approx(martingale_term(trace),
-                                               abs=1e-10)
 
 
 def test_indicator_game_costs_are_centered_losses(symmetric_quarter_chain,
@@ -125,10 +103,9 @@ def test_indicator_game_costs_are_centered_losses(symmetric_quarter_chain,
 
 def test_decompose_rejects_a_nan_cost():
     # abs(nan) > tol is False, so a NaN residual must fail the check itself
-    trace = GameTrace(n=2, d=1, symbols=np.zeros(2, dtype=np.int64),
-                      posteriors=np.full((2, 2), 0.5),
-                      costs=np.array([[0.2, np.nan], [0.1, 0.3]]),
-                      loss_rows=np.zeros((2, 2)), test_loss_vec=np.zeros(2))
+    trace = GameTrace(d=1, posteriors=np.full((2, 2), 0.5),
+                      loss_rows=np.array([[0.2, np.nan], [0.1, 0.3]]),
+                      limit=np.zeros(2))
     with pytest.raises(ConsistencyError, match="residual=nan"):
         decompose(trace, PosteriorDist.uniform(2))
 
@@ -139,4 +116,4 @@ def test_a_nan_play_is_a_protocol_error():
     learner = make_learner("ewa", PosteriorDist.uniform(2), 0.4, d=1)
     costs = np.array([[np.nan, 0.2], [0.1, 0.3], [0.4, 0.0]])
     with pytest.raises(ProtocolError, match="round 2"):
-        play_costs(costs, learner, 1)
+        play_costs(costs, np.zeros(2), learner, 1)

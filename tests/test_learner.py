@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 
 from mixgame import (DiscountedLoss, HypothesisSpace, PosteriorDist,
-                     ValidationError, build_iid, build_markov,
-                     empirical_losses, erm,
-                     exact_generalization_error, gibbs_posterior,
-                     kl_divergence, loss_from_json, sample_path,
-                     two_state_chain)
+                     ValidationError, build_markov, empirical_losses, erm,
+                     gibbs_posterior, kl_divergence, loss_from_json,
+                     sample_path, two_state_chain)
 from mixgame import test_losses as stationary_losses
 from mixgame.process import SamplePath
 
-from conftest import random_chain, random_space
+from conftest import build_iid, random_chain, random_space
 
 
 def _path(symbols):
@@ -42,9 +40,8 @@ def test_gibbs_beta_zero_returns_prior():
     rng = np.random.default_rng(4)
     model = random_chain(rng)
     space = random_space(rng, 4, 2)
-    prior = PosteriorDist.from_probs(np.array([0.1, 0.2, 0.3, 0.4]))
-    post = gibbs_posterior(space, sample_path(model, 20, 0), beta=0.0,
-                           prior=prior)
+    prior = PosteriorDist.uniform(4)
+    post = gibbs_posterior(space, sample_path(model, 20, 0), beta=0.0)
     np.testing.assert_allclose(post.probs, prior.probs, atol=1e-12)
 
 
@@ -96,12 +93,9 @@ def test_generalization_error_is_linear_in_posterior():
     p = rng.dirichlet(np.ones(4))
     q = rng.dirichlet(np.ones(4))
     lam = 0.3
-    mix = PosteriorDist.from_probs(lam * p + (1 - lam) * q)
-    gp = exact_generalization_error(PosteriorDist.from_probs(p), space, path,
-                                    model)
-    gq = exact_generalization_error(PosteriorDist.from_probs(q), space, path,
-                                    model)
-    gm = exact_generalization_error(mix, space, path, model)
+    mix = lam * p + (1 - lam) * q
+    gap = stationary_losses(space, model) - empirical_losses(space, path)
+    gp, gq, gm = (PosteriorDist.from_probs(r).probs @ gap for r in (p, q, mix))
     assert gm == pytest.approx(lam * gp + (1 - lam) * gq, abs=1e-12)
 
 

@@ -3,8 +3,10 @@ import pytest
 from scipy.special import softmax
 
 from mixgame import (EWA, FTRL, DelayedLearner, PosteriorDist, ValidationError,
-                     delayed_regret_bound, ewa_step, ftrl_step, make_learner,
-                     project_simplex, regret_bound)
+                     delayed_regret_bound, ftrl_step, make_learner,
+                     project_simplex)
+
+from conftest import regret_bound
 
 
 def test_project_simplex_frozen():
@@ -37,9 +39,10 @@ def test_ewa_step_is_cost_tilted_softmax():
     rng = np.random.default_rng(2)
     prior = PosteriorDist.from_probs(rng.dirichlet(np.ones(3)))
     cost = rng.normal(size=3)
-    stepped = ewa_step(prior, cost, eta=0.7)
+    learner = EWA(prior, eta=0.7)
+    learner.observe(cost)
     np.testing.assert_allclose(
-        stepped.probs, softmax(np.log(prior.probs) - 0.7 * cost), atol=1e-12)
+        learner.act().probs, softmax(np.log(prior.probs) - 0.7 * cost), atol=1e-12)
 
 
 def test_ftrl_entropy_step_equals_ewa_on_cumulative_cost():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mixgame import (ConsistencyError, MixingProfile, ModelError, SizeError,
-                     ValidationError, build_iid, build_markov,
+                     ValidationError, build_markov,
                      conditional_loss_expectations, exact_phi,
                      fit_mixing_profile, model_from_json, phi_table,
                      product_chain, replicate_seed, sample_path,
@@ -13,7 +13,7 @@ from mixgame import (ConsistencyError, MixingProfile, ModelError, SizeError,
 from mixgame.cli import main
 from mixgame.process import _walk_chain
 
-from conftest import random_chain
+from conftest import build_iid, random_chain
 
 
 def test_stationary_law_frozen():

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp
 
-from mixgame import (MixingProfile, PosteriorDist, delay_bound,
-                     delayed_regret_bound, ewa_step, kl_divergence,
-                     project_simplex, tuned_bound, two_state_chain)
+from mixgame import (EWA, MixingProfile, PosteriorDist, delay_bound,
+                     delayed_regret_bound, kl_divergence, project_simplex,
+                     tuned_bound, two_state_chain)
 from mixgame import phi_table
 from mixgame.learner import _logsumexp
 
@@ -38,8 +38,9 @@ def test_projection_is_idempotent_and_feasible(y):
 @settings(max_examples=200, deadline=None)
 @given(finite_vectors, st.floats(0.01, 5.0))
 def test_ewa_step_preserves_the_simplex(cost, eta):
-    prior = PosteriorDist.uniform(len(cost))
-    p = ewa_step(prior, cost, eta).probs
+    learner = EWA(PosteriorDist.uniform(len(cost)), eta)
+    learner.observe(cost)
+    p = learner.act().probs
     assert abs(p.sum() - 1.0) < 1e-9 and p.min() >= 0
 
 
