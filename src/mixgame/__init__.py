@@ -10,22 +10,20 @@ from .errors import (ConsistencyError, MixgameError, ModelError, ProtocolError,
                      SizeError, ValidationError)
 from .process import (DECAY_LAWS, MixingProfile, ProcessModel, SamplePath,
                       build_markov, conditional_loss_expectations, exact_phi,
-                      fit_mixing_profile, model_from_json, phi_table,
-                      product_chain, replicate_seed, sample_path,
+                      fit_mixing_profile, model_from_json, phi_gaps,
+                      phi_table, product_chain, replicate_seed, sample_path,
                       two_state_chain, window_expectations)
 from .learner import (HypothesisSpace, PosteriorDist, empirical_losses, erm,
-                      gibbs_posterior, kl_divergence, test_losses)
+                      gibbs_posterior, kl_divergence)
 from .game import (GameTrace, decompose, generalization_gap, martingale_term,
-                   play_costs, realized_regret, run_game)
+                   play_costs, realized_regret)
 from .online import (EWA, FTRL, DelayedLearner, delayed_regret_bound, ftrl_step,
                      make_learner, project_simplex)
 from .bounds import (BoundReport, delay_bound, deviation_term, sweep_delay,
                      tuned_bound)
-from .dynamic import (DiscountedLoss, composite_phi_check,
-                      dynamic_conditional_expectations, dynamic_phi,
-                      dynamic_phi_gaps, dynamic_phi_mc, exact_block_beta,
-                      forgetting_profile, limit_test_losses, loss_from_json,
-                      run_dynamic_game)
+from .dynamic import (DiscountedLoss, composite_phi_check, dynamic_phi,
+                      dynamic_phi_mc, exact_block_beta, forgetting_profile,
+                      limit_test_losses, loss_from_json, run_dynamic_game)
 from .experiments import (CoverageResult, ExperimentConfig, config_from_dict,
                           coverage_experiment, delay_sweep,
                           delayed_ewa_posteriors, mixing_table, run_experiment)

@@ -13,8 +13,9 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
+from .dynamic import limit_test_losses
 from .errors import ValidationError
-from .game import decompose, run_game
+from .game import decompose, play_costs
 from .learner import HypothesisSpace, PosteriorDist, kl_divergence
 from .online import delayed_regret_bound, make_learner
 from .process import MixingProfile, ProcessModel, SamplePath, exact_phi
@@ -80,30 +81,24 @@ def sweep_delay(model: ProcessModel, space: HypothesisSpace, path: SamplePath,
                 algorithm: str = "ewa") -> list[dict]:
     """Evaluate the delay trade-off along a grid of delays.
 
-    For each d the wrapped learner replays the same path.  The regret term
-    is the a-priori wrapped-EWA composite with the comparator's KL to the
-    uniform prior, so the total bound is smooth in d; the comparator's
-    empirical generalization gap is recorded alongside.
+    For each d the wrapped learner replays the path's loss rows against its
+    limit, both built once.  The regret term is the a-priori wrapped-EWA
+    composite with the comparator's KL to the uniform prior, so the total
+    bound is smooth in d; the comparator's gap is recorded alongside.
     """
     n = len(path)
     prior = PosteriorDist.uniform(space.n_hypotheses)
     kl = kl_divergence(comparator, prior)
+    loss_rows = space.loss_rows(path.symbols)
+    limit = limit_test_losses(space, model)[0]
     rows = []
     for d in d_grid:
         d = int(d)
-        if not 1 <= d <= n:
-            raise ValidationError("d_grid entries must lie in [1, n]")
         phi = exact_phi(model, space.loss_table, d)
         learner = make_learner(algorithm, prior, eta, d=d)
-        trace = run_game(model, space, path, learner, d)
-        parts = decompose(trace, comparator)
+        parts = decompose(play_costs(loss_rows, limit, learner, d), comparator)
         rep = delay_bound(delayed_regret_bound(kl, eta, d, n), phi, d, n, delta)
-        rows.append({
-            "d": d,
-            "phi_term": phi,
-            "deviation_term": rep.deviation_term,
-            "regret_term": rep.regret_term,
-            "total_bound": rep.total,
-            "empirical_gen": parts["gen"],
-        })
+        rows.append({"d": d, "phi_term": phi, "deviation_term": rep.deviation_term,
+                     "regret_term": rep.regret_term, "total_bound": rep.total,
+                     "empirical_gen": parts["gen"]})
     return rows

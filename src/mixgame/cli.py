@@ -15,7 +15,7 @@ from pathlib import Path
 from . import bounds as bd
 from . import dynamic as dyn
 from . import experiments as xp
-from .errors import MixgameError, ValidationError, config_value
+from .errors import MixgameError, ValidationError, build_field, config_value
 from .online import delayed_regret_bound
 from .process import DECAY_LAWS, MixingProfile
 from .reporting import svg_line_plot, write_csv, write_json
@@ -148,7 +148,8 @@ def cmd_dynamic(args) -> None:
     cfg = xp.config_from_dict(_load_config(args))
     out = _out_dir(args)
     d_grid = cfg.d_grid or list(range(2, 21, 2))
-    rows = dyn.composite_phi_check(cfg.model, cfg.loss, d_grid)
+    rows = build_field("experiment.d_grid", dyn.composite_phi_check, cfg.model,
+                       cfg.loss, d_grid)
     header = ["d", "d_half", "phi_dynamic", "phi_mirror", "forgetting_2B",
               "block_beta", "rhs", "ok", "ok_mirror"]
     write_csv(out / "dynamic_phi_check.csv", header,

@@ -26,10 +26,9 @@ import numpy as np
 
 from .errors import ValidationError, _require, build_field, config_value
 from .game import GameTrace, play_costs
-from .learner import _ENUM_CAP, HypothesisSpace, _BlockLoss, test_losses
-from .process import (ProcessModel, SamplePath, _walk_chain,
-                      conditional_loss_expectations, exact_phi,
-                      window_expectations)
+from .learner import _ENUM_CAP, HypothesisSpace, _BlockLoss
+from .process import (ProcessModel, SamplePath, _walk_chain, exact_phi,
+                      phi_gaps, window_expectations)
 
 _COMPOSITE_TOL = 1e-9
 
@@ -113,14 +112,15 @@ def limit_test_losses(dl, model: ProcessModel, horizon: int | None = None,
                       cap: int = _ENUM_CAP) -> tuple[np.ndarray, float]:
     """Limiting test loss of every hypothesis, with a truncation-error bound.
 
-    Table losses are exact at any horizon >= m (error 0: ``test_losses``);
-    discounted losses are truncated at the horizon with error <= the tail
+    A table loss is its own window table, exact at any horizon >= m (error
+    0); a static table (m = 1) passes ``window_expectations`` unchanged.
+    Discounted losses are truncated at the horizon with error <= the tail
     envelope.
     """
     if isinstance(dl, HypothesisSpace):
         if horizon is not None and horizon < dl.m:
             raise ValidationError("horizon must cover the loss memory")
-        return test_losses(dl, model), 0.0
+        return window_expectations(model, dl.loss_table).T @ model.stationary, 0.0
     if horizon is None:
         horizon = max(1, math.floor(math.log(cap) / math.log(dl.alphabet)))
     F = window_expectations(model, dl.block_table(horizon, cap))
@@ -174,27 +174,6 @@ def _memory_windows(model: ProcessModel, dl: HypothesisSpace,
     return window_expectations(model, dl.loss_table).T, d - dl.m + 1
 
 
-def dynamic_conditional_expectations(model: ProcessModel, dl: HypothesisSpace,
-                                     d: int) -> np.ndarray:
-    """E[loss(w, Z_t, ..., Z_1) | Z_{t-d} = s] for every (s, w); needs d >= m."""
-    return conditional_loss_expectations(model, *_memory_windows(model, dl, d))
-
-
-def dynamic_phi_gaps(model: ProcessModel, dl: HypothesisSpace,
-                     d: int) -> tuple[float, float]:
-    """Both one-sided gaps of the dynamic cost sequence at lag d, unclamped.
-
-    The first is the max over (w, s) of conditional expected loss minus the
-    limit loss.  The second, the mirror, is limit minus conditional: the
-    static convention, the side ``dynamic_phi`` and the bound on M_n take,
-    and the side the composite 2*B + beta dominates.  On symmetric instances
-    the two coincide.
-    """
-    table, lag = _memory_windows(model, dl, d)
-    diff = conditional_loss_expectations(model, table, lag) - table @ model.stationary
-    return float(np.max(diff)), float(np.max(-diff))
-
-
 def dynamic_phi(model: ProcessModel, dl: HypothesisSpace, d: int) -> float:
     """phi_d of the dynamic cost sequence: the mirror gap, clamped at zero."""
     return exact_phi(model, *_memory_windows(model, dl, d))
@@ -243,16 +222,18 @@ def composite_phi_check(model: ProcessModel, dl, d_grid) -> list[dict]:
     The even-d reduction uses d' = d/2 exactly; for odd d the floor keeps
     2*d' <= d, so the block coefficient conditions on a finer sigma-algebra
     than the gap it must dominate (the ceiling would not).  Both one-sided
-    gaps of ``dynamic_phi_gaps`` are evaluated exactly.
+    gaps of ``phi_gaps`` on the window table are exact; every d must be at
+    least 2 and at least the loss memory m.
     """
     rows = []
     d_grid = [int(d) for d in d_grid]
-    if min(d_grid) < 2:
-        raise ValidationError("composite check needs d >= 2")
+    if min(d_grid) < max(2, dl.m):
+        raise ValidationError(f"composite check needs every d >= max(2, m), m = {dl.m}")
     B = forgetting_profile(dl, max(d // 2 for d in d_grid))
     for d in d_grid:
         dh = d // 2
-        lhs, mirror = (max(0.0, gap) for gap in dynamic_phi_gaps(model, dl, d))
+        lhs, mirror = (max(0.0, gap)
+                       for gap in phi_gaps(model, *_memory_windows(model, dl, d)))
         beta = exact_block_beta(model, dl, dh)
         rhs = 2.0 * B[dh - 1] + beta
         rows.append({"d": d, "d_half": dh, "phi_dynamic": lhs,

@@ -146,10 +146,11 @@ def delayed_ewa_posteriors(costs: np.ndarray, prior_log: np.ndarray, eta: float,
         cls = costs[i::d]
         if len(cls) > 1:
             S[i + d::d] = np.cumsum(cls[:-1], axis=0)
-    lw = prior_log[None, :] - eta * S
-    lw -= lw.max(axis=1, keepdims=True)
-    p = np.exp(lw)
-    return p / p.sum(axis=1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):  # GameTrace names a spoiled play
+        lw = prior_log[None, :] - eta * S
+        lw -= lw.max(axis=1, keepdims=True)
+        p = np.exp(lw)
+        return p / p.sum(axis=1, keepdims=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,6 +265,8 @@ def mixing_table(cfg: ExperimentConfig) -> dict:
 def delay_sweep(cfg: ExperimentConfig) -> list[dict]:
     """``bounds.sweep_delay`` on the master seed's path and learner posterior."""
     static_table(cfg.loss, "loss", "the delay sweep needs a static loss table")
+    for i, d in enumerate(cfg.d_grid):
+        _require(d <= cfg.n, f"experiment.d_grid[{i}]", "must lie in [1, n]")
     d_grid = cfg.d_grid or sorted({min(2**i, cfg.n) for i in range(7)})
     path = sample_path(cfg.model, cfg.n, cfg.seed)
     return bd.sweep_delay(cfg.model, cfg.loss, path, statistical_posterior(cfg, path),

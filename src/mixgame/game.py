@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConsistencyError, ProtocolError, ValidationError
-from .learner import HypothesisSpace, PosteriorDist, test_losses
-from .process import ProcessModel, SamplePath
+from .learner import PosteriorDist
 
 _IDENTITY_TOL = 1e-10
 _SIMPLEX_TOL = 1e-8
@@ -28,7 +27,8 @@ _SIMPLEX_TOL = 1e-8
 class GameTrace:
     """One game: the learner's plays, the path's loss rows and the limit test loss.
 
-    The costs ``loss_rows - limit`` are computed once, on construction.
+    Construction checks every play, whichever learner made it (a play off the
+    simplex raises ProtocolError naming its round), then computes the costs.
     """
 
     d: int
@@ -38,6 +38,12 @@ class GameTrace:
     costs: np.ndarray = field(init=False)  # (n, W) cost vectors
 
     def __post_init__(self):
+        P, ones = self.posteriors, np.ones(self.posteriors.shape[1])
+        # row sums and negative-entry counts; NaN fails the first comparison
+        off = ~(np.abs(P @ ones - 1) <= _SIMPLEX_TOL) | ((P < -_SIMPLEX_TOL) @ ones > 0)
+        if off.any():
+            raise ProtocolError("learner emitted a non-simplex play at round "
+                                f"{int(np.argmax(off)) + 1}")
         object.__setattr__(self, "costs", self.loss_rows - self.limit)
 
     @property
@@ -56,26 +62,17 @@ def play_costs(loss_rows: np.ndarray, limit: np.ndarray, learner,
     n, W = loss_rows.shape
     if not 1 <= d <= n:
         raise ValidationError("need 1 <= d <= n")
-    trace = GameTrace(d, np.empty((n, W)), loss_rows, limit)
-    posts, costs = trace.posteriors, trace.costs
-    for t in range(n):  # 0-indexed round
-        try:
-            p = learner.act().probs
-        except ValidationError:  # log-weights with no finite normalizer
-            p = np.full(W, np.nan)  # which fails the check below
-        if not (abs(p.sum() - 1.0) <= _SIMPLEX_TOL and p.min() >= -_SIMPLEX_TOL):
-            raise ProtocolError(f"learner emitted a non-simplex play at round {t + 1}")
-        posts[t] = p
-        if t + 1 >= d:
-            learner.observe(costs[t + 1 - d])
-    return trace
-
-
-def run_game(model: ProcessModel, space: HypothesisSpace, path: SamplePath,
-             learner, d: int) -> GameTrace:
-    """Play the generalization game along a sampled path."""
-    return play_costs(space.loss_rows(path.symbols), test_losses(space, model),
-                      learner, d)
+    costs = loss_rows - limit
+    posts = np.empty((n, W))
+    with np.errstate(over="ignore", invalid="ignore"):  # GameTrace names a spoiled play
+        for t in range(n):  # 0-indexed round
+            try:
+                posts[t] = learner.act().probs
+            except ValidationError:  # log-weights with no finite normalizer
+                posts[t] = np.nan
+            if t + 1 >= d:
+                learner.observe(costs[t + 1 - d])
+    return GameTrace(d, posts, loss_rows, limit)
 
 
 def martingale_term(trace: GameTrace) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeError, ValidationError
-from .process import ProcessModel, SamplePath, window_expectations
+from .process import SamplePath
 
 _ENUM_CAP = 10**6
 
@@ -161,15 +161,6 @@ class PosteriorDist:
         lw = np.full(W, -np.inf)
         lw[w] = 0.0
         return PosteriorDist(lw)
-
-
-def test_losses(space: HypothesisSpace, model: ProcessModel) -> np.ndarray:
-    """Exact limiting test loss of every hypothesis under the stationary law.
-
-    The loss table is its own window table: ``window_expectations`` contracts
-    its m symbol axes to a W x S table, a static table's (m = 1) unchanged.
-    """
-    return window_expectations(model, space.loss_table).T @ model.stationary
 
 
 def empirical_losses(space, path: SamplePath) -> np.ndarray:

@@ -9,6 +9,7 @@ running d independent instances, one per residue class of rounds.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -18,15 +19,19 @@ from .learner import PosteriorDist, _logsumexp
 
 
 def project_simplex(v) -> np.ndarray:
-    """Euclidean projection onto the simplex via sort-and-threshold."""
+    """Euclidean projection onto the simplex via sort-and-threshold; a point
+    too large for it (a non-finite entry or sum, say) is a ValidationError."""
     v = np.asarray(v, dtype=float)
     u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    k = np.arange(1, len(v) + 1)
-    cond = u - css / k > 0
-    rho = int(np.max(np.nonzero(cond)[0])) + 1
-    theta = css[rho - 1] / rho
-    return np.maximum(v - theta, 0.0)
+    # NaN sorts to the front of u, as +inf does, and -inf to the back
+    if math.isfinite(u[0]) and math.isfinite(u[-1]):
+        css = np.cumsum(u) - 1.0
+        (above,) = np.nonzero(u - css / np.arange(1, len(v) + 1) > 0)
+        if len(above) and math.isfinite(css[-1]):
+            rho = int(above[-1]) + 1
+            return np.maximum(v - css[rho - 1] / rho, 0.0)
+    raise ValidationError("cannot project a non-finite or overflowing point "
+                          "onto the simplex")
 
 
 def ftrl_step(prior: PosteriorDist, cumulative_cost: np.ndarray, eta: float,

@@ -15,14 +15,13 @@ import pytest
 from mixgame import (EWA, FTRL, HypothesisSpace, MixingProfile,
                      PosteriorDist, composite_phi_check,
                      conditional_loss_expectations, decompose, deviation_term,
-                     dynamic_conditional_expectations, dynamic_phi,
-                     dynamic_phi_gaps, empirical_losses, exact_block_beta,
+                     dynamic_phi, empirical_losses, exact_block_beta,
                      exact_phi, fit_mixing_profile, limit_test_losses,
-                     make_learner, phi_table, play_costs, product_chain,
-                     project_simplex, realized_regret, run_dynamic_game,
-                     run_game, sample_path, two_state_chain)
-from mixgame import test_losses as stationary_losses
+                     make_learner, phi_gaps, phi_table, play_costs,
+                     product_chain, project_simplex, realized_regret,
+                     run_dynamic_game, sample_path, two_state_chain)
 from mixgame.cli import main as cli_main
+from mixgame.dynamic import _memory_windows
 from mixgame.experiments import (config_from_dict, coverage_experiment,
                                  delay_sweep, delayed_ewa_posteriors)
 
@@ -54,13 +53,12 @@ def test_01_regret_decomposition_identity_randomized():
         learner = make_learner(algorithm, PosteriorDist.uniform(n_hyp),
                                float(rng.uniform(0.05, 1.0)), d=d)
         if i % 2 == 0:
-            space = random_space(rng, n_hyp, n_states)
-            trace = run_game(model, space, path, learner, d)
+            loss = random_space(rng, n_hyp, n_states)
         else:
-            dl = _random_memory_loss(rng, n_hyp, n_states,
-                                     int(rng.integers(1, 4)))
-            trace = run_dynamic_game(dl, path, learner, d,
-                                     limit_test_losses(dl, model)[0])
+            loss = _random_memory_loss(rng, n_hyp, n_states,
+                                       int(rng.integers(1, 4)))
+        trace = run_dynamic_game(loss, path, learner, d,
+                                 limit_test_losses(loss, model)[0])
         comparator = PosteriorDist.from_probs(rng.dirichlet(np.ones(n_hyp)))
         parts = decompose(trace, comparator)
         residual = abs(parts["gen"] - parts["regret_over_n"]
@@ -280,17 +278,16 @@ def test_10_composite_mixing_inequality_memory2():
 def test_11_memory1_losses_reduce_to_the_static_machinery():
     model = two_state_chain(0.1, 0.3)
     table = np.array([[0.1, 0.9], [0.6, 0.2], [0.4, 0.4]])
-    space = HypothesisSpace(table)
     dl = HypothesisSpace(table)
     limits, err = limit_test_losses(dl, model)
-    np.testing.assert_allclose(limits, stationary_losses(space, model),
-                               atol=1e-12)
+    np.testing.assert_allclose(limits, table @ model.stationary, atol=1e-12)
     assert err == 0.0
     for d in (1, 2, 4, 8):
+        windows = _memory_windows(model, dl, d)  # the dynamic route's table, lag
         np.testing.assert_allclose(
-            dynamic_conditional_expectations(model, dl, d),
+            conditional_loss_expectations(model, *windows),
             conditional_loss_expectations(model, table, d), atol=1e-12)
-        assert abs(max(0.0, dynamic_phi_gaps(model, dl, d)[1])
+        assert abs(max(0.0, phi_gaps(model, *windows)[1])
                    - exact_phi(model, table, d)) < 1e-12
         assert abs(exact_block_beta(model, dl, d)
                    - exact_phi(model, table, 2 * d)) < 1e-12
@@ -298,9 +295,9 @@ def test_11_memory1_losses_reduce_to_the_static_machinery():
     t_dyn = run_dynamic_game(dl, path,
                              make_learner("ewa", PosteriorDist.uniform(3),
                                           0.4, d=3), 3, limits)
-    t_static = run_game(model, space, path,
-                        make_learner("ewa", PosteriorDist.uniform(3),
-                                     0.4, d=3), 3)
+    t_static = play_costs(table[:, path.symbols].T, table @ model.stationary,
+                          make_learner("ewa", PosteriorDist.uniform(3),
+                                       0.4, d=3), 3)
     np.testing.assert_array_equal(t_dyn.costs, t_static.costs)
     assert all(np.array_equal(a, b) for a, b in zip(t_dyn.posteriors,
                                                     t_static.posteriors))

@@ -14,8 +14,6 @@ from mixgame import (CoverageResult, GameTrace, HypothesisSpace, PosteriorDist,
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "mixgame"
-# ROADMAP item 2 deletes it with the Monte-Carlo phi it belongs to
-UNREFERENCED_ALLOWED = {"dynamic_conditional_expectations"}
 
 
 def _identifiers(source: str) -> set:
@@ -41,7 +39,7 @@ def test_every_exported_name_is_used_by_the_package_demos_or_readme():
     used = set().union(*(_identifiers(p.read_text()) for p in sources))
     used |= set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
     unused = [name for name in exported if name not in used]
-    assert unused == sorted(UNREFERENCED_ALLOWED)
+    assert unused == []
 
 
 def test_readme_quick_start_runs():

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixgame import HypothesisSpace, build_markov, empirical_losses, erm, sample_path
-from mixgame import test_losses as stationary_losses
+from mixgame import (HypothesisSpace, build_markov, empirical_losses, erm,
+                     limit_test_losses, sample_path)
 from mixgame.cli import main
 
 
@@ -135,7 +135,7 @@ def test_sweep_delay_honours_learner_kind(tmp_path):
     model = build_markov(doc["process"]["transition"])
     space = HypothesisSpace(np.array(doc["loss"]["losses"]))
     path = sample_path(model, 200, seed=3)
-    gap = erm(space, path).probs @ (stationary_losses(space, model)
+    gap = erm(space, path).probs @ (limit_test_losses(space, model)[0]
                                     - empirical_losses(space, path))
     for row in rows["erm"][1:]:
         assert float(row[5]) == pytest.approx(gap, abs=1e-12)
@@ -314,6 +314,35 @@ def test_bad_array_and_dynamic_loss_fields_exit_2(tmp_path, capsys, loss, field,
     assert main(["simulate", "--config", write_config(tmp_path, doc),
                  "--out", str(tmp_path / "o")]) == 2
     assert f"'{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, experiment, loss, field", [
+    # an entry below 2, and a memory-3 loss on the default grid 2..20
+    ("dynamic", {"d_grid": [1, 2]}, MEMORY_LOSS, "experiment.d_grid"),
+    ("dynamic", {}, {"kind": "memory-table", "m": 3, "table": [[X, X], [X, X]]},
+     "experiment.d_grid"),
+    # an entry above n = 50
+    ("sweep-delay", {"d_grid": [1, 2, 51]}, None, "experiment.d_grid[2]"),
+])
+def test_a_bad_delay_grid_exits_2_naming_its_field(tmp_path, capsys, command,
+                                                    experiment, loss, field):
+    doc = static_config(**experiment)
+    if loss is not None:
+        doc["loss"] = loss
+    assert main([command, "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert f"config field {field!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algorithm", ["ewa", "ftrl-entropy", "ftrl-sqnorm"])
+def test_an_overflowing_learner_exits_3_naming_the_round(tmp_path, capsys,
+                                                         algorithm):
+    # the closed form of wrapped EWA and the game loop of FTRL pass one check
+    doc = static_config()
+    doc["online"] = {"algorithm": algorithm, "eta": 1e308, "delay": 2}
+    assert main(["simulate", "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path / "o")]) == 3
+    assert "non-simplex play at round" in capsys.readouterr().err
 
 
 def test_exit_code_3_on_model_failure(tmp_path):

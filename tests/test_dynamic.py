@@ -6,13 +6,12 @@ import pytest
 
 from mixgame import (DiscountedLoss, HypothesisSpace, PosteriorDist,
                      ValidationError, composite_phi_check,
-                     conditional_loss_expectations, decompose,
-                     dynamic_conditional_expectations, dynamic_phi,
-                     dynamic_phi_gaps, dynamic_phi_mc, exact_block_beta,
-                     exact_phi, forgetting_profile, limit_test_losses,
-                     loss_from_json, make_learner, run_dynamic_game,
-                     sample_path, two_state_chain, window_expectations)
-from mixgame.dynamic import _walk
+                     conditional_loss_expectations, decompose, dynamic_phi,
+                     dynamic_phi_mc, exact_block_beta, exact_phi,
+                     forgetting_profile, limit_test_losses, loss_from_json,
+                     make_learner, phi_gaps, run_dynamic_game, sample_path,
+                     two_state_chain, window_expectations)
+from mixgame.dynamic import _memory_windows, _walk
 
 from conftest import (enumerated_block_expectations, limit_test_losses_mc,
                       random_chain)
@@ -79,7 +78,7 @@ def test_dynamic_phi_memory1_reduces_to_static():
     test_vec = table @ model.stationary
     for d in (1, 2, 5):
         # the mirror gap (limit minus conditional) is the static convention
-        gap, mirror = dynamic_phi_gaps(model, dl, d)
+        gap, mirror = phi_gaps(model, *_memory_windows(model, dl, d))
         assert max(0.0, mirror) == pytest.approx(
             exact_phi(model, table, d), abs=1e-12)
         # dynamic_phi, which the bounds take, is that mirror
@@ -161,7 +160,7 @@ def test_memory3_profiles_and_gaps_frozen():
                                [0.02209981812500511, 0.003676051773563449,
                                 0.0005049366003819777, 4.639548880269739e-05],
                                atol=1e-12)
-    gaps = [dynamic_phi_gaps(model, dl, d) for d in range(3, 7)]
+    gaps = [phi_gaps(model, *_memory_windows(model, dl, d)) for d in range(3, 7)]
     np.testing.assert_allclose([g for g, _ in gaps],
                                [0.031368201629412895, 0.008445258186328353,
                                 0.003004422603297696, 0.0008871885372947474],
@@ -183,8 +182,7 @@ def test_dynamic_phi_is_zero_on_symmetric_xor():
 
 def test_dynamic_phi_decays_geometrically_on_asymmetric_chain():
     model = two_state_chain(0.1, 0.3)  # second eigenvalue 0.6
-    vals = [max(0.0, dynamic_phi_gaps(model, xor_loss(), d)[1])
-            for d in range(2, 9)]
+    vals = [dynamic_phi(model, xor_loss(), d) for d in range(2, 9)]
     ratios = np.diff(np.log(vals))
     np.testing.assert_allclose(ratios, np.log(0.6), atol=1e-9)
 
@@ -215,10 +213,10 @@ def test_walk_frozen_with_generator_position(n_states):
     assert h.hexdigest()[:16] == FROZEN_WALK_DIGESTS[n_states]
 
 
-def test_dynamic_conditional_expectations_need_enough_lag():
+def test_memory_windows_need_enough_lag():
     model = two_state_chain(0.25, 0.25)
     with pytest.raises(ValidationError):
-        dynamic_conditional_expectations(model, xor_loss(), 1)
+        _memory_windows(model, xor_loss(), 1)
 
 
 def test_composite_check_holds_on_symmetric_chains():

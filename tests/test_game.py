@@ -3,8 +3,8 @@ import pytest
 
 from mixgame import (ConsistencyError, GameTrace, PosteriorDist,
                      ProtocolError, decompose, generalization_gap,
-                     make_learner, martingale_term, play_costs,
-                     realized_regret, run_game, sample_path)
+                     limit_test_losses, make_learner, martingale_term,
+                     play_costs, realized_regret, sample_path)
 
 from conftest import instance_regrets, random_chain, random_space
 
@@ -15,7 +15,9 @@ def _setup(seed=0, n=80, d=3, algorithm="ewa"):
     space = random_space(rng, 4, 2)
     path = sample_path(model, n, seed=seed + 1)
     learner = make_learner(algorithm, PosteriorDist.uniform(4), 0.4, d=d)
-    return model, space, path, run_game(model, space, path, learner, d)
+    trace = play_costs(space.loss_rows(path.symbols),
+                       limit_test_losses(space, model)[0], learner, d)
+    return model, space, path, trace
 
 
 def test_decomposition_identity_small():
@@ -95,7 +97,9 @@ def test_indicator_game_costs_are_centered_losses(symmetric_quarter_chain,
                                                   indicator_space):
     path = sample_path(symmetric_quarter_chain, 10, seed=2)
     learner = make_learner("ewa", PosteriorDist.uniform(2), 0.1, d=1)
-    trace = run_game(symmetric_quarter_chain, indicator_space, path, learner, 1)
+    trace = play_costs(indicator_space.loss_rows(path.symbols),
+                       limit_test_losses(indicator_space, symmetric_quarter_chain)[0],
+                       learner, 1)
     test_vec = indicator_space.loss_table @ symmetric_quarter_chain.stationary
     expected = indicator_space.loss_table[:, path.symbols].T - test_vec
     np.testing.assert_allclose(trace.costs, expected, atol=1e-14)

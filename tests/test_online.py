@@ -24,6 +24,14 @@ def test_project_simplex_fixed_points_and_feasibility():
         assert q.min() >= -1e-15 and abs(q.sum() - 1) < 1e-12
 
 
+@pytest.mark.parametrize("point", [[np.nan, 0.0], [np.inf, 0.0],
+                                   [-np.inf, 0.5], [5e307, -5e307]])
+def test_project_simplex_rejects_a_non_finite_or_overflowing_point(point):
+    # the last point is finite, but rounding leaves no entry above the threshold
+    with pytest.raises(ValidationError, match="non-finite or overflowing"):
+        project_simplex(np.array(point))
+
+
 def test_project_simplex_optimality_vs_random_feasible_points():
     rng = np.random.default_rng(1)
     for _ in range(50):
