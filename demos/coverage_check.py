@@ -7,6 +7,8 @@ violation rates should be far below 10%: the bounds are valid but not
 tight at this scale.
 """
 
+import numpy as np
+
 from mixgame.experiments import config_from_dict, coverage_experiment
 
 cfg = config_from_dict({
@@ -20,13 +22,15 @@ print(f"auto-tuned delay for n={cfg.n}: d={cfg.delay}\n")
 
 for mode, label in (("mn", "martingale term M_n"),
                     ("gen", "generalization gap")):
-    res = coverage_experiment(cfg, mode=mode)
+    # rows [replicate, value, bound, violated]: columns of run_experiment's rows
+    rows, summary = coverage_experiment(cfg, mode=mode)
+    _, values, bounds, violated = map(np.array, zip(*rows))
     print(f"{label}:")
-    print(f"  bound violated in {res.violated.sum()} of {res.replicates} "
-          f"replicates (rate {res.violation_rate:.3f}, "
-          f"stderr {res.stderr:.3f})")
-    print(f"  typical value {res.values.mean():+.4f}, "
-          f"typical bound {res.bound_values.mean():.4f}\n")
+    print(f"  bound violated in {violated.sum()} of {summary['replicates']} "
+          f"replicates (rate {summary['violation_rate']:.3f}, "
+          f"stderr {summary['stderr']:.3f})")
+    print(f"  typical value {values.mean():+.4f}, "
+          f"typical bound {bounds.mean():.4f}\n")
 
 print("target confidence was delta = 0.1; anything at or below that "
       "(with Monte Carlo slack) confirms the bound")

@@ -13,8 +13,8 @@ from .process import (DECAY_LAWS, MixingProfile, ProcessModel, SamplePath,
                       fit_mixing_profile, model_from_json, phi_gaps,
                       phi_table, product_chain, replicate_seed, sample_path,
                       two_state_chain, window_expectations)
-from .learner import (HypothesisSpace, PosteriorDist, empirical_losses, erm,
-                      gibbs_posterior, kl_divergence)
+from .learner import (HypothesisSpace, PosteriorDist, erm, gibbs_posterior,
+                      kl_divergence)
 from .game import (GameTrace, decompose, generalization_gap, martingale_term,
                    play_costs, realized_regret)
 from .online import (EWA, FTRL, DelayedLearner, delayed_regret_bound, ftrl_step,
@@ -24,8 +24,8 @@ from .bounds import (BoundReport, delay_bound, deviation_term, sweep_delay,
 from .dynamic import (DiscountedLoss, composite_phi_check, dynamic_phi,
                       dynamic_phi_mc, exact_block_beta, forgetting_profile,
                       limit_test_losses, loss_from_json, run_dynamic_game)
-from .experiments import (CoverageResult, ExperimentConfig, config_from_dict,
-                          coverage_experiment, delay_sweep,
-                          delayed_ewa_posteriors, mixing_table, run_experiment)
+from .experiments import (ExperimentConfig, config_from_dict, coverage_experiment,
+                          delay_sweep, delayed_ewa_posteriors, mixing_table,
+                          run_experiment)
 
 __version__ = "0.1.0"

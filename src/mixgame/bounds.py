@@ -18,7 +18,7 @@ from .errors import ValidationError
 from .game import decompose, play_costs
 from .learner import HypothesisSpace, PosteriorDist, kl_divergence
 from .online import delayed_regret_bound, make_learner
-from .process import MixingProfile, ProcessModel, SamplePath, exact_phi
+from .process import MixingProfile, ProcessModel, exact_phi
 
 
 @dataclass(frozen=True)
@@ -76,20 +76,19 @@ def tuned_bound(profile: MixingProfile, n: int, delta: float,
                        tag=tag_prefix + profile.kind)
 
 
-def sweep_delay(model: ProcessModel, space: HypothesisSpace, path: SamplePath,
+def sweep_delay(model: ProcessModel, space: HypothesisSpace, loss_rows,
                 comparator: PosteriorDist, delta: float, d_grid, eta: float,
                 algorithm: str = "ewa") -> list[dict]:
     """Evaluate the delay trade-off along a grid of delays.
 
-    For each d the wrapped learner replays the path's loss rows against its
-    limit, both built once.  The regret term is the a-priori wrapped-EWA
+    For each d the wrapped learner replays a path's (n, W) loss rows against
+    the limit, built once.  The regret term is the a-priori wrapped-EWA
     composite with the comparator's KL to the uniform prior, so the total
     bound is smooth in d; the comparator's gap is recorded alongside.
     """
-    n = len(path)
+    n = len(loss_rows)
     prior = PosteriorDist.uniform(space.n_hypotheses)
     kl = kl_divergence(comparator, prior)
-    loss_rows = space.loss_rows(path.symbols)
     limit = limit_test_losses(space, model)[0]
     rows = []
     for d in d_grid:

@@ -57,12 +57,8 @@ def cmd_simulate(args) -> None:
 def cmd_coverage(args) -> None:
     cfg = xp.config_from_dict(_load_config(args))
     out = _out_dir(args)
-    result = xp.coverage_experiment(cfg, mode=args.mode)
-    write_csv(out / "coverage.csv",
-              ["replicate", "value", "bound", "violated"], result.rows())
-    summary = {"mode": result.mode, "replicates": result.replicates,
-               "violation_rate": result.violation_rate,
-               "stderr": result.stderr if result.stderr is not None else "undefined"}
+    rows, summary = xp.coverage_experiment(cfg, mode=args.mode)
+    write_csv(out / "coverage.csv", ["replicate", "value", "bound", "violated"], rows)
     write_json(out / "coverage_summary.json", summary)
 
 

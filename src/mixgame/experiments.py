@@ -1,11 +1,12 @@
 """Replicated experiment driver: config parsing, replicates, coverage, delay sweeps.
 
-Every replicate is one ``replicate`` call: path, comparator, delayed game and
-the checked decomposition Gen = Regret/n + M_n.  The config carries one
-loss, a table of memory m (static: m = 1) or a discounted loss, and every
-step reads it the same way.  Wrapped exponential weights plays the closed
-form of ``delayed_ewa_posteriors``; every other algorithm plays the game
-loop.  Coverage reads ``run_experiment``'s rows.
+Every replicate is one ``replicate`` call: path, delayed game, the comparator
+read from the game's loss rows, and the checked decomposition
+Gen = Regret/n + M_n.  The config carries one loss, a table of memory m
+(static: m = 1) or a discounted loss, and every step reads it the same way.
+Wrapped exponential weights plays the closed form of
+``delayed_ewa_posteriors``; every other algorithm plays the game loop.
+Coverage is a column view of ``run_experiment``'s rows.
 Replicate k draws its RNG stream from the master seed via a splitmix64
 derivation, so runs are reproducible end to end and replicates independent.
 """
@@ -125,11 +126,12 @@ def resolve_delay(delay_spec, model: ProcessModel, loss, n: int, d_max: int) -> 
                        kind).tuned_delay(n)
 
 
-def statistical_posterior(cfg: ExperimentConfig, path) -> PosteriorDist:
-    """The configured learner's posterior, from the mean of the path's loss rows."""
+def statistical_posterior(cfg: ExperimentConfig,
+                          loss_rows: np.ndarray) -> PosteriorDist:
+    """The configured learner's posterior, from the mean of the (n, W) loss rows."""
     if cfg.learner_kind == "erm":
-        return erm(cfg.loss, path)
-    return gibbs_posterior(cfg.loss, path, cfg.beta)
+        return erm(loss_rows)
+    return build_field("learner.beta", gibbs_posterior, loss_rows, cfg.beta)
 
 
 def delayed_ewa_posteriors(costs: np.ndarray, prior_log: np.ndarray, eta: float,
@@ -153,29 +155,12 @@ def delayed_ewa_posteriors(costs: np.ndarray, prior_log: np.ndarray, eta: float,
         return p / p.sum(axis=1, keepdims=True)
 
 
-@dataclass(frozen=True, eq=False)
-class CoverageResult:
-    """Per-replicate bound-violation bookkeeping for one coverage run."""
-
-    mode: str                     # "mn" | "gen"
-    replicates: int
-    values: np.ndarray            # the bounded quantity per replicate
-    bound_values: np.ndarray
-    violated: np.ndarray          # booleans, consistent with the stored values
-    violation_rate: float
-    stderr: float | None          # None when undefined (single replicate)
-
-    def rows(self) -> list:
-        return [[k, self.values[k], self.bound_values[k], bool(self.violated[k])]
-                for k in range(self.replicates)]
-
-
 def replicate(cfg: ExperimentConfig, seed: int, limit: np.ndarray):
     """Play one delayed game on the path drawn from ``seed``, with ``limit`` the
-    loss's ``dyn.limit_test_losses``; return the path, comparator, trace and parts."""
+    loss's ``dyn.limit_test_losses``, then fit the comparator to the game's
+    loss rows; return the comparator, trace and parts."""
     path = sample_path(cfg.model, cfg.n, seed)
     prior = PosteriorDist.uniform(cfg.loss.n_hypotheses)
-    comparator = statistical_posterior(cfg, path)
     if cfg.algorithm == "ewa":
         rows = cfg.loss.loss_rows(path.symbols)
         plays = delayed_ewa_posteriors(rows - limit, prior.log_weights, cfg.eta,
@@ -184,7 +169,8 @@ def replicate(cfg: ExperimentConfig, seed: int, limit: np.ndarray):
     else:
         learner = make_learner(cfg.algorithm, prior, cfg.eta, d=cfg.delay)
         trace = dyn.run_dynamic_game(cfg.loss, path, learner, cfg.delay, limit)
-    return path, comparator, trace, decompose(trace, comparator)
+    comparator = statistical_posterior(cfg, trace.loss_rows)
+    return comparator, trace, decompose(trace, comparator)
 
 
 def experiment_phi(cfg: ExperimentConfig) -> float:
@@ -204,7 +190,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     rows, reports = [], []
     for k in range(cfg.replicates):
         seed = replicate_seed(cfg.seed, k)
-        _, comparator, trace, parts = replicate(cfg, seed, limit)
+        comparator, trace, parts = replicate(cfg, seed, limit)
         gen_bound = parts["regret_over_n"] + mn_bound
         rows.append([k, seed, parts["gen"], parts["regret_over_n"],
                      parts["martingale"], phi, mn_bound, gen_bound,
@@ -222,27 +208,31 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     return {"header": header, "rows": rows, "reports": reports}
 
 
-def coverage_experiment(cfg: ExperimentConfig, mode: str = "mn") -> CoverageResult:
+# coverage mode -> run_experiment columns: the bounded value, its bound, the flag
+COVERAGE_COLUMNS = {"mn": ("martingale", "mn_bound", "violated_mn"),
+                    "gen": ("gen", "gen_bound", "violated_gen")}
+
+
+def coverage_experiment(cfg: ExperimentConfig, mode: str = "mn") -> tuple[list, dict]:
     """Empirical violation rate of the martingale or generalization bound.
 
     A column view of ``run_experiment``'s replicate rows: M_n against
     mn_bound = phi_d + deviation, or Gen against gen_bound = regret/n + mn_bound.
+    Returns rows [replicate, value, bound, violated] and a summary whose
+    stderr is "undefined" for a single replicate.
     """
-    if mode not in ("mn", "gen"):
+    if mode not in COVERAGE_COLUMNS:
         raise ValidationError("coverage mode must be 'mn' or 'gen'")
     result = run_experiment(cfg)
-    columns = ("martingale", "mn_bound") if mode == "mn" else ("gen", "gen_bound")
-    values, bound_values = (
-        np.array([row[result["header"].index(column)] for row in result["rows"]])
-        for column in columns)
-    violated = values > bound_values
-    rate = float(violated.mean())
-    stderr = None
+    picks = [result["header"].index(c)
+             for c in ("replicate", *COVERAGE_COLUMNS[mode])]
+    rows = [[row[i] for i in picks] for row in result["rows"]]
+    rate = sum(bool(row[-1]) for row in rows) / cfg.replicates
+    stderr = "undefined"
     if cfg.replicates > 1:
         stderr = math.sqrt(rate * (1.0 - rate) / cfg.replicates)
-    return CoverageResult(mode=mode, replicates=cfg.replicates, values=values,
-                          bound_values=bound_values, violated=violated,
-                          violation_rate=rate, stderr=stderr)
+    return rows, {"mode": mode, "replicates": cfg.replicates,
+                  "violation_rate": rate, "stderr": stderr}
 
 
 def mixing_table(cfg: ExperimentConfig) -> dict:
@@ -263,11 +253,12 @@ def mixing_table(cfg: ExperimentConfig) -> dict:
 
 
 def delay_sweep(cfg: ExperimentConfig) -> list[dict]:
-    """``bounds.sweep_delay`` on the master seed's path and learner posterior."""
+    """``bounds.sweep_delay`` on the master seed's loss rows and their posterior."""
     static_table(cfg.loss, "loss", "the delay sweep needs a static loss table")
     for i, d in enumerate(cfg.d_grid):
         _require(d <= cfg.n, f"experiment.d_grid[{i}]", "must lie in [1, n]")
     d_grid = cfg.d_grid or sorted({min(2**i, cfg.n) for i in range(7)})
-    path = sample_path(cfg.model, cfg.n, cfg.seed)
-    return bd.sweep_delay(cfg.model, cfg.loss, path, statistical_posterior(cfg, path),
-                          cfg.delta, d_grid, eta=cfg.eta, algorithm=cfg.algorithm)
+    loss_rows = cfg.loss.loss_rows(sample_path(cfg.model, cfg.n, cfg.seed).symbols)
+    return bd.sweep_delay(cfg.model, cfg.loss, loss_rows,
+                          statistical_posterior(cfg, loss_rows), cfg.delta, d_grid,
+                          eta=cfg.eta, algorithm=cfg.algorithm)

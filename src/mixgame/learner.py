@@ -2,7 +2,7 @@
 
 A ``HypothesisSpace`` is the one table loss: its table has a hypothesis axis
 and m symbol axes, and reads the last m symbols (m = 1 is a static table).
-The statistical learners read any loss through its ``loss_rows`` on a path.
+The statistical learners read a path's (n, W) ``loss_rows``, as the game does.
 
 All posterior arithmetic happens in natural-log space with logsumexp
 normalization so that inverse temperatures up to ~1e8 stay finite.  The
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeError, ValidationError
-from .process import SamplePath
 
 _ENUM_CAP = 10**6
 
@@ -163,24 +162,19 @@ class PosteriorDist:
         return PosteriorDist(lw)
 
 
-def empirical_losses(space, path: SamplePath) -> np.ndarray:
-    """Training loss of every hypothesis: mean of its losses along the path."""
-    return space.loss_rows(path.symbols).mean(axis=0)
-
-
-def gibbs_posterior(space, path: SamplePath, beta: float) -> PosteriorDist:
-    """Gibbs tilt of the uniform prior: log-weights -beta * n * empirical loss."""
+def gibbs_posterior(loss_rows: np.ndarray, beta: float) -> PosteriorDist:
+    """Gibbs tilt of the uniform prior: log-weights -beta * n * mean loss row."""
     if beta < 0:
         raise ValidationError("beta must be non-negative")
-    prior = PosteriorDist.uniform(space.n_hypotheses)
-    n = len(path)
-    return PosteriorDist(prior.log_weights - beta * n * empirical_losses(space, path))
+    n, W = loss_rows.shape
+    return PosteriorDist(PosteriorDist.uniform(W).log_weights
+                         - beta * n * loss_rows.mean(axis=0))
 
 
-def erm(space, path: SamplePath) -> PosteriorDist:
-    """Dirac on the empirical minimizer; ties broken by lowest index."""
-    emp = empirical_losses(space, path)
-    return PosteriorDist.dirac(int(np.argmin(emp)), space.n_hypotheses)
+def erm(loss_rows: np.ndarray) -> PosteriorDist:
+    """Dirac on the minimizer of the mean loss row; ties broken by lowest index."""
+    return PosteriorDist.dirac(int(np.argmin(loss_rows.mean(axis=0))),
+                               loss_rows.shape[1])
 
 
 def kl_divergence(p: PosteriorDist, q: PosteriorDist) -> float:

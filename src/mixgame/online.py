@@ -116,7 +116,7 @@ class DelayedLearner:
 
 def make_learner(algorithm: str, prior: PosteriorDist, eta: float,
                  d: int = 1):
-    """Build a (possibly round-robin wrapped) learner from a config triple."""
+    """Build the round-robin wrapped learner of a config triple."""
     factories = {
         "ewa": lambda: EWA(prior, eta),
         "ftrl-entropy": lambda: FTRL(prior, eta, "negative-entropy"),
@@ -124,8 +124,6 @@ def make_learner(algorithm: str, prior: PosteriorDist, eta: float,
     }
     if algorithm not in factories:
         raise ValidationError(f"unknown algorithm {algorithm!r}")
-    if d == 1:
-        return factories[algorithm]()
     return DelayedLearner(factories[algorithm], d)
 
 

@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixgame import (CoverageResult, GameTrace, HypothesisSpace, PosteriorDist,
-                     SamplePath, config_from_dict, two_state_chain)
+from mixgame import (GameTrace, HypothesisSpace, PosteriorDist, SamplePath,
+                     config_from_dict, two_state_chain)
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "mixgame"
@@ -67,10 +67,8 @@ def _config():
     lambda: SamplePath(np.zeros(3, dtype=np.int64)),
     lambda: GameTrace(1, np.full((2, 2), 0.5), np.zeros((2, 2)), np.zeros(2)),
     _config,
-    lambda: CoverageResult("mn", 1, np.zeros(1), np.ones(1), np.zeros(1, bool),
-                           0.0, None),
 ], ids=["HypothesisSpace", "PosteriorDist", "ProcessModel", "SamplePath",
-        "GameTrace", "ExperimentConfig", "CoverageResult"])
+        "GameTrace", "ExperimentConfig"])
 def test_array_holding_values_compare_and_hash_by_identity(make):
     a, b = make(), make()
     assert a == a and a != b

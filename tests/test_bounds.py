@@ -156,8 +156,8 @@ def test_bounds_command_overflowing_delay_is_clamped_to_n(tmp_path, spec,
 def test_sweep_delay_rows_are_consistent():
     model = two_state_chain(0.25, 0.25)
     space = HypothesisSpace(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    path = sample_path(model, 200, seed=5)
-    rows = sweep_delay(model, space, path, gibbs_posterior(space, path, 1.0),
+    loss_rows = space.loss_rows(sample_path(model, 200, seed=5).symbols)
+    rows = sweep_delay(model, space, loss_rows, gibbs_posterior(loss_rows, 1.0),
                        delta=0.1, d_grid=[1, 2, 4, 8], eta=0.3)
     assert [r["d"] for r in rows] == [1, 2, 4, 8]
     for r in rows:

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixgame import (HypothesisSpace, build_markov, empirical_losses, erm,
-                     limit_test_losses, sample_path)
+from mixgame import (HypothesisSpace, build_markov, erm, limit_test_losses,
+                     sample_path)
 from mixgame.cli import main
 
 
@@ -134,9 +134,9 @@ def test_sweep_delay_honours_learner_kind(tmp_path):
     # erm's gap is the gap of the ERM Dirac on the master seed's path
     model = build_markov(doc["process"]["transition"])
     space = HypothesisSpace(np.array(doc["loss"]["losses"]))
-    path = sample_path(model, 200, seed=3)
-    gap = erm(space, path).probs @ (limit_test_losses(space, model)[0]
-                                    - empirical_losses(space, path))
+    loss_rows = space.loss_rows(sample_path(model, 200, seed=3).symbols)
+    gap = erm(loss_rows).probs @ (limit_test_losses(space, model)[0]
+                                  - loss_rows.mean(axis=0))
     for row in rows["erm"][1:]:
         assert float(row[5]) == pytest.approx(gap, abs=1e-12)
 
@@ -343,6 +343,18 @@ def test_an_overflowing_learner_exits_3_naming_the_round(tmp_path, capsys,
     assert main(["simulate", "--config", write_config(tmp_path, doc),
                  "--out", str(tmp_path / "o")]) == 3
     assert "non-simplex play at round" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "coverage", "sweep-delay",
+                                     "dynamic"])
+def test_an_overflowing_beta_exits_2_naming_its_field(tmp_path, capsys, command):
+    # beta * n overflows, so every Gibbs log-weight is -inf
+    doc = static_config()
+    doc["loss"] = {"losses": [[0.1, 1.0], [1.0, 0.1]]}
+    doc["learner"] = {"kind": "gibbs", "beta": 1e308}
+    assert main([command, "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "config field 'learner.beta'" in capsys.readouterr().err
 
 
 def test_exit_code_3_on_model_failure(tmp_path):

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixgame import (PosteriorDist, ValidationError, make_learner, play_costs,
-                     sample_path)
+from mixgame import (HypothesisSpace, PosteriorDist, ValidationError,
+                     limit_test_losses, make_learner, play_costs, sample_path)
 from mixgame.experiments import (config_from_dict, coverage_experiment,
                                  delay_sweep, delayed_ewa_posteriors,
-                                 mixing_table, resolve_delay, run_experiment)
+                                 mixing_table, replicate, resolve_delay,
+                                 run_experiment)
 
 
 def base_config(**overrides):
@@ -73,32 +74,54 @@ def test_coverage_modes_agree_between_fast_and_generic_paths():
     doc = base_config()
     doc["experiment"]["replicates"] = 3
     cfg = config_from_dict(doc)
-    fast = coverage_experiment(cfg, mode="gen")
+    fast, _ = coverage_experiment(cfg, mode="gen")
     slow_doc = base_config(online={"algorithm": "ftrl-entropy", "eta": 0.3,
                                    "delay": 2})
     slow_doc["experiment"]["replicates"] = 3
-    slow = coverage_experiment(config_from_dict(slow_doc), mode="gen")
+    slow, _ = coverage_experiment(config_from_dict(slow_doc), mode="gen")
     # ftrl-entropy is the same algorithm run through the generic loop
-    np.testing.assert_allclose(fast.values, slow.values, atol=1e-9)
-    np.testing.assert_allclose(fast.bound_values, slow.bound_values, atol=1e-9)
+    _, fast_values, fast_bounds, _ = zip(*fast)
+    _, slow_values, slow_bounds, _ = zip(*slow)
+    np.testing.assert_allclose(fast_values, slow_values, atol=1e-9)
+    np.testing.assert_allclose(fast_bounds, slow_bounds, atol=1e-9)
 
 
 def test_coverage_result_bookkeeping():
     cfg = config_from_dict(base_config())
-    res = coverage_experiment(cfg, mode="mn")
-    assert res.replicates == 4
-    assert res.violation_rate == pytest.approx(res.violated.mean())
-    np.testing.assert_array_equal(res.violated,
-                                  res.values > res.bound_values)
+    rows, summary = coverage_experiment(cfg, mode="mn")
+    assert summary["replicates"] == 4
+    _, values, bounds, violated = map(np.array, zip(*rows))
+    assert summary["violation_rate"] == pytest.approx(violated.mean())
+    np.testing.assert_array_equal(violated, values > bounds)
     with pytest.raises(ValidationError):
         coverage_experiment(cfg, mode="nope")
+
+
+@pytest.mark.parametrize("algorithm", ["ewa", "ftrl-entropy", "ftrl-sqnorm"])
+def test_each_path_builds_its_loss_rows_once(monkeypatch, algorithm):
+    # the comparator reads the game's rows, and the sweep passes its rows on
+    doc = base_config(online={"algorithm": algorithm, "eta": 0.3, "delay": 2})
+    doc["experiment"]["d_grid"] = [1, 2, 4]
+    cfg = config_from_dict(doc)
+    limit = limit_test_losses(cfg.loss, cfg.model)[0]
+    calls = []
+    loss_rows = HypothesisSpace.loss_rows
+
+    def counted(self, symbols):
+        calls.append(len(symbols))
+        return loss_rows(self, symbols)
+    monkeypatch.setattr(HypothesisSpace, "loss_rows", counted)
+    replicate(cfg, 5, limit)
+    assert calls == [cfg.n]
+    delay_sweep(cfg)
+    assert calls == [cfg.n, cfg.n]
 
 
 def test_single_replicate_has_no_stderr():
     doc = base_config()
     doc["experiment"]["replicates"] = 1
-    res = coverage_experiment(config_from_dict(doc), mode="mn")
-    assert res.stderr is None
+    _, summary = coverage_experiment(config_from_dict(doc), mode="mn")
+    assert summary["stderr"] == "undefined"
 
 
 def test_mixing_table_contents():

@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 
 from mixgame import (DiscountedLoss, HypothesisSpace, PosteriorDist,
-                     ValidationError, build_markov, empirical_losses, erm,
+                     ValidationError, build_markov, erm,
                      gibbs_posterior, kl_divergence, limit_test_losses,
                      loss_from_json, sample_path, two_state_chain)
-from mixgame.process import SamplePath
 
 from conftest import build_iid, random_chain, random_space
 
 
-def _path(symbols):
-    return SamplePath(symbols=np.asarray(symbols))
+def _rows(space, symbols):
+    return space.loss_rows(np.asarray(symbols))
 
 
 def test_gibbs_matches_softmax_frozen():
@@ -19,7 +18,7 @@ def test_gibbs_matches_softmax_frozen():
     # beta * n: posterior is sigmoid(1) = (0.7311, 0.2689)
     model = two_state_chain(0.25, 0.25)
     space = HypothesisSpace(np.array([[0.0, 0.0], [1.0, 1.0]]))
-    post = gibbs_posterior(space, _path([0]), beta=1.0)
+    post = gibbs_posterior(_rows(space, [0]), beta=1.0)
     np.testing.assert_allclose(
         post.probs, [0.7310585786300049, 0.2689414213699951], atol=1e-12)
 
@@ -29,9 +28,10 @@ def test_gibbs_shift_invariance():
     model = random_chain(rng, 3)
     path = sample_path(model, 50, seed=9)
     base = rng.random((5, 3))
-    p1 = gibbs_posterior(HypothesisSpace(base), path, beta=2.0).probs
-    p2 = gibbs_posterior(HypothesisSpace(np.clip(base + 0.1, 0, 1)),
-                         path, beta=2.0).probs
+    p1 = gibbs_posterior(HypothesisSpace(base).loss_rows(path.symbols),
+                         beta=2.0).probs
+    p2 = gibbs_posterior(HypothesisSpace(np.clip(base + 0.1, 0, 1))
+                         .loss_rows(path.symbols), beta=2.0).probs
     np.testing.assert_allclose(p1, p2, atol=1e-12)
 
 
@@ -40,14 +40,15 @@ def test_gibbs_beta_zero_returns_prior():
     model = random_chain(rng)
     space = random_space(rng, 4, 2)
     prior = PosteriorDist.uniform(4)
-    post = gibbs_posterior(space, sample_path(model, 20, 0), beta=0.0)
+    post = gibbs_posterior(space.loss_rows(sample_path(model, 20, 0).symbols),
+                           beta=0.0)
     np.testing.assert_allclose(post.probs, prior.probs, atol=1e-12)
 
 
 def test_erm_is_dirac_at_lowest_index_minimizer():
     model = two_state_chain(0.25, 0.25)
     space = HypothesisSpace(np.array([[0.5, 0.5], [0.2, 0.2], [0.2, 0.2]]))
-    post = erm(space, _path([0, 1, 0]))
+    post = erm(_rows(space, [0, 1, 0]))
     np.testing.assert_allclose(post.probs, [0.0, 1.0, 0.0], atol=0)
 
 
@@ -80,7 +81,7 @@ def test_test_losses_against_stationary_average():
 def test_empirical_losses_are_path_averages():
     model = two_state_chain(0.25, 0.25)
     space = HypothesisSpace(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    emp = empirical_losses(space, _path([0, 0, 1, 0]))
+    emp = _rows(space, [0, 0, 1, 0]).mean(axis=0)
     np.testing.assert_allclose(emp, [0.25, 0.75], atol=1e-12)
 
 
@@ -93,7 +94,8 @@ def test_generalization_error_is_linear_in_posterior():
     q = rng.dirichlet(np.ones(4))
     lam = 0.3
     mix = lam * p + (1 - lam) * q
-    gap = limit_test_losses(space, model)[0] - empirical_losses(space, path)
+    gap = (limit_test_losses(space, model)[0]
+           - space.loss_rows(path.symbols).mean(axis=0))
     gp, gq, gm = (PosteriorDist.from_probs(r).probs @ gap for r in (p, q, mix))
     assert gm == pytest.approx(lam * gp + (1 - lam) * gq, abs=1e-12)
 
