@@ -22,9 +22,10 @@ print(f"auto-tuned delay for n={cfg.n}: d={cfg.delay}\n")
 
 for mode, label in (("mn", "martingale term M_n"),
                     ("gen", "generalization gap")):
-    # rows [replicate, value, bound, violated]: columns of run_experiment's rows
+    # row dicts {replicate, value, bound, violated}: columns of run_experiment's rows
     rows, summary = coverage_experiment(cfg, mode=mode)
-    _, values, bounds, violated = map(np.array, zip(*rows))
+    values, bounds, violated = (np.array([row[key] for row in rows])
+                                for key in ("value", "bound", "violated"))
     print(f"{label}:")
     print(f"  bound violated in {violated.sum()} of {summary['replicates']} "
           f"replicates (rate {summary['violation_rate']:.3f}, "

@@ -23,15 +23,15 @@ from .process import MixingProfile, ProcessModel, exact_phi
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One evaluated bound: its components, their sum, and a provenance tag."""
+    """One evaluated bound: a provenance tag, its components and their sum."""
 
+    tag: str
     n: int
     d: int
     delta: float
     regret_term: float
     phi_term: float
     deviation_term: float
-    tag: str
     total: float = field(init=False)
 
     def __post_init__(self):

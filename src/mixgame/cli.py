@@ -1,6 +1,6 @@
-"""Command-line experiment driver.
+"""Command-line experiment driver: one table of subcommands and their flags.
 
-Subcommands: simulate, coverage, sweep-delay, mixing, bounds, dynamic.
+Every table is a list of row dicts, written as CSV under the first row's keys.
 Exit codes: 0 success, 2 validation error, 3 runtime/consistency error.
 """
 
@@ -20,71 +20,54 @@ from .online import delayed_regret_bound
 from .process import DECAY_LAWS, MixingProfile
 from .reporting import svg_line_plot, write_csv, write_json
 
-REPORT_COLUMNS = ["tag", "n", "d", "delta", "regret_term", "phi_term",
-                  "deviation_term", "total"]
+
+def _read_json(path: str):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"config file {path!r}: {exc}") from None
+    return json.loads(text)
 
 
-def _load_config(args) -> dict:
-    doc = json.loads(Path(args.config).read_text())
-    if args.seed is not None:
-        doc.setdefault("experiment", {})["seed"] = args.seed
-    return doc
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _config(args) -> xp.ExperimentConfig:
+    """The experiment config, with ``--seed`` in place of the master seed."""
+    doc = _read_json(args.config)
+    if args.seed is not None and isinstance(doc, dict):
+        exp = doc.setdefault("experiment", {})
+        if isinstance(exp, dict):  # config_from_dict names a malformed section
+            exp["seed"] = args.seed
+    return xp.config_from_dict(doc)
 
 
 def cmd_simulate(args) -> None:
-    cfg = xp.config_from_dict(_load_config(args))
-    out = _out_dir(args)
-    result = xp.run_experiment(cfg)
-    write_csv(out / "summary.csv", result["header"], result["rows"])
-    reports = [r.to_dict() for r in result["reports"]]
-    if reports:
-        write_csv(out / "bound_reports.csv", REPORT_COLUMNS,
-                  [[r[k] for k in REPORT_COLUMNS] for r in reports])
-    if args.format == "json":
-        write_json(out / "summary.json",
-                   {"header": result["header"],
-                    "rows": [[float(v) if isinstance(v, float) else v for v in row]
-                             for row in result["rows"]],
-                    "reports": reports})
+    rows, reports = xp.run_experiment(_config(args))
+    reports = [r.to_dict() for r in reports]
+    write_csv(args.out / "summary.csv", rows)
+    write_csv(args.out / "bound_reports.csv", reports)
+    write_json(args.out / "summary.json",
+               {"header": list(rows[0]), "rows": [list(r.values()) for r in rows],
+                "reports": reports})
 
 
 def cmd_coverage(args) -> None:
-    cfg = xp.config_from_dict(_load_config(args))
-    out = _out_dir(args)
-    rows, summary = xp.coverage_experiment(cfg, mode=args.mode)
-    write_csv(out / "coverage.csv", ["replicate", "value", "bound", "violated"], rows)
-    write_json(out / "coverage_summary.json", summary)
+    rows, summary = xp.coverage_experiment(_config(args), mode=args.mode)
+    write_csv(args.out / "coverage.csv", rows)
+    write_json(args.out / "coverage_summary.json", summary)
 
 
 def cmd_sweep_delay(args) -> None:
-    cfg = xp.config_from_dict(_load_config(args))
-    out = _out_dir(args)
-    rows = xp.delay_sweep(cfg)
-    header = ["d", "phi_term", "deviation_term", "regret_term", "total_bound",
-              "empirical_gen"]
-    write_csv(out / "sweep.csv", header, [[r[k] for k in header] for r in rows])
-    svg_line_plot(out / "sweep.svg", [r["d"] for r in rows],
-                  {"total_bound": [r["total_bound"] for r in rows],
-                   "empirical_gen": [r["empirical_gen"] for r in rows]},
+    rows = xp.delay_sweep(_config(args))
+    write_csv(args.out / "sweep.csv", rows)
+    svg_line_plot(args.out / "sweep.svg", rows, "d", ["total_bound", "empirical_gen"],
                   title="delay trade-off")
-    if args.format == "json":
-        write_json(out / "sweep.json", rows)
+    write_json(args.out / "sweep.json", rows)
 
 
 def cmd_mixing(args) -> None:
-    cfg = xp.config_from_dict(_load_config(args))
-    out = _out_dir(args)
-    result = xp.mixing_table(cfg)
-    table = result["table"]
-    write_csv(out / "mixing.csv", ["d", "phi"],
-              [[d + 1, float(table[d])] for d in range(len(table))])
-    write_json(out / "mixing_fits.json",
+    result = xp.mixing_table(_config(args))
+    write_csv(args.out / "mixing.csv",
+              [{"d": d, "phi": float(phi)} for d, phi in enumerate(result["table"], 1)])
+    write_json(args.out / "mixing_fits.json",
                {"fits": result["fits"], "fit_skipped": result["fit_skipped"]})
 
 
@@ -105,7 +88,7 @@ TUNED_ROWS = {
 
 
 def cmd_bounds(args) -> None:
-    doc = json.loads(Path(args.config).read_text())
+    doc = _read_json(args.config)
     spec = doc.get("bounds") if isinstance(doc, dict) else None
     if not isinstance(spec, dict):
         raise ValidationError("config field 'bounds': missing section")
@@ -132,28 +115,21 @@ def cmd_bounds(args) -> None:
             reports.append(bd.tuned_bound(profile, n, delta, regret_at, prefix))
     if not reports:
         raise ValidationError("config field 'bounds': no evaluable bound found")
-    out = _out_dir(args)
-    dicts = [r.to_dict() for r in reports]
-    write_csv(out / "bounds.csv", REPORT_COLUMNS,
-              [[r[k] for k in REPORT_COLUMNS] for r in dicts])
-    if args.format == "json":
-        write_json(out / "bounds.json", dicts)
+    reports = [r.to_dict() for r in reports]
+    write_csv(args.out / "bounds.csv", reports)
+    write_json(args.out / "bounds.json", reports)
 
 
 def cmd_dynamic(args) -> None:
-    cfg = xp.config_from_dict(_load_config(args))
-    out = _out_dir(args)
+    cfg = _config(args)
     d_grid = cfg.d_grid or list(range(2, 21, 2))
-    rows = build_field("experiment.d_grid", dyn.composite_phi_check, cfg.model,
-                       cfg.loss, d_grid)
-    header = ["d", "d_half", "phi_dynamic", "phi_mirror", "forgetting_2B",
-              "block_beta", "rhs", "ok", "ok_mirror"]
-    write_csv(out / "dynamic_phi_check.csv", header,
-              [[r[k] for k in header] for r in rows])
+    write_csv(args.out / "dynamic_phi_check.csv",
+              build_field("experiment.d_grid", dyn.composite_phi_check, cfg.model,
+                          cfg.loss, d_grid))
     # one seeded game replicate as a smoke summary
     parts = xp.replicate(cfg, cfg.seed,
                          dyn.limit_test_losses(cfg.loss, cfg.model)[0])[-1]
-    write_json(out / "dynamic_game.json",
+    write_json(args.out / "dynamic_game.json",
                {k: parts[k] for k in ("gen", "regret_over_n", "martingale")})
 
 
@@ -162,23 +138,23 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mixgame",
         description="Delayed-game generalization experiments on finite mixing chains")
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "simulate": cmd_simulate,
-        "coverage": cmd_coverage,
-        "sweep-delay": cmd_sweep_delay,
-        "mixing": cmd_mixing,
-        "bounds": cmd_bounds,
-        "dynamic": cmd_dynamic,
+    common = {"--config": {"required": True, "help": "path to the JSON config"},
+              "--out": {"type": Path, "default": "out", "help": "output directory"}}
+    # every subcommand but bounds reads an experiment config, and its seed
+    seeded = {**common, "--seed": {"type": int, "help": "override the master seed"}}
+    mode = {"--mode": {"choices": ["mn", "gen"], "default": "mn"}}
+    commands = {  # subcommand -> (handler, the flags it reads)
+        "simulate": (cmd_simulate, seeded),
+        "coverage": (cmd_coverage, {**seeded, **mode}),
+        "sweep-delay": (cmd_sweep_delay, seeded),
+        "mixing": (cmd_mixing, seeded),
+        "bounds": (cmd_bounds, common),
+        "dynamic": (cmd_dynamic, seeded),
     }
-    for name, func in specs.items():
+    for name, (func, flags) in commands.items():
         p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="path to the JSON config")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config master seed")
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
-        if name == "coverage":
-            p.add_argument("--mode", choices=["mn", "gen"], default="mn")
+        for flag, options in flags.items():
+            p.add_argument(flag, **options)
         p.set_defaults(func=func)
     return parser
 

@@ -182,8 +182,9 @@ def experiment_phi(cfg: ExperimentConfig) -> float:
     return phi
 
 
-def run_experiment(cfg: ExperimentConfig) -> dict:
-    """Run all replicates; return the summary rows and bound reports."""
+def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list]:
+    """Run all replicates; return one summary row dict per replicate and the
+    bound reports of replicate 0."""
     phi = experiment_phi(cfg)
     mn_bound = phi + bd.deviation_term(cfg.delay, cfg.n, cfg.delta)
     limit = dyn.limit_test_losses(cfg.loss, cfg.model)[0]
@@ -192,9 +193,12 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         seed = replicate_seed(cfg.seed, k)
         comparator, trace, parts = replicate(cfg, seed, limit)
         gen_bound = parts["regret_over_n"] + mn_bound
-        rows.append([k, seed, parts["gen"], parts["regret_over_n"],
-                     parts["martingale"], phi, mn_bound, gen_bound,
-                     parts["martingale"] > mn_bound, parts["gen"] > gen_bound])
+        rows.append({"replicate": k, "seed": seed, "gen": parts["gen"],
+                     "regret_over_n": parts["regret_over_n"],
+                     "martingale": parts["martingale"], "phi_d": phi,
+                     "mn_bound": mn_bound, "gen_bound": gen_bound,
+                     "violated_mn": parts["martingale"] > mn_bound,
+                     "violated_gen": parts["gen"] > gen_bound})
         if k == 0:
             reports.append(bd.delay_bound(realized_regret(trace, comparator), phi,
                                           cfg.delay, cfg.n, cfg.delta,
@@ -203,9 +207,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             apriori = delayed_regret_bound(kl, cfg.eta, cfg.delay, cfg.n)
             reports.append(bd.delay_bound(apriori, phi, cfg.delay, cfg.n,
                                           cfg.delta, tag="delay-apriori"))
-    header = ["replicate", "seed", "gen", "regret_over_n", "martingale",
-              "phi_d", "mn_bound", "gen_bound", "violated_mn", "violated_gen"]
-    return {"header": header, "rows": rows, "reports": reports}
+    return rows, reports
 
 
 # coverage mode -> run_experiment columns: the bounded value, its bound, the flag
@@ -218,16 +220,15 @@ def coverage_experiment(cfg: ExperimentConfig, mode: str = "mn") -> tuple[list, 
 
     A column view of ``run_experiment``'s replicate rows: M_n against
     mn_bound = phi_d + deviation, or Gen against gen_bound = regret/n + mn_bound.
-    Returns rows [replicate, value, bound, violated] and a summary whose
+    Returns row dicts {replicate, value, bound, violated} and a summary whose
     stderr is "undefined" for a single replicate.
     """
     if mode not in COVERAGE_COLUMNS:
         raise ValidationError("coverage mode must be 'mn' or 'gen'")
-    result = run_experiment(cfg)
-    picks = [result["header"].index(c)
-             for c in ("replicate", *COVERAGE_COLUMNS[mode])]
-    rows = [[row[i] for i in picks] for row in result["rows"]]
-    rate = sum(bool(row[-1]) for row in rows) / cfg.replicates
+    value, bound, violated = COVERAGE_COLUMNS[mode]
+    rows = [{"replicate": r["replicate"], "value": r[value], "bound": r[bound],
+             "violated": r[violated]} for r in run_experiment(cfg)[0]]
+    rate = sum(bool(row["violated"]) for row in rows) / cfg.replicates
     stderr = "undefined"
     if cfg.replicates > 1:
         stderr = math.sqrt(rate * (1.0 - rate) / cfg.replicates)

@@ -1,5 +1,6 @@
 """CSV, JSON, and SVG output helpers.
 
+A table is a list of row dicts; its CSV header is the first row's keys.
 All numeric CSV fields are written with 17 significant digits so that
 re-running an experiment with the same seed produces byte-identical files.
 """
@@ -22,11 +23,12 @@ def fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path, header, rows) -> None:
+def write_csv(path, rows: list[dict]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    header = list(rows[0])
     lines = [",".join(header)]
-    lines += [",".join(fmt(v) for v in row) for row in rows]
+    lines += [",".join(fmt(row[k]) for k in header) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -36,9 +38,10 @@ def write_json(path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def svg_line_plot(path, x, series: dict, title: str = "") -> None:
-    """Self-contained SVG with one polyline per series and a plain frame."""
-    x = list(map(float, x))
+def svg_line_plot(path, rows, x_key: str, y_keys: list, title: str = "") -> None:
+    """Self-contained SVG of columns ``y_keys`` of the rows against ``x_key``."""
+    x = [float(row[x_key]) for row in rows]
+    series = {key: [row[key] for row in rows] for key in y_keys}
     width, height, margin = _SVG_WIDTH, _SVG_HEIGHT, _SVG_MARGIN
     all_y = [float(v) for ys in series.values() for v in ys]
     x_lo, x_hi = min(x), max(x)

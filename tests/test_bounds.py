@@ -122,8 +122,7 @@ def test_bounds_command_clamped_geometric_row(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"bounds": {"n": 50, "delta": 0.9, "C": 2.0,
                                           "tau": 60.0}}))
-    assert main(["bounds", "--config", str(cfg), "--out", str(tmp_path),
-                 "--format", "json"]) == 0
+    assert main(["bounds", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     # tau ln n = 235 > n = 50 clamps d to n, where C/n = 0.04 no longer
     # bounds C e^{-d/tau}: the row must dominate the bound at its own delay
     [row] = json.loads((tmp_path / "bounds.json").read_text())
@@ -145,8 +144,7 @@ def test_bounds_command_overflowing_delay_is_clamped_to_n(tmp_path, spec,
     # rounding up puts the row at d = n instead of an OverflowError
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"bounds": {"n": 1000, "delta": 0.05, **spec}}))
-    assert main(["bounds", "--config", str(cfg), "--out", str(tmp_path),
-                 "--format", "json"]) == 0
+    assert main(["bounds", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     [row] = json.loads((tmp_path / "bounds.json").read_text())
     assert row["d"] == 1000
     assert row == delay_bound(0.0, profile.phi(1000), 1000, 1000, 0.05,

@@ -50,8 +50,7 @@ def test_simulate_writes_summary(tmp_path):
 def test_simulate_json_format(tmp_path):
     cfg = write_config(tmp_path, static_config())
     out = tmp_path / "out"
-    assert main(["simulate", "--config", cfg, "--out", str(out),
-                 "--format", "json"]) == 0
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
     doc = json.loads((out / "summary.json").read_text())
     assert len(doc["rows"]) == 2
 
@@ -268,6 +267,55 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
         assert main([command, "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 2
         assert f"config field {field!r}" in capsys.readouterr().err
+    # --seed names a malformed root or experiment section as the config does
+    for i, (doc, field) in enumerate([([], "<root>"),
+                                      (dict(static_config(), experiment=5),
+                                       "experiment")]):
+        cfg = write_config(tmp_path, doc, f"seeded-{i}.json")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--seed", "1"]) == 2
+        assert f"config field {field!r}" in capsys.readouterr().err
+
+
+# subcommand -> the files it writes into --out
+OUTPUT_FILES = {
+    "simulate": ["bound_reports.csv", "summary.csv", "summary.json"],
+    "coverage": ["coverage.csv", "coverage_summary.json"],
+    "sweep-delay": ["sweep.csv", "sweep.json", "sweep.svg"],
+    "mixing": ["mixing.csv", "mixing_fits.json"],
+    "bounds": ["bounds.csv", "bounds.json"],
+    "dynamic": ["dynamic_game.json", "dynamic_phi_check.csv"],
+}
+
+
+@pytest.mark.parametrize("command, files", OUTPUT_FILES.items())
+def test_each_subcommand_writes_its_file_set_and_reads_only_its_flags(
+        tmp_path, capsys, command, files):
+    doc = static_config(d_grid=[2, 4])
+    doc["bounds"] = {"n": 1000, "delta": 0.05, "tau": 2.0}
+    argv = [command, "--config", write_config(tmp_path, doc)]
+    argv += ["--mode", "gen"] if command == "coverage" else []
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == files
+    bad_flags = [["--format", "json"]]  # no subcommand takes it
+    if command == "bounds":  # it reads no experiment section, so no seed
+        bad_flags.append(["--seed", "1"])
+    for flags in bad_flags:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "bad")] + flags)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("command", OUTPUT_FILES)
+def test_a_config_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys,
+                                                            command):
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(b"\xff\xfe")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"config file {str(cfg)!r}" in capsys.readouterr().err
 
 
 X = [[0.0, 1.0], [1.0, 0.0]]

@@ -61,12 +61,12 @@ def test_closed_form_wrapped_ewa_matches_game_loop():
 
 def test_run_experiment_rows_reproduce_decomposition():
     cfg = config_from_dict(base_config())
-    result = run_experiment(cfg)
-    assert len(result["rows"]) == cfg.replicates
-    for row in result["rows"]:
-        gen, regret_over_n, mn = row[2], row[3], row[4]
+    rows, reports = run_experiment(cfg)
+    assert len(rows) == cfg.replicates
+    for row in rows:
+        gen, regret_over_n, mn = row["gen"], row["regret_over_n"], row["martingale"]
         assert abs(gen - regret_over_n - mn) < 1e-10
-    tags = [r.tag for r in result["reports"]]
+    tags = [r.tag for r in reports]
     assert "delay-realized" in tags
 
 
@@ -80,17 +80,17 @@ def test_coverage_modes_agree_between_fast_and_generic_paths():
     slow_doc["experiment"]["replicates"] = 3
     slow, _ = coverage_experiment(config_from_dict(slow_doc), mode="gen")
     # ftrl-entropy is the same algorithm run through the generic loop
-    _, fast_values, fast_bounds, _ = zip(*fast)
-    _, slow_values, slow_bounds, _ = zip(*slow)
-    np.testing.assert_allclose(fast_values, slow_values, atol=1e-9)
-    np.testing.assert_allclose(fast_bounds, slow_bounds, atol=1e-9)
+    for key in ("value", "bound"):
+        np.testing.assert_allclose([r[key] for r in fast], [r[key] for r in slow],
+                                   atol=1e-9)
 
 
 def test_coverage_result_bookkeeping():
     cfg = config_from_dict(base_config())
     rows, summary = coverage_experiment(cfg, mode="mn")
     assert summary["replicates"] == 4
-    _, values, bounds, violated = map(np.array, zip(*rows))
+    values, bounds, violated = (np.array([r[key] for r in rows])
+                                for key in ("value", "bound", "violated"))
     assert summary["violation_rate"] == pytest.approx(violated.mean())
     np.testing.assert_array_equal(violated, values > bounds)
     with pytest.raises(ValidationError):
