@@ -15,7 +15,7 @@ from pathlib import Path
 from . import bounds as bd
 from . import dynamic as dyn
 from . import experiments as xp
-from .errors import MixgameError, ValidationError, build_field, config_value
+from .errors import ConfigSection, MixgameError, ValidationError, _require, build_field
 from .online import delayed_regret_bound
 from .process import DECAY_LAWS, MixingProfile
 from .reporting import svg_line_plot, write_csv, write_json
@@ -23,20 +23,14 @@ from .reporting import svg_line_plot, write_csv, write_json
 
 def _read_json(path: str):
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"config file {path!r}: {exc}") from None
-    return json.loads(text)
 
 
 def _config(args) -> xp.ExperimentConfig:
     """The experiment config, with ``--seed`` in place of the master seed."""
-    doc = _read_json(args.config)
-    if args.seed is not None and isinstance(doc, dict):
-        exp = doc.setdefault("experiment", {})
-        if isinstance(exp, dict):  # config_from_dict names a malformed section
-            exp["seed"] = args.seed
-    return xp.config_from_dict(doc)
+    return xp.config_from_dict(_read_json(args.config), seed=args.seed)
 
 
 def cmd_simulate(args) -> None:
@@ -72,49 +66,36 @@ def cmd_mixing(args) -> None:
 
 
 # `mixgame bounds` tuned rows: MixingProfile kind -> {regret key -> (tag
-# prefix, regret at d)}; with no regret key present, the plain regret.
+# prefix, regret at d from the bounds fields)}; with no regret key, the plain regret.
 TUNED_ROWS = {
     "geometric": {
-        "kl": ("ewa-", lambda field, n: functools.partial(
-            delayed_regret_bound, field("kl", low=0),
-            field("eta", low=0, strict=True), n=n)),
-        "h_gap": ("ftrl-", lambda field, n: functools.partial(
-            delayed_regret_bound, field("h_gap", low=0),
-            field("eta", low=0, strict=True), n=n,
-            alpha=field("alpha", default=1.0, low=0, strict=True),
-            B=field("B", default=1.0, low=0))),
+        "kl": ("ewa-", lambda spec: functools.partial(
+            delayed_regret_bound, spec["kl"], spec["eta"], n=spec["n"])),
+        "h_gap": ("ftrl-", lambda spec: functools.partial(
+            delayed_regret_bound, spec["h_gap"], spec["eta"], n=spec["n"],
+            alpha=spec["alpha"], B=spec["B"])),
     },
 }
 
 
 def cmd_bounds(args) -> None:
     doc = _read_json(args.config)
-    spec = doc.get("bounds") if isinstance(doc, dict) else None
-    if not isinstance(spec, dict):
-        raise ValidationError("config field 'bounds': missing section")
-
-    def field(key, kind=float, default=None, **limits):
-        return config_value(spec.get(key, default), f"bounds.{key}", kind, **limits)
-
-    n = field("n", int, low=1)
-    delta = field("delta", low=0, high=1, strict=True)
-    regret = field("regret", default=0.0)
-    C = field("C", default=1.0, low=0, strict=True)
+    spec = ConfigSection(doc.get("bounds", {}) if isinstance(doc, dict) else None,
+                         "bounds")
+    n, delta, regret = spec["n"], spec["delta"], spec["regret"]
     reports = []
     if "phi_d" in spec:
-        reports.append(bd.delay_bound(regret, field("phi_d", low=0),
-                                      field("d", int, low=1, high=n), n, delta))
+        _require(spec["d"] <= n, "bounds.d", f"must lie in [1, {n}]")
+        reports.append(bd.delay_bound(regret, spec["phi_d"], spec["d"], n, delta))
     for kind, law in DECAY_LAWS.items():
         if law.rate not in spec:
             continue
-        profile = MixingProfile(kind, C=C,
-                                **{law.rate: field(law.rate, low=0, strict=True)})
-        rows = [(prefix, make(field, n)) for key, (prefix, make)
+        profile = MixingProfile(kind, C=spec["C"], **{law.rate: spec[law.rate]})
+        rows = [(prefix, make(spec)) for key, (prefix, make)
                 in TUNED_ROWS.get(kind, {}).items() if key in spec]
         for prefix, regret_at in rows or [("", lambda d: regret)]:
             reports.append(bd.tuned_bound(profile, n, delta, regret_at, prefix))
-    if not reports:
-        raise ValidationError("config field 'bounds': no evaluable bound found")
+    _require(reports, "bounds", "no evaluable bound found")
     reports = [r.to_dict() for r in reports]
     write_csv(args.out / "bounds.csv", reports)
     write_json(args.out / "bounds.json", reports)
@@ -163,7 +144,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (ValidationError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValidationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (MixgameError, OSError) as exc:

@@ -19,12 +19,11 @@ come from the loss itself, and phi_d is checked against the composite
 from __future__ import annotations
 
 import functools
-import json
 import math
 
 import numpy as np
 
-from .errors import ValidationError, _require, build_field, config_value
+from .errors import ConfigSection, ValidationError, build_field
 from .game import GameTrace, play_costs
 from .learner import _ENUM_CAP, HypothesisSpace, _BlockLoss
 from .process import (ProcessModel, SamplePath, _walk_chain, exact_phi,
@@ -82,30 +81,21 @@ def _memory_table(m: int, table) -> HypothesisSpace:
     return loss
 
 
-# "kind" -> (builder, its fields in argument order, the table last); a loss
-# with no kind is a static {"losses": ...} table, the memory-1 case
+# loss.kind -> (builder, its loss.* field keys in argument order, the table
+# last: the builder's error names it, as the reader checked every scalar); a
+# loss with no kind is a static {"losses": ...} table, the memory-1 case
 LOSS_SCHEMAS = {
-    None: (functools.partial(_memory_table, 1), {"losses": list}),
-    "memory-table": (_memory_table, {"m": int, "table": list}),
-    "discounted": (DiscountedLoss, {"gamma": float, "scale": float, "g_table": list}),
+    None: (functools.partial(_memory_table, 1), ("losses",)),
+    "memory-table": (_memory_table, ("m", "table")),
+    "discounted": (DiscountedLoss, ("gamma", "scale", "g_table")),
 }
-_FIELD_RANGES = {"m": {"low": 1}, "gamma": {"low": 0, "high": 1, "strict": True},
-                 "scale": {"low": 0, "strict": True}}
 
 
-def loss_from_json(doc: str | dict):
-    """Load a loss from its ``LOSS_SCHEMAS`` entry; config_value reads each field."""
-    if isinstance(doc, str):
-        doc = json.loads(doc)
-    kind = doc.get("kind")
-    _require((kind is None or isinstance(kind, str)) and kind in LOSS_SCHEMAS,
-             "loss.kind", f"unknown loss kind {kind!r}")
-    build, fields = LOSS_SCHEMAS[kind]
-    args = [config_value(doc.get(key), f"loss.{key}", as_kind,
-                         **_FIELD_RANGES.get(key, {}))
-            for key, as_kind in fields.items()]
-    *_, table_key = fields  # the scalars passed their ranges; name the table
-    return build_field(f"loss.{table_key}", build, *args)
+def loss_from_json(doc: dict):
+    """Build a loss from its ``LOSS_SCHEMAS`` entry and its read fields."""
+    fields = ConfigSection(doc, "loss")
+    build, keys = LOSS_SCHEMAS[fields.get("kind")]
+    return build_field(f"loss.{keys[-1]}", build, *(fields[key] for key in keys))
 
 
 def limit_test_losses(dl, model: ProcessModel, horizon: int | None = None,

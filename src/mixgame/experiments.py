@@ -13,14 +13,15 @@ derivation, so runs are reproducible end to end and replicates independent.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import bounds as bd
 from . import dynamic as dyn
-from .errors import ValidationError, _require, build_field, config_value
+from .errors import ConfigSection, ValidationError, _require, build_field
 from .game import GameTrace, decompose, realized_regret
 from .learner import PosteriorDist, erm, gibbs_posterior, kl_divergence
 from .online import delayed_regret_bound, make_learner
@@ -32,7 +33,7 @@ from .process import (DECAY_LAWS, ProcessModel, fit_mixing_profile,
 class ExperimentConfig:
     model: ProcessModel
     loss: object                         # dyn.LOSS_SCHEMAS: a table or discounted loss
-    learner_kind: str                    # "gibbs" | "erm"
+    kind: str                            # learner.kind: "gibbs" | "erm"
     beta: float
     algorithm: str                       # "ewa" | "ftrl-entropy" | "ftrl-sqnorm"
     eta: float
@@ -41,61 +42,24 @@ class ExperimentConfig:
     replicates: int
     delta: float
     seed: int
-    d_grid: list = field(default_factory=list)
-    d_max: int = 30
+    d_grid: list
+    d_max: int
 
 
-def config_from_dict(doc: dict) -> ExperimentConfig:
-    """Parse and validate the experiment JSON document."""
+def config_from_dict(doc: dict, seed: int | None = None) -> ExperimentConfig:
+    """Parse and validate the experiment JSON document; a ``seed`` replaces its own."""
     _require(isinstance(doc, dict), "<root>", "must be a JSON object")
-    for section in ("process", "loss", "experiment"):
-        _require(isinstance(doc.get(section), dict), section,
-                 "missing, or not a JSON object")
-    model = model_from_json(doc["process"])
-    loss = dyn.loss_from_json(doc["loss"])
+    model = model_from_json(doc.get("process", {}))
+    loss = dyn.loss_from_json(doc.get("loss", {}))
     _require(loss.alphabet == model.n_states, "loss",
              "loss alphabet must match the number of states")
-
-    learner_doc = doc.get("learner", {"kind": "gibbs", "beta": 1.0})
-    _require(isinstance(learner_doc, dict), "learner", "must be a JSON object")
-    kind = learner_doc.get("kind", "gibbs")
-    _require(kind in ("gibbs", "erm"), "learner.kind", "must be 'gibbs' or 'erm'")
-    beta = config_value(learner_doc.get("beta", 1.0), "learner.beta", float, low=0)
-
-    online_doc = doc.get("online", {})
-    _require(isinstance(online_doc, dict), "online", "must be a JSON object")
-    algorithm = online_doc.get("algorithm", "ewa")
-    _require(algorithm in ("ewa", "ftrl-entropy", "ftrl-sqnorm"),
-             "online.algorithm", "unknown algorithm")
-    eta = config_value(online_doc.get("eta", 0.1), "online.eta", float, low=0,
-                       strict=True)
-    delay_spec = online_doc.get("delay", 1)
-    auto_delays = [f"auto-{kind}" for kind in DECAY_LAWS]  # fit a law, tune to it
-    _require((isinstance(delay_spec, int) and not isinstance(delay_spec, bool))
-             or delay_spec in auto_delays,
-             "online.delay", "must be an integer or " + "/".join(auto_delays))
-
-    exp = doc["experiment"]
-    n = config_value(exp.get("n"), "experiment.n", int, low=1)
-    replicates = config_value(exp.get("replicates", 1), "experiment.replicates",
-                              int, low=1)
-    delta = config_value(exp.get("delta", 0.05), "experiment.delta", float,
-                         low=0, high=1, strict=True)
-    # read modulo 2**64, as replicate seeds are, so a negative seed is valid
-    # wherever the master seed reaches a generator
-    seed = config_value(exp.get("seed", 0), "experiment.seed", int,
-                        high=math.inf) % 2**64
-    grid = exp.get("d_grid", [])
-    _require(isinstance(grid, list), "experiment.d_grid", "must be a list of delays")
-    d_grid = [config_value(v, f"experiment.d_grid[{i}]", int, low=1)
-              for i, v in enumerate(grid)]
-    d_max = config_value(exp.get("d_max", 30), "experiment.d_max", int, low=1)
-
-    delay = resolve_delay(delay_spec, model, loss, n, d_max)
-    return ExperimentConfig(model=model, loss=loss, learner_kind=kind, beta=beta,
-                            algorithm=algorithm, eta=eta, delay=delay, n=n,
-                            replicates=replicates, delta=delta, seed=seed,
-                            d_grid=d_grid, d_max=d_max)
+    learner = ConfigSection(doc.get("learner", {}), "learner")
+    online = ConfigSection(doc.get("online", {}), "online")
+    exp = ConfigSection(doc.get("experiment", {}), "experiment", seed=seed)
+    online["delay"] = resolve_delay(online["delay"], model, loss, exp["n"],
+                                    exp["d_max"])
+    exp["seed"] %= 2**64  # as replicate seeds are, so a negative seed is valid
+    return ExperimentConfig(model, loss, **learner, **online, **exp)
 
 
 def static_table(loss, name: str, message: str) -> np.ndarray:
@@ -129,7 +93,7 @@ def resolve_delay(delay_spec, model: ProcessModel, loss, n: int, d_max: int) -> 
 def statistical_posterior(cfg: ExperimentConfig,
                           loss_rows: np.ndarray) -> PosteriorDist:
     """The configured learner's posterior, from the mean of the (n, W) loss rows."""
-    if cfg.learner_kind == "erm":
+    if cfg.kind == "erm":
         return erm(loss_rows)
     return build_field("learner.beta", gibbs_posterior, loss_rows, cfg.beta)
 
@@ -150,7 +114,7 @@ def delayed_ewa_posteriors(costs: np.ndarray, prior_log: np.ndarray, eta: float,
             S[i + d::d] = np.cumsum(cls[:-1], axis=0)
     with np.errstate(over="ignore", invalid="ignore"):  # GameTrace names a spoiled play
         lw = prior_log[None, :] - eta * S
-        lw -= lw.max(axis=1, keepdims=True)
+        lw -= functools.reduce(np.maximum, lw.T)[:, None]  # fast on few columns
         p = np.exp(lw)
         return p / p.sum(axis=1, keepdims=True)
 

@@ -17,7 +17,6 @@ the geometric delay tau * ln n guarantees C e^{-d/tau} <= C/n.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -26,8 +25,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import (INT_CEILING, ConsistencyError, ModelError, SizeError,
-                     ValidationError, build_field, config_value)
+from .errors import (INT_CEILING, ConfigSection, ConsistencyError, ModelError,
+                     SizeError, ValidationError, build_field)
 
 _ROW_SUM_TOL = 1e-9
 _STATIONARY_TOL = 1e-12
@@ -310,9 +309,7 @@ def fit_mixing_profile(phi_values, kind: str) -> MixingProfile:
                          **{law.rate: float(law.rate_from_slope(slope))})
 
 
-def model_from_json(doc: str | dict) -> ProcessModel:
+def model_from_json(doc: dict) -> ProcessModel:
     """Load a model from the schema {"transition": [[...]]}; other keys are ignored."""
-    if isinstance(doc, str):
-        doc = json.loads(doc)
-    transition = config_value(doc.get("transition"), "process.transition", list)
+    transition = ConfigSection(doc, "process")["transition"]
     return build_field("process.transition", build_markov, transition)

@@ -9,8 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixgame import (GameTrace, HypothesisSpace, PosteriorDist, SamplePath,
-                     config_from_dict, two_state_chain)
+from mixgame import (DECAY_LAWS, GameTrace, HypothesisSpace, PosteriorDist,
+                     SamplePath, config_from_dict, two_state_chain)
+from mixgame.dynamic import LOSS_SCHEMAS
+from mixgame.errors import CONFIG_FIELDS
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "mixgame"
@@ -51,6 +53,23 @@ def test_readme_quick_start_runs():
         exec(compile(code, "README.md", "exec"), {})
     gen, _, bound = out.getvalue().split()
     assert float(gen) <= float(bound)
+
+
+def test_readme_config_table_lists_every_config_field():
+    section = (ROOT / "README.md").read_text().split("## Config fields", 1)[1]
+    table = section.split("\n## ", 1)[0]
+    assert re.findall(r"^\| `([\w.]+)` \|", table, re.M) == list(CONFIG_FIELDS)
+
+
+def test_config_choices_match_the_tables_they_select_from():
+    kind, _, _ = CONFIG_FIELDS["online.delay"]
+    assert kind == (int, *(f"auto-{law}" for law in DECAY_LAWS))
+    kinds, _, _ = CONFIG_FIELDS["loss.kind"]
+    assert set(kinds) == set(LOSS_SCHEMAS)
+    loss_keys = {key for _, keys in LOSS_SCHEMAS.values() for key in keys}
+    assert {f"loss.{key}" for key in {"kind", *loss_keys}} == {
+        path for path in CONFIG_FIELDS if path.startswith("loss.")}
+    assert {f"bounds.{law.rate}" for law in DECAY_LAWS.values()} <= set(CONFIG_FIELDS)
 
 
 def _config():

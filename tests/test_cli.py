@@ -227,6 +227,7 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["simulate", "--config", str(bad),
                  "--out", str(tmp_path / "o")]) == 2
+    assert f"config file {str(bad)!r}" in capsys.readouterr().err
     doc = static_config()
     doc["experiment"]["n"] = 0
     cfg = write_config(tmp_path, doc, "invalid.json")

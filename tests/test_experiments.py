@@ -1,4 +1,9 @@
+import contextlib
 import copy
+import io
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +12,7 @@ from hypothesis import strategies as st
 
 from mixgame import (HypothesisSpace, PosteriorDist, ValidationError,
                      limit_test_losses, make_learner, play_costs, sample_path)
+from mixgame.cli import main
 from mixgame.experiments import (config_from_dict, coverage_experiment,
                                  delay_sweep, delayed_ewa_posteriors,
                                  mixing_table, replicate, resolve_delay,
@@ -29,7 +35,10 @@ def base_config(**overrides):
 
 def test_config_parsing_and_validation():
     cfg = config_from_dict(base_config())
-    assert cfg.delay == 2 and cfg.n == 60 and cfg.learner_kind == "gibbs"
+    assert cfg.delay == 2 and cfg.n == 60 and cfg.kind == "gibbs"
+    # an int field reads a whole float, online.delay as every other
+    cfg = config_from_dict(base_config(online={"delay": 2.0}))
+    assert cfg.delay == 2 and type(cfg.delay) is int
     with pytest.raises(ValidationError, match="experiment.n"):
         config_from_dict(base_config(experiment={"n": 0}))
     with pytest.raises(ValidationError, match="online.algorithm"):
@@ -157,10 +166,15 @@ VALID_CONFIGS = {
                                     "scale": 0.1, "g_table": X}),
     "auto": base_config(online={"algorithm": "ewa", "eta": 0.3,
                                 "delay": "auto-geometric"}),
+    # run through `mixgame bounds`; h_gap beside r feeds no row
+    "bounds-phi": {"bounds": {"n": 100, "delta": 0.1, "phi_d": 0.05, "d": 4}},
+    "bounds-ewa": {"bounds": {"n": 100, "delta": 0.1, "tau": 2.0, "kl": 0.5,
+                              "eta": 0.1}},
+    "bounds-ftrl": {"bounds": {"n": 100, "delta": 0.1, "r": 1.0, "h_gap": 0.5}},
 }
 # (config, section, key): key None changes the whole section
-CONFIG_FIELDS = [(name, section, key) for name, doc in VALID_CONFIGS.items()
-                 for section in doc for key in [None, *doc[section]]]
+FIELD_CASES = [(name, section, key) for name, doc in VALID_CONFIGS.items()
+               for section in doc for key in [None, *doc[section]]]
 BAD_VALUES = st.one_of(
     st.sampled_from(["x", "2", {"a": 1}, [], [[1.0], [1.0, 2.0]], [[0.5, "x"]],
                      True, False, None, MISSING]),
@@ -172,7 +186,7 @@ BAD_VALUES = st.one_of(
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.sampled_from(CONFIG_FIELDS), BAD_VALUES)
+@given(st.sampled_from(FIELD_CASES), BAD_VALUES)
 def test_one_malformed_field_is_accepted_or_a_validation_error(field, value):
     name, section, key = field
     doc = copy.deepcopy(VALID_CONFIGS[name])
@@ -181,7 +195,15 @@ def test_one_malformed_field_is_accepted_or_a_validation_error(field, value):
         del holder[slot]
     else:
         holder[slot] = value
-    try:
-        config_from_dict(doc)
-    except ValidationError:
-        pass
+    if section != "bounds":
+        try:
+            config_from_dict(doc)
+        except ValidationError:
+            pass
+        return
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(doc))
+        code = main(["bounds", "--config", str(config), "--out", str(Path(tmp) / "out")])
+    assert code == 0 or (code == 2 and "config field" in err.getvalue()), err.getvalue()

@@ -101,7 +101,7 @@ def test_generalization_error_is_linear_in_posterior():
 
 
 def test_loss_from_json_reads_a_static_table():
-    space = loss_from_json('{"losses": [[0.0, 1.0], [1.0, 0.0]]}')
+    space = loss_from_json({"losses": [[0.0, 1.0], [1.0, 0.0]]})
     assert space.n_hypotheses == 2 and space.alphabet == 2 and space.m == 1
     with pytest.raises(ValidationError):
         loss_from_json({"not-losses": []})

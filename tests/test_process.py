@@ -238,8 +238,8 @@ def test_mixing_profile_phi_evaluation():
 
 def test_model_from_json_roundtrip_and_errors():
     # keys other than "transition" are ignored
-    doc = json.dumps({"states": [0, 1], "kind": "plain-markov",
-                      "transition": [[0.9, 0.1], [0.3, 0.7]]})
+    doc = {"states": [0, 1], "kind": "plain-markov",
+           "transition": [[0.9, 0.1], [0.3, 0.7]]}
     model = model_from_json(doc)
     np.testing.assert_allclose(model.stationary, [0.75, 0.25], atol=1e-12)
     with pytest.raises(ValidationError):
