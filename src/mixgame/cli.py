@@ -36,11 +36,11 @@ def _config(args) -> xp.ExperimentConfig:
 def cmd_simulate(args) -> None:
     rows, reports = xp.run_experiment(_config(args))
     reports = [r.to_dict() for r in reports]
-    write_csv(args.out / "summary.csv", rows)
-    write_csv(args.out / "bound_reports.csv", reports)
     write_json(args.out / "summary.json",
                {"header": list(rows[0]), "rows": [list(r.values()) for r in rows],
                 "reports": reports})
+    write_csv(args.out / "summary.csv", rows)
+    write_csv(args.out / "bound_reports.csv", reports)
 
 
 def cmd_coverage(args) -> None:
@@ -51,10 +51,10 @@ def cmd_coverage(args) -> None:
 
 def cmd_sweep_delay(args) -> None:
     rows = xp.delay_sweep(_config(args))
+    write_json(args.out / "sweep.json", rows)
     write_csv(args.out / "sweep.csv", rows)
     svg_line_plot(args.out / "sweep.svg", rows, "d", ["total_bound", "empirical_gen"],
                   title="delay trade-off")
-    write_json(args.out / "sweep.json", rows)
 
 
 def cmd_mixing(args) -> None:
@@ -97,8 +97,8 @@ def cmd_bounds(args) -> None:
             reports.append(bd.tuned_bound(profile, n, delta, regret_at, prefix))
     _require(reports, "bounds", "no evaluable bound found")
     reports = [r.to_dict() for r in reports]
-    write_csv(args.out / "bounds.csv", reports)
     write_json(args.out / "bounds.json", reports)
+    write_csv(args.out / "bounds.csv", reports)
 
 
 def cmd_dynamic(args) -> None:

@@ -25,7 +25,7 @@ from .errors import ConfigSection, ValidationError, _require, build_field
 from .game import GameTrace, decompose, realized_regret
 from .learner import PosteriorDist, erm, gibbs_posterior, kl_divergence
 from .online import delayed_regret_bound, make_learner
-from .process import (DECAY_LAWS, ProcessModel, fit_mixing_profile,
+from .process import (DECAY_LAWS, PHI_FLOOR, ProcessModel, fit_mixing_profile,
                       model_from_json, phi_table, replicate_seed, sample_path)
 
 
@@ -62,14 +62,21 @@ def config_from_dict(doc: dict, seed: int | None = None) -> ExperimentConfig:
     return ExperimentConfig(model, loss, **learner, **online, **exp)
 
 
-def static_table(loss, name: str, message: str) -> np.ndarray:
-    """The W x S table of a memory-1 loss, which phi_d at every lag needs.
+def decay_fits(model: ProcessModel, loss, field: str, d_max: int, kinds) -> tuple:
+    """A static loss's phi_d table for d = 1..d_max, each law of ``kinds`` fit to
+    the entries before the first phi_d at or below ``PHI_FLOOR``, and that lag.
 
-    A memory m > 1 or a discounted loss is a ValidationError of config
-    field ``name``.
+    A table that ends after at most 2 entries gets no fit; one that never ends
+    needs 3, or names experiment.d_max.  Other errors name ``field``.
     """
-    _require(getattr(loss, "m", None) == 1, name, message)
-    return loss.loss_table
+    _require(getattr(loss, "m", None) == 1, field, "needs a static loss table")
+    table = phi_table(model, loss.loss_table, d_max)
+    end = int(np.argmax(np.append(table, 0.0) <= PHI_FLOOR))  # leading entries above
+    _require(end >= 3 or end < len(table), "experiment.d_max",
+             f"a decay-law fit needs at least 3 phi_d values, not {len(table)}")
+    fits = {} if end < 3 else {
+        k: build_field(field, fit_mixing_profile, table[:end], k) for k in kinds}
+    return table, fits, end + 1
 
 
 def resolve_delay(delay_spec, model: ProcessModel, loss, n: int, d_max: int) -> int:
@@ -77,17 +84,9 @@ def resolve_delay(delay_spec, model: ProcessModel, loss, n: int, d_max: int) -> 
     if isinstance(delay_spec, int):
         _require(1 <= delay_spec <= n, "online.delay", "must lie in [1, n]")
         return delay_spec
-    table = phi_table(model, static_table(loss, "online.delay", "auto delay "
-                                          "tuning needs a static loss table"),
-                      min(d_max, n))
-    if np.all(table <= 0):
-        return 1  # i.i.d. losses: no reason to delay
-    positive = table[table > 1e-15]
-    _require(len(positive) >= 3, "experiment.d_max", "auto delay tuning needs "
-             "at least 3 positive phi_d values for d <= min(d_max, n)")
     kind = delay_spec.removeprefix("auto-")
-    return build_field("online.delay", fit_mixing_profile, positive,
-                       kind).tuned_delay(n)
+    _, fits, end = decay_fits(model, loss, "online.delay", min(d_max, n), [kind])
+    return fits[kind].tuned_delay(n) if fits else end  # no fit: first lag at the floor
 
 
 def statistical_posterior(cfg: ExperimentConfig,
@@ -201,25 +200,16 @@ def coverage_experiment(cfg: ExperimentConfig, mode: str = "mn") -> tuple[list, 
 
 
 def mixing_table(cfg: ExperimentConfig) -> dict:
-    """phi_d table for d = 1..d_max plus decay-law fits where possible."""
-    table = phi_table(cfg.model, static_table(
-        cfg.loss, "loss", "mixing tables need a static loss table"), cfg.d_max)
-    if np.any(np.diff(table) > 1e-12):
-        raise ValidationError("phi table is not non-increasing")  # invariant gate
-    fits = {}
-    if np.all(table > 0):
-        _require(len(table) >= 3, "experiment.d_max",
-                 "decay-law fits need at least 3 phi_d values")
-        for kind in DECAY_LAWS:
-            prof = fit_mixing_profile(table, kind)
-            fits[kind] = {"C": prof.C, "tau": prof.tau, "r": prof.r,
-                          "residual": prof.fit_residual}
+    """phi_d table for d = 1..d_max plus the decay-law fits of ``decay_fits``."""
+    table, fits, _ = decay_fits(cfg.model, cfg.loss, "loss", cfg.d_max, DECAY_LAWS)
+    fits = {kind: {"C": p.C, "tau": p.tau, "r": p.r, "residual": p.fit_residual}
+            for kind, p in fits.items()}
     return {"table": table, "fits": fits, "fit_skipped": not fits}
 
 
 def delay_sweep(cfg: ExperimentConfig) -> list[dict]:
     """``bounds.sweep_delay`` on the master seed's loss rows and their posterior."""
-    static_table(cfg.loss, "loss", "the delay sweep needs a static loss table")
+    _require(getattr(cfg.loss, "m", None) == 1, "loss", "needs a static loss table")
     for i, d in enumerate(cfg.d_grid):
         _require(d <= cfg.n, f"experiment.d_grid[{i}]", "must lie in [1, n]")
     d_grid = cfg.d_grid or sorted({min(2**i, cfg.n) for i in range(7)})

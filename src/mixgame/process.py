@@ -33,6 +33,7 @@ _STATIONARY_TOL = 1e-12
 _MAX_SQUARINGS = 200
 _PRODUCT_STATE_CAP = 10**4
 _PHI_DRIFT_TOL = 1e-12
+PHI_FLOOR = 1e-15  # a phi_d at or below it is the rounding noise of a zero gap
 _MASK64 = (1 << 64) - 1
 
 
@@ -260,7 +261,8 @@ def phi_table(model: ProcessModel, loss_table, d_max: int) -> np.ndarray:
     ``C_0 = L.T``, at 2*S^2*W flops per d rather than a matrix power each.
     Stepping rounds d times where repeated squaring rounds about log2(d)
     times, so the stepped phi_dmax is checked against ``exact_phi`` and a
-    drift beyond 1e-12 raises ConsistencyError.
+    drift beyond 1e-12 raises ConsistencyError, as does a rise from one d to
+    the next (rows of P @ C are means of rows of C, so phi_d cannot rise).
     """
     if d_max < 1:
         return np.empty(0)
@@ -277,6 +279,8 @@ def phi_table(model: ProcessModel, loss_table, d_max: int) -> np.ndarray:
         raise ConsistencyError(
             f"phi table drifted from the matrix-power value at d_max={d_max}: "
             f"stepped {table[-1]:.17g}, exact {reference:.17g}, drift {drift:.3e}")
+    if np.any(np.diff(table) > _PHI_DRIFT_TOL):
+        raise ConsistencyError("phi table rises with d")
     return table
 
 

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import MixgameError
+
 _SVG_WIDTH, _SVG_HEIGHT, _SVG_MARGIN = 640, 400, 50
 
 
@@ -34,8 +36,12 @@ def write_csv(path, rows: list[dict]) -> None:
 
 def write_json(path, obj) -> None:
     path = Path(path)
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise MixgameError(f"{path}: {exc}") from None
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    path.write_text(text + "\n")
 
 
 def svg_line_plot(path, rows, x_key: str, y_keys: list, title: str = "") -> None:

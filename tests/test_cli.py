@@ -406,6 +406,21 @@ def test_an_overflowing_beta_exits_2_naming_its_field(tmp_path, capsys, command)
     assert "config field 'learner.beta'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, doc, name", [
+    ("bounds", {"bounds": {"n": 100, "delta": 0.1, "kl": 1e308, "eta": 1e-300,
+                           "tau": 2}}, "bounds.json"),
+    ("simulate", dict(static_config(n=50), online={"eta": 1e-320}), "summary.json"),
+])
+def test_a_non_finite_json_value_exits_3_naming_the_file(tmp_path, capsys, command,
+                                                         doc, name):
+    # kl / eta overflows the a-priori regret; JSON has no token for it
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, doc),
+                 "--out", str(out)]) == 3
+    assert str(out / name) in capsys.readouterr().err
+    assert not out.exists()  # the JSON file is written first, and not at all
+
+
 def test_exit_code_3_on_model_failure(tmp_path):
     doc = static_config()
     doc["process"]["transition"] = [[0.0, 1.0], [1.0, 0.0]]  # periodic

@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixgame import (HypothesisSpace, PosteriorDist, ValidationError,
+from mixgame import (DECAY_LAWS, HypothesisSpace, PosteriorDist, ValidationError,
                      limit_test_losses, make_learner, play_costs, sample_path)
 from mixgame.cli import main
 from mixgame.experiments import (config_from_dict, coverage_experiment,
-                                 delay_sweep, delayed_ewa_posteriors,
+                                 decay_fits, delay_sweep, delayed_ewa_posteriors,
                                  mixing_table, replicate, resolve_delay,
                                  run_experiment)
+from mixgame.process import PHI_FLOOR
 
 
 def base_config(**overrides):
@@ -141,6 +142,51 @@ def test_mixing_table_contents():
     assert out["fits"]["geometric"]["tau"] == pytest.approx(1 / np.log(2),
                                                             abs=1e-9)
     assert not out["fit_skipped"]
+
+
+def fit_config(transition, losses):
+    return {"process": {"transition": transition}, "loss": {"losses": losses},
+            "online": {"algorithm": "ewa", "eta": 0.3, "delay": 1},
+            "experiment": {"n": 1000}}
+
+
+def test_mixing_and_auto_delay_fit_the_entries_above_the_floor():
+    # phi_d = 0.5 * 0.2**d reaches the rounding noise of 0.5 from d = 22 on
+    doc = fit_config([[0.6, 0.4], [0.4, 0.6]], [[0.0, 1.0], [1.0, 0.0]])
+    cfg = config_from_dict(doc)
+    geometric = mixing_table(cfg)["fits"]["geometric"]
+    assert geometric["tau"] == pytest.approx(-1 / np.log(0.2), abs=1e-4)
+    assert geometric["residual"] < 0.01
+    # the fit auto-geometric tunes its delay from, on the table of min(d_max, n)
+    _, fits, _ = decay_fits(cfg.model, cfg.loss, "online.delay",
+                            min(cfg.d_max, cfg.n), ["geometric"])
+    assert fits["geometric"].tau == geometric["tau"]
+    doc["online"]["delay"] = "auto-geometric"
+    assert config_from_dict(doc).delay == 5
+
+
+# P = 1/3 + 0.1 * (1, -1, 0)^T (1, 1, -2) has P^2 = 1 pi^T: phi_d = 0 from d = 2
+SQUARE_MIXED = (1 / 3 + 0.1 * np.outer([1, -1, 0], [1, 1, -2])).tolist()
+
+
+@pytest.mark.parametrize("transition, losses, delay", [
+    ([[0.15, 0.25, 0.6]] * 3, np.random.default_rng(0).random((2, 3)).tolist(), 1),
+    (SQUARE_MIXED, [[1, 0, 0.5], [0, 1, 0.2]], 2),
+])
+def test_a_table_that_ends_within_2_lags_is_not_fit(tmp_path, transition, losses,
+                                                     delay):
+    doc = fit_config(transition, losses)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main(["mixing", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "mixing_fits.json").read_text()) == {
+        "fits": {}, "fit_skipped": True}
+    table = mixing_table(config_from_dict(doc))["table"]
+    assert np.all(table[delay - 1:] <= PHI_FLOOR) and np.all(table[:delay - 1] > 0.05)
+    # an auto delay is the first lag at the floor
+    for law in DECAY_LAWS:
+        doc["online"]["delay"] = f"auto-{law}"
+        assert config_from_dict(doc).delay == delay
 
 
 def test_delay_sweep_uses_config_grid():

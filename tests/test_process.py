@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from mixgame import (ConsistencyError, MixingProfile, ModelError, SizeError,
-                     ValidationError, build_markov,
+from mixgame import (ConsistencyError, MixingProfile, ModelError, ProcessModel,
+                     SizeError, ValidationError, build_markov,
                      conditional_loss_expectations, exact_phi,
                      fit_mixing_profile, model_from_json, phi_gaps,
                      phi_table, product_chain, replicate_seed, sample_path,
@@ -94,6 +94,14 @@ def test_phi_table_drift_is_a_consistency_error(tmp_path, monkeypatch):
         "experiment": {"n": 50, "d_max": 8}}))
     assert main(["mixing", "--config", str(config),
                  "--out", str(tmp_path / "out")]) == 3
+
+
+def test_a_rising_phi_table_is_a_consistency_error():
+    # 0.5 * I is no transition matrix: the conditional loss 0.5**d falls, so
+    # phi_d = 1 - 0.5**d rises while the stepped and matrix-power tables agree
+    halving = ProcessModel(transition=0.5 * np.eye(2), stationary=np.full(2, 0.5))
+    with pytest.raises(ConsistencyError, match="rise"):
+        phi_table(halving, np.ones((1, 2)), 4)
 
 
 def test_phi_nonincreasing_on_two_state_chains():
