@@ -13,9 +13,8 @@ unchanged for history-dependent costs.
 import numpy as np
 
 from mixgame import (HypothesisSpace, PosteriorDist, composite_phi_check,
-                     decompose, forgetting_profile, limit_test_losses,
-                     make_learner, run_dynamic_game, sample_path,
-                     two_state_chain)
+                     decompose, limit_test_losses, make_learner,
+                     run_dynamic_game, sample_path, two_state_chain)
 
 x = np.array([[0.0, 1.0], [1.0, 0.0]])       # parity of the last two symbols
 loss = HypothesisSpace(np.stack([x, 1.0 - x]))  # memory 2: two symbol axes
@@ -25,7 +24,8 @@ limits, err = limit_test_losses(loss, model)
 print(f"limiting test losses: {limits} (truncation error {err})")
 print("  -> P(Z_t != Z_(t-1)) = 0.25 on this chain, as expected\n")
 
-print("forgetting profile B_d:", forgetting_profile(loss, 5))
+print("forgetting profile B_d:",
+      np.array([loss.forgetting(d) for d in range(1, 6)]))
 print("  -> changing the symbol one step back can flip the parity (B_1 = 1);")
 print("     anything older than the 2-symbol memory is irrelevant\n")
 

@@ -107,11 +107,6 @@ def cmd_dynamic(args) -> None:
     write_csv(args.out / "dynamic_phi_check.csv",
               build_field("experiment.d_grid", dyn.composite_phi_check, cfg.model,
                           cfg.loss, d_grid))
-    # one seeded game replicate as a smoke summary
-    parts = xp.replicate(cfg, cfg.seed,
-                         dyn.limit_test_losses(cfg.loss, cfg.model)[0])[-1]
-    write_json(args.out / "dynamic_game.json",
-               {k: parts[k] for k in ("gen", "regret_over_n", "martingale")})
 
 
 def build_parser() -> argparse.ArgumentParser:

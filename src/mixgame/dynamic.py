@@ -10,10 +10,12 @@ F[s, w] = E[loss(w, block) | block starts in s], and the static kernels act
 on F.T.  That gives the limiting test loss F.T @ pi, the block mixing
 coefficients beta_d (conditional-expectation gap between a length-d block
 and an independent stationary copy, given the past at lag 2d) and the
-dynamic mixing coefficient phi_d of the induced cost sequence.  Forgetting
-coefficients B_d (worst change from altering symbols older than d steps)
-come from the loss itself, and phi_d is checked against the composite
-2*B_{floor(d/2)} + beta_{floor(d/2)} built from the two profiles.
+dynamic mixing coefficient phi_d of the induced cost sequence.  Every loss
+gives its forgetting coefficient B_d (worst change from altering symbols
+older than d steps) as ``loss.forgetting(d)``.  So the limit of the
+length-h block table is the limiting test loss within B_h, at any horizon
+h, and phi_d is checked against the composite
+2*B_{floor(d/2)} + beta_{floor(d/2)}.
 """
 
 from __future__ import annotations
@@ -68,8 +70,8 @@ class DiscountedLoss(_BlockLoss):
             out[:, t] = acc
         return np.clip(self.scale * out.T, 0.0, 1.0)
 
-    def tail_envelope(self, d: int) -> float:
-        """Upper bound on the influence of symbols older than d steps."""
+    def forgetting(self, d: int) -> float:
+        """B_d bounded by the geometric tail of the symbols older than d steps."""
         span = float(np.max(self.g.max(axis=1) - self.g.min(axis=1)))
         return self.scale * span * self.gamma**d / (1.0 - self.gamma)
 
@@ -100,40 +102,17 @@ def loss_from_json(doc: dict):
 
 def limit_test_losses(dl, model: ProcessModel, horizon: int | None = None,
                       cap: int = _ENUM_CAP) -> tuple[np.ndarray, float]:
-    """Limiting test loss of every hypothesis, with a truncation-error bound.
+    """Limiting test loss of every hypothesis, within ``dl.forgetting(horizon)``.
 
-    A table loss is its own window table, exact at any horizon >= m (error
-    0); a static table (m = 1) passes ``window_expectations`` unchanged.
-    Discounted losses are truncated at the horizon with error <= the tail
-    envelope.
+    The limit of the length-h block table, which differs from the loss by at
+    most B_h.  The default horizon is ``dl.horizon(cap)``: the memory m of a
+    table loss, which is exact there (B_m = 0), and the longest block within
+    the cap otherwise.
     """
-    if isinstance(dl, HypothesisSpace):
-        if horizon is not None and horizon < dl.m:
-            raise ValidationError("horizon must cover the loss memory")
-        return window_expectations(model, dl.loss_table).T @ model.stationary, 0.0
     if horizon is None:
-        horizon = max(1, math.floor(math.log(cap) / math.log(dl.alphabet)))
+        horizon = dl.horizon(cap)
     F = window_expectations(model, dl.block_table(horizon, cap))
-    return F.T @ model.stationary, dl.tail_envelope(horizon)
-
-
-def forgetting_profile(dl, d_max: int) -> np.ndarray:
-    """B_d for d = 1..d_max: worst loss change from disagreeing beyond lag d.
-
-    Memory losses get the exact profile from the loss table (zero at and
-    beyond m); discounted losses get the analytic geometric envelope.
-    """
-    if isinstance(dl, DiscountedLoss):
-        return np.array([dl.tail_envelope(d) for d in range(1, d_max + 1)])
-    A, m, W = dl.alphabet, dl.m, dl.n_hypotheses
-    out = np.zeros(d_max)
-    for d in range(1, min(m, d_max + 1)):
-        # a padded prefix shorter than m is itself an m-window, so the losses
-        # of all prefixes ending in one length-d suffix are the table entries
-        # over the m - d leading symbol axes
-        by_suffix = dl.loss_table.reshape(W, A ** (m - d), A ** d)
-        out[d - 1] = np.max(by_suffix.max(axis=1) - by_suffix.min(axis=1))
-    return out
+    return F.T @ model.stationary, dl.forgetting(horizon)
 
 
 def exact_block_beta(model: ProcessModel, dl, d: int) -> float:
@@ -219,16 +198,15 @@ def composite_phi_check(model: ProcessModel, dl, d_grid) -> list[dict]:
     d_grid = [int(d) for d in d_grid]
     if min(d_grid) < max(2, dl.m):
         raise ValidationError(f"composite check needs every d >= max(2, m), m = {dl.m}")
-    B = forgetting_profile(dl, max(d // 2 for d in d_grid))
     for d in d_grid:
         dh = d // 2
         lhs, mirror = (max(0.0, gap)
                        for gap in phi_gaps(model, *_memory_windows(model, dl, d)))
-        beta = exact_block_beta(model, dl, dh)
-        rhs = 2.0 * B[dh - 1] + beta
+        beta, two_b = exact_block_beta(model, dl, dh), 2.0 * dl.forgetting(dh)
+        rhs = two_b + beta
         rows.append({"d": d, "d_half": dh, "phi_dynamic": lhs,
                      "phi_mirror": mirror,
-                     "forgetting_2B": 2.0 * B[dh - 1], "block_beta": beta,
+                     "forgetting_2B": two_b, "block_beta": beta,
                      "rhs": rhs, "ok": lhs <= rhs + _COMPOSITE_TOL,
                      "ok_mirror": mirror <= rhs + _COMPOSITE_TOL})
     return rows

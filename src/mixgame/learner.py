@@ -2,7 +2,9 @@
 
 A ``HypothesisSpace`` is the one table loss: its table has a hypothesis axis
 and m symbol axes, and reads the last m symbols (m = 1 is a static table).
-The statistical learners read a path's (n, W) ``loss_rows``, as the game does.
+Its forgetting coefficient B_d, ``forgetting(d)``, is exact from the table
+and 0 from d = m on.  The statistical learners read a path's (n, W)
+``loss_rows``, as the game does.
 
 All posterior arithmetic happens in natural-log space with logsumexp
 normalization so that inverse temperatures up to ~1e8 stay finite.  The
@@ -50,9 +52,16 @@ class _BlockLoss:
     """What every loss shares: its value on one prefix or on all blocks.
 
     A loss gives ``n_hypotheses``, ``alphabet``, ``loss_rows(symbols)`` (the
-    (n, W) losses of the running prefixes of a path) and ``_on_prefixes(z)``,
-    the losses of the prefixes whose symbol j is ``z[j]``.
+    (n, W) losses of the running prefixes of a path), ``_on_prefixes(z)``,
+    the losses of the prefixes whose symbol j is ``z[j]``, and
+    ``forgetting(d)``, its coefficient B_d: the most any loss can change
+    when the symbols older than d steps change.  So ``block_table(h)`` is
+    the loss itself to within B_h.
     """
+
+    def horizon(self, cap: int = _ENUM_CAP) -> int:
+        """The default block length of the limit: the longest within ``cap``."""
+        return max(1, math.floor(math.log(cap) / math.log(self.alphabet)))
 
     def values(self, prefix) -> np.ndarray:
         """Loss of every hypothesis on the given prefix."""
@@ -106,6 +115,21 @@ class HypothesisSpace(_BlockLoss):
     def alphabet(self) -> int:
         return self.loss_table.shape[1]
 
+    def horizon(self, cap: int = _ENUM_CAP) -> int:
+        """The memory m: the table is its own length-m block table."""
+        return self.m
+
+    def forgetting(self, d: int) -> float:
+        """B_d from the table: its widest spread over the m - d oldest axes."""
+        A, m, W = self.alphabet, self.m, self.n_hypotheses
+        if d >= m:
+            return 0.0
+        # a padded prefix shorter than m is itself an m-window, so the losses
+        # of all prefixes ending in one length-d suffix are the table entries
+        # over the m - d leading symbol axes
+        by_suffix = self.loss_table.reshape(W, A ** (m - d), A ** d)
+        return float(np.max(by_suffix.max(axis=1) - by_suffix.min(axis=1)))
+
     def _on_prefixes(self, z) -> np.ndarray:
         # z[j] holds symbol j of every prefix; a short window pads with z[0]
         cols = tuple(z[max(0, j)] for j in range(len(z) - self.m, len(z)))
@@ -114,11 +138,12 @@ class HypothesisSpace(_BlockLoss):
     def loss_rows(self, symbols) -> np.ndarray:
         """(n, W) losses of the running prefixes, vectorized over rounds."""
         symbols = np.asarray(symbols)
-        n = len(symbols)
-        # round t reads symbols t-m+1 .. t; the first m-1 rounds pad with symbol 0
-        padded = np.concatenate([np.repeat(symbols[:1], self.m - 1), symbols])
-        cols = tuple(padded[j:j + n] for j in range(self.m))
-        return self.loss_table[(slice(None),) + cols].T
+        n, k = len(symbols), min(self.m, len(symbols))
+        # round t reads the prefix z_0..z_t: the first k - 1 prefixes are
+        # short and _on_prefixes pads them; the rest end the k shifted windows
+        heads = [self._on_prefixes(symbols[:t + 1]) for t in range(k - 1)]
+        tails = self._on_prefixes([symbols[j:n - k + 1 + j] for j in range(k)])
+        return np.column_stack(heads + [tails]).T
 
 
 @dataclass(frozen=True, eq=False)

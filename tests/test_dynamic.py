@@ -8,9 +8,9 @@ from mixgame import (DiscountedLoss, HypothesisSpace, PosteriorDist,
                      ValidationError, composite_phi_check,
                      conditional_loss_expectations, decompose, dynamic_phi,
                      dynamic_phi_mc, exact_block_beta, exact_phi,
-                     forgetting_profile, limit_test_losses, loss_from_json,
-                     make_learner, phi_gaps, run_dynamic_game, sample_path,
-                     two_state_chain, window_expectations)
+                     limit_test_losses, loss_from_json, make_learner, phi_gaps,
+                     run_dynamic_game, sample_path, two_state_chain,
+                     window_expectations)
 from mixgame.dynamic import _memory_windows, _walk
 
 from conftest import (enumerated_block_expectations, limit_test_losses_mc,
@@ -47,6 +47,10 @@ def test_limit_loss_matches_monte_carlo():
     assert np.all(stderr < 0.005)
 
 
+def forgetting_profile(dl, d_max):
+    return [dl.forgetting(d) for d in range(1, d_max + 1)]
+
+
 def test_forgetting_profile_memory_loss():
     np.testing.assert_allclose(forgetting_profile(xor_loss(), 5),
                                [1.0, 0.0, 0.0, 0.0, 0.0], atol=0)
@@ -58,7 +62,7 @@ def test_forgetting_profile_discounted_envelope():
     prof = forgetting_profile(dl, 4)
     expected = [0.25 * 0.5**d / 0.5 for d in range(1, 5)]
     np.testing.assert_allclose(prof, expected, atol=1e-12)
-    assert dl.tail_envelope(3) == pytest.approx(0.25 * 0.5**3 / 0.5, abs=1e-15)
+    assert dl.forgetting(3) == pytest.approx(0.25 * 0.5**3 / 0.5, abs=1e-15)
 
 
 def test_block_beta_memory1_equals_static_gap_at_double_lag():
@@ -91,7 +95,7 @@ def test_dynamic_phi_memory1_reduces_to_static():
 
 
 def assert_kernels_match_enumeration(model, dl, L):
-    """block_table, window_expectations and the length-L limit loss and block
+    """block_table, window_expectations and the horizon-L limit loss and block
     beta against dl.values on every block, weighted by the chain law."""
     S, W = model.n_states, dl.n_hypotheses
     blocks = [np.asarray(b) for b in itertools.product(range(S), repeat=L)]
@@ -109,13 +113,11 @@ def assert_kernels_match_enumeration(model, dl, L):
     F, stat, cond = expected[:S], expected[S], expected[S + 1:]
     np.testing.assert_allclose(window_expectations(model, table), F,
                                rtol=0, atol=1e-12)
-    if isinstance(dl, DiscountedLoss) or L == dl.m:
-        horizon = L if isinstance(dl, DiscountedLoss) else None
-        np.testing.assert_allclose(limit_test_losses(dl, model, horizon)[0],
-                                   stat, rtol=0, atol=1e-12)
-    if isinstance(dl, DiscountedLoss) or L <= dl.m:
-        beta = max(0.0, float(np.max(stat - cond)))
-        assert exact_block_beta(model, dl, L) == pytest.approx(beta, abs=1e-12)
+    limit, err = limit_test_losses(dl, model, L)
+    np.testing.assert_allclose(limit, stat, rtol=0, atol=1e-12)
+    assert err == dl.forgetting(L)
+    beta = max(0.0, float(np.max(stat - cond)))
+    assert exact_block_beta(model, dl, L) == pytest.approx(beta, abs=1e-12)
 
 
 @pytest.mark.parametrize("A", [2, 3])
@@ -134,6 +136,22 @@ def test_memory_kernels_match_block_enumeration(A, m):
             model.transition, 2 * d - m + 1)]), m)
     assert exact_block_beta(model, dl, d) == pytest.approx(
         max(0.0, float(np.max(stat - np.array(cond)))), abs=1e-12)
+
+
+def test_a_table_truncated_below_its_memory_is_within_b_h_of_its_limit():
+    # the length-h block table pads the m - h oldest symbols, which moves
+    # the loss by at most B_h, and so its limit
+    rng = np.random.default_rng(18)
+    for _ in range(40):
+        A, m = rng.integers(2, 4), rng.integers(2, 4)
+        model = random_chain(rng, A)
+        dl = HypothesisSpace(rng.random((3,) + (A,) * m))
+        exact, zero = limit_test_losses(dl, model)
+        assert zero == 0.0
+        for h in range(1, m):
+            limit, err = limit_test_losses(dl, model, h)
+            assert err == dl.forgetting(h) > 0
+            assert np.max(np.abs(limit - exact)) <= err
 
 
 @pytest.mark.parametrize("A", [2, 3, 5])
