@@ -138,7 +138,9 @@ def build_markov(transition) -> ProcessModel:
 
     Convergence is established by repeated squaring of the transition
     matrix: all rows of the power must collapse onto a single vector.
-    Reducible or periodic chains never collapse and raise ModelError.
+    Reducible or periodic chains never collapse and raise ModelError.  Once
+    the rows agree to ``_STATIONARY_TOL`` the matrix is squared once more:
+    the convergence is quadratic, so that leaves only rounding.
     """
     P = np.asarray(transition, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
@@ -150,12 +152,12 @@ def build_markov(transition) -> ProcessModel:
 
     B = P.copy()
     for _ in range(_MAX_SQUARINGS):
-        spread = np.max(B.max(axis=0) - B.min(axis=0))
-        if spread < _STATIONARY_TOL:
-            break
+        converged = np.max(B.max(axis=0) - B.min(axis=0)) < _STATIONARY_TOL
         B = B @ B
         # renormalize rows to damp floating-point drift over many squarings
         B /= B.sum(axis=1, keepdims=True)
+        if converged:
+            break
     else:
         raise ModelError("power iteration did not converge: the chain has "
                          "no unique stationary distribution")

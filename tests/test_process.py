@@ -11,6 +11,7 @@ from mixgame import (ConsistencyError, MixingProfile, ModelError, ProcessModel,
                      phi_table, product_chain, replicate_seed, sample_path,
                      two_state_chain)
 from mixgame.cli import main
+from mixgame.experiments import config_from_dict, mixing_table
 from mixgame.process import _walk_chain
 
 from conftest import build_iid, random_chain
@@ -19,6 +20,23 @@ from conftest import build_iid, random_chain
 def test_stationary_law_frozen():
     model = build_markov(np.array([[0.9, 0.1], [0.3, 0.7]]))
     np.testing.assert_allclose(model.stationary, [0.75, 0.25], atol=1e-12)
+
+
+def test_stationary_law_of_a_fast_chain_is_exact_to_rounding():
+    # the rows of P^(2^k) agree to 1e-12 while pi is still off by 3e-13;
+    # one more squaring leaves only rounding, so phi_d falls to the floor
+    # and the geometric fit sees the eigenvalue -0.03, tau = -1/ln 0.03
+    model = two_state_chain(0.96, 0.01)
+    pi = model.stationary
+    assert np.max(np.abs(pi @ model.transition - pi)) <= 1e-15
+    doc = {"process": {"transition": model.transition.tolist()},
+           "loss": {"losses": [[0.0, 1.0], [1.0, 0.0]]},
+           "online": {"algorithm": "ewa", "eta": 0.3, "delay": "auto-geometric"},
+           "experiment": {"n": 1000}}
+    cfg = config_from_dict(doc)
+    assert cfg.delay == 2
+    tau = mixing_table(cfg)["fits"]["geometric"]["tau"]
+    assert tau == pytest.approx(-1 / np.log(0.03), abs=1e-3)
 
 
 def test_stationary_is_invariant():
