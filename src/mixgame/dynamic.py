@@ -12,9 +12,8 @@ coefficients beta_d (conditional-expectation gap between a length-d block
 and an independent stationary copy, given the past at lag 2d) and the
 dynamic mixing coefficient phi_d of the induced cost sequence.  Every loss
 gives its forgetting coefficient B_d (worst change from altering symbols
-older than d steps) as ``loss.forgetting(d)``.  So the limit of the
-length-h block table is the limiting test loss within B_h, at any horizon
-h, and phi_d is checked against the composite
+older than d steps) as ``loss.forgetting(d)``, so the limit of the length-h
+block table is within B_h, and phi_d is checked against the composite
 2*B_{floor(d/2)} + beta_{floor(d/2)}.
 """
 

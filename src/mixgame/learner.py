@@ -1,10 +1,9 @@
 """Finite hypothesis spaces, their loss tables, and randomized statistical learners.
 
 A ``HypothesisSpace`` is the one table loss: its table has a hypothesis axis
-and m symbol axes, and reads the last m symbols (m = 1 is a static table).
-Its forgetting coefficient B_d, ``forgetting(d)``, is exact from the table
-and 0 from d = m on.  The statistical learners read a path's (n, W)
-``loss_rows``, as the game does.
+and m symbol axes, and reads the last m symbols (m = 1 is a static table);
+its forgetting coefficient B_d is exact from the table, 0 from d = m on.
+The statistical learners read a path's (n, W) ``loss_rows``, as the game does.
 
 All posterior arithmetic happens in natural-log space with logsumexp
 normalization so that inverse temperatures up to ~1e8 stay finite.  The
@@ -53,10 +52,8 @@ class _BlockLoss:
 
     A loss gives ``n_hypotheses``, ``alphabet``, ``loss_rows(symbols)`` (the
     (n, W) losses of the running prefixes of a path), ``_on_prefixes(z)``,
-    the losses of the prefixes whose symbol j is ``z[j]``, and
-    ``forgetting(d)``, its coefficient B_d: the most any loss can change
-    when the symbols older than d steps change.  So ``block_table(h)`` is
-    the loss itself to within B_h.
+    the losses of the prefixes whose symbol j is ``z[j]``, and its forgetting
+    coefficient B_d, ``forgetting(d)``: ``block_table(d)`` is within B_d of it.
     """
 
     def horizon(self, cap: int = _ENUM_CAP) -> int:

@@ -139,8 +139,7 @@ def build_markov(transition) -> ProcessModel:
     Convergence is established by repeated squaring of the transition
     matrix: all rows of the power must collapse onto a single vector.
     Reducible or periodic chains never collapse and raise ModelError.  Once
-    the rows agree to ``_STATIONARY_TOL`` the matrix is squared once more:
-    the convergence is quadratic, so that leaves only rounding.
+    they agree, one more (quadratic) squaring leaves only rounding.
     """
     P = np.asarray(transition, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
