@@ -15,8 +15,7 @@ from .process import (DECAY_LAWS, MixingProfile, ProcessModel, SamplePath,
                       two_state_chain, window_expectations)
 from .learner import (HypothesisSpace, PosteriorDist, erm, gibbs_posterior,
                       kl_divergence)
-from .game import (GameTrace, decompose, generalization_gap, martingale_term,
-                   play_costs, realized_regret)
+from .game import GameTrace, decompose, play_costs
 from .online import (EWA, FTRL, DelayedLearner, delayed_regret_bound, ftrl_step,
                      make_learner, project_simplex)
 from .bounds import (BoundReport, delay_bound, deviation_term, sweep_delay,

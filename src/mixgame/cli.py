@@ -29,8 +29,8 @@ def _read_json(path: str):
 
 
 def _config(args) -> xp.ExperimentConfig:
-    """The experiment config, with ``--seed`` in place of the master seed."""
-    return xp.config_from_dict(_read_json(args.config), seed=args.seed)
+    """The experiment config, with a ``--seed`` flag in place of the master seed."""
+    return xp.config_from_dict(_read_json(args.config), seed=getattr(args, "seed", None))
 
 
 def cmd_simulate(args) -> None:
@@ -116,16 +116,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     common = {"--config": {"required": True, "help": "path to the JSON config"},
               "--out": {"type": Path, "default": "out", "help": "output directory"}}
-    # every subcommand but bounds reads an experiment config, and its seed
+    # the subcommands that sample a path read the master seed
     seeded = {**common, "--seed": {"type": int, "help": "override the master seed"}}
     mode = {"--mode": {"choices": ["mn", "gen"], "default": "mn"}}
     commands = {  # subcommand -> (handler, the flags it reads)
         "simulate": (cmd_simulate, seeded),
         "coverage": (cmd_coverage, {**seeded, **mode}),
         "sweep-delay": (cmd_sweep_delay, seeded),
-        "mixing": (cmd_mixing, seeded),
+        "mixing": (cmd_mixing, common),
         "bounds": (cmd_bounds, common),
-        "dynamic": (cmd_dynamic, seeded),
+        "dynamic": (cmd_dynamic, common),
     }
     for name, (func, flags) in commands.items():
         p = sub.add_parser(name)

@@ -5,9 +5,9 @@ A dynamic loss reads a whole data prefix instead of a single symbol: a
 the discounted loss defined here.  Each exact quantity reduces it to a
 static W x S table: ``block_table(L)`` is the loss on every length-L block
 (a memory-m table is its own length-m block table),
-``process.window_expectations`` turns it into
-F[s, w] = E[loss(w, block) | block starts in s], and the static kernels act
-on F.T.  That gives the limiting test loss F.T @ pi, the block mixing
+``process.window_expectations`` turns it into the W x S table
+F[w, s] = E[loss(w, block) | block starts in s], and the static kernels act
+on F.  That gives the limiting test loss F @ pi, the block mixing
 coefficients beta_d (conditional-expectation gap between a length-d block
 and an independent stationary copy, given the past at lag 2d) and the
 dynamic mixing coefficient phi_d of the induced cost sequence.  Every loss
@@ -70,9 +70,9 @@ class DiscountedLoss(_BlockLoss):
         return np.clip(self.scale * out.T, 0.0, 1.0)
 
     def forgetting(self, d: int) -> float:
-        """B_d bounded by the geometric tail of the symbols older than d steps."""
-        span = float(np.max(self.g.max(axis=1) - self.g.min(axis=1)))
-        return self.scale * span * self.gamma**d / (1.0 - self.gamma)
+        """B_d bounded by the geometric tail of the symbols older than d steps,
+        which also bounds dropping them (the length-d block table), as 0 <= g."""
+        return self.scale * float(self.g.max()) * self.gamma**d / (1.0 - self.gamma)
 
 
 def _memory_table(m: int, table) -> HypothesisSpace:
@@ -111,7 +111,7 @@ def limit_test_losses(dl, model: ProcessModel, horizon: int | None = None,
     if horizon is None:
         horizon = dl.horizon(cap)
     F = window_expectations(model, dl.block_table(horizon, cap))
-    return F.T @ model.stationary, dl.forgetting(horizon)
+    return F @ model.stationary, dl.forgetting(horizon)
 
 
 def exact_block_beta(model: ProcessModel, dl, d: int) -> float:
@@ -127,19 +127,19 @@ def exact_block_beta(model: ProcessModel, dl, d: int) -> float:
     eff = min(dl.m, d) if isinstance(dl, HypothesisSpace) else d
     F = window_expectations(model, dl.block_table(eff))
     # 2d - eff + 1 steps from Z_{t-2d} to the first used symbol
-    return exact_phi(model, F.T, 2 * d - eff + 1)
+    return exact_phi(model, F, 2 * d - eff + 1)
 
 
 def _memory_windows(model: ProcessModel, dl: HypothesisSpace,
                     d: int) -> tuple[np.ndarray, int]:
-    """The window table F.T and the lag from Z_{t-d} to the window's first symbol.
+    """The window table F and the lag from Z_{t-d} to the window's first symbol.
 
-    F.T contracts the loss table itself, so a static table (m = 1) is its own
+    F contracts the loss table itself, so a static table (m = 1) is its own
     window table, bit for bit.
     """
     if d < dl.m:
         raise ValidationError("exact evaluation needs d >= m; use the MC fallback")
-    return window_expectations(model, dl.loss_table).T, d - dl.m + 1
+    return window_expectations(model, dl.loss_table), d - dl.m + 1
 
 
 def dynamic_phi(model: ProcessModel, dl: HypothesisSpace, d: int) -> float:

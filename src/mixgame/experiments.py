@@ -22,7 +22,7 @@ import numpy as np
 from . import bounds as bd
 from . import dynamic as dyn
 from .errors import ConfigSection, ValidationError, _require, build_field
-from .game import GameTrace, decompose, realized_regret
+from .game import GameTrace, decompose
 from .learner import PosteriorDist, erm, gibbs_posterior, kl_divergence
 from .online import delayed_regret_bound, make_learner
 from .process import (DECAY_LAWS, PHI_FLOOR, ProcessModel, fit_mixing_profile,
@@ -121,7 +121,7 @@ def delayed_ewa_posteriors(costs: np.ndarray, prior_log: np.ndarray, eta: float,
 def replicate(cfg: ExperimentConfig, seed: int, limit: np.ndarray):
     """Play one delayed game on the path drawn from ``seed``, with ``limit`` the
     loss's ``dyn.limit_test_losses``, then fit the comparator to the game's
-    loss rows; return the comparator, trace and parts."""
+    loss rows; return the comparator and the parts of ``decompose``."""
     path = sample_path(cfg.model, cfg.n, seed)
     prior = PosteriorDist.uniform(cfg.loss.n_hypotheses)
     if cfg.algorithm == "ewa":
@@ -133,7 +133,7 @@ def replicate(cfg: ExperimentConfig, seed: int, limit: np.ndarray):
         learner = make_learner(cfg.algorithm, prior, cfg.eta, d=cfg.delay)
         trace = dyn.run_dynamic_game(cfg.loss, path, learner, cfg.delay, limit)
     comparator = statistical_posterior(cfg, trace.loss_rows)
-    return comparator, trace, decompose(trace, comparator)
+    return comparator, decompose(trace, comparator)
 
 
 def experiment_phi(cfg: ExperimentConfig) -> float:
@@ -154,7 +154,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list]:
     rows, reports = [], []
     for k in range(cfg.replicates):
         seed = replicate_seed(cfg.seed, k)
-        comparator, trace, parts = replicate(cfg, seed, limit)
+        comparator, parts = replicate(cfg, seed, limit)
         gen_bound = parts["regret_over_n"] + mn_bound
         rows.append({"replicate": k, "seed": seed, "gen": parts["gen"],
                      "regret_over_n": parts["regret_over_n"],
@@ -163,9 +163,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list]:
                      "violated_mn": parts["martingale"] > mn_bound,
                      "violated_gen": parts["gen"] > gen_bound})
         if k == 0:
-            reports.append(bd.delay_bound(realized_regret(trace, comparator), phi,
-                                          cfg.delay, cfg.n, cfg.delta,
-                                          tag="delay-realized"))
+            reports.append(bd.delay_bound(parts["regret"], phi, cfg.delay, cfg.n,
+                                          cfg.delta, tag="delay-realized"))
             kl = kl_divergence(comparator, PosteriorDist.uniform(cfg.loss.n_hypotheses))
             apriori = delayed_regret_bound(kl, cfg.eta, cfg.delay, cfg.n)
             reports.append(bd.delay_bound(apriori, phi, cfg.delay, cfg.n,

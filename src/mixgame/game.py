@@ -75,34 +75,21 @@ def play_costs(loss_rows: np.ndarray, limit: np.ndarray, learner,
     return GameTrace(d, posts, loss_rows, limit)
 
 
-def martingale_term(trace: GameTrace) -> float:
-    """M_n = -(1/n) sum_t <P_t, c_t>."""
-    return float(-np.mean(np.sum(trace.posteriors * trace.costs, axis=1)))
-
-
-def realized_regret(trace: GameTrace, comparator: PosteriorDist) -> float:
-    """sum_t <P_t - P*, c_t> for a fixed comparator distribution."""
-    diff = trace.posteriors - comparator.probs[None, :]
-    return float(np.sum(diff * trace.costs))
-
-
-def generalization_gap(trace: GameTrace, comparator: PosteriorDist) -> float:
-    """<P*, test loss - mean training loss>, computed from the raw loss rows."""
-    return float(comparator.probs @ (trace.limit - trace.loss_rows.mean(axis=0)))
-
-
 def decompose(trace: GameTrace, comparator: PosteriorDist) -> dict:
     """Split the generalization gap into regret/n plus the martingale term.
 
-    The identity is exact; a residual beyond 1e-10, or a NaN one (a NaN
-    cost or play), signals an internal bug and raises ConsistencyError.
+    gen = <P*, limit - mean loss row> is read from the raw loss rows, the
+    regret is sum_t <P_t - P*, c_t> and M_n = -(1/n) sum_t <P_t, c_t>.  The
+    identity is exact; a residual beyond 1e-10, or a NaN one (a NaN cost or
+    play), signals an internal bug and raises ConsistencyError.
     """
-    gen = generalization_gap(trace, comparator)
-    regret_over_n = realized_regret(trace, comparator) / trace.n
-    mart = martingale_term(trace)
+    p_star = comparator.probs
+    gen = float(p_star @ (trace.limit - trace.loss_rows.mean(axis=0)))
+    regret = float(np.sum((trace.posteriors - p_star) * trace.costs))
+    mart = float(-np.mean(np.sum(trace.posteriors * trace.costs, axis=1)))
+    regret_over_n = regret / trace.n
     residual = gen - regret_over_n - mart
     if not abs(residual) <= _IDENTITY_TOL:
         raise ConsistencyError(f"decomposition identity violated: residual={residual:.3e}")
-    return {"gen": gen, "regret_over_n": regret_over_n, "martingale": mart,
-            "residual": residual}
-
+    return {"gen": gen, "regret": regret, "regret_over_n": regret_over_n,
+            "martingale": mart, "residual": residual}

@@ -58,7 +58,7 @@ class _BlockLoss:
 
     def horizon(self, cap: int = _ENUM_CAP) -> int:
         """The default block length of the limit: the longest within ``cap``."""
-        return max(1, math.floor(math.log(cap) / math.log(self.alphabet)))
+        return max(1, math.floor(math.log(cap) / math.log(max(self.alphabet, 2))))
 
     def values(self, prefix) -> np.ndarray:
         """Loss of every hypothesis on the given prefix."""
@@ -135,12 +135,10 @@ class HypothesisSpace(_BlockLoss):
     def loss_rows(self, symbols) -> np.ndarray:
         """(n, W) losses of the running prefixes, vectorized over rounds."""
         symbols = np.asarray(symbols)
-        n, k = len(symbols), min(self.m, len(symbols))
-        # round t reads the prefix z_0..z_t: the first k - 1 prefixes are
-        # short and _on_prefixes pads them; the rest end the k shifted windows
-        heads = [self._on_prefixes(symbols[:t + 1]) for t in range(k - 1)]
-        tails = self._on_prefixes([symbols[j:n - k + 1 + j] for j in range(k)])
-        return np.column_stack(heads + [tails]).T
+        # round t reads the m-window ending at z_t of the symbols left-padded
+        # with m - 1 copies of z_0, the padding rule of _on_prefixes
+        padded = np.concatenate([np.repeat(symbols[:1], self.m - 1), symbols])
+        return self._on_prefixes([padded[j:j + len(symbols)] for j in range(self.m)]).T
 
 
 @dataclass(frozen=True, eq=False)

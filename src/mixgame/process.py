@@ -229,17 +229,17 @@ def conditional_loss_expectations(model: ProcessModel, loss_table,
 
 
 def window_expectations(model: ProcessModel, table) -> np.ndarray:
-    """F[s, w] = E[table[w, Z_1, ..., Z_L] | Z_1 = s] for a (W,) + (S,)*L table.
+    """F[w, s] = E[table[w, Z_1, ..., Z_L] | Z_1 = s] for a (W,) + (S,)*L table.
 
     The symbol axes are contracted from the last one back, each against one
-    transition from the axis before it; F.T is a static W x S loss table.
+    transition from the axis before it; F is a static W x S loss table.
     """
     T = np.asarray(table, dtype=float)
     P = model.transition
     while T.ndim > 2:
         # T[..., i, :] @ P[i, :] for every state i of the second-to-last axis
         T = (T[..., None, :] @ P[:, :, None])[..., 0, 0]
-    return T.T
+    return T
 
 
 def phi_gaps(model: ProcessModel, loss_table, d: int) -> tuple[float, float]:

@@ -31,6 +31,17 @@ def test_memory_window_left_pads_with_first_symbol():
     np.testing.assert_allclose(rows, [[0.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
 
 
+def test_memory_loss_rows_read_every_padded_prefix():
+    # paths shorter than the memory included
+    rng = np.random.default_rng(19)
+    for m in range(1, 5):
+        dl = HypothesisSpace(rng.random((3,) + (3,) * m))
+        for n in range(1, m + 3):
+            z = rng.integers(0, 3, n)
+            assert np.array_equal(dl.loss_rows(z),
+                                  [dl.values(z[:t + 1]) for t in range(n)])
+
+
 def test_xor_limit_loss_on_symmetric_chain():
     model = two_state_chain(0.25, 0.25)
     limits, err = limit_test_losses(xor_loss(), model)
@@ -111,7 +122,7 @@ def assert_kernels_match_enumeration(model, dl, L):
                         np.linalg.matrix_power(model.transition, lag)])
     expected = enumerated_block_expectations(dl, model, starts, L)
     F, stat, cond = expected[:S], expected[S], expected[S + 1:]
-    np.testing.assert_allclose(window_expectations(model, table), F,
+    np.testing.assert_allclose(window_expectations(model, table), F.T,
                                rtol=0, atol=1e-12)
     limit, err = limit_test_losses(dl, model, L)
     np.testing.assert_allclose(limit, stat, rtol=0, atol=1e-12)
@@ -152,6 +163,19 @@ def test_a_table_truncated_below_its_memory_is_within_b_h_of_its_limit():
             limit, err = limit_test_losses(dl, model, h)
             assert err == dl.forgetting(h) > 0
             assert np.max(np.abs(limit - exact)) <= err
+
+
+def test_a_truncated_discounted_limit_is_within_b_h_of_its_limit():
+    # nothing clips (scale * max g / (1 - gamma) = 0.45), so the exact limit
+    # is scale * (g @ pi) / (1 - gamma); the length-h block table drops the
+    # symbols older than h, which moves the loss by up to scale * max g *
+    # gamma^h / (1 - gamma), more than the span of g alone allows
+    model = two_state_chain(0.3, 0.2)
+    dl = DiscountedLoss(0.9, 0.05, [[0.5, 0.6], [0.7, 0.9]])
+    exact = 0.05 * (dl.g @ model.stationary) / 0.1
+    for h in (2, 5, 8, None):
+        limit, err = limit_test_losses(dl, model, h)
+        assert np.max(np.abs(limit - exact)) <= err
 
 
 @pytest.mark.parametrize("A", [2, 3, 5])

@@ -78,6 +78,9 @@ def test_run_experiment_rows_reproduce_decomposition():
         assert abs(gen - regret_over_n - mn) < 1e-10
     tags = [r.tag for r in reports]
     assert "delay-realized" in tags
+    # the realized report reads replicate 0's regret from its decomposition
+    realized = reports[tags.index("delay-realized")]
+    assert realized.regret_term == rows[0]["regret_over_n"]
 
 
 def test_coverage_modes_agree_between_fast_and_generic_paths():

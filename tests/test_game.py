@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from mixgame import (ConsistencyError, GameTrace, PosteriorDist,
-                     ProtocolError, decompose, generalization_gap,
-                     limit_test_losses, make_learner, martingale_term,
-                     play_costs, realized_regret, sample_path)
+                     ProtocolError, decompose, limit_test_losses, make_learner,
+                     play_costs, sample_path)
 
 from conftest import instance_regrets, random_chain, random_space
 
@@ -33,7 +32,8 @@ def test_decomposition_identity_small():
 def test_martingale_term_manual():
     _, _, _, trace = _setup(seed=3)
     manual = -np.mean([p @ c for p, c in zip(trace.posteriors, trace.costs)])
-    assert martingale_term(trace) == pytest.approx(manual, abs=1e-14)
+    parts = decompose(trace, PosteriorDist.uniform(4))
+    assert parts["martingale"] == pytest.approx(manual, abs=1e-14)
 
 
 def test_generalization_gap_manual():
@@ -42,8 +42,7 @@ def test_generalization_gap_manual():
     test_vec = space.loss_table @ model.stationary
     emp = space.loss_table[:, path.symbols].mean(axis=1)
     manual = comparator.probs @ (test_vec - emp)
-    assert generalization_gap(trace, comparator) == pytest.approx(manual,
-                                                                  abs=1e-14)
+    assert decompose(trace, comparator)["gen"] == pytest.approx(manual, abs=1e-14)
 
 
 def test_instance_regrets_sum_to_realized_regret():
@@ -52,8 +51,9 @@ def test_instance_regrets_sum_to_realized_regret():
         comparator = PosteriorDist.from_probs(np.array([0.4, 0.3, 0.2, 0.1]))
         per = instance_regrets(trace, comparator, d)
         assert per.shape == (d,)
-        assert per.sum() == pytest.approx(realized_regret(trace, comparator),
-                                          abs=1e-12)
+        parts = decompose(trace, comparator)
+        assert per.sum() == pytest.approx(parts["regret"], abs=1e-12)
+        assert parts["regret_over_n"] == parts["regret"] / trace.n
 
 
 def test_delay_contract_cost_at_t_affects_plays_from_t_plus_d():
