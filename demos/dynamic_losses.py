@@ -6,8 +6,10 @@ coefficients, verifies the composite mixing inequality
 
     phi_d <= 2 * B_{floor(d/2)} + beta_{floor(d/2)},
 
-and runs a delayed game whose exact decomposition identity holds
-unchanged for history-dependent costs.
+where phi_d is the exact ``dynamic_phi`` (the limiting loss minus the
+conditional one, the side the generalization bound takes), and runs a
+delayed game whose exact decomposition identity holds unchanged for
+history-dependent costs.
 """
 
 import numpy as np

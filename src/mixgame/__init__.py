@@ -10,8 +10,8 @@ from .errors import (ConsistencyError, MixgameError, ModelError, ProtocolError,
                      SizeError, ValidationError)
 from .process import (DECAY_LAWS, MixingProfile, ProcessModel, SamplePath,
                       build_markov, conditional_loss_expectations, exact_phi,
-                      fit_mixing_profile, model_from_json, phi_gaps,
-                      phi_table, product_chain, replicate_seed, sample_path,
+                      fit_mixing_profile, model_from_json, phi_table,
+                      product_chain, replicate_seed, sample_path,
                       two_state_chain, window_expectations)
 from .learner import (HypothesisSpace, PosteriorDist, erm, gibbs_posterior,
                       kl_divergence)

@@ -28,9 +28,10 @@ from .errors import ConfigSection, ValidationError, build_field
 from .game import GameTrace, play_costs
 from .learner import _ENUM_CAP, HypothesisSpace, _BlockLoss
 from .process import (ProcessModel, SamplePath, _walk_chain, exact_phi,
-                      phi_gaps, window_expectations)
+                      window_expectations)
 
 _COMPOSITE_TOL = 1e-9
+_MC_HISTORY = 64  # stationary symbols sampled before each conditioning state
 
 
 class DiscountedLoss(_BlockLoss):
@@ -130,31 +131,26 @@ def exact_block_beta(model: ProcessModel, dl, d: int) -> float:
     return exact_phi(model, F, 2 * d - eff + 1)
 
 
-def _memory_windows(model: ProcessModel, dl: HypothesisSpace,
-                    d: int) -> tuple[np.ndarray, int]:
-    """The window table F and the lag from Z_{t-d} to the window's first symbol.
+def dynamic_phi(model: ProcessModel, dl: HypothesisSpace, d: int) -> float:
+    """phi_d of the dynamic cost sequence, exact for d >= m.
 
-    F contracts the loss table itself, so a static table (m = 1) is its own
-    window table, bit for bit.
+    ``exact_phi`` of the window table F at the lag d - m + 1 from Z_{t-d} to
+    the window's first symbol; F contracts the loss table itself, so a
+    static table (m = 1) gives its static phi_d bit for bit.
     """
     if d < dl.m:
         raise ValidationError("exact evaluation needs d >= m; use the MC fallback")
-    return window_expectations(model, dl.loss_table), d - dl.m + 1
+    return exact_phi(model, window_expectations(model, dl.loss_table), d - dl.m + 1)
 
 
-def dynamic_phi(model: ProcessModel, dl: HypothesisSpace, d: int) -> float:
-    """phi_d of the dynamic cost sequence: the mirror gap, clamped at zero."""
-    return exact_phi(model, *_memory_windows(model, dl, d))
-
-
-def dynamic_phi_mc(model: ProcessModel, dl, d: int, n_samples: int, seed: int,
-                   history: int = 64) -> tuple[float, float]:
+def dynamic_phi_mc(model: ProcessModel, dl, d: int, n_samples: int,
+                   seed: int) -> tuple[float, float]:
     """Monte Carlo estimate of the dynamic phi_d for losses without exact paths.
 
-    For each conditioning state the stationary history before the state is
-    sampled through the time-reversed chain, then the chain runs d steps
-    forward; the estimate is the worst limit loss minus conditional mean, the
-    side ``dynamic_phi`` takes.
+    For each conditioning state ``_MC_HISTORY`` stationary symbols before the
+    state are sampled through the time-reversed chain, then the chain runs d
+    steps forward; the estimate is the worst limit loss minus conditional
+    mean, as in ``dynamic_phi``, with its standard error.
     """
     limit, _ = limit_test_losses(dl, model)
     pi = model.stationary
@@ -166,7 +162,7 @@ def dynamic_phi_mc(model: ProcessModel, dl, d: int, n_samples: int, seed: int,
     for s in range(model.n_states):
         means = np.empty((n_samples, dl.n_hypotheses))
         for i in range(n_samples):
-            back = _walk(rev_model, s, history, rng)[::-1]
+            back = _walk(rev_model, s, _MC_HISTORY, rng)[::-1]
             fwd = _walk(model, s, d, rng)
             prefix = np.concatenate([back, [s], fwd])
             means[i] = dl.values(prefix)
@@ -189,9 +185,9 @@ def composite_phi_check(model: ProcessModel, dl, d_grid) -> list[dict]:
 
     The even-d reduction uses d' = d/2 exactly; for odd d the floor keeps
     2*d' <= d, so the block coefficient conditions on a finer sigma-algebra
-    than the gap it must dominate (the ceiling would not).  Both one-sided
-    gaps of ``phi_gaps`` on the window table are exact; every d must be at
-    least 2 and at least the loss memory m.
+    than the gap it must dominate (the ceiling would not).  phi_d is the
+    exact ``dynamic_phi``, so every d must be at least 2 and at least the
+    loss memory m.
     """
     rows = []
     d_grid = [int(d) for d in d_grid]
@@ -199,15 +195,12 @@ def composite_phi_check(model: ProcessModel, dl, d_grid) -> list[dict]:
         raise ValidationError(f"composite check needs every d >= max(2, m), m = {dl.m}")
     for d in d_grid:
         dh = d // 2
-        lhs, mirror = (max(0.0, gap)
-                       for gap in phi_gaps(model, *_memory_windows(model, dl, d)))
+        phi = dynamic_phi(model, dl, d)
         beta, two_b = exact_block_beta(model, dl, dh), 2.0 * dl.forgetting(dh)
         rhs = two_b + beta
-        rows.append({"d": d, "d_half": dh, "phi_dynamic": lhs,
-                     "phi_mirror": mirror,
+        rows.append({"d": d, "d_half": dh, "phi_dynamic": phi,
                      "forgetting_2B": two_b, "block_beta": beta,
-                     "rhs": rhs, "ok": lhs <= rhs + _COMPOSITE_TOL,
-                     "ok_mirror": mirror <= rhs + _COMPOSITE_TOL})
+                     "rhs": rhs, "ok": phi <= rhs + _COMPOSITE_TOL})
     return rows
 
 

@@ -23,6 +23,9 @@ import numpy as np
 from .errors import SizeError, ValidationError
 
 _ENUM_CAP = 10**6
+# numpy's limit on array axes; a length-L block table has L + 1 of them and
+# ``window_expectations`` contracts it through one more
+_MAX_AXES = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32
 
 
 def _logsumexp(a: np.ndarray) -> np.float64:
@@ -72,6 +75,9 @@ class _BlockLoss:
         if self.alphabet**L > cap:
             raise SizeError(f"enumeration of {self.alphabet}^{L} blocks exceeds "
                             f"cap {cap}; use the Monte Carlo fallback")
+        if L + 2 > _MAX_AXES:
+            raise SizeError(f"a block of length L = {L} needs {L + 2} array axes; "
+                            f"numpy allows {_MAX_AXES}")
         shape = (self.alphabet,) * L
         # fancy indexing leaves the hypothesis axis innermost; a C-ordered table
         # contracts to the bits of the loss table a memory-m loss already is

@@ -242,17 +242,11 @@ def window_expectations(model: ProcessModel, table) -> np.ndarray:
     return T
 
 
-def phi_gaps(model: ProcessModel, loss_table, d: int) -> tuple[float, float]:
-    """Both one-sided gaps at lag d, unclamped: the max over (s, w) of
-    E[loss | Z_{t-d}=s] - L(w), and of its mirror, the side phi_d takes."""
-    L = np.asarray(loss_table, dtype=float)
-    diff = conditional_loss_expectations(model, L, d) - L @ model.stationary
-    return float(np.max(diff)), float(np.max(-diff))
-
-
 def exact_phi(model: ProcessModel, loss_table, d: int) -> float:
     """phi_d = max over (w, s) of L(w) - E[loss | Z_{t-d}=s], clamped at zero."""
-    return max(0.0, phi_gaps(model, loss_table, d)[1])
+    L = np.asarray(loss_table, dtype=float)
+    cond = conditional_loss_expectations(model, L, d)
+    return max(0.0, float(np.max(L @ model.stationary - cond)))
 
 
 def phi_table(model: ProcessModel, loss_table, d_max: int) -> np.ndarray:

@@ -17,11 +17,10 @@ from mixgame import (EWA, FTRL, HypothesisSpace, MixingProfile,
                      conditional_loss_expectations, decompose, deviation_term,
                      dynamic_phi, exact_block_beta, exact_phi,
                      fit_mixing_profile, limit_test_losses,
-                     make_learner, phi_gaps, phi_table, play_costs,
-                     product_chain, project_simplex, run_dynamic_game,
-                     sample_path, two_state_chain)
+                     make_learner, phi_table, play_costs, product_chain,
+                     project_simplex, run_dynamic_game, sample_path,
+                     two_state_chain, window_expectations)
 from mixgame.cli import main as cli_main
-from mixgame.dynamic import _memory_windows
 from mixgame.experiments import (config_from_dict, coverage_experiment,
                                  delay_sweep, delayed_ewa_posteriors)
 
@@ -267,8 +266,10 @@ def test_10_composite_mixing_inequality_memory2():
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
     dl = HypothesisSpace(np.stack([x, 1.0 - x]))
     for p in (0.05, 0.25):
-        rows = composite_phi_check(two_state_chain(p, p), dl, range(2, 21))
-        assert all(r["ok"] and r["ok_mirror"] for r in rows)
+        model = two_state_chain(p, p)
+        rows = composite_phi_check(model, dl, range(2, 21))
+        assert all(r["ok"] for r in rows)
+        assert all(r["phi_dynamic"] == dynamic_phi(model, dl, r["d"]) for r in rows)
     elapsed = time.monotonic() - start
     assert elapsed < 30.0
     _report(f"[10/13] composite inequality phi_d <= 2B + beta for the "
@@ -283,12 +284,12 @@ def test_11_memory1_losses_reduce_to_the_static_machinery():
     np.testing.assert_allclose(limits, table @ model.stationary, atol=1e-12)
     assert err == 0.0
     for d in (1, 2, 4, 8):
-        windows = _memory_windows(model, dl, d)  # the dynamic route's table, lag
+        # the dynamic route's window table, at lag d - m + 1 = d
+        windows = window_expectations(model, dl.loss_table)
         np.testing.assert_allclose(
-            conditional_loss_expectations(model, *windows),
+            conditional_loss_expectations(model, windows, d),
             conditional_loss_expectations(model, table, d), atol=1e-12)
-        assert abs(max(0.0, phi_gaps(model, *windows)[1])
-                   - exact_phi(model, table, d)) < 1e-12
+        assert abs(dynamic_phi(model, dl, d) - exact_phi(model, table, d)) < 1e-12
         assert abs(exact_block_beta(model, dl, d)
                    - exact_phi(model, table, 2 * d)) < 1e-12
     path = sample_path(model, 200, seed=5)

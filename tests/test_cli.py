@@ -179,17 +179,18 @@ def test_bounds_command(tmp_path):
 
 
 def test_dynamic_command(tmp_path):
-    doc = static_config()
-    x = [[0.0, 1.0], [1.0, 0.0]]
+    # the memory config of the CI console-script step, on an asymmetric chain
+    doc = dict(static_config(), process={"transition": [[0.8, 0.2], [0.3, 0.7]]})
     doc["loss"] = {"kind": "memory-table", "m": 2,
-                   "table": [x, [[1.0, 0.0], [0.0, 1.0]]]}
-    doc["experiment"]["d_grid"] = [2, 4, 6]
+                   "table": [[[0.4, 0.6], [0.5, 0.5]], [[0.5, 0.45], [0.55, 0.5]]]}
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "out"
     assert main(["dynamic", "--config", cfg, "--out", str(out)]) == 0
-    rows = read_csv(out / "dynamic_phi_check.csv")
-    assert rows[0][0] == "d" and len(rows) == 4
-    assert all(r[-2] == "1" for r in rows[1:])  # symmetric chain: ok
+    header, *rows = read_csv(out / "dynamic_phi_check.csv")
+    assert header == ["d", "d_half", "phi_dynamic", "forgetting_2B",
+                      "block_beta", "rhs", "ok"]
+    assert [r[0] for r in rows] == [str(d) for d in range(2, 21, 2)]
+    assert all(r[header.index("ok")] == "1" for r in rows)
 
 
 def test_negative_seed_reads_modulo_2_64(tmp_path):

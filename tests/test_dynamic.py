@@ -4,14 +4,13 @@ import itertools
 import numpy as np
 import pytest
 
-from mixgame import (DiscountedLoss, HypothesisSpace, PosteriorDist,
-                     ValidationError, composite_phi_check,
-                     conditional_loss_expectations, decompose, dynamic_phi,
-                     dynamic_phi_mc, exact_block_beta, exact_phi,
-                     limit_test_losses, loss_from_json, make_learner, phi_gaps,
+from mixgame import (DiscountedLoss, HypothesisSpace, PosteriorDist, SizeError,
+                     ValidationError, build_markov, composite_phi_check,
+                     decompose, dynamic_phi, dynamic_phi_mc, exact_block_beta,
+                     exact_phi, limit_test_losses, loss_from_json, make_learner,
                      run_dynamic_game, sample_path, two_state_chain,
                      window_expectations)
-from mixgame.dynamic import _memory_windows, _walk
+from mixgame.dynamic import _walk
 
 from conftest import (enumerated_block_expectations, limit_test_losses_mc,
                       random_chain)
@@ -90,19 +89,10 @@ def test_dynamic_phi_memory1_reduces_to_static():
     model = two_state_chain(0.1, 0.3)
     table = np.array([[0.0, 1.0], [0.7, 0.2]])
     dl = HypothesisSpace(table)
-    test_vec = table @ model.stationary
     for d in (1, 2, 5):
-        # the mirror gap (limit minus conditional) is the static convention
-        gap, mirror = phi_gaps(model, *_memory_windows(model, dl, d))
-        assert max(0.0, mirror) == pytest.approx(
-            exact_phi(model, table, d), abs=1e-12)
-        # dynamic_phi, which the bounds take, is that mirror
+        # limit minus conditional, the static convention
         assert dynamic_phi(model, dl, d) == pytest.approx(
             exact_phi(model, table, d), abs=1e-12)
-        # the one-sided gap as printed points the other way
-        cond = conditional_loss_expectations(model, table, d)
-        assert gap == pytest.approx(
-            float((cond - test_vec[None, :]).max()), abs=1e-12)
 
 
 def assert_kernels_match_enumeration(model, dl, L):
@@ -202,12 +192,7 @@ def test_memory3_profiles_and_gaps_frozen():
                                [0.02209981812500511, 0.003676051773563449,
                                 0.0005049366003819777, 4.639548880269739e-05],
                                atol=1e-12)
-    gaps = [phi_gaps(model, *_memory_windows(model, dl, d)) for d in range(3, 7)]
-    np.testing.assert_allclose([g for g, _ in gaps],
-                               [0.031368201629412895, 0.008445258186328353,
-                                0.003004422603297696, 0.0008871885372947474],
-                               atol=1e-12)
-    np.testing.assert_allclose([m for _, m in gaps],
+    np.testing.assert_allclose([dynamic_phi(model, dl, d) for d in range(3, 7)],
                                [0.028467634992647872, 0.006025898217227987,
                                 0.0019657404595180283, 0.0005049366003819777],
                                atol=1e-12)
@@ -255,29 +240,41 @@ def test_walk_frozen_with_generator_position(n_states):
     assert h.hexdigest()[:16] == FROZEN_WALK_DIGESTS[n_states]
 
 
-def test_memory_windows_need_enough_lag():
+def test_dynamic_phi_needs_enough_lag():
     model = two_state_chain(0.25, 0.25)
     with pytest.raises(ValidationError):
-        _memory_windows(model, xor_loss(), 1)
+        dynamic_phi(model, xor_loss(), 1)
 
 
 def test_composite_check_holds_on_symmetric_chains():
     for p in (0.05, 0.25):
         model = two_state_chain(p, p)
         rows = composite_phi_check(model, xor_loss(), range(2, 13))
-        assert all(r["ok"] and r["ok_mirror"] for r in rows)
+        assert all(r["ok"] for r in rows)
         for r in rows:
             assert r["rhs"] == pytest.approx(
                 r["forgetting_2B"] + r["block_beta"], abs=1e-12)
 
 
 def test_composite_check_mirror_holds_on_asymmetric_chains():
+    # random 2-3 state chains with random memory-1..3 tables
     rng = np.random.default_rng(14)
-    for _ in range(5):
-        model = two_state_chain(rng.uniform(0.05, 0.45),
-                                rng.uniform(0.05, 0.45))
-        rows = composite_phi_check(model, xor_loss(), range(2, 11))
-        assert all(r["ok_mirror"] for r in rows)
+    for _ in range(40):
+        S, m = int(rng.integers(2, 4)), int(rng.integers(1, 4))
+        model = random_chain(rng, S)
+        dl = HypothesisSpace(rng.random((int(rng.integers(2, 4)),) + (S,) * m))
+        rows = composite_phi_check(model, dl, range(max(2, m), 13))
+        assert all(r["ok"] for r in rows)
+        assert all(r["phi_dynamic"] == dynamic_phi(model, dl, r["d"]) for r in rows)
+
+
+def test_a_block_past_numpys_axis_limit_is_a_size_error():
+    # one symbol: every block length is within the enumeration cap
+    dl = DiscountedLoss(0.9, 0.05, [[0.5], [0.7]])
+    with pytest.raises(SizeError, match="L = 65"):
+        limit_test_losses(dl, build_markov([[1.0]]), 65)
+    with pytest.raises(SizeError, match="L = 70"):
+        dl.block_table(70)
 
 
 def test_dynamic_game_decomposition_identity():

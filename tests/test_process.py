@@ -7,8 +7,8 @@ import pytest
 from mixgame import (ConsistencyError, MixingProfile, ModelError, ProcessModel,
                      SizeError, ValidationError, build_markov,
                      conditional_loss_expectations, exact_phi,
-                     fit_mixing_profile, model_from_json, phi_gaps,
-                     phi_table, product_chain, replicate_seed, sample_path,
+                     fit_mixing_profile, model_from_json, phi_table,
+                     product_chain, replicate_seed, sample_path,
                      two_state_chain)
 from mixgame.cli import main
 from mixgame.experiments import config_from_dict, mixing_table
@@ -140,9 +140,6 @@ def test_phi_gap_unclamped_vs_exact_phi():
         cond = conditional_loss_expectations(model, losses, d)
         gap = float(np.max(losses @ model.stationary - cond))
         assert exact_phi(model, losses, d) == max(0.0, gap)
-        # phi_gaps gives both sides unclamped; the mirror is the one above
-        assert phi_gaps(model, losses, d) == (
-            float(np.max(cond - losses @ model.stationary)), gap)
 
 
 def test_conditional_expectations_converge_to_test_loss():
