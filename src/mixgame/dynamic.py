@@ -147,37 +147,31 @@ def dynamic_phi_mc(model: ProcessModel, dl, d: int, n_samples: int,
                    seed: int) -> tuple[float, float]:
     """Monte Carlo estimate of the dynamic phi_d for losses without exact paths.
 
-    For each conditioning state ``_MC_HISTORY`` stationary symbols before the
-    state are sampled through the time-reversed chain, then the chain runs d
-    steps forward; the estimate is the worst limit loss minus conditional
-    mean, as in ``dynamic_phi``, with its standard error.
+    Per conditioning state, one draw of ``n_samples`` rows of uniforms walks
+    each row ``_MC_HISTORY`` symbols back through the time-reversed chain and
+    d forward, and one ``values`` call scores the prefixes; the estimate is the
+    worst limit loss minus conditional mean, as in ``dynamic_phi``, with its
+    standard error.
     """
     limit, _ = limit_test_losses(dl, model)
     pi = model.stationary
     reverse = (model.transition * pi[None, :]).T / pi[:, None]
-    reverse = reverse / reverse.sum(axis=1, keepdims=True)
-    rev_model = ProcessModel(transition=reverse, stationary=pi)
+    rev_cum = np.cumsum(reverse / reverse.sum(axis=1, keepdims=True), axis=1)
+    cum = np.cumsum(model.transition, axis=1)
     rng = np.random.default_rng(seed)
     worst_gap, worst_se = -np.inf, 0.0
     for s in range(model.n_states):
-        means = np.empty((n_samples, dl.n_hypotheses))
-        for i in range(n_samples):
-            back = _walk(rev_model, s, _MC_HISTORY, rng)[::-1]
-            fwd = _walk(model, s, d, rng)
-            prefix = np.concatenate([back, [s], fwd])
-            means[i] = dl.values(prefix)
-        gap = limit - means.mean(axis=0)
+        u = rng.random((n_samples, _MC_HISTORY + d))
+        prefixes = np.array([_walk_chain(rev_cum, s, row[:_MC_HISTORY])[::-1] + [s]
+                             + _walk_chain(cum, s, row[_MC_HISTORY:]) for row in u])
+        # C order: the mean sums the samples one row at a time, not pairwise
+        losses = np.ascontiguousarray(dl.values(prefixes.T).T)
+        gap = limit - losses.mean(axis=0)
         j = int(np.argmax(gap))
         if gap[j] > worst_gap:
             worst_gap = float(gap[j])
-            worst_se = float(means[:, j].std(ddof=1) / math.sqrt(n_samples))
+            worst_se = float(losses[:, j].std(ddof=1) / math.sqrt(n_samples))
     return max(0.0, worst_gap), worst_se
-
-
-def _walk(model: ProcessModel, start: int, steps: int, rng) -> np.ndarray:
-    # one rng.random(steps) draws the same stream as steps rng.random() calls
-    cum = np.cumsum(model.transition, axis=1)
-    return np.array(_walk_chain(cum, start, rng.random(steps)), dtype=np.int64)
 
 
 def composite_phi_check(model: ProcessModel, dl, d_grid) -> list[dict]:

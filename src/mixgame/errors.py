@@ -79,7 +79,7 @@ def config_value(value, name: str, kind, *, low: float = -math.inf,
         leaves = np.array(value, dtype=object)  # a ragged list keeps lists as leaves
         if isinstance(value, list) == (kind is list) and all(
                 issubclass(leaf_type, numbers.Real) and not issubclass(leaf_type, bool)
-                for leaf_type in set(map(type, leaves.flat))):
+                for leaf_type in set(map(type, leaves.reshape(-1)))):
             number = leaves.astype(float) if kind is list else kind(value)
     except (ValueError, OverflowError):  # non-finite as int, huge int as float
         pass

@@ -128,7 +128,7 @@ def replicate(cfg: ExperimentConfig, seed: int, limit: np.ndarray):
         rows = cfg.loss.loss_rows(path.symbols)
         plays = delayed_ewa_posteriors(rows - limit, prior.log_weights, cfg.eta,
                                        cfg.delay)
-        trace = GameTrace(cfg.delay, plays, rows, limit)
+        trace = GameTrace(plays, rows, limit)
     else:
         learner = make_learner(cfg.algorithm, prior, cfg.eta, d=cfg.delay)
         trace = dyn.run_dynamic_game(cfg.loss, path, learner, cfg.delay, limit)

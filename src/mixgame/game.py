@@ -31,7 +31,6 @@ class GameTrace:
     simplex raises ProtocolError naming its round), then computes the costs.
     """
 
-    d: int
     posteriors: np.ndarray         # (n, W) learner plays
     loss_rows: np.ndarray          # (n, W) loss(w, Z_t) per round
     limit: np.ndarray              # (W,) limiting test losses
@@ -72,7 +71,7 @@ def play_costs(loss_rows: np.ndarray, limit: np.ndarray, learner,
                 posts[t] = np.nan
             if t + 1 >= d:
                 learner.observe(costs[t + 1 - d])
-    return GameTrace(d, posts, loss_rows, limit)
+    return GameTrace(posts, loss_rows, limit)
 
 
 def decompose(trace: GameTrace, comparator: PosteriorDist) -> dict:

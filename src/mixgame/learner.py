@@ -60,11 +60,14 @@ class _BlockLoss:
     """
 
     def horizon(self, cap: int = _ENUM_CAP) -> int:
-        """The default block length of the limit: the longest within ``cap``."""
-        return max(1, math.floor(math.log(cap) / math.log(max(self.alphabet, 2))))
+        """The default block length of the limit: the longest within ``cap``
+        and numpy's axis limit, the only limit on a one-symbol alphabet."""
+        longest = math.log(cap) / math.log(self.alphabet) if self.alphabet > 1 else math.inf
+        return max(1, math.floor(min(_MAX_AXES - 2, longest)))
 
     def values(self, prefix) -> np.ndarray:
-        """Loss of every hypothesis on the given prefix."""
+        """Loss of every hypothesis on the given prefix, a (W,) vector; on an
+        (L, k) block of k length-L prefixes, one per column, a (W, k) array."""
         prefix = np.asarray(prefix)
         if len(prefix) == 0:
             raise ValidationError("prefix must be non-empty")
@@ -104,6 +107,9 @@ class HypothesisSpace(_BlockLoss):
             raise ValidationError("loss table must have shape (W,) + (A,)*m")
         if not np.all((0 <= L) & (L <= 1)):
             raise ValidationError("loss table entries must lie in [0, 1]")
+        if L.ndim + 1 > _MAX_AXES:
+            raise ValidationError(f"a memory-{L.ndim - 1} table needs {L.ndim + 1} "
+                                  f"array axes; numpy allows {_MAX_AXES}")
         object.__setattr__(self, "loss_table", L)
 
     @property

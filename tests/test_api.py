@@ -84,7 +84,7 @@ def _config():
     lambda: PosteriorDist.uniform(2),
     lambda: two_state_chain(0.2, 0.3),
     lambda: SamplePath(np.zeros(3, dtype=np.int64)),
-    lambda: GameTrace(1, np.full((2, 2), 0.5), np.zeros((2, 2)), np.zeros(2)),
+    lambda: GameTrace(np.full((2, 2), 0.5), np.zeros((2, 2)), np.zeros(2)),
     _config,
 ], ids=["HypothesisSpace", "PosteriorDist", "ProcessModel", "SamplePath",
         "GameTrace", "ExperimentConfig"])

@@ -11,6 +11,7 @@ import pytest
 from mixgame import (HypothesisSpace, build_markov, erm, limit_test_losses,
                      sample_path)
 from mixgame.cli import main
+from mixgame.learner import _MAX_AXES
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -77,7 +78,8 @@ def test_simulate_phi_of_memory1_loss_equals_static_table(tmp_path):
 
 def test_a_one_state_discounted_loss_runs(tmp_path):
     # a one-symbol alphabet has one block of each length, so the default
-    # horizon of its limit is the binary one, not a division by log(1)
+    # horizon of its limit is the longest block numpy's axis limit allows,
+    # not a division by log(1)
     doc = dict(static_config(), process={"transition": [[1.0]]},
                loss={"kind": "discounted", "gamma": 0.9, "scale": 0.05,
                      "g_table": [[0.5], [0.7]]})
@@ -87,6 +89,22 @@ def test_a_one_state_discounted_loss_runs(tmp_path):
                      "--out", str(tmp_path / command)]) == 0
     rows = read_csv(tmp_path / "simulate" / "summary.csv")
     assert len(rows) == 3
+
+
+@pytest.mark.skipif(_MAX_AXES < 64, reason="numpy 1 has no 33-axis array")
+@pytest.mark.parametrize("m, code", [(33, 0), (63, 2)])
+def test_a_deep_loss_table_runs_or_exits_2_naming_it(tmp_path, capsys, m, code):
+    # a list nested past 32 levels is read without numpy's 32-axis iterator;
+    # a table of 63 symbol axes leaves window_expectations no axis to add
+    table = 0.5
+    for _ in range(m):
+        table = [table]
+    doc = dict(static_config(), process={"transition": [[1.0]]},
+               loss={"kind": "memory-table", "m": m, "table": [table, table]})
+    cfg = write_config(tmp_path, doc)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == code
+    if code:
+        assert "config field 'loss.table'" in capsys.readouterr().err
 
 
 def test_simulate_applies_the_learner_to_a_memory_table_loss(tmp_path):

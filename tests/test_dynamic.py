@@ -10,7 +10,8 @@ from mixgame import (DiscountedLoss, HypothesisSpace, PosteriorDist, SizeError,
                      exact_phi, limit_test_losses, loss_from_json, make_learner,
                      run_dynamic_game, sample_path, two_state_chain,
                      window_expectations)
-from mixgame.dynamic import _walk
+from mixgame.learner import _MAX_AXES
+from mixgame.process import _walk_chain
 
 from conftest import (enumerated_block_expectations, limit_test_losses_mc,
                       random_chain)
@@ -221,6 +222,29 @@ def test_dynamic_phi_mc_agrees_with_exact():
     assert abs(mc - exact) < max(5 * stderr, 0.02)
 
 
+def test_dynamic_phi_mc_frozen():
+    # (value, stderr) recorded when each sample drew and scored its own prefix
+    model = build_markov([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.25, 0.25, 0.5]])
+    table = HypothesisSpace(np.random.default_rng(3).random((4, 3, 3, 3)))
+    assert dynamic_phi_mc(model, table, 2, n_samples=40, seed=11) == (
+        0.1683084831271821, 0.03242617222656627)
+    disc = DiscountedLoss(0.6, 0.4, np.random.default_rng(5).random((3, 3)))
+    assert dynamic_phi_mc(model, disc, 2, n_samples=40, seed=12) == (
+        0.05920915114335967, 0.012505641162745888)
+
+
+@pytest.mark.parametrize("dl", [
+    HypothesisSpace(np.random.default_rng(8).random((3, 3, 3, 3))),
+    DiscountedLoss(0.7, 0.3, np.random.default_rng(9).random((3, 3)))],
+    ids=["table", "discounted"])
+def test_values_on_a_block_of_prefixes_is_each_prefix_bit_for_bit(dl):
+    rng = np.random.default_rng(10)
+    for L in (1, 2, 5, 70):
+        block = rng.integers(0, 3, (L, 6))
+        cols = np.stack([dl.values(block[:, i]) for i in range(6)], axis=1)
+        assert np.array_equal(dl.values(block), cols)
+
+
 # sha256 prefixes of the walked states and the next draw of the generator,
 # recorded with the per-step searchsorted walk that the bisect walk replaced
 FROZEN_WALK_DIGESTS = {2: "b2fa3e23bdf3b47f", 3: "d387662468c751fa",
@@ -235,7 +259,9 @@ def test_walk_frozen_with_generator_position(n_states):
     for steps in (1, 7, 64):
         for seed in (0, 11):
             rng = np.random.default_rng(seed)
-            h.update(_walk(model, seed % n_states, steps, rng).astype("<i8").tobytes())
+            walk = _walk_chain(np.cumsum(model.transition, axis=1), seed % n_states,
+                               rng.random(steps))
+            h.update(np.array(walk, dtype="<i8").tobytes())
             h.update(np.float64(rng.random()).tobytes())
     assert h.hexdigest()[:16] == FROZEN_WALK_DIGESTS[n_states]
 
@@ -275,6 +301,23 @@ def test_a_block_past_numpys_axis_limit_is_a_size_error():
         limit_test_losses(dl, build_markov([[1.0]]), 65)
     with pytest.raises(SizeError, match="L = 70"):
         dl.block_table(70)
+
+
+def test_a_one_symbol_discounted_limit_takes_the_longest_block_numpy_allows():
+    # every block length is one block, so only the axis limit bounds the horizon
+    dl = DiscountedLoss(0.9, 0.05, [[0.5], [0.7]])
+    h = dl.horizon()
+    assert h == _MAX_AXES - 2
+    limit, err = limit_test_losses(dl, build_markov([[1.0]]))
+    assert err == dl.forgetting(h)
+    assert np.all(np.abs(limit - [0.25, 0.35]) <= err)
+
+
+def test_a_table_past_numpys_axis_limit_is_a_validation_error():
+    # window_expectations contracts the table through one more axis
+    with pytest.raises(ValidationError, match=f"numpy allows {_MAX_AXES}"):
+        HypothesisSpace(np.full((2,) + (1,) * (_MAX_AXES - 1), 0.5))
+    HypothesisSpace(np.full((2,) + (1,) * (_MAX_AXES - 2), 0.5))
 
 
 def test_dynamic_game_decomposition_identity():

@@ -107,7 +107,7 @@ def test_indicator_game_costs_are_centered_losses(symmetric_quarter_chain,
 
 def test_decompose_rejects_a_nan_cost():
     # abs(nan) > tol is False, so a NaN residual must fail the check itself
-    trace = GameTrace(d=1, posteriors=np.full((2, 2), 0.5),
+    trace = GameTrace(posteriors=np.full((2, 2), 0.5),
                       loss_rows=np.array([[0.2, np.nan], [0.1, 0.3]]),
                       limit=np.zeros(2))
     with pytest.raises(ConsistencyError, match="residual=nan"):
