@@ -27,8 +27,8 @@ import numpy as np
 from .errors import ConfigSection, ValidationError, build_field
 from .game import GameTrace, play_costs
 from .learner import _ENUM_CAP, HypothesisSpace, _BlockLoss
-from .process import (ProcessModel, SamplePath, _walk_chain, exact_phi,
-                      window_expectations)
+from .process import (ProcessModel, SamplePath, _cum_rows, _walk_chain,
+                      exact_phi, window_expectations)
 
 _COMPOSITE_TOL = 1e-9
 _MC_HISTORY = 64  # stationary symbols sampled before each conditioning state
@@ -156,8 +156,8 @@ def dynamic_phi_mc(model: ProcessModel, dl, d: int, n_samples: int,
     limit, _ = limit_test_losses(dl, model)
     pi = model.stationary
     reverse = (model.transition * pi[None, :]).T / pi[:, None]
-    rev_cum = np.cumsum(reverse / reverse.sum(axis=1, keepdims=True), axis=1)
-    cum = np.cumsum(model.transition, axis=1)
+    rev_cum = _cum_rows(reverse / reverse.sum(axis=1, keepdims=True))
+    cum = _cum_rows(model.transition)
     rng = np.random.default_rng(seed)
     worst_gap, worst_se = -np.inf, 0.0
     for s in range(model.n_states):

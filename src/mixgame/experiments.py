@@ -62,17 +62,19 @@ def config_from_dict(doc: dict, seed: int | None = None) -> ExperimentConfig:
     return ExperimentConfig(model, loss, **learner, **online, **exp)
 
 
-def decay_fits(model: ProcessModel, loss, field: str, d_max: int, kinds) -> tuple:
+def decay_fits(model: ProcessModel, loss, field: str, d_max: int, kinds,
+               cut: str = "experiment.d_max") -> tuple:
     """A static loss's phi_d table for d = 1..d_max, each law of ``kinds`` fit to
     the entries before the first phi_d at or below ``PHI_FLOOR``, and that lag.
 
     A table that ends after at most 2 entries gets no fit; one that never ends
-    needs 3, or names experiment.d_max.  Other errors name ``field``.
+    needs 3, or names ``cut``, the field that set d_max.  Other errors name
+    ``field``.
     """
     _require(getattr(loss, "m", None) == 1, field, "needs a static loss table")
     table = phi_table(model, loss.loss_table, d_max)
     end = int(np.argmax(np.append(table, 0.0) <= PHI_FLOOR))  # leading entries above
-    _require(end >= 3 or end < len(table), "experiment.d_max",
+    _require(end >= 3 or end < len(table), cut,
              f"a decay-law fit needs at least 3 phi_d values, not {len(table)}")
     fits = {} if end < 3 else {
         k: build_field(field, fit_mixing_profile, table[:end], k) for k in kinds}
@@ -85,7 +87,8 @@ def resolve_delay(delay_spec, model: ProcessModel, loss, n: int, d_max: int) -> 
         _require(1 <= delay_spec <= n, "online.delay", "must lie in [1, n]")
         return delay_spec
     kind = delay_spec.removeprefix("auto-")
-    _, fits, end = decay_fits(model, loss, "online.delay", min(d_max, n), [kind])
+    cut = "experiment.n" if n < d_max else "experiment.d_max"
+    _, fits, end = decay_fits(model, loss, "online.delay", min(d_max, n), [kind], cut)
     return fits[kind].tuned_delay(n) if fits else end  # no fit: first lag at the floor
 
 

@@ -6,11 +6,7 @@ its forgetting coefficient B_d is exact from the table, 0 from d = m on.
 The statistical learners read a path's (n, W) ``loss_rows``, as the game does.
 
 All posterior arithmetic happens in natural-log space with logsumexp
-normalization so that inverse temperatures up to ~1e8 stay finite.  The
-normalizer ``_logsumexp`` is plain numpy that repeats, step by step, the
-arithmetic of SciPy's ``logsumexp`` (the property tests compare the two bit
-for bit) at about a tenth of its per-call cost, which the online learners
-pay once per round.
+normalization so that inverse temperatures up to ~1e8 stay finite.
 """
 
 from __future__ import annotations
@@ -31,21 +27,13 @@ _MAX_AXES = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32
 def _logsumexp(a: np.ndarray) -> np.float64:
     """log(sum(exp(a))) of a 1-D float array, -inf when ``a`` is empty.
 
-    The largest entries are taken out of the sum and counted, so that ``s``
-    sums terms of at most 1 and ``log1p(s / m) + log(m) + a_max`` stays
-    accurate.  A non-finite maximum or result falls back to the direct
-    formula, whose infinities and NaNs follow ``exp`` and ``log``.
+    A finite maximum is shifted out, so every exponent is at most 0 and the
+    sum at least 1; otherwise the direct formula's infinities and NaNs follow
+    ``exp`` and ``log``.
     """
     a_max = a.max(initial=-np.inf)
     if math.isfinite(a_max):
-        top = a == a_max
-        m = np.count_nonzero(top)
-        s = np.exp(np.where(top, -np.inf, a) - a_max).sum()
-        if s != 0:
-            s /= m
-        out = np.log1p(s) + np.log(m) + a_max
-        if math.isfinite(out):
-            return out
+        return a_max + np.log(np.exp(a - a_max).sum())
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return np.log(np.exp(a).sum())
 

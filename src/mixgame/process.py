@@ -190,28 +190,32 @@ def sample_path(model: ProcessModel, n: int, seed: int) -> SamplePath:
     """Draw a length-n stationary path; deterministic in (model, n, seed)."""
     if n < 1:
         raise ValidationError("n must be at least 1")
-    rng = np.random.default_rng(seed)
-    u = rng.random(n)
-    cum_pi = np.cumsum(model.stationary)
-    s = min(int(np.searchsorted(cum_pi, u[0], side="right")), model.n_states - 1)
-    walk = _walk_chain(np.cumsum(model.transition, axis=1), s, u[1:])
-    symbols = np.array([s] + walk, dtype=np.int64)
-    return SamplePath(symbols=symbols)
+    u = np.random.default_rng(seed).random(n)
+    # the stationary law is the row of a start state S, so the walk from S
+    # draws Z_0 by the same inverse-CDF step as every later symbol
+    start = np.vstack([model.transition, model.stationary])
+    symbols = _walk_chain(_cum_rows(start), model.n_states, u)
+    return SamplePath(symbols=np.array(symbols, dtype=np.int64))
 
 
-def _walk_chain(cum_rows: np.ndarray, s: int, u: np.ndarray) -> list[int]:
+def _cum_rows(rows: np.ndarray) -> list[list[float]]:
+    """The cumulative sums of each row without its last, for ``_walk_chain``."""
+    return np.cumsum(rows, axis=1)[:, :-1].tolist()
+
+
+def _walk_chain(cum_rows: list[list[float]], s: int, u: np.ndarray) -> list[int]:
     """States visited from state ``s``, one inverse-CDF step per uniform in ``u``.
 
-    Each step equals ``searchsorted(cum_rows[s], x, side="right")`` clipped
-    to the last state, at a fraction of the cost of a numpy call: ``bisect``
-    runs on Python lists, and searching a row without its last entry does
-    the clipping (the last state takes every ``x`` at or beyond the
-    second-to-last cumulative sum, whatever rounding left in the row sum).
+    ``cum_rows`` is ``_cum_rows`` of the transition rows.  Each step equals
+    ``searchsorted(cumsum(row), x, side="right")`` clipped to the last state,
+    at a fraction of the cost of a numpy call: ``bisect`` runs on Python
+    lists, and searching a row without its last entry does the clipping (the
+    last state takes every ``x`` at or beyond the second-to-last cumulative
+    sum, whatever rounding left in the row sum).
     """
-    rows = cum_rows[:, :-1].tolist()
     states = []
     for x in u.tolist():
-        s = bisect_right(rows[s], x)
+        s = bisect_right(cum_rows[s], x)
         states.append(s)
     return states
 

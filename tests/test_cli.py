@@ -263,6 +263,9 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
         ("simulate", dict(static_config(), online={"delay": True}), "online.delay"),
         ("simulate", dict(static_config(d_max=0), online=auto), "experiment.d_max"),
         ("simulate", dict(static_config(d_max=2), online=auto), "experiment.d_max"),
+        # n below d_max cut the table
+        ("simulate", dict(static_config(n=1), online=auto), "experiment.n"),
+        ("simulate", dict(static_config(n=2), online=auto), "experiment.n"),
         ("bounds", {"bounds": {"delta": 0.1}}, "bounds.n"),
         ("mixing", static_config(d_max=1), "experiment.d_max"),
         ("mixing", static_config(d_max=2), "experiment.d_max"),

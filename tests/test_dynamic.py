@@ -11,7 +11,7 @@ from mixgame import (DiscountedLoss, HypothesisSpace, PosteriorDist, SizeError,
                      run_dynamic_game, sample_path, two_state_chain,
                      window_expectations)
 from mixgame.learner import _MAX_AXES
-from mixgame.process import _walk_chain
+from mixgame.process import _cum_rows, _walk_chain
 
 from conftest import (enumerated_block_expectations, limit_test_losses_mc,
                       random_chain)
@@ -259,7 +259,7 @@ def test_walk_frozen_with_generator_position(n_states):
     for steps in (1, 7, 64):
         for seed in (0, 11):
             rng = np.random.default_rng(seed)
-            walk = _walk_chain(np.cumsum(model.transition, axis=1), seed % n_states,
+            walk = _walk_chain(_cum_rows(model.transition), seed % n_states,
                                rng.random(steps))
             h.update(np.array(walk, dtype="<i8").tobytes())
             h.update(np.float64(rng.random()).tobytes())

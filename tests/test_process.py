@@ -189,7 +189,7 @@ def test_walk_chain_matches_clipped_searchsorted():
         for x in u:
             s = min(int(np.searchsorted(cum[s], x, side="right")), n_states - 1)
             expected.append(s)
-        assert _walk_chain(cum, 0, u) == expected
+        assert _walk_chain(cum[:, :-1].tolist(), 0, u) == expected
 
 
 def test_replicate_seed_is_injective_over_small_range():
