@@ -4,7 +4,9 @@ Every bound is assembled into a BoundReport with the three-term structure
 regret_term + phi_term + deviation_term = total.  ``delay_bound`` takes
 phi_d at a given delay; ``tuned_bound`` is ``delay_bound`` at the delay a
 MixingProfile tunes (``MixingProfile.tuned_delay``), paying the profile's
-own phi_d and the deviation term there.
+own phi_d and the deviation term there.  Its regret is read at that delay,
+so a regret bound that holds at every d (``online.delayed_regret_bound``)
+pairs with a given delay and a tuned one alike, as ``mixgame bounds`` pairs them.
 """
 
 from __future__ import annotations

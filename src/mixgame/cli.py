@@ -1,6 +1,7 @@
 """Command-line experiment driver: one table of subcommands and their flags.
 
-Every table is a list of row dicts, written as CSV under the first row's keys.
+``mixgame bounds`` is one loop over delay rows and regret sources.  Every
+table is a list of row dicts, written as CSV under the first row's keys.
 Exit codes: 0 success, 2 validation error, 3 runtime/consistency error.
 """
 
@@ -65,38 +66,32 @@ def cmd_mixing(args) -> None:
                {"fits": result["fits"], "fit_skipped": result["fit_skipped"]})
 
 
-# `mixgame bounds` tuned rows: MixingProfile kind -> {regret key -> (tag
-# prefix, regret at d from the bounds fields)}; with no regret key, the plain regret.
-TUNED_ROWS = {
-    "geometric": {
-        "kl": ("ewa-", lambda spec: functools.partial(
-            delayed_regret_bound, spec["kl"], spec["eta"], n=spec["n"])),
-        "h_gap": ("ftrl-", lambda spec: functools.partial(
-            delayed_regret_bound, spec["h_gap"], spec["eta"], n=spec["n"],
-            alpha=spec["alpha"], B=spec["B"])),
-    },
-}
+# `mixgame bounds` writes one row per delay row and regret source.  The delay
+# rows are the given phi_d at d, then each decay law whose rate the section
+# holds, at its tuned delay.  Regret sources: bounds field -> (tag prefix, the
+# fields beside it that ``delayed_regret_bound`` reads); with none, the plain regret.
+REGRET_SOURCES = {"kl": ("ewa-", ()), "h_gap": ("ftrl-", ("alpha", "B"))}
 
 
 def cmd_bounds(args) -> None:
     doc = _read_json(args.config)
     spec = ConfigSection(doc.get("bounds", {}) if isinstance(doc, dict) else None,
                          "bounds")
-    n, delta, regret = spec["n"], spec["delta"], spec["regret"]
-    reports = []
+    n, delta = spec["n"], spec["delta"]
+    delay_rows = []  # each maps (regret at d, tag prefix) to its report
     if "phi_d" in spec:
         _require(spec["d"] <= n, "bounds.d", f"must lie in [1, {n}]")
-        reports.append(bd.delay_bound(regret, spec["phi_d"], spec["d"], n, delta))
-    for kind, law in DECAY_LAWS.items():
-        if law.rate not in spec:
-            continue
-        profile = MixingProfile(kind, C=spec["C"], **{law.rate: spec[law.rate]})
-        rows = [(prefix, make(spec)) for key, (prefix, make)
-                in TUNED_ROWS.get(kind, {}).items() if key in spec]
-        for prefix, regret_at in rows or [("", lambda d: regret)]:
-            reports.append(bd.tuned_bound(profile, n, delta, regret_at, prefix))
-    _require(reports, "bounds", "no evaluable bound found")
-    reports = [r.to_dict() for r in reports]
+        delay_rows.append(lambda regret, prefix, d=spec["d"]: bd.delay_bound(
+            regret(d), spec["phi_d"], d, n, delta, tag=prefix + "delay"))
+    delay_rows += [functools.partial(bd.tuned_bound, MixingProfile(
+        kind, C=spec["C"], **{law.rate: spec[law.rate]}), n, delta)
+        for kind, law in DECAY_LAWS.items() if law.rate in spec]
+    _require(delay_rows, "bounds", "no evaluable bound found")
+    sources = [(functools.partial(delayed_regret_bound, spec[key], spec["eta"], n=n,
+                                  **{k: spec[k] for k in keys}), prefix)
+               for key, (prefix, keys) in REGRET_SOURCES.items() if key in spec
+               ] or [(lambda d: spec["regret"], "")]
+    reports = [row(*source).to_dict() for row in delay_rows for source in sources]
     write_json(args.out / "bounds.json", reports)
     write_csv(args.out / "bounds.csv", reports)
 

@@ -143,17 +143,16 @@ def dynamic_phi(model: ProcessModel, dl: HypothesisSpace, d: int) -> float:
     return exact_phi(model, window_expectations(model, dl.loss_table), d - dl.m + 1)
 
 
-def dynamic_phi_mc(model: ProcessModel, dl, d: int, n_samples: int,
-                   seed: int) -> tuple[float, float]:
+def dynamic_phi_mc(model: ProcessModel, dl, d: int, limit: np.ndarray,
+                   n_samples: int, seed: int) -> tuple[float, float]:
     """Monte Carlo estimate of the dynamic phi_d for losses without exact paths.
 
     Per conditioning state, one draw of ``n_samples`` rows of uniforms walks
     each row ``_MC_HISTORY`` symbols back through the time-reversed chain and
     d forward, and one ``values`` call scores the prefixes; the estimate is the
-    worst limit loss minus conditional mean, as in ``dynamic_phi``, with its
-    standard error.
+    worst ``limit`` loss (the run's ``limit_test_losses``) minus conditional
+    mean, as in ``dynamic_phi``, with its standard error.
     """
-    limit, _ = limit_test_losses(dl, model)
     pi = model.stationary
     reverse = (model.transition * pi[None, :]).T / pi[:, None]
     rev_cum = _cum_rows(reverse / reverse.sum(axis=1, keepdims=True))

@@ -139,11 +139,12 @@ def replicate(cfg: ExperimentConfig, seed: int, limit: np.ndarray):
     return comparator, decompose(trace, comparator)
 
 
-def experiment_phi(cfg: ExperimentConfig) -> float:
-    """phi_d at the delay: exact when d >= m, else the Monte-Carlo estimate."""
+def experiment_phi(cfg: ExperimentConfig, limit: np.ndarray) -> float:
+    """phi_d at the delay: exact when d >= m, else the Monte-Carlo estimate
+    against ``limit``, the loss's ``dyn.limit_test_losses``."""
     if cfg.delay >= getattr(cfg.loss, "m", math.inf):
         return dyn.dynamic_phi(cfg.model, cfg.loss, cfg.delay)
-    phi, _ = dyn.dynamic_phi_mc(cfg.model, cfg.loss, cfg.delay,
+    phi, _ = dyn.dynamic_phi_mc(cfg.model, cfg.loss, cfg.delay, limit,
                                 n_samples=200, seed=cfg.seed)
     return phi
 
@@ -151,9 +152,9 @@ def experiment_phi(cfg: ExperimentConfig) -> float:
 def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list]:
     """Run all replicates; return one summary row dict per replicate and the
     bound reports of replicate 0."""
-    phi = experiment_phi(cfg)
-    mn_bound = phi + bd.deviation_term(cfg.delay, cfg.n, cfg.delta)
     limit = dyn.limit_test_losses(cfg.loss, cfg.model)[0]
+    phi = experiment_phi(cfg, limit)
+    mn_bound = phi + bd.deviation_term(cfg.delay, cfg.n, cfg.delta)
     rows, reports = [], []
     for k in range(cfg.replicates):
         seed = replicate_seed(cfg.seed, k)

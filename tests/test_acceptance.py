@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from mixgame import (EWA, FTRL, HypothesisSpace, MixingProfile,
+from mixgame import (EWA, FTRL, GameTrace, HypothesisSpace, MixingProfile,
                      PosteriorDist, composite_phi_check,
                      conditional_loss_expectations, decompose, deviation_term,
                      dynamic_phi, exact_block_beta, exact_phi,
@@ -220,6 +220,58 @@ def test_07_generalization_bound_coverage():
     assert summary["violation_rate"] <= 0.1 + 3 * sigma
     _report(f"[7/13] realized-regret generalization bound coverage: "
             f"violation rate {summary['violation_rate']:.3f} over 1000 replicates")
+
+
+def _wrapped_ewa_martingale(model, loss, d, eta, n):
+    """Every length-n path of a 2-state chain, its stationary probability, its
+    loss rows, the limit, the wrapped-EWA plays and M_n, all paths at once."""
+    paths = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    T, pi = model.transition, model.stationary
+    prob = pi[paths[:, 0]] * np.prod(T[paths[:, :-1], paths[:, 1:]], axis=1)
+    rows = loss.loss_table[:, paths].transpose(1, 2, 0)  # (paths, n, W)
+    limit = loss.loss_table @ pi
+    costs = rows - limit
+    cum = np.zeros_like(costs)  # each round's earlier costs of its residue class
+    for i in range(d):
+        cum[:, i + d::d] = np.cumsum(costs[:, i::d][:, :-1], axis=1)
+    logits = -eta * cum  # a uniform prior
+    plays = np.exp(logits - logits.max(axis=2, keepdims=True))
+    plays /= plays.sum(axis=2, keepdims=True)
+    mn = -np.mean(np.sum(plays * costs, axis=2), axis=1)
+    return prob, rows, limit, plays, mn
+
+
+@pytest.mark.parametrize("flip, d, eta, tails", [
+    (0.5, 1, 50.0, (0.0, 974 / 2**16, 8102 / 2**16)),
+    (0.5, 1, 0.3, (0.0, 34 / 2**16, 1394 / 2**16)),
+    (0.1, 4, 50.0, (0.0, 0.0, 0.0)),
+], ids=["fair-coin-eta50", "fair-coin-eta0.3", "flip0.1-d4"])
+def test_martingale_bound_exact_over_every_path(flip, d, eta, tails):
+    """Claim 6 without sampling: over all 2^16 paths at n = 16, exactly
+    P(M_n > phi_d + deviation) <= delta and E[M_n] <= phi_d, for wrapped EWA
+    on indicator losses; a deviation term cut to a quarter is caught."""
+    n, delta = 16, 0.1
+    model = two_state_chain(flip, flip)
+    loss = HypothesisSpace(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    prob, rows, limit, plays, mn = _wrapped_ewa_martingale(model, loss, d, eta, n)
+    assert abs(prob.sum() - 1.0) < 1e-12
+    k = 12345  # one path through the package's own plays and accounting
+    prior_log = PosteriorDist.uniform(2).log_weights
+    np.testing.assert_allclose(
+        delayed_ewa_posteriors(rows[k] - limit, prior_log, eta, d), plays[k],
+        rtol=0, atol=1e-15)
+    trace = GameTrace(plays[k], rows[k], limit)
+    assert decompose(trace, PosteriorDist.uniform(2))["martingale"] == pytest.approx(
+        mn[k], rel=0, abs=1e-15)
+    phi, dev = dynamic_phi(model, loss, d), deviation_term(d, n, delta)
+    tail = [float(prob[mn > phi + dev * cut].sum()) for cut in (1.0, 0.5, 0.25)]
+    assert tail == pytest.approx(tails, rel=0, abs=1e-12)
+    assert tail[0] <= delta
+    assert prob @ mn <= phi + 1e-12  # rounding of a zero mean on the fair coin
+    if (flip, eta) == (0.5, 50.0):
+        assert tail[2] > delta  # the oracle has power
+    _report(f"[6/13, exact] P(M_n > bound) = {tail[0]} <= {delta}, "
+            f"E[M_n] = {prob @ mn:.4f} <= phi_{d} = {phi:.4f} over all 2^{n} paths")
 
 
 def test_08_delay_tuning_formulas_and_rate_exponent():

@@ -151,6 +151,38 @@ def test_bounds_command_overflowing_delay_is_clamped_to_n(tmp_path, spec,
                               tag=profile.kind).to_dict()
 
 
+@pytest.mark.parametrize("spec, rows", [
+    ({"phi_d": 0.05, "d": 4, "tau": 2.0, "r": 1.0},
+     [("delay", 4, 0.204809102408198), ("geometric", 14, 0.29053319274829326),
+      ("algebraic", 10, 0.3447746830680817)]),
+    ({"n": 50, "delta": 0.9, "C": 2.0, "tau": 60.0},
+     [("geometric", 50, 1.3282400220405772)]),
+    ({"tau": 1e308}, [("geometric", 1000, 3.4477468306808166)]),
+    ({"tau": 2.0, "kl": 0.5, "h_gap": 0.7, "eta": 0.1, "alpha": 2.0, "B": 0.5},
+     [("ewa-geometric", 14, 0.41053319274829325),
+      ("ftrl-geometric", 14, 0.3947831927482932)]),
+    ({"tau": 2.0, "r": 1.0, "kl": math.log(2), "eta": 0.1},
+     [("ewa-geometric", 14, 0.4375737980266856),
+      ("ewa-algebraic", 10, 0.46408940112407615)]),
+    ({"phi_d": 0.05, "d": 4, "tau": 2.0, "r": 1.0, "kl": 0.5, "h_gap": 0.7,
+      "eta": 0.1},
+     [("ewa-delay", 4, 0.274809102408198), ("ftrl-delay", 4, 0.282809102408198),
+      ("ewa-geometric", 14, 0.41053319274829325),
+      ("ftrl-geometric", 14, 0.4385331927482933),
+      ("ewa-algebraic", 10, 0.44477468306808166),
+      ("ftrl-algebraic", 10, 0.4647746830680817)]),
+], ids=["phi-tau-r", "clamped-tau", "overflowing-tau", "tau-kl-h_gap",
+        "kl-tau-r", "every-row"])
+def test_bounds_command_rows_frozen(tmp_path, spec, rows):
+    # one row per delay row (phi_d at d, then geometric, then algebraic) and
+    # regret source (kl, then h_gap; with neither, the plain regret)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"bounds": {"n": 1000, "delta": 0.05, **spec}}))
+    assert main(["bounds", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    written = json.loads((tmp_path / "bounds.json").read_text())
+    assert [(r["tag"], r["d"], r["total"]) for r in written] == rows
+
+
 def test_sweep_delay_rows_are_consistent():
     model = two_state_chain(0.25, 0.25)
     space = HypothesisSpace(np.array([[0.0, 1.0], [1.0, 0.0]]))

@@ -193,7 +193,7 @@ def test_bounds_command(tmp_path):
     rows = read_csv(out / "bounds.csv")
     assert rows[0] == ["tag", "n", "d", "delta", "regret_term", "phi_term",
                        "deviation_term", "total"]
-    assert len(rows) >= 3  # ewa-geometric and algebraic at least
+    assert [row[0] for row in rows[1:]] == ["ewa-geometric", "ewa-algebraic"]
 
 
 def test_dynamic_command(tmp_path):
@@ -267,6 +267,12 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
         ("simulate", dict(static_config(n=1), online=auto), "experiment.n"),
         ("simulate", dict(static_config(n=2), online=auto), "experiment.n"),
         ("bounds", {"bounds": {"delta": 0.1}}, "bounds.n"),
+        # kl feeds the phi_d row, which then needs eta; a key no row reads
+        # is range-checked too
+        ("bounds", {"bounds": {"n": 100, "delta": 0.1, "phi_d": 0.05, "d": 4,
+                               "kl": 0.5}}, "bounds.eta"),
+        ("bounds", {"bounds": {"n": 100, "delta": 0.1, "phi_d": 0.05, "d": 4,
+                               "alpha": "x"}}, "bounds.alpha"),
         ("mixing", static_config(d_max=1), "experiment.d_max"),
         ("mixing", static_config(d_max=2), "experiment.d_max"),
         # integers beyond the 10**9 ceiling

@@ -218,7 +218,9 @@ def test_dynamic_phi_decays_geometrically_on_asymmetric_chain():
 def test_dynamic_phi_mc_agrees_with_exact():
     model = two_state_chain(0.1, 0.3)
     exact = dynamic_phi(model, xor_loss(), 3)
-    mc, stderr = dynamic_phi_mc(model, xor_loss(), 3, n_samples=5000, seed=1)
+    mc, stderr = dynamic_phi_mc(model, xor_loss(), 3,
+                                limit_test_losses(xor_loss(), model)[0],
+                                n_samples=5000, seed=1)
     assert abs(mc - exact) < max(5 * stderr, 0.02)
 
 
@@ -226,10 +228,12 @@ def test_dynamic_phi_mc_frozen():
     # (value, stderr) recorded when each sample drew and scored its own prefix
     model = build_markov([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.25, 0.25, 0.5]])
     table = HypothesisSpace(np.random.default_rng(3).random((4, 3, 3, 3)))
-    assert dynamic_phi_mc(model, table, 2, n_samples=40, seed=11) == (
+    assert dynamic_phi_mc(model, table, 2, limit_test_losses(table, model)[0],
+                          n_samples=40, seed=11) == (
         0.1683084831271821, 0.03242617222656627)
     disc = DiscountedLoss(0.6, 0.4, np.random.default_rng(5).random((3, 3)))
-    assert dynamic_phi_mc(model, disc, 2, n_samples=40, seed=12) == (
+    assert dynamic_phi_mc(model, disc, 2, limit_test_losses(disc, model)[0],
+                          n_samples=40, seed=12) == (
         0.05920915114335967, 0.012505641162745888)
 
 

@@ -215,11 +215,12 @@ VALID_CONFIGS = {
                                     "scale": 0.1, "g_table": X}),
     "auto": base_config(online={"algorithm": "ewa", "eta": 0.3,
                                 "delay": "auto-geometric"}),
-    # run through `mixgame bounds`; h_gap beside r feeds no row
+    # run through `mixgame bounds`
     "bounds-phi": {"bounds": {"n": 100, "delta": 0.1, "phi_d": 0.05, "d": 4}},
     "bounds-ewa": {"bounds": {"n": 100, "delta": 0.1, "tau": 2.0, "kl": 0.5,
                               "eta": 0.1}},
-    "bounds-ftrl": {"bounds": {"n": 100, "delta": 0.1, "r": 1.0, "h_gap": 0.5}},
+    "bounds-ftrl": {"bounds": {"n": 100, "delta": 0.1, "r": 1.0, "h_gap": 0.5,
+                               "eta": 0.1}},
 }
 # (config, section, key): key None changes the whole section
 FIELD_CASES = [(name, section, key) for name, doc in VALID_CONFIGS.items()
