@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
               "--out": {"type": Path, "default": "out", "help": "output directory"}}
     # the subcommands that sample a path read the master seed
     seeded = {**common, "--seed": {"type": int, "help": "override the master seed"}}
-    mode = {"--mode": {"choices": ["mn", "gen"], "default": "mn"}}
+    mode = {"--mode": {"choices": list(xp.COVERAGE_COLUMNS), "default": "mn"}}
     commands = {  # subcommand -> (handler, the flags it reads)
         "simulate": (cmd_simulate, seeded),
         "coverage": (cmd_coverage, {**seeded, **mode}),

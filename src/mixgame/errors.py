@@ -109,7 +109,7 @@ CONFIG_FIELDS = {
     "loss.g_table": (list, None, {}),
     "learner.kind": (("gibbs", "erm"), "gibbs", {}),
     "learner.beta": (float, 1.0, {"low": 0}),
-    "online.algorithm": (("ewa", "ftrl-entropy", "ftrl-sqnorm"), "ewa", {}),
+    "online.algorithm": (("ewa", "ftrl-sqnorm"), "ewa", {}),
     "online.eta": (float, 0.1, {"low": 0, "strict": True}),
     "online.delay": ((int, "auto-geometric", "auto-algebraic"), 1, {"low": 1}),
     "experiment.n": (int, None, {"low": 1}),

@@ -4,8 +4,8 @@ Every replicate is one ``replicate`` call: path, delayed game, the comparator
 read from the game's loss rows, and the checked decomposition
 Gen = Regret/n + M_n.  The config carries one loss, a table of memory m
 (static: m = 1) or a discounted loss, and every step reads it the same way.
-Wrapped exponential weights plays the closed form of
-``delayed_ewa_posteriors``; every other algorithm plays the game loop.
+Wrapped exponential weights (FTRL with negative entropy) plays the closed
+form of ``delayed_ewa_posteriors``; squared-norm FTRL plays the game loop.
 Coverage is a column view of ``run_experiment``'s rows.
 Replicate k draws its RNG stream from the master seed via a splitmix64
 derivation, so runs are reproducible end to end and replicates independent.
@@ -35,7 +35,7 @@ class ExperimentConfig:
     loss: object                         # dyn.LOSS_SCHEMAS: a table or discounted loss
     kind: str                            # learner.kind: "gibbs" | "erm"
     beta: float
-    algorithm: str                       # "ewa" | "ftrl-entropy" | "ftrl-sqnorm"
+    algorithm: str                       # online.LEARNERS: "ewa" | "ftrl-sqnorm"
     eta: float
     delay: int                           # resolved from online.delay, in [1, n]
     n: int

@@ -1,10 +1,11 @@
 """Online learners over the probability simplex and their regret-bound formulas.
 
-Two base algorithms are provided: exponential weights (multiplicative
-updates in log space) and follow-the-regularized-leader with either a
-negative-entropy or a prior-centered half-squared-norm regularizer.  A
-round-robin wrapper turns any base learner into a delay-tolerant one by
-running d independent instances, one per residue class of rounds.
+Two base algorithms are provided, one per play rule: exponential weights
+(multiplicative updates in log space), which is follow-the-regularized-leader
+with the negative-entropy regularizer, and follow-the-regularized-leader with
+the prior-centered half-squared-norm regularizer.  A round-robin wrapper turns
+any base learner into a delay-tolerant one by running d independent
+instances, one per residue class of rounds.
 """
 
 from __future__ import annotations
@@ -34,23 +35,18 @@ def project_simplex(v) -> np.ndarray:
                           "onto the simplex")
 
 
-def ftrl_step(prior: PosteriorDist, cumulative_cost: np.ndarray, eta: float,
-              reg: str = "negative-entropy") -> PosteriorDist:
+def ftrl_step(prior: PosteriorDist, cumulative_cost: np.ndarray,
+              eta: float) -> PosteriorDist:
     """The FTRL point after the given cumulative cost vector.
 
-    Negative entropy has the closed-form Gibbs solution; the squared-norm
-    regularizer is prior-centered (h(P) = 0.5 * ||P - P_1||^2), so its
-    zero-cost argmin is the prior, matching the entropy convention.  ``reg``
-    names the regularizer: "negative-entropy" or "half-squared-norm".
+    The regularizer is prior-centered, h(P) = 0.5 * ||P - P_1||^2, so the
+    point is the simplex projection of P_1 - eta * cost and its zero-cost
+    argmin is the prior.  The negative-entropy point is ``EWA``'s play.
     """
     if eta <= 0:
         raise ValidationError("eta must be positive")
     c = np.asarray(cumulative_cost, dtype=float)
-    if reg == "negative-entropy":
-        return PosteriorDist(prior.log_weights - eta * c)
-    if reg == "half-squared-norm":
-        return PosteriorDist.from_probs(project_simplex(prior.probs - eta * c))
-    raise ValidationError(f"unknown regularizer kind {reg!r}")
+    return PosteriorDist.from_probs(project_simplex(prior.probs - eta * c))
 
 
 class EWA:
@@ -71,19 +67,18 @@ class EWA:
 
 
 class FTRL:
-    """Follow-the-regularized-leader; keeps the cumulative observed cost."""
+    """Squared-norm follow-the-regularized-leader; keeps the cumulative
+    observed cost and plays its ``ftrl_step``."""
 
-    def __init__(self, prior: PosteriorDist, eta: float,
-                 reg: str = "negative-entropy"):
+    def __init__(self, prior: PosteriorDist, eta: float):
         if eta <= 0:
             raise ValidationError("eta must be positive")
         self.prior = prior
         self.eta = eta
-        self.reg = reg
         self._cum = np.zeros(len(prior))
 
     def act(self) -> PosteriorDist:
-        return ftrl_step(self.prior, self._cum, self.eta, self.reg)
+        return ftrl_step(self.prior, self._cum, self.eta)
 
     def observe(self, cost: np.ndarray) -> None:
         self._cum = self._cum + np.asarray(cost, float)
@@ -114,17 +109,16 @@ class DelayedLearner:
         self._observed += 1
 
 
+# online.algorithm -> its base learner, built from (prior, eta)
+LEARNERS = {"ewa": EWA, "ftrl-sqnorm": FTRL}
+
+
 def make_learner(algorithm: str, prior: PosteriorDist, eta: float,
                  d: int = 1):
     """Build the round-robin wrapped learner of a config triple."""
-    factories = {
-        "ewa": lambda: EWA(prior, eta),
-        "ftrl-entropy": lambda: FTRL(prior, eta, "negative-entropy"),
-        "ftrl-sqnorm": lambda: FTRL(prior, eta, "half-squared-norm"),
-    }
-    if algorithm not in factories:
+    if algorithm not in LEARNERS:
         raise ValidationError(f"unknown algorithm {algorithm!r}")
-    return DelayedLearner(factories[algorithm], d)
+    return DelayedLearner(lambda: LEARNERS[algorithm](prior, eta), d)
 
 
 def delayed_regret_bound(h_gap: float, eta: float, d: int, n: int,

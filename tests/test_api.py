@@ -12,6 +12,7 @@ import pytest
 from mixgame import (DECAY_LAWS, GameTrace, HypothesisSpace, PosteriorDist,
                      SamplePath, config_from_dict, two_state_chain)
 from mixgame.dynamic import LOSS_SCHEMAS
+from mixgame.online import LEARNERS
 from mixgame.errors import CONFIG_FIELDS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -66,6 +67,8 @@ def test_config_choices_match_the_tables_they_select_from():
     assert kind == (int, *(f"auto-{law}" for law in DECAY_LAWS))
     kinds, _, _ = CONFIG_FIELDS["loss.kind"]
     assert set(kinds) == set(LOSS_SCHEMAS)
+    algorithms, _, _ = CONFIG_FIELDS["online.algorithm"]
+    assert algorithms == tuple(LEARNERS)
     loss_keys = {key for _, keys in LOSS_SCHEMAS.values() for key in keys}
     assert {f"loss.{key}" for key in {"kind", *loss_keys}} == {
         path for path in CONFIG_FIELDS if path.startswith("loss.")}

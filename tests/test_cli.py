@@ -261,6 +261,9 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
     bad_docs = [
         ("simulate", static_config(n="abc"), "experiment.n"),
         ("simulate", dict(static_config(), online={"delay": True}), "online.delay"),
+        # exponential weights is entropic FTRL, so that name selects nothing
+        ("simulate", dict(static_config(), online={"algorithm": "ftrl-entropy"}),
+         "online.algorithm"),
         ("simulate", dict(static_config(d_max=0), online=auto), "experiment.d_max"),
         ("simulate", dict(static_config(d_max=2), online=auto), "experiment.d_max"),
         # n below d_max cut the table
@@ -417,7 +420,7 @@ def test_a_bad_delay_grid_exits_2_naming_its_field(tmp_path, capsys, command,
     assert f"config field {field!r}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("algorithm", ["ewa", "ftrl-entropy", "ftrl-sqnorm"])
+@pytest.mark.parametrize("algorithm", ["ewa", "ftrl-sqnorm"])
 def test_an_overflowing_learner_exits_3_naming_the_round(tmp_path, capsys,
                                                          algorithm):
     # the closed form of wrapped EWA and the game loop of FTRL pass one check

@@ -11,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixgame import (DECAY_LAWS, HypothesisSpace, PosteriorDist, ValidationError,
-                     limit_test_losses, make_learner, play_costs, sample_path)
+                     decompose, limit_test_losses, make_learner, play_costs,
+                     replicate_seed, run_dynamic_game, sample_path)
 from mixgame.cli import main
 from mixgame.experiments import (config_from_dict, coverage_experiment,
                                  decay_fits, delay_sweep, delayed_ewa_posteriors,
                                  mixing_table, replicate, resolve_delay,
-                                 run_experiment)
+                                 run_experiment, statistical_posterior)
 from mixgame.process import PHI_FLOOR
 
 
@@ -87,15 +88,18 @@ def test_coverage_modes_agree_between_fast_and_generic_paths():
     doc = base_config()
     doc["experiment"]["replicates"] = 3
     cfg = config_from_dict(doc)
-    fast, _ = coverage_experiment(cfg, mode="gen")
-    slow_doc = base_config(online={"algorithm": "ftrl-entropy", "eta": 0.3,
-                                   "delay": 2})
-    slow_doc["experiment"]["replicates"] = 3
-    slow, _ = coverage_experiment(config_from_dict(slow_doc), mode="gen")
-    # ftrl-entropy is the same algorithm run through the generic loop
-    for key in ("value", "bound"):
-        np.testing.assert_allclose([r[key] for r in fast], [r[key] for r in slow],
-                                   atol=1e-9)
+    limit = limit_test_losses(cfg.loss, cfg.model)[0]
+    prior = PosteriorDist.uniform(cfg.loss.n_hypotheses)
+    # replicate's closed form of wrapped EWA against its game loop, on each path
+    for k in range(cfg.replicates):
+        seed = replicate_seed(cfg.seed, k)
+        _, fast = replicate(cfg, seed, limit)
+        learner = make_learner("ewa", prior, cfg.eta, d=cfg.delay)
+        trace = run_dynamic_game(cfg.loss, sample_path(cfg.model, cfg.n, seed),
+                                 learner, cfg.delay, limit)
+        slow = decompose(trace, statistical_posterior(cfg, trace.loss_rows))
+        for key in ("gen", "regret_over_n", "martingale"):
+            np.testing.assert_allclose(fast[key], slow[key], atol=1e-9)
 
 
 def test_coverage_result_bookkeeping():
@@ -110,7 +114,7 @@ def test_coverage_result_bookkeeping():
         coverage_experiment(cfg, mode="nope")
 
 
-@pytest.mark.parametrize("algorithm", ["ewa", "ftrl-entropy", "ftrl-sqnorm"])
+@pytest.mark.parametrize("algorithm", ["ewa", "ftrl-sqnorm"])
 def test_each_path_builds_its_loss_rows_once(monkeypatch, algorithm):
     # the comparator reads the game's rows, and the sweep passes its rows on
     doc = base_config(online={"algorithm": algorithm, "eta": 0.3, "delay": 2})

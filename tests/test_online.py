@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mixgame import (EWA, FTRL, DelayedLearner, PosteriorDist, ValidationError,
-                     delayed_regret_bound, ftrl_step, make_learner,
+from mixgame import (EWA, DelayedLearner, PosteriorDist, ValidationError,
+                     delayed_regret_bound, ftrl_step, make_learner, play_costs,
                      project_simplex)
 
 from conftest import regret_bound
@@ -57,25 +57,31 @@ def test_ewa_step_is_cost_tilted_softmax():
         learner.act().probs, softmax(np.log(prior.probs) - 0.7 * cost), atol=1e-12)
 
 
-def test_ftrl_entropy_step_equals_ewa_on_cumulative_cost():
-    rng = np.random.default_rng(3)
-    prior = PosteriorDist.uniform(4)
-    cum = rng.normal(size=4)
-    np.testing.assert_allclose(ftrl_step(prior, cum, eta=0.5).probs,
-                               softmax(-0.5 * cum), atol=1e-12)
-
-
 def test_ftrl_sqnorm_step_is_projected_prior_minus_cost():
     rng = np.random.default_rng(4)
     prior = PosteriorDist.from_probs(rng.dirichlet(np.ones(4)))
     cum = rng.normal(size=4)
-    got = ftrl_step(prior, cum, eta=0.3, reg="half-squared-norm").probs
+    got = ftrl_step(prior, cum, eta=0.3).probs
     np.testing.assert_allclose(got, project_simplex(prior.probs - 0.3 * cum),
                                atol=1e-12)
-    with pytest.raises(ValidationError):
-        ftrl_step(prior, cum, eta=0.3, reg="squared-norm")
-    with pytest.raises(ValidationError):
-        FTRL(prior, 0.3, "squared-norm").act()
+
+
+@pytest.mark.parametrize("d", [1, 3, 7])
+def test_wrapped_ftrl_sqnorm_plays_the_projection_of_its_residue_class_cost(d):
+    # S_t = S_{t-d} + c_{t-d}: the cost summed over round t's earlier residue class
+    rng = np.random.default_rng(40 + d)
+    for _ in range(20):
+        n, W = int(rng.integers(10, 60)), int(rng.integers(2, 6))
+        costs = rng.uniform(-1, 1, size=(n, W))
+        eta = float(rng.uniform(0.05, 2.0))
+        prior = PosteriorDist.from_probs(rng.dirichlet(np.ones(W)))
+        learner = make_learner("ftrl-sqnorm", prior, eta, d)
+        plays = play_costs(costs, np.zeros(W), learner, d).posteriors
+        S = np.zeros_like(costs)
+        for t in range(d, n):
+            S[t] = S[t - d] + costs[t - d]
+        oracle = [project_simplex(prior.probs - eta * s) for s in S]
+        np.testing.assert_allclose(plays, oracle, rtol=0, atol=1e-12)
 
 
 def _run_stream(learner, costs):
@@ -137,10 +143,11 @@ def test_delayed_learner_d1_is_transparent():
 
 def test_make_learner_names_and_validation():
     prior = PosteriorDist.uniform(2)
-    for name in ("ewa", "ftrl-entropy", "ftrl-sqnorm"):
+    for name in ("ewa", "ftrl-sqnorm"):
         learner = make_learner(name, prior, eta=0.1, d=2)
         assert learner.act().probs.shape == (2,)
-    with pytest.raises(ValidationError):
-        make_learner("mystery", prior, eta=0.1)
+    for name in ("mystery", "ftrl-entropy"):
+        with pytest.raises(ValidationError):
+            make_learner(name, prior, eta=0.1)
     with pytest.raises(ValidationError):
         make_learner("ewa", prior, eta=-1.0)
