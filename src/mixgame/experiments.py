@@ -104,16 +104,16 @@ def delayed_ewa_posteriors(costs: np.ndarray, prior_log: np.ndarray, eta: float,
                            d: int) -> np.ndarray:
     """Closed-form plays of the round-robin exponential-weights wrapper.
 
-    The play at round t is softmax(prior_log - eta * sum of costs at rounds
-    t-d, t-2d, ...), which is exactly what the wrapped learner produces
-    when fed costs with delay d.
+    The play at round t is softmax(prior_log - eta * S_t), the wrapped learner's at
+    delay d >= 1, with S_t the sum of costs at rounds t-d, t-2d, ...  One cumsum down
+    (n-1)//d blocks of d cost rows gives S_d, S_{d+1}, ..., bit for bit as per class.
     """
+    if d < 1:
+        raise ValidationError("delay must be at least 1")
     n, W = costs.shape
     S = np.zeros_like(costs)
-    for i in range(min(d, n)):
-        cls = costs[i::d]
-        if len(cls) > 1:
-            S[i + d::d] = np.cumsum(cls[:-1], axis=0)
+    q = (n - 1) // d  # blocks of d rounds whose costs reach a later round
+    S[d:] = np.cumsum(costs[:q * d].reshape(q, d, W), axis=0).reshape(-1, W)[:n - d]
     with np.errstate(over="ignore", invalid="ignore"):  # GameTrace names a spoiled play
         lw = prior_log[None, :] - eta * S
         lw -= functools.reduce(np.maximum, lw.T)[:, None]  # fast on few columns

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import functools
 import io
 import json
 import tempfile
@@ -62,12 +63,56 @@ def test_closed_form_wrapped_ewa_matches_game_loop():
     rng = np.random.default_rng(20)
     costs = rng.uniform(-1, 1, size=(50, 3))
     prior = PosteriorDist.uniform(3)
-    for d in (1, 3, 7):
+    for d in (1, 3, 7, 26, 50):  # 26: n < 2d; 50: d = n, the prior at every round
         fast = delayed_ewa_posteriors(costs, prior.log_weights, 0.4, d)
         trace = play_costs(costs, np.zeros(3), make_learner("ewa", prior, 0.4, d=d),
                            d)
         np.testing.assert_allclose(fast, np.array(trace.posteriors),
                                    atol=1e-13)
+
+
+def per_class_ewa_posteriors(costs, prior_log, eta, d):
+    """The reference plays: one strided cumsum per residue class of the delay."""
+    S = np.zeros_like(costs)
+    for i in range(min(d, len(costs))):
+        cls = costs[i::d]
+        if len(cls) > 1:
+            S[i + d::d] = np.cumsum(cls[:-1], axis=0)
+    lw = prior_log[None, :] - eta * S
+    lw -= functools.reduce(np.maximum, lw.T)[:, None]
+    p = np.exp(lw)
+    return p / p.sum(axis=1, keepdims=True)
+
+
+def test_closed_form_wrapped_ewa_is_bit_identical_to_per_class_cumsums():
+    rng = np.random.default_rng(25)
+    spoiled = 0
+    for n in (1, 2, 7, 150, 2000):
+        for W in (1, 2, 3, 9):
+            prior_log = PosteriorDist.uniform(W).log_weights
+            for d in (1, 2, 3, 7, 73, n, n + 1):
+                costs = rng.uniform(-1, 1, size=(n, W))
+                with_inf = costs.copy()
+                with_inf[rng.integers(n), rng.integers(W)] = np.inf
+                # eta * S_t overflows, so the plays hold NaN: [-inf, inf] - inf
+                for c, eta in ((with_inf, 0.4), (costs * 1e306, 1e3)):
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        want = per_class_ewa_posteriors(c, prior_log, eta, d)
+                        got = delayed_ewa_posteriors(c, prior_log, eta, d)
+                    assert np.array_equal(got, want, equal_nan=True), (n, W, d)
+                    spoiled += np.isnan(got).any()
+    assert spoiled > 0  # the grid reaches the overflowing plays
+
+
+def test_closed_form_wrapped_ewa_rejects_a_delay_below_1_and_plays_the_prior_past_n():
+    costs = np.random.default_rng(3).uniform(-1, 1, size=(5, 2))
+    prior = PosteriorDist.uniform(2)
+    for d in (0, -2):
+        with pytest.raises(ValidationError, match="delay must be at least 1"):
+            delayed_ewa_posteriors(costs, prior.log_weights, 0.4, d)
+    for d in (5, 6, 100):  # no cost arrives before the last round
+        plays = delayed_ewa_posteriors(costs, prior.log_weights, 0.4, d)
+        assert np.array_equal(plays, np.full((5, 2), 0.5))
 
 
 def test_run_experiment_rows_reproduce_decomposition():
