@@ -12,6 +12,7 @@ pairs with a given delay and a tuned one alike, as ``mixgame bounds`` pairs them
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
@@ -52,7 +53,11 @@ def deviation_term(d: int, n: int, delta: float) -> float:
         raise ValidationError("delta must lie in (0, 1)")
     if not 1 <= d <= n:
         raise ValidationError("need 1 <= d <= n")
-    return math.sqrt(2.0 * d * math.log(1.0 / delta) / n)
+    # 1/delta overflows for a subnormal delta; -ln(delta) everywhere would move
+    # the last bit of ln(1/delta) at other deltas, 0.1 among them
+    subnormal = delta * sys.float_info.max <= 1
+    log_inv = -math.log(delta) if subnormal else math.log(1.0 / delta)
+    return math.sqrt(2.0 * d * log_inv / n)
 
 
 def delay_bound(regret_value: float, phi_d: float, d: int, n: int, delta: float,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -73,6 +74,17 @@ def cmd_mixing(args) -> None:
 REGRET_SOURCES = {"kl": ("ewa-", ()), "h_gap": ("ftrl-", ("alpha", "B"))}
 
 
+def _finite_regret(regret, key: str):
+    """``regret`` checked at each d.  It reads bounds fields only, so one that
+    overflows is a config error, as a Gibbs beta * n that overflows is."""
+    def at(d: int) -> float:
+        value = regret(d)
+        _require(math.isfinite(value), "bounds",
+                 f"{key} / eta or eta * n overflows the a-priori regret at d = {d}")
+        return value
+    return at
+
+
 def cmd_bounds(args) -> None:
     doc = _read_json(args.config)
     spec = ConfigSection(doc.get("bounds", {}) if isinstance(doc, dict) else None,
@@ -87,8 +99,9 @@ def cmd_bounds(args) -> None:
         kind, C=spec["C"], **{law.rate: spec[law.rate]}), n, delta)
         for kind, law in DECAY_LAWS.items() if law.rate in spec]
     _require(delay_rows, "bounds", "no evaluable bound found")
-    sources = [(functools.partial(delayed_regret_bound, spec[key], spec["eta"], n=n,
-                                  **{k: spec[k] for k in keys}), prefix)
+    sources = [(_finite_regret(functools.partial(
+        delayed_regret_bound, spec[key], spec["eta"], n=n,
+        **{k: spec[k] for k in keys}), key), prefix)
                for key, (prefix, keys) in REGRET_SOURCES.items() if key in spec
                ] or [(lambda d: spec["regret"], "")]
     reports = [row(*source).to_dict() for row in delay_rows for source in sources]

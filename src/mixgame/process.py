@@ -119,7 +119,9 @@ class MixingProfile:
         return getattr(self, DECAY_LAWS[self.kind].rate)
 
     def phi(self, d) -> np.ndarray | float:
-        out = DECAY_LAWS[self.kind].phi(self.C, self.rate, np.asarray(d, dtype=float))
+        with np.errstate(over="ignore"):  # d / tau past float max: exp(-inf) is 0
+            out = DECAY_LAWS[self.kind].phi(self.C, self.rate,
+                                            np.asarray(d, dtype=float))
         return float(out) if out.ndim == 0 else out
 
     def tuned_delay(self, n: int) -> int:

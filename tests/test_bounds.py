@@ -26,6 +26,19 @@ def test_deviation_term_formula():
         math.sqrt(2 * 5 * math.log(20) / 1000), abs=1e-15)
 
 
+def test_deviation_term_reads_a_subnormal_delta():
+    # 1/delta overflows below 1/float max; ln(1/delta) is -ln(delta) there
+    for delta in (5e-324, 2.2250738585072014e-310):
+        assert deviation_term(4, 100, delta) == math.sqrt(8 * -math.log(delta) / 100)
+    assert deviation_term(4, 100, 0.1) == math.sqrt(8 * math.log(10.0) / 100)
+
+
+def test_geometric_phi_at_a_subnormal_tau_is_0():
+    # d / tau overflows to inf; the warning would fail the run
+    assert geometric(tau=5e-324).phi(3) == 0.0
+    assert geometric(tau=5e-324).phi(np.arange(1, 4)).tolist() == [0.0] * 3
+
+
 def test_blocking_tail_bound_frozen():
     # the martingale term's high-probability bound: phi_d + deviation
     assert 0.05 + deviation_term(4, 400, 0.05) == pytest.approx(

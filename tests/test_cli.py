@@ -443,18 +443,36 @@ def test_an_overflowing_beta_exits_2_naming_its_field(tmp_path, capsys, command)
 
 
 @pytest.mark.parametrize("command, doc, name", [
-    ("bounds", {"bounds": {"n": 100, "delta": 0.1, "kl": 1e308, "eta": 1e-300,
-                           "tau": 2}}, "bounds.json"),
+    ("bounds", {"bounds": {"n": 1, "delta": 0.1, "phi_d": 1e308, "d": 1,
+                           "regret": 1e308}}, "bounds.json"),
     ("simulate", dict(static_config(n=50), online={"eta": 1e-320}), "summary.json"),
 ])
 def test_a_non_finite_json_value_exits_3_naming_the_file(tmp_path, capsys, command,
                                                          doc, name):
-    # kl / eta overflows the a-priori regret; JSON has no token for it
+    # regret/n + phi_d, and the a-priori regret from kl / eta, overflow to inf;
+    # JSON has no token for it
     out = tmp_path / "out"
     assert main([command, "--config", write_config(tmp_path, doc),
                  "--out", str(out)]) == 3
     assert str(out / name) in capsys.readouterr().err
     assert not out.exists()  # the JSON file is written first, and not at all
+
+
+@pytest.mark.parametrize("bounds", [
+    {"kl": 1e308, "eta": 1e-300, "tau": 2},  # kl / eta
+    {"kl": 0.5, "eta": 5e-324, "tau": 2},  # kl / eta, from eta alone
+    {"h_gap": 0.5, "eta": 1.797693134862316e306, "r": 1.0},  # eta * n
+])
+def test_an_overflowing_a_priori_regret_exits_2_naming_bounds(tmp_path, capsys,
+                                                              bounds):
+    # the regret reads bounds fields only, so its overflow is the config's
+    out = tmp_path / "out"
+    doc = {"bounds": {"n": 100, "delta": 0.1, **bounds}}
+    assert main(["bounds", "--config", write_config(tmp_path, doc),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config field 'bounds'" in err and "overflows the a-priori regret" in err
+    assert not out.exists()
 
 
 def test_exit_code_3_on_model_failure(tmp_path):
