@@ -6,8 +6,8 @@ coefficients, verifies the composite mixing inequality
 
     phi_d <= 2 * B_{floor(d/2)} + beta_{floor(d/2)},
 
-where phi_d is the exact ``dynamic_phi`` (the limiting loss minus the
-conditional one, the side the generalization bound takes), and runs a
+where phi_d is the table's ``exact_phi`` at d >= m (the limiting loss minus
+the conditional one, the side the generalization bound takes), and runs a
 delayed game whose exact decomposition identity holds unchanged for
 history-dependent costs.
 """

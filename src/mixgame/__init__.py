@@ -20,9 +20,9 @@ from .online import (EWA, FTRL, DelayedLearner, delayed_regret_bound, ftrl_step,
                      make_learner, project_simplex)
 from .bounds import (BoundReport, delay_bound, deviation_term, sweep_delay,
                      tuned_bound)
-from .dynamic import (DiscountedLoss, composite_phi_check, dynamic_phi,
-                      dynamic_phi_mc, exact_block_beta, limit_test_losses,
-                      loss_from_json, run_dynamic_game)
+from .dynamic import (DiscountedLoss, composite_phi_check, dynamic_phi_mc,
+                      exact_block_beta, limit_test_losses, loss_from_json,
+                      run_dynamic_game)
 from .experiments import (ExperimentConfig, config_from_dict, coverage_experiment,
                           delay_sweep, delayed_ewa_posteriors, mixing_table,
                           run_experiment)

@@ -2,7 +2,7 @@
 
 ``mixgame bounds`` is one loop over delay rows and regret sources.  Every
 table is a list of row dicts, written as CSV under the first row's keys.
-Exit codes: 0 success, 2 validation error, 3 runtime/consistency error.
+Exit codes: 0 success, 2 validation error, 3 runtime error or out of memory.
 """
 
 from __future__ import annotations
@@ -152,6 +152,9 @@ def main(argv=None) -> int:
         return 2
     except (MixgameError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # numpy's names the allocation; a bare one is empty
+        print(f"error: {args.command}: {exc or 'out of memory'}", file=sys.stderr)
         return 3
     return 0
 

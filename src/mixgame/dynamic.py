@@ -116,7 +116,7 @@ def limit_test_losses(dl, model: ProcessModel, horizon: int | None = None,
 
 
 def exact_block_beta(model: ProcessModel, dl, d: int) -> float:
-    """Block mixing coefficient at lag d: the static phi of the block's window table.
+    """Block mixing coefficient at lag d: ``exact_phi`` of the block table at 2d.
 
     Compares the expected loss of an independent stationary length-d block
     against the conditional law of the realized block given the state 2d
@@ -126,21 +126,7 @@ def exact_block_beta(model: ProcessModel, dl, d: int) -> float:
         raise ValidationError("d must be at least 1")
     # only the last eff symbols of the block matter
     eff = min(dl.m, d) if isinstance(dl, HypothesisSpace) else d
-    F = window_expectations(model, dl.block_table(eff))
-    # 2d - eff + 1 steps from Z_{t-2d} to the first used symbol
-    return exact_phi(model, F, 2 * d - eff + 1)
-
-
-def dynamic_phi(model: ProcessModel, dl: HypothesisSpace, d: int) -> float:
-    """phi_d of the dynamic cost sequence, exact for d >= m.
-
-    ``exact_phi`` of the window table F at the lag d - m + 1 from Z_{t-d} to
-    the window's first symbol; F contracts the loss table itself, so a
-    static table (m = 1) gives its static phi_d bit for bit.
-    """
-    if d < dl.m:
-        raise ValidationError("exact evaluation needs d >= m; use the MC fallback")
-    return exact_phi(model, window_expectations(model, dl.loss_table), d - dl.m + 1)
+    return exact_phi(model, dl.block_table(eff), 2 * d)
 
 
 def dynamic_phi_mc(model: ProcessModel, dl, d: int, limit: np.ndarray,
@@ -151,7 +137,7 @@ def dynamic_phi_mc(model: ProcessModel, dl, d: int, limit: np.ndarray,
     each row ``_MC_HISTORY`` symbols back through the time-reversed chain and
     d forward, and one ``values`` call scores the prefixes; the estimate is the
     worst ``limit`` loss (the run's ``limit_test_losses``) minus conditional
-    mean, as in ``dynamic_phi``, with its standard error.
+    mean, as in ``process.exact_phi``, with its standard error.
     """
     pi = model.stationary
     reverse = (model.transition * pi[None, :]).T / pi[:, None]
@@ -179,7 +165,7 @@ def composite_phi_check(model: ProcessModel, dl, d_grid) -> list[dict]:
     The even-d reduction uses d' = d/2 exactly; for odd d the floor keeps
     2*d' <= d, so the block coefficient conditions on a finer sigma-algebra
     than the gap it must dominate (the ceiling would not).  phi_d is the
-    exact ``dynamic_phi``, so every d must be at least 2 and at least the
+    table's ``exact_phi``, so every d must be at least 2 and at least the
     loss memory m.
     """
     rows = []
@@ -188,7 +174,7 @@ def composite_phi_check(model: ProcessModel, dl, d_grid) -> list[dict]:
         raise ValidationError(f"composite check needs every d >= max(2, m), m = {dl.m}")
     for d in d_grid:
         dh = d // 2
-        phi = dynamic_phi(model, dl, d)
+        phi = exact_phi(model, dl.loss_table, d)
         beta, two_b = exact_block_beta(model, dl, dh), 2.0 * dl.forgetting(dh)
         rhs = two_b + beta
         rows.append({"d": d, "d_half": dh, "phi_dynamic": phi,

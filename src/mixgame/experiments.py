@@ -25,8 +25,9 @@ from .errors import ConfigSection, ValidationError, _require, build_field
 from .game import GameTrace, decompose
 from .learner import PosteriorDist, erm, gibbs_posterior, kl_divergence
 from .online import delayed_regret_bound, make_learner
-from .process import (DECAY_LAWS, PHI_FLOOR, ProcessModel, fit_mixing_profile,
-                      model_from_json, phi_table, replicate_seed, sample_path)
+from .process import (DECAY_LAWS, PHI_FLOOR, ProcessModel, exact_phi,
+                      fit_mixing_profile, model_from_json, phi_table,
+                      replicate_seed, sample_path)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,7 +144,7 @@ def experiment_phi(cfg: ExperimentConfig, limit: np.ndarray) -> float:
     """phi_d at the delay: exact when d >= m, else the Monte-Carlo estimate
     against ``limit``, the loss's ``dyn.limit_test_losses``."""
     if cfg.delay >= getattr(cfg.loss, "m", math.inf):
-        return dyn.dynamic_phi(cfg.model, cfg.loss, cfg.delay)
+        return exact_phi(cfg.model, cfg.loss.loss_table, cfg.delay)
     phi, _ = dyn.dynamic_phi_mc(cfg.model, cfg.loss, cfg.delay, limit,
                                 n_samples=200, seed=cfg.seed)
     return phi

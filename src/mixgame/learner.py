@@ -63,9 +63,9 @@ class _BlockLoss:
 
     def block_table(self, L: int, cap: int = _ENUM_CAP) -> np.ndarray:
         """(W,) + (A,)*L tensor of the loss on every length-L prefix."""
-        if self.alphabet**L > cap:
+        if L > self.horizon(cap) and self.alphabet**L > cap:
             raise SizeError(f"enumeration of {self.alphabet}^{L} blocks exceeds "
-                            f"cap {cap}; use the Monte Carlo fallback")
+                            f"cap {cap} past the horizon {self.horizon(cap)}")
         if L + 2 > _MAX_AXES:
             raise SizeError(f"a block of length L = {L} needs {L + 2} array axes; "
                             f"numpy allows {_MAX_AXES}")

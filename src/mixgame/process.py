@@ -6,8 +6,8 @@ stationary law comes from matrix powers, d-step conditional laws from
 the stationary and the d-step conditional expected loss.  ``phi_table``
 steps the conditional expectations one transition per d and checks its last
 entry against the matrix-power value.  ``window_expectations`` reduces a
-loss on L-symbol blocks to a static table, one transition per symbol, and
-``product_chain`` runs independent chains side by side as one chain.
+loss on L-symbol blocks to a static table, on which ``exact_phi`` reads a
+memory-m table; ``product_chain`` runs independent chains as one chain.
 
 ``DECAY_LAWS`` holds each phi_d decay law a ``MixingProfile`` can carry:
 its rate field, its phi_d, the abscissa its log-linear fit regresses
@@ -230,6 +230,8 @@ def conditional_loss_expectations(model: ProcessModel, loss_table,
     if d > INT_CEILING:
         raise ValidationError(f"d exceeds the matrix-power budget {INT_CEILING}")
     L = np.asarray(loss_table, dtype=float)
+    if L.ndim > 2:
+        raise ValidationError(f"a memory-{L.ndim - 1} table is not static; use exact_phi")
     Pd = np.linalg.matrix_power(model.transition, d)
     return Pd @ L.T  # (states, W)
 
@@ -249,14 +251,19 @@ def window_expectations(model: ProcessModel, table) -> np.ndarray:
 
 
 def exact_phi(model: ProcessModel, loss_table, d: int) -> float:
-    """phi_d = max over (w, s) of L(w) - E[loss | Z_{t-d}=s], clamped at zero."""
-    L = np.asarray(loss_table, dtype=float)
-    cond = conditional_loss_expectations(model, L, d)
-    return max(0.0, float(np.max(L @ model.stationary - cond)))
+    """phi_d = max over (w, s) of L(w) - E[loss | Z_{t-d}=s], clamped at zero, of a
+    (W,) + (S,)*m table at d >= m ((S,) or (W, S) is m = 1): the static gap of its
+    window table at the lag d - m + 1 from Z_{t-d} to the window's first symbol."""
+    m = max(1, np.ndim(loss_table) - 1)
+    if d < m:
+        raise ValidationError(f"exact phi_d of a memory-{m} table needs d >= {m}")
+    F = window_expectations(model, loss_table)
+    cond = conditional_loss_expectations(model, F, d - m + 1)
+    return max(0.0, float(np.max(F @ model.stationary - cond)))
 
 
 def phi_table(model: ProcessModel, loss_table, d_max: int) -> np.ndarray:
-    """phi_d for d = 1..d_max (empty when d_max < 1), one transition per d.
+    """A static table's phi_d, d = 1..d_max (empty if d_max < 1), one transition per d.
 
     The conditional expectations follow ``C_d = P @ C_{d-1}`` from
     ``C_0 = L.T``, at 2*S^2*W flops per d rather than a matrix power each.
@@ -265,9 +272,11 @@ def phi_table(model: ProcessModel, loss_table, d_max: int) -> np.ndarray:
     drift beyond 1e-12 raises ConsistencyError, as does a rise from one d to
     the next (rows of P @ C are means of rows of C, so phi_d cannot rise).
     """
+    L = np.asarray(loss_table, dtype=float)
+    if L.ndim > 2:
+        raise ValidationError(f"a memory-{L.ndim - 1} table is not static; use exact_phi")
     if d_max < 1:
         return np.empty(0)
-    L = np.asarray(loss_table, dtype=float)
     reference = exact_phi(model, L, d_max)  # also enforces the d budget
     test = L @ model.stationary  # (W,)
     cond = L.T  # (states, W)

@@ -15,7 +15,7 @@ import pytest
 from mixgame import (EWA, GameTrace, HypothesisSpace, MixingProfile,
                      PosteriorDist, composite_phi_check,
                      conditional_loss_expectations, decompose, deviation_term,
-                     dynamic_phi, exact_block_beta, exact_phi,
+                     exact_block_beta, exact_phi,
                      fit_mixing_profile, limit_test_losses,
                      make_learner, phi_table, play_costs, product_chain,
                      project_simplex, run_dynamic_game, sample_path,
@@ -264,7 +264,7 @@ def test_martingale_bound_exact_over_every_path(flip, d, eta, tails):
     trace = GameTrace(plays[k], rows[k], limit)
     assert decompose(trace, PosteriorDist.uniform(2))["martingale"] == pytest.approx(
         mn[k], rel=0, abs=1e-15)
-    phi, dev = dynamic_phi(model, loss, d), deviation_term(d, n, delta)
+    phi, dev = exact_phi(model, loss.loss_table, d), deviation_term(d, n, delta)
     tail = [float(prob[mn > phi + dev * cut].sum()) for cut in (1.0, 0.5, 0.25)]
     assert tail == pytest.approx(tails, rel=0, abs=1e-12)
     assert tail[0] <= delta
@@ -322,7 +322,8 @@ def test_10_composite_mixing_inequality_memory2():
         model = two_state_chain(p, p)
         rows = composite_phi_check(model, dl, range(2, 21))
         assert all(r["ok"] for r in rows)
-        assert all(r["phi_dynamic"] == dynamic_phi(model, dl, r["d"]) for r in rows)
+        assert all(r["phi_dynamic"] == exact_phi(model, dl.loss_table, r["d"])
+                   for r in rows)
     elapsed = time.monotonic() - start
     assert elapsed < 30.0
     _report(f"[10/13] composite inequality phi_d <= 2B + beta for the "
@@ -342,7 +343,10 @@ def test_11_memory1_losses_reduce_to_the_static_machinery():
         np.testing.assert_allclose(
             conditional_loss_expectations(model, windows, d),
             conditional_loss_expectations(model, table, d), atol=1e-12)
-        assert abs(dynamic_phi(model, dl, d) - exact_phi(model, table, d)) < 1e-12
+        static_gap = table @ model.stationary - np.linalg.matrix_power(
+            model.transition, d) @ table.T
+        assert abs(exact_phi(model, dl.loss_table, d)
+                   - max(0.0, float(np.max(static_gap)))) < 1e-12
         assert abs(exact_block_beta(model, dl, d)
                    - exact_phi(model, table, 2 * d)) < 1e-12
     path = sample_path(model, 200, seed=5)
@@ -371,7 +375,10 @@ def test_11_memory1_losses_reduce_to_the_static_machinery():
         assert np.array_equal(limit_test_losses(space, model)[0],
                               L @ model.stationary)
         for d in range(1, 21):
-            assert dynamic_phi(model, space, d) == exact_phi(model, L, d)
+            static_gap = L @ model.stationary - np.linalg.matrix_power(
+                model.transition, d) @ L.T
+            assert exact_phi(model, space.loss_table, d) == max(
+                0.0, float(np.max(static_gap)))
             assert exact_block_beta(model, space, d) == exact_phi(model, L, 2 * d)
     _report("[11/13] memory-1 dynamic losses reproduce the static limits, "
             "conditionals, mixing gaps and game traces (1e-12), and on 60 "

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -495,3 +496,22 @@ def test_scipy_is_not_imported(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_running_out_of_memory_exits_3_naming_the_subcommand(tmp_path):
+    # n = 10^9 asks numpy for an 8 GB path, past the child's 1 GiB of address
+    # space, so nothing is allocated; one BLAS thread keeps numpy's import small
+    cfg = write_config(tmp_path, static_config(n=10**9, replicates=1))
+
+    def cap_address_space():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, hard))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-m", "mixgame.cli", "simulate",
+                           "--config", cfg, "--out", str(tmp_path / "out")],
+                          env=env, preexec_fn=cap_address_space,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 3, done.stderr
+    assert done.stderr.startswith("error: simulate: ")
+    assert "Traceback" not in done.stderr

@@ -6,11 +6,11 @@ import pytest
 
 from mixgame import (DiscountedLoss, HypothesisSpace, PosteriorDist, SizeError,
                      ValidationError, build_markov, composite_phi_check,
-                     decompose, dynamic_phi, dynamic_phi_mc, exact_block_beta,
+                     decompose, dynamic_phi_mc, exact_block_beta,
                      exact_phi, limit_test_losses, loss_from_json, make_learner,
                      run_dynamic_game, sample_path, two_state_chain,
                      window_expectations)
-from mixgame.learner import _MAX_AXES
+from mixgame.learner import _ENUM_CAP, _MAX_AXES
 from mixgame.process import _cum_rows, _walk_chain
 
 from conftest import (enumerated_block_expectations, limit_test_losses_mc,
@@ -92,8 +92,10 @@ def test_dynamic_phi_memory1_reduces_to_static():
     dl = HypothesisSpace(table)
     for d in (1, 2, 5):
         # limit minus conditional, the static convention
-        assert dynamic_phi(model, dl, d) == pytest.approx(
-            exact_phi(model, table, d), abs=1e-12)
+        static_gap = table @ model.stationary - np.linalg.matrix_power(
+            model.transition, d) @ table.T
+        assert exact_phi(model, dl.loss_table, d) == pytest.approx(
+            max(0.0, float(np.max(static_gap))), abs=1e-12)
 
 
 def assert_kernels_match_enumeration(model, dl, L):
@@ -193,7 +195,8 @@ def test_memory3_profiles_and_gaps_frozen():
                                [0.02209981812500511, 0.003676051773563449,
                                 0.0005049366003819777, 4.639548880269739e-05],
                                atol=1e-12)
-    np.testing.assert_allclose([dynamic_phi(model, dl, d) for d in range(3, 7)],
+    np.testing.assert_allclose([exact_phi(model, dl.loss_table, d)
+                                for d in range(3, 7)],
                                [0.028467634992647872, 0.006025898217227987,
                                 0.0019657404595180283, 0.0005049366003819777],
                                atol=1e-12)
@@ -204,20 +207,20 @@ def test_dynamic_phi_is_zero_on_symmetric_xor():
     # so the conditional and limiting losses coincide
     model = two_state_chain(0.25, 0.25)
     for d in (2, 3, 6):
-        assert dynamic_phi(model, xor_loss(), d) == pytest.approx(0.0,
-                                                                  abs=1e-12)
+        assert exact_phi(model, xor_loss().loss_table, d) == pytest.approx(
+            0.0, abs=1e-12)
 
 
 def test_dynamic_phi_decays_geometrically_on_asymmetric_chain():
     model = two_state_chain(0.1, 0.3)  # second eigenvalue 0.6
-    vals = [dynamic_phi(model, xor_loss(), d) for d in range(2, 9)]
+    vals = [exact_phi(model, xor_loss().loss_table, d) for d in range(2, 9)]
     ratios = np.diff(np.log(vals))
     np.testing.assert_allclose(ratios, np.log(0.6), atol=1e-9)
 
 
 def test_dynamic_phi_mc_agrees_with_exact():
     model = two_state_chain(0.1, 0.3)
-    exact = dynamic_phi(model, xor_loss(), 3)
+    exact = exact_phi(model, xor_loss().loss_table, 3)
     mc, stderr = dynamic_phi_mc(model, xor_loss(), 3,
                                 limit_test_losses(xor_loss(), model)[0],
                                 n_samples=5000, seed=1)
@@ -273,7 +276,7 @@ def test_walk_frozen_with_generator_position(n_states):
 def test_dynamic_phi_needs_enough_lag():
     model = two_state_chain(0.25, 0.25)
     with pytest.raises(ValidationError):
-        dynamic_phi(model, xor_loss(), 1)
+        exact_phi(model, xor_loss().loss_table, 1)
 
 
 def test_composite_check_holds_on_symmetric_chains():
@@ -295,7 +298,8 @@ def test_composite_check_mirror_holds_on_asymmetric_chains():
         dl = HypothesisSpace(rng.random((int(rng.integers(2, 4)),) + (S,) * m))
         rows = composite_phi_check(model, dl, range(max(2, m), 13))
         assert all(r["ok"] for r in rows)
-        assert all(r["phi_dynamic"] == dynamic_phi(model, dl, r["d"]) for r in rows)
+        assert all(r["phi_dynamic"] == exact_phi(model, dl.loss_table, r["d"])
+                   for r in rows)
 
 
 def test_a_block_past_numpys_axis_limit_is_a_size_error():
@@ -305,6 +309,20 @@ def test_a_block_past_numpys_axis_limit_is_a_size_error():
         limit_test_losses(dl, build_markov([[1.0]]), 65)
     with pytest.raises(SizeError, match="L = 70"):
         dl.block_table(70)
+
+
+def test_the_limit_of_a_table_past_the_enumeration_cap_reads_the_table():
+    # 2^20 windows exceed the cap, but the memory-20 table already holds them
+    rng = np.random.default_rng(20)
+    model = random_chain(rng, 2)
+    table = rng.random((2,) + (2,) * 20)
+    assert 2**20 > _ENUM_CAP
+    limit, err = limit_test_losses(HypothesisSpace(table), model)
+    assert err == 0.0
+    assert np.array_equal(limit, window_expectations(model, table) @ model.stationary)
+    # a block past a discounted loss's horizon is still capped
+    with pytest.raises(SizeError, match=r"2\^21 blocks exceeds cap \d+ past the horizon"):
+        DiscountedLoss(0.9, 0.05, [[0.5, 0.6]]).block_table(21)
 
 
 def test_a_one_symbol_discounted_limit_takes_the_longest_block_numpy_allows():

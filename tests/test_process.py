@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -140,6 +142,54 @@ def test_phi_gap_unclamped_vs_exact_phi():
         cond = conditional_loss_expectations(model, losses, d)
         gap = float(np.max(losses @ model.stationary - cond))
         assert exact_phi(model, losses, d) == max(0.0, gap)
+
+
+def brute_force_phi(model, table, d):
+    """phi_d by enumeration: every path of d steps from Z_{t-d} = s, weighted
+    by its product of transitions, pays the loss of its last m symbols; the
+    limit weights every window by its stationary law."""
+    W, S, m = table.shape[0], model.n_states, table.ndim - 1
+    P, pi = model.transition, model.stationary
+
+    def prob(z):
+        return math.prod(P[a, b] for a, b in zip(z, z[1:]))
+
+    limit = [math.fsum(pi[z[0]] * prob(z) * table[(w,) + z]
+                       for z in itertools.product(range(S), repeat=m))
+             for w in range(W)]
+    paths = list(itertools.product(range(S), repeat=d))
+    return max(0.0, max(
+        limit[w] - math.fsum(prob((s,) + z) * table[(w,) + z[d - m:]] for z in paths)
+        for w in range(W) for s in range(S)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("S, W", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_exact_phi_of_a_memory_table_matches_path_enumeration(m, S, W):
+    rng = np.random.default_rng(100 * m + 10 * S + W)
+    model = random_chain(rng, S)
+    table = rng.random((W,) + (S,) * m)
+    for d in range(m, 2 * m + 1):
+        assert exact_phi(model, table, d) == pytest.approx(
+            brute_force_phi(model, table, d), rel=0, abs=1e-15)
+
+
+def test_exact_phi_of_the_memory2_ci_config_frozen():
+    # the phi_d column that `mixgame simulate` writes for this config at d = 2
+    model = build_markov([[0.8, 0.2], [0.3, 0.7]])
+    table = [[[0.4, 0.6], [0.5, 0.5]], [[0.5, 0.45], [0.55, 0.5]]]
+    assert exact_phi(model, table, 2) == 0.012000000000000011
+
+
+def test_static_kernels_refuse_a_memory_table():
+    model = two_state_chain(0.25, 0.25)
+    table = np.full((2, 2, 2), 0.5)
+    with pytest.raises(ValidationError, match="needs d >= 2"):
+        exact_phi(model, table, 1)
+    for kernel, d in ((phi_table, 4), (phi_table, 0),
+                      (conditional_loss_expectations, 4)):
+        with pytest.raises(ValidationError, match="memory-2 table is not static"):
+            kernel(model, table, d)
 
 
 def test_conditional_expectations_converge_to_test_loss():
