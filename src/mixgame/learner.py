@@ -27,13 +27,13 @@ _MAX_AXES = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32
 def _logsumexp(a: np.ndarray) -> np.float64:
     """log(sum(exp(a))) of a 1-D float array, -inf when ``a`` is empty.
 
-    A finite maximum is shifted out, so every exponent is at most 0 and the
-    sum at least 1; otherwise the direct formula's infinities and NaNs follow
-    ``exp`` and ``log``.
+    A finite top term is shifted out and its exact 1 added by ``log1p``, so
+    tiny terms are not absorbed into it; else the direct formula is taken.
     """
-    a_max = a.max(initial=-np.inf)
-    if math.isfinite(a_max):
-        return a_max + np.log(np.exp(a - a_max).sum())
+    if a.size and math.isfinite(a[top := a.argmax()]):  # a NaN is the argmax
+        rest = np.exp(a - a[top])
+        rest[top] = 0.0
+        return a[top] + np.log1p(rest.sum())
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return np.log(np.exp(a).sum())
 
