@@ -16,7 +16,7 @@ from .process import (DECAY_LAWS, MixingProfile, ProcessModel, SamplePath,
 from .learner import (HypothesisSpace, PosteriorDist, erm, gibbs_posterior,
                       kl_divergence)
 from .game import GameTrace, decompose, play_costs
-from .online import (EWA, FTRL, DelayedLearner, delayed_regret_bound, ftrl_step,
+from .online import (EWA, FTRL, delayed_regret_bound, ewa_step, ftrl_step,
                      make_learner, project_simplex)
 from .bounds import (BoundReport, delay_bound, deviation_term, sweep_delay,
                      tuned_bound)

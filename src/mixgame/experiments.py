@@ -4,8 +4,9 @@ Every replicate is one ``replicate`` call: path, delayed game, the comparator
 read from the game's loss rows, and the checked decomposition
 Gen = Regret/n + M_n.  The config carries one loss, a table of memory m
 (static: m = 1) or a discounted loss, and every step reads it the same way.
-Wrapped exponential weights (FTRL with negative entropy) plays the closed
-form of ``delayed_ewa_posteriors``; squared-norm FTRL plays the game loop.
+Exponential weights (FTRL with negative entropy) plays the closed form
+``delayed_ewa_posteriors``, the game loop's ``ewa_step`` at every round at once;
+squared-norm FTRL plays the game loop.
 Coverage is a column view of ``run_experiment``'s rows.
 Replicate k draws its RNG stream from the master seed via a splitmix64
 derivation, so runs are reproducible end to end and replicates independent.
@@ -13,7 +14,6 @@ derivation, so runs are reproducible end to end and replicates independent.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -24,7 +24,7 @@ from . import dynamic as dyn
 from .errors import ConfigSection, ValidationError, _require, build_field
 from .game import GameTrace, decompose
 from .learner import PosteriorDist, erm, gibbs_posterior, kl_divergence
-from .online import delayed_regret_bound, make_learner
+from .online import delayed_regret_bound, ewa_step, make_learner
 from .process import (DECAY_LAWS, PHI_FLOOR, ProcessModel, exact_phi,
                       fit_mixing_profile, model_from_json, phi_table,
                       replicate_seed, sample_path)
@@ -103,11 +103,11 @@ def statistical_posterior(cfg: ExperimentConfig,
 
 def delayed_ewa_posteriors(costs: np.ndarray, prior_log: np.ndarray, eta: float,
                            d: int) -> np.ndarray:
-    """Closed-form plays of the round-robin exponential-weights wrapper.
+    """Closed-form plays of the delay-d exponential-weights learner, bit for bit.
 
-    The play at round t is softmax(prior_log - eta * S_t), the wrapped learner's at
-    delay d >= 1, with S_t the sum of costs at rounds t-d, t-2d, ...  One cumsum down
-    (n-1)//d blocks of d cost rows gives S_d, S_{d+1}, ..., bit for bit as per class.
+    The play at round t is ``ewa_step`` of S_t, the sum of costs at rounds t-d,
+    t-2d, ...  One cumsum down (n-1)//d blocks of d cost rows gives S_d, S_{d+1},
+    ... with the additions, in order, that ``EWA`` makes to its class's row.
     """
     if d < 1:
         raise ValidationError("delay must be at least 1")
@@ -116,10 +116,7 @@ def delayed_ewa_posteriors(costs: np.ndarray, prior_log: np.ndarray, eta: float,
     q = (n - 1) // d  # blocks of d rounds whose costs reach a later round
     S[d:] = np.cumsum(costs[:q * d].reshape(q, d, W), axis=0).reshape(-1, W)[:n - d]
     with np.errstate(over="ignore", invalid="ignore"):  # GameTrace names a spoiled play
-        lw = prior_log[None, :] - eta * S
-        lw -= functools.reduce(np.maximum, lw.T)[:, None]  # fast on few columns
-        p = np.exp(lw)
-        return p / p.sum(axis=1, keepdims=True)
+        return ewa_step(prior_log, eta, S)
 
 
 def replicate(cfg: ExperimentConfig, seed: int, limit: np.ndarray):

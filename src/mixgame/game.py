@@ -54,8 +54,9 @@ def play_costs(loss_rows: np.ndarray, limit: np.ndarray, learner,
                d: int) -> GameTrace:
     """Run any learner on the costs ``loss_rows - limit`` with delay d.
 
-    Before acting at round t the learner has been fed costs c_1 .. c_{t-d},
-    in order.  Raises ProtocolError if a play leaves the simplex.
+    ``act()`` returns the (W,) play; before acting at round t the learner has
+    been fed costs c_1 .. c_{t-d}, in order, through ``observe``.  Raises
+    ProtocolError if a play leaves the simplex.
     """
     loss_rows = np.asarray(loss_rows, dtype=float)
     n, W = loss_rows.shape
@@ -66,8 +67,8 @@ def play_costs(loss_rows: np.ndarray, limit: np.ndarray, learner,
     with np.errstate(over="ignore", invalid="ignore"):  # GameTrace names a spoiled play
         for t in range(n):  # 0-indexed round
             try:
-                posts[t] = learner.act().probs
-            except ValidationError:  # log-weights with no finite normalizer
+                posts[t] = learner.act()
+            except ValidationError:  # FTRL's projection of a non-finite point
                 posts[t] = np.nan
             if t + 1 >= d:
                 learner.observe(costs[t + 1 - d])

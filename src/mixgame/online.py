@@ -1,22 +1,22 @@
 """Online learners over the probability simplex and their regret-bound formulas.
 
-Two base algorithms are provided, one per play rule: exponential weights
-(multiplicative updates in log space), which is follow-the-regularized-leader
-with the negative-entropy regularizer, and follow-the-regularized-leader with
-the prior-centered half-squared-norm regularizer.  A round-robin wrapper turns
-any base learner into a delay-tolerant one by running d independent
-instances, one per residue class of rounds.
+Two learners are provided, one per play rule: exponential weights, which is
+follow-the-regularized-leader with the negative-entropy regularizer, and
+follow-the-regularized-leader with the prior-centered half-squared-norm
+regularizer.  Each is delay-tolerant as d independent copies, one per residue
+class of rounds, held as one (d, W) array of per-class cost sums; a play is a
+function of its class's sum, ``ewa_step`` or ``ftrl_step``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Callable
 
 import numpy as np
 
 from .errors import ValidationError
-from .learner import PosteriorDist, _logsumexp
+from .learner import PosteriorDist
 
 
 def project_simplex(v) -> np.ndarray:
@@ -35,95 +35,89 @@ def project_simplex(v) -> np.ndarray:
                           "onto the simplex")
 
 
-def ftrl_step(prior: PosteriorDist, cumulative_cost: np.ndarray,
-              eta: float) -> PosteriorDist:
-    """The FTRL point after the given cumulative cost vector.
+def ewa_step(prior_log: np.ndarray, eta: float, S: np.ndarray) -> np.ndarray:
+    """The exponential-weights play softmax(prior_log - eta * S) of a (W,) cost
+    sum S, or one play per row of an (n, W) S; both give the same bits."""
+    lw = prior_log - eta * S
+    # the max is exact; a reduce over columns is fast on few of them
+    lw -= lw.max() if lw.ndim == 1 else functools.reduce(np.maximum, lw.T)[:, None]
+    p = np.exp(lw)
+    return p / p.sum(axis=-1, keepdims=True)
+
+
+def ftrl_step(prior_probs: np.ndarray, eta: float, S: np.ndarray) -> np.ndarray:
+    """The FTRL play after cost sum S: the simplex projection of
+    prior_probs - eta * S.
 
     The regularizer is prior-centered, h(P) = 0.5 * ||P - P_1||^2, so the
-    point is the simplex projection of P_1 - eta * cost and its zero-cost
-    argmin is the prior.  The negative-entropy point is ``EWA``'s play.
+    zero-cost play is the prior.  The negative-entropy play is ``ewa_step``.
     """
-    if eta <= 0:
-        raise ValidationError("eta must be positive")
-    c = np.asarray(cumulative_cost, dtype=float)
-    return PosteriorDist.from_probs(project_simplex(prior.probs - eta * c))
+    return project_simplex(prior_probs - eta * S)
 
 
-class EWA:
-    """Exponential weights learner; observe() applies one multiplicative update."""
+class _ClassSums:
+    """The cost sums of d copies of a learner, one per residue class of rounds:
+    row (t-1) mod d plays at round t, and the cost of round s is added in place
+    to row (s-1) mod d.  With d = 1 this is the learner itself.
 
-    def __init__(self, prior: PosteriorDist, eta: float):
-        if eta <= 0:
-            raise ValidationError("eta must be positive")
-        self.eta = eta
-        self._log_weights = prior.log_weights.copy()
-
-    def act(self) -> PosteriorDist:
-        return PosteriorDist(self._log_weights)
-
-    def observe(self, cost: np.ndarray) -> None:
-        lw = self._log_weights - self.eta * np.asarray(cost, float)
-        self._log_weights = lw - _logsumexp(lw)
-
-
-class FTRL:
-    """Squared-norm follow-the-regularized-leader; keeps the cumulative
-    observed cost and plays its ``ftrl_step``."""
-
-    def __init__(self, prior: PosteriorDist, eta: float):
-        if eta <= 0:
-            raise ValidationError("eta must be positive")
-        self.prior = prior
-        self.eta = eta
-        self._cum = np.zeros(len(prior))
-
-    def act(self) -> PosteriorDist:
-        return ftrl_step(self.prior, self._cum, self.eta)
-
-    def observe(self, cost: np.ndarray) -> None:
-        self._cum = self._cum + np.asarray(cost, float)
-
-
-class DelayedLearner:
-    """Round-robin reduction: d base instances, instance (t-1) mod d acts at round t.
-
-    Costs arrive in round order; cost of round s is routed to its owning
-    instance (s-1) mod d.  With d = 1 this is the base learner verbatim.
+    Each learner defines its own ``act`` and ``observe``, since perfbench's
+    tracer wraps the methods a class itself holds.
     """
 
-    def __init__(self, base_factory: Callable[[], object], d: int):
+    def __init__(self, prior: PosteriorDist, eta: float, d: int = 1):
+        if eta <= 0:
+            raise ValidationError("eta must be positive")
         if d < 1:
             raise ValidationError("delay must be at least 1")
-        self.d = d
-        self.instances = [base_factory() for _ in range(d)]
-        self._acted = 0
-        self._observed = 0
+        self.prior, self.eta = prior, eta
+        self._sums = np.zeros((d, len(prior)))
+        self._acted = self._observed = 0
 
-    def act(self) -> PosteriorDist:
-        inst = self.instances[self._acted % self.d]
+    def _next_sum(self) -> np.ndarray:
+        row = self._acted % len(self._sums)
         self._acted += 1
-        return inst.act()
+        return self._sums[row]
 
-    def observe(self, cost: np.ndarray) -> None:
-        self.instances[self._observed % self.d].observe(cost)
+    def _add(self, cost) -> None:
+        self._sums[self._observed % len(self._sums)] += cost
         self._observed += 1
 
 
-# online.algorithm -> its base learner, built from (prior, eta)
+class EWA(_ClassSums):
+    """Exponential weights; plays the ``ewa_step`` of its class's cost sum."""
+
+    def act(self) -> np.ndarray:
+        return ewa_step(self.prior.log_weights, self.eta, self._next_sum())
+
+    def observe(self, cost: np.ndarray) -> None:
+        self._add(cost)
+
+
+class FTRL(_ClassSums):
+    """Squared-norm FTRL; plays the ``ftrl_step`` of its class's cost sum."""
+
+    def act(self) -> np.ndarray:
+        return ftrl_step(self.prior.probs, self.eta, self._next_sum())
+
+    def observe(self, cost: np.ndarray) -> None:
+        self._add(cost)
+
+
+# online.algorithm -> its learner, built from (prior, eta, d)
 LEARNERS = {"ewa": EWA, "ftrl-sqnorm": FTRL}
 
 
 def make_learner(algorithm: str, prior: PosteriorDist, eta: float,
                  d: int = 1):
-    """Build the round-robin wrapped learner of a config triple."""
+    """Build the delay-d learner of a config triple."""
     if algorithm not in LEARNERS:
         raise ValidationError(f"unknown algorithm {algorithm!r}")
-    return DelayedLearner(lambda: LEARNERS[algorithm](prior, eta), d)
+    return LEARNERS[algorithm](prior, eta, d)
 
 
 def delayed_regret_bound(h_gap: float, eta: float, d: int, n: int,
                          alpha: float = 1.0, B: float = 1.0) -> float:
-    """d * h_gap/eta + eta * B^2 * n / (2 alpha): the d round-robin instances'
+    """d * h_gap/eta + eta * B^2 * n / (2 alpha): the d per-class copies'
     bounds summed, for costs of dual norm <= B; EWA is h_gap = KL, B = alpha = 1."""
     if eta <= 0 or alpha <= 0 or B < 0 or d < 1 or n < 1:
         raise ValidationError("need eta > 0, alpha > 0, B >= 0, d >= 1, n >= 1")

@@ -60,15 +60,19 @@ def test_auto_geometric_delay_matches_eigenvalue_tuning():
 
 
 def test_closed_form_wrapped_ewa_matches_game_loop():
-    rng = np.random.default_rng(20)
-    costs = rng.uniform(-1, 1, size=(50, 3))
-    prior = PosteriorDist.uniform(3)
-    for d in (1, 3, 7, 26, 50):  # 26: n < 2d; 50: d = n, the prior at every round
-        fast = delayed_ewa_posteriors(costs, prior.log_weights, 0.4, d)
-        trace = play_costs(costs, np.zeros(3), make_learner("ewa", prior, 0.4, d=d),
-                           d)
-        np.testing.assert_allclose(fast, np.array(trace.posteriors),
-                                   atol=1e-13)
+    # bit for bit: both apply online.ewa_step to sums added in the same order;
+    # d = n plays the prior at every round, and n < 2d leaves a partial block
+    rng = np.random.default_rng(27)
+    for n in (1, 2, 7, 150, 2000):
+        for W in (1, 2, 3, 9, 50):
+            for d in sorted(d for d in {1, 2, 3, 7, 73, n} if d <= n):
+                costs = rng.uniform(-1, 1, size=(n, W))
+                prior = PosteriorDist.from_probs(rng.dirichlet(np.ones(W)))
+                eta = float(rng.uniform(0.05, 2.0))
+                loop = play_costs(costs, np.zeros(W),
+                                  make_learner("ewa", prior, eta, d=d), d)
+                closed = delayed_ewa_posteriors(costs, prior.log_weights, eta, d)
+                assert np.array_equal(loop.posteriors, closed), (n, W, d)
 
 
 def per_class_ewa_posteriors(costs, prior_log, eta, d):
@@ -144,7 +148,7 @@ def test_coverage_modes_agree_between_fast_and_generic_paths():
                                  learner, cfg.delay, limit)
         slow = decompose(trace, statistical_posterior(cfg, trace.loss_rows))
         for key in ("gen", "regret_over_n", "martingale"):
-            np.testing.assert_allclose(fast[key], slow[key], atol=1e-9)
+            assert fast[key] == slow[key]
 
 
 def test_coverage_result_bookkeeping():

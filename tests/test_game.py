@@ -62,7 +62,7 @@ def test_delay_contract_cost_at_t_affects_plays_from_t_plus_d():
     costs = rng.uniform(-1, 1, size=(30, 3))
     d, t_hit = 4, 10
     bumped = costs.copy()
-    bumped[t_hit] += 0.5
+    bumped[t_hit, 0] += 0.5  # a shift of every entry would not move a softmax
     prior = PosteriorDist.uniform(3)
     ref = play_costs(costs, np.zeros(3), make_learner("ewa", prior, 0.5, d=d), d)
     alt = play_costs(bumped, np.zeros(3), make_learner("ewa", prior, 0.5, d=d), d)
@@ -75,15 +75,13 @@ def test_delay_contract_cost_at_t_affects_plays_from_t_plus_d():
 def test_rogue_learner_triggers_protocol_error():
     class Rogue:
         def act(self):
-            return PosteriorDist.uniform(2)
+            return np.array([1.5, -0.5])
 
         def observe(self, cost):
             pass
 
-    rogue = Rogue()
-    rogue.act = lambda: type("P", (), {"probs": np.array([1.5, -0.5])})()
     with pytest.raises(ProtocolError):
-        play_costs(np.zeros((3, 2)), np.zeros(2), rogue, 1)
+        play_costs(np.zeros((3, 2)), np.zeros(2), Rogue(), 1)
 
 
 def test_ftrl_sqnorm_game_also_satisfies_identity():

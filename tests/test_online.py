@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from mixgame import (EWA, DelayedLearner, PosteriorDist, ValidationError,
-                     delayed_regret_bound, ftrl_step, make_learner, play_costs,
-                     project_simplex)
+from mixgame import (EWA, PosteriorDist, ValidationError, delayed_regret_bound,
+                     ftrl_step, make_learner, play_costs, project_simplex)
+from mixgame.online import LEARNERS
 
 from conftest import regret_bound
 
@@ -54,16 +54,15 @@ def test_ewa_step_is_cost_tilted_softmax():
     learner = EWA(prior, eta=0.7)
     learner.observe(cost)
     np.testing.assert_allclose(
-        learner.act().probs, softmax(np.log(prior.probs) - 0.7 * cost), atol=1e-12)
+        learner.act(), softmax(np.log(prior.probs) - 0.7 * cost), atol=1e-12)
 
 
 def test_ftrl_sqnorm_step_is_projected_prior_minus_cost():
     rng = np.random.default_rng(4)
     prior = PosteriorDist.from_probs(rng.dirichlet(np.ones(4)))
     cum = rng.normal(size=4)
-    got = ftrl_step(prior, cum, eta=0.3).probs
-    np.testing.assert_allclose(got, project_simplex(prior.probs - 0.3 * cum),
-                               atol=1e-12)
+    np.testing.assert_array_equal(ftrl_step(prior.probs, 0.3, cum),
+                                  project_simplex(prior.probs - 0.3 * cum))
 
 
 @pytest.mark.parametrize("d", [1, 3, 7])
@@ -81,13 +80,13 @@ def test_wrapped_ftrl_sqnorm_plays_the_projection_of_its_residue_class_cost(d):
         for t in range(d, n):
             S[t] = S[t - d] + costs[t - d]
         oracle = [project_simplex(prior.probs - eta * s) for s in S]
-        np.testing.assert_allclose(plays, oracle, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(plays, oracle)
 
 
 def _run_stream(learner, costs):
     plays = []
     for c in costs:
-        plays.append(learner.act().probs)
+        plays.append(learner.act())
         learner.observe(c)
     return np.array(plays)
 
@@ -120,32 +119,24 @@ def test_delayed_regret_bound_composes_base_bound():
         d * per_instance, abs=1e-12)
 
 
-def test_delayed_learner_round_robin_matches_independent_copies():
+@pytest.mark.parametrize("d", [1, 4])
+@pytest.mark.parametrize("algorithm", list(LEARNERS))
+def test_each_residue_class_plays_as_a_delay_1_learner(algorithm, d):
+    # class i of a delay-d learner sees costs[i::d] and nothing else
     rng = np.random.default_rng(6)
     costs = rng.uniform(-1, 1, size=(20, 3))
-    d = 4
-    prior = PosteriorDist.uniform(3)
-    wrapper = DelayedLearner(lambda: EWA(prior, 0.5), d)
-    plays = _run_stream(wrapper, costs)
+    prior = PosteriorDist.from_probs(rng.dirichlet(np.ones(3)))
+    plays = _run_stream(LEARNERS[algorithm](prior, 0.5, d), costs)
     for i in range(d):
-        solo = _run_stream(EWA(prior, 0.5), costs[i::d])
+        solo = _run_stream(LEARNERS[algorithm](prior, 0.5), costs[i::d])
         np.testing.assert_array_equal(plays[i::d], solo)
-
-
-def test_delayed_learner_d1_is_transparent():
-    rng = np.random.default_rng(7)
-    costs = rng.uniform(-1, 1, size=(15, 3))
-    prior = PosteriorDist.uniform(3)
-    wrapped = _run_stream(DelayedLearner(lambda: EWA(prior, 0.3), 1), costs)
-    bare = _run_stream(EWA(prior, 0.3), costs)
-    np.testing.assert_array_equal(wrapped, bare)
 
 
 def test_make_learner_names_and_validation():
     prior = PosteriorDist.uniform(2)
     for name in ("ewa", "ftrl-sqnorm"):
         learner = make_learner(name, prior, eta=0.1, d=2)
-        assert learner.act().probs.shape == (2,)
+        assert learner.act().shape == (2,)
     for name in ("mystery", "ftrl-entropy"):
         with pytest.raises(ValidationError):
             make_learner(name, prior, eta=0.1)

@@ -39,7 +39,7 @@ def test_projection_is_idempotent_and_feasible(y):
 def test_ewa_step_preserves_the_simplex(cost, eta):
     learner = EWA(PosteriorDist.uniform(len(cost)), eta)
     learner.observe(cost)
-    p = learner.act().probs
+    p = learner.act()
     assert abs(p.sum() - 1.0) < 1e-9 and p.min() >= 0
 
 
