@@ -5,9 +5,11 @@ stationary law comes from matrix powers, d-step conditional laws from
 ``transition**d``, and phi_d of a loss class is the worst-case gap between
 the stationary and the d-step conditional expected loss.  ``phi_table``
 steps the conditional expectations one transition per d and checks its last
-entry against the matrix-power value.  ``window_expectations`` reduces a
-loss on L-symbol blocks to a static table, on which ``exact_phi`` reads a
-memory-m table; ``product_chain`` runs independent chains as one chain.
+entry against the matrix-power value.  ``sample_path`` walks only the steps
+whose uniform moves some state; through the others the state carries.
+``window_expectations`` reduces a loss on L-symbol blocks to a static table,
+on which ``exact_phi`` reads a memory-m table; ``product_chain`` runs
+independent chains as one chain.
 
 ``DECAY_LAWS`` holds each phi_d decay law a ``MixingProfile`` can carry:
 its rate field, its phi_d, the abscissa its log-linear fit regresses
@@ -189,20 +191,45 @@ def product_chain(models) -> ProcessModel:
 
 
 def sample_path(model: ProcessModel, n: int, seed: int) -> SamplePath:
-    """Draw a length-n stationary path; deterministic in (model, n, seed)."""
+    """Draw a length-n stationary path; deterministic in (model, n, seed).
+
+    A step whose uniform maps every state to itself is skipped, with the
+    symbols of the full walk (see ``_walk_moves``).
+    """
     if n < 1:
         raise ValidationError("n must be at least 1")
     u = np.random.default_rng(seed).random(n)
     # the stationary law is the row of a start state S, so the walk from S
     # draws Z_0 by the same inverse-CDF step as every later symbol
     start = np.vstack([model.transition, model.stationary])
-    symbols = _walk_chain(_cum_rows(start), model.n_states, u)
-    return SamplePath(symbols=np.array(symbols, dtype=np.int64))
+    return SamplePath(symbols=_walk_moves(np.cumsum(start, axis=1)[:, :-1], u))
 
 
 def _cum_rows(rows: np.ndarray) -> list[list[float]]:
     """The cumulative sums of each row without its last, for ``_walk_chain``."""
     return np.cumsum(rows, axis=1)[:, :-1].tolist()
+
+
+def _walk_moves(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``_walk_chain`` from the last row of ``cum``, walking only the steps
+    that can move; the symbols are the same.
+
+    ``cum`` holds the transition rows and then the start row, summed as
+    ``_cum_rows`` sums them.  From state s, ``bisect_right`` stays at s
+    exactly when cum[s][s-1] <= x < cum[s][s] (state 0 has no lower bound,
+    state S-1 no upper one).  So a uniform in
+    [max_s cum[s][s-1], min_s cum[s][s]) maps every state to itself, and its
+    step is skipped: the state carries.  Step 0 leaves the start row and is
+    always walked.  Where that interval is empty, every step is walked.
+    """
+    P = cum[:-1]
+    # Python floats: a numpy scalar costs more per comparison with u
+    lo = max(P.diagonal(-1).tolist(), default=-math.inf)
+    hi = min(P.diagonal().tolist(), default=math.inf)
+    moves = ~((lo <= u) & (u < hi))
+    moves[0] = True
+    walked = np.array(_walk_chain(cum.tolist(), len(P), u[moves]), dtype=np.int64)
+    return walked[np.cumsum(moves) - 1]
 
 
 def _walk_chain(cum_rows: list[list[float]], s: int, u: np.ndarray) -> list[int]:

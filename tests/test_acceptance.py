@@ -15,7 +15,7 @@ import pytest
 from mixgame import (EWA, GameTrace, HypothesisSpace, MixingProfile,
                      PosteriorDist, composite_phi_check,
                      conditional_loss_expectations, decompose, deviation_term,
-                     exact_block_beta, exact_phi,
+                     ewa_step, exact_block_beta, exact_phi,
                      fit_mixing_profile, limit_test_losses,
                      make_learner, phi_table, play_costs, product_chain,
                      project_simplex, run_dynamic_game, sample_path,
@@ -106,11 +106,13 @@ def test_03_delayed_wrapper_exactness_and_bound():
         per = instance_regrets(trace, dirac, d)
         assert abs(total - per.sum()) < 1e-12
         assert total <= d * math.log(4) / eta + eta * n / 2 + 1e-12
+    # at d = 1 the wrapper is exponential weights itself: round t plays the
+    # softmax of prior_log - eta * S_t, S_t the sum of the costs before t
     costs = rng.uniform(-1, 1, size=(60, 4))
     wrapped = play_costs(costs, np.zeros(4), make_learner("ewa", prior, eta, d=1), 1)
-    bare = play_costs(costs, np.zeros(4), EWA(prior, eta), 1)
-    assert all(np.array_equal(a, b) for a, b in zip(wrapped.posteriors,
-                                                    bare.posteriors))
+    S = np.vstack([np.zeros(4), np.cumsum(costs, axis=0)[:-1]])
+    assert all(np.array_equal(play, ewa_step(prior.log_weights, eta, S_t))
+               for play, S_t in zip(wrapped.posteriors, S))
     _report("[3/13] delayed round-robin wrapper: exact per-instance regret "
             "split, d-scaled bound, transparent at d=1")
 

@@ -14,7 +14,7 @@ from mixgame import (ConsistencyError, MixingProfile, ModelError, ProcessModel,
                      two_state_chain)
 from mixgame.cli import main
 from mixgame.experiments import config_from_dict, mixing_table
-from mixgame.process import _walk_chain
+from mixgame.process import _walk_chain, _walk_moves
 
 from conftest import build_iid, random_chain
 
@@ -226,6 +226,95 @@ def test_sample_path_frozen(n_states):
         for seed in (0, 7, replicate_seed(5, 3)):
             h.update(sample_path(model, n, seed).symbols.astype("<i8").tobytes())
     assert h.hexdigest()[:16] == FROZEN_PATH_DIGESTS[n_states]
+
+
+def _lazy_chain(n_states, stay=0.9):
+    """A random chain that stays put with probability at least ``stay``."""
+    rest = random_chain(np.random.default_rng(n_states), n_states).transition
+    return build_markov(stay * np.eye(n_states) + (1 - stay) * rest)
+
+
+# chains on which some uniforms map every state to itself, so sample_path
+# skips their steps, and their path digests, recorded while every step was
+# still walked
+SKIP_CHAINS = {"flip 0.05": lambda: two_state_chain(0.05, 0.05),
+               "flip 0.2": lambda: two_state_chain(0.2, 0.2),
+               "0.3/0.2": lambda: two_state_chain(0.3, 0.2),
+               "lazy 4": lambda: _lazy_chain(4),
+               "lazy 200": lambda: _lazy_chain(200)}
+FROZEN_SKIP_DIGESTS = {"flip 0.05": "3f8da039c6bcbff5", "flip 0.2": "eb51b6b2c4b6c75f",
+                       "0.3/0.2": "e14882211a154b36", "lazy 4": "50224bbf8f5e983d",
+                       "lazy 200": "a2f93652c428de5f"}
+
+
+def _identity_interval(model):
+    """[max_s cum[s][s-1], min_s cum[s][s]), with the row cumsums written out."""
+    cum = [list(itertools.accumulate(row)) for row in model.transition.tolist()]
+    S = model.n_states
+    lo = max((cum[s][s - 1] for s in range(1, S)), default=-math.inf)
+    hi = min((cum[s][s] for s in range(S - 1)), default=math.inf)
+    return lo, hi
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_SKIP_DIGESTS))
+def test_sample_path_frozen_where_steps_are_skipped(name):
+    model = SKIP_CHAINS[name]()
+    lo, hi = _identity_interval(model)
+    assert lo < hi  # the skip engages
+    h = hashlib.sha256()
+    for n in (1, 2, 7, 2000):
+        for seed in (0, 7, replicate_seed(5, 3)):
+            h.update(sample_path(model, n, seed).symbols.astype("<i8").tobytes())
+    assert h.hexdigest()[:16] == FROZEN_SKIP_DIGESTS[name]
+
+
+def _walk_families():
+    rng = np.random.default_rng(13)
+    yield from (random_chain(rng, S) for S in (2, 3, 4, 16, 200))
+    yield from (_lazy_chain(S, stay) for S in (4, 30, 200) for stay in (0.5, 0.9, 0.99))
+    yield from (build_iid(p) for p in ([0.5, 0.5], [0.15, 0.25, 0.6], [1.0]))
+    yield build_markov([[0.0, 1.0, 0.0], [0.2, 0.6, 0.2], [0.1, 0.1, 0.8]])
+    yield build_markov([[0.9, 0.1, 0.0], [0.0, 1e-3, 1 - 1e-3], [0.05, 0.0, 0.95]])
+    yield from (two_state_chain(p, q) for p, q in
+                ((0.05, 0.05), (0.2, 0.2), (0.3, 0.2), (0.5, 0.5), (0.6, 0.5),
+                 (1.0, 0.3), (0.96, 0.01)))
+
+
+def test_sample_path_equals_the_full_walk():
+    skipping = 0
+    for model in _walk_families():
+        start = np.vstack([model.transition, model.stationary])
+        cum = np.cumsum(start, axis=1)[:, :-1].tolist()
+        lo, hi = _identity_interval(model)
+        skipping += lo < hi
+        for n in (1, 2, 7, 2000):
+            for seed in (0, 3):
+                u = np.random.default_rng(seed).random(n)
+                full = _walk_chain(cum, model.n_states, u)
+                symbols = sample_path(model, n, seed).symbols
+                assert symbols.dtype == np.int64
+                assert np.array_equal(symbols, full)
+    assert skipping >= 10
+
+
+@pytest.mark.parametrize("name", sorted(SKIP_CHAINS))
+def test_skipping_walk_on_the_edges_of_the_identity_interval(name, monkeypatch):
+    import mixgame.process as process
+    model = SKIP_CHAINS[name]()
+    lo, hi = _identity_interval(model)
+    cum = np.cumsum(np.vstack([model.transition, model.stationary]), axis=1)[:, :-1]
+    edges = [0.0, lo, np.nextafter(lo, 0), np.nextafter(hi, 0), hi, 1.0,
+             np.nextafter(1.0, 2), 1.5]
+    walked = []
+    monkeypatch.setattr(process, "_walk_chain", lambda rows, s, u: walked.append(
+        len(u)) or _walk_chain(rows, s, u))
+    rng = np.random.default_rng(len(name))
+    for _ in range(20):
+        u = rng.permutation(np.concatenate([edges * 5, rng.random(60)]))
+        full = _walk_chain(cum.tolist(), model.n_states, u)
+        assert np.array_equal(_walk_moves(cum, u), full)
+        # step 0 and every uniform outside [lo, hi) is walked, and no other
+        assert walked.pop() == 1 + sum(not lo <= x < hi for x in u[1:])
 
 
 def test_walk_chain_matches_clipped_searchsorted():
