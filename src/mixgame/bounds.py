@@ -3,10 +3,10 @@
 Every bound is assembled into a BoundReport with the three-term structure
 regret_term + phi_term + deviation_term = total.  ``delay_bound`` takes
 phi_d at a given delay; ``tuned_bound`` is ``delay_bound`` at the delay a
-MixingProfile tunes (``MixingProfile.tuned_delay``), paying the profile's
-own phi_d and the deviation term there.  Its regret is read at that delay,
-so a regret bound that holds at every d (``online.delayed_regret_bound``)
-pairs with a given delay and a tuned one alike, as ``mixgame bounds`` pairs them.
+MixingProfile tunes, paying the profile's own phi_d there, with the regret
+read at that delay (``online.delayed_regret_bound`` holds at every d).
+``sweep_delay`` assembles one row per grid delay around the game gaps that
+``experiments.delay_sweep`` plays; no function here plays a game.
 """
 
 from __future__ import annotations
@@ -16,11 +16,8 @@ import sys
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
-from .dynamic import limit_test_losses
 from .errors import ValidationError
-from .game import decompose, play_costs
-from .learner import HypothesisSpace, PosteriorDist, kl_divergence
-from .online import delayed_regret_bound, make_learner
+from .online import delayed_regret_bound
 from .process import MixingProfile, ProcessModel, exact_phi
 
 
@@ -83,28 +80,19 @@ def tuned_bound(profile: MixingProfile, n: int, delta: float,
                        tag=tag_prefix + profile.kind)
 
 
-def sweep_delay(model: ProcessModel, space: HypothesisSpace, loss_rows,
-                comparator: PosteriorDist, delta: float, d_grid, eta: float,
-                algorithm: str = "ewa") -> list[dict]:
-    """Evaluate the delay trade-off along a grid of delays.
+def sweep_delay(model: ProcessModel, loss_table, n: int, delta: float, d_grid,
+                eta: float, kl: float, gens) -> list[dict]:
+    """The delay trade-off's rows along a grid of delays, in closed form.
 
-    For each d the wrapped learner replays a path's (n, W) loss rows against
-    the limit, built once.  The regret term is the a-priori wrapped-EWA
-    composite with the comparator's KL to the uniform prior, so the total
-    bound is smooth in d; the comparator's gap is recorded alongside.
+    Row d pays phi_d of ``loss_table``, the deviation term and the a-priori
+    wrapped-EWA composite at the comparator's ``kl`` to the uniform prior, so
+    the total bound is smooth in d; ``gens`` holds each delay's game gap.
     """
-    n = len(loss_rows)
-    prior = PosteriorDist.uniform(space.n_hypotheses)
-    kl = kl_divergence(comparator, prior)
-    limit = limit_test_losses(space, model)[0]
     rows = []
-    for d in d_grid:
-        d = int(d)
-        phi = exact_phi(model, space.loss_table, d)
-        learner = make_learner(algorithm, prior, eta, d=d)
-        parts = decompose(play_costs(loss_rows, limit, learner, d), comparator)
+    for d, gen in zip(d_grid, gens):
+        phi = exact_phi(model, loss_table, d)
         rep = delay_bound(delayed_regret_bound(kl, eta, d, n), phi, d, n, delta)
         rows.append({"d": d, "phi_term": phi, "deviation_term": rep.deviation_term,
                      "regret_term": rep.regret_term, "total_bound": rep.total,
-                     "empirical_gen": parts["gen"]})
+                     "empirical_gen": gen})
     return rows

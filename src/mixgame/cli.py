@@ -28,6 +28,8 @@ def _read_json(path: str):
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"config file {path!r}: {exc}") from None
+    except OSError as exc:  # a missing file, a directory, no permission
+        raise ValidationError(f"config file {path!r}: {exc.strerror}") from None
 
 
 def _config(args) -> xp.ExperimentConfig:
@@ -147,7 +149,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (ValidationError, FileNotFoundError) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (MixgameError, OSError) as exc:

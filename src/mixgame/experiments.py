@@ -7,7 +7,8 @@ Gen = Regret/n + M_n.  The config carries one loss, a table of memory m
 Exponential weights (FTRL with negative entropy) plays the closed form
 ``delayed_ewa_posteriors``, the game loop's ``ewa_step`` at every round at once;
 squared-norm FTRL plays the game loop.
-Coverage is a column view of ``run_experiment``'s rows.
+Coverage is a column view of ``run_experiment``'s rows.  The delay sweep plays
+the configured learner at each grid delay, and ``bounds`` assembles its rows.
 Replicate k draws its RNG stream from the master seed via a splitmix64
 derivation, so runs are reproducible end to end and replicates independent.
 """
@@ -15,14 +16,14 @@ derivation, so runs are reproducible end to end and replicates independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import make_dataclass
 
 import numpy as np
 
 from . import bounds as bd
 from . import dynamic as dyn
-from .errors import ConfigSection, ValidationError, _require, build_field
-from .game import GameTrace, decompose
+from .errors import CONFIG_FIELDS, ConfigSection, ValidationError, _require, build_field
+from .game import GameTrace, decompose, play_costs
 from .learner import PosteriorDist, erm, gibbs_posterior, kl_divergence
 from .online import delayed_regret_bound, ewa_step, make_learner
 from .process import (DECAY_LAWS, PHI_FLOOR, ProcessModel, exact_phi,
@@ -30,21 +31,12 @@ from .process import (DECAY_LAWS, PHI_FLOOR, ProcessModel, exact_phi,
                       replicate_seed, sample_path)
 
 
-@dataclass(frozen=True, eq=False)
-class ExperimentConfig:
-    model: ProcessModel
-    loss: object                         # dyn.LOSS_SCHEMAS: a table or discounted loss
-    kind: str                            # learner.kind: "gibbs" | "erm"
-    beta: float
-    algorithm: str                       # online.LEARNERS: "ewa" | "ftrl-sqnorm"
-    eta: float
-    delay: int                           # resolved from online.delay, in [1, n]
-    n: int
-    replicates: int
-    delta: float
-    seed: int
-    d_grid: list
-    d_max: int
+# the model, the loss, then the learner, online and experiment keys in table order
+ExperimentConfig = make_dataclass("ExperimentConfig", ["model", "loss"] + [
+    path.partition(".")[2] for path in CONFIG_FIELDS
+    if path.startswith(("learner.", "online.", "experiment."))],
+    frozen=True, eq=False, namespace={"__module__": __name__, "__doc__":
+        "A validated experiment config; online.delay resolved to an int in [1, n]."})
 
 
 def config_from_dict(doc: dict, seed: int | None = None) -> ExperimentConfig:
@@ -209,12 +201,18 @@ def mixing_table(cfg: ExperimentConfig) -> dict:
 
 
 def delay_sweep(cfg: ExperimentConfig) -> list[dict]:
-    """``bounds.sweep_delay`` on the master seed's loss rows and their posterior."""
+    """Play ``cfg.algorithm`` at each grid delay on the master seed's loss rows,
+    against their posterior and the limit built once, and check each game's
+    decomposition; ``bounds.sweep_delay`` assembles the rows around the gaps."""
     _require(getattr(cfg.loss, "m", None) == 1, "loss", "needs a static loss table")
     for i, d in enumerate(cfg.d_grid):
         _require(d <= cfg.n, f"experiment.d_grid[{i}]", "must lie in [1, n]")
     d_grid = cfg.d_grid or sorted({min(2**i, cfg.n) for i in range(7)})
     loss_rows = cfg.loss.loss_rows(sample_path(cfg.model, cfg.n, cfg.seed).symbols)
-    return bd.sweep_delay(cfg.model, cfg.loss, loss_rows,
-                          statistical_posterior(cfg, loss_rows), cfg.delta, d_grid,
-                          eta=cfg.eta, algorithm=cfg.algorithm)
+    comparator = statistical_posterior(cfg, loss_rows)
+    prior = PosteriorDist.uniform(cfg.loss.n_hypotheses)
+    limit = dyn.limit_test_losses(cfg.loss, cfg.model)[0]
+    gens = [decompose(play_costs(loss_rows, limit, make_learner(
+        cfg.algorithm, prior, cfg.eta, d=d), d), comparator)["gen"] for d in d_grid]
+    return bd.sweep_delay(cfg.model, cfg.loss.loss_table, cfg.n, cfg.delta, d_grid,
+                          cfg.eta, kl_divergence(comparator, prior), gens)

@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import dataclasses
 import io
 import re
 from pathlib import Path
@@ -9,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixgame import (DECAY_LAWS, GameTrace, HypothesisSpace, PosteriorDist,
-                     SamplePath, config_from_dict, two_state_chain)
+from mixgame import (DECAY_LAWS, ExperimentConfig, GameTrace, HypothesisSpace,
+                     PosteriorDist, SamplePath, config_from_dict, two_state_chain)
 from mixgame.dynamic import LOSS_SCHEMAS
 from mixgame.online import LEARNERS
 from mixgame.errors import CONFIG_FIELDS
@@ -43,6 +44,37 @@ def test_every_exported_name_is_used_by_the_package_demos_or_readme():
     used |= set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
     unused = [name for name in exported if name not in used]
     assert unused == []
+
+
+def _package_imports(source: str) -> set:
+    """The package modules a module imports, by relative or absolute name."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("mixgame").lstrip(".")
+            names |= {module.split(".")[0]} if module else {
+                alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            names |= {alias.name.removeprefix("mixgame.") for alias in node.names}
+    return names
+
+
+def test_bounds_plays_no_game():
+    # bounds assembles closed-form rows; experiments plays every game they read
+    imported = _package_imports((PACKAGE / "bounds.py").read_text())
+    assert imported >= {"errors", "online", "process"}
+    assert imported & {"game", "dynamic", "learner", "experiments"} == set()
+
+
+def test_experiment_config_fields_are_the_read_config_keys():
+    # a CONFIG_FIELDS key renamed renames a cfg attribute, so this pins both
+    assert [f.name for f in dataclasses.fields(ExperimentConfig)] == [
+        "model", "loss", "kind", "beta", "algorithm", "eta", "delay", "n",
+        "replicates", "delta", "seed", "d_grid", "d_max"]
+    assert ExperimentConfig.__module__ == "mixgame.experiments"
+    assert ExperimentConfig.__doc__.startswith("A validated experiment config")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        _config().n = 5
 
 
 def test_readme_quick_start_runs():

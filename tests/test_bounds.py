@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from mixgame import (HypothesisSpace, MixingProfile, ValidationError,
-                     delay_bound, delayed_regret_bound, deviation_term,
-                     gibbs_posterior, sample_path, sweep_delay, tuned_bound,
-                     two_state_chain)
+                     delay_bound, delayed_regret_bound, deviation_term, exact_phi,
+                     sweep_delay, tuned_bound, two_state_chain)
 from mixgame.cli import main
 
 from conftest import algebraic_rate_sandwich
@@ -197,17 +196,21 @@ def test_bounds_command_rows_frozen(tmp_path, spec, rows):
 
 
 def test_sweep_delay_rows_are_consistent():
+    # the rows are closed-form assembly around the gaps the caller's games gave
     model = two_state_chain(0.25, 0.25)
-    space = HypothesisSpace(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    loss_rows = space.loss_rows(sample_path(model, 200, seed=5).symbols)
-    rows = sweep_delay(model, space, loss_rows, gibbs_posterior(loss_rows, 1.0),
-                       delta=0.1, d_grid=[1, 2, 4, 8], eta=0.3)
-    assert [r["d"] for r in rows] == [1, 2, 4, 8]
-    for r in rows:
-        assert r["phi_term"] == pytest.approx(0.5 * 0.5 ** r["d"], abs=1e-12)
-        assert r["total_bound"] == pytest.approx(
-            r["phi_term"] + r["deviation_term"] + r["regret_term"], abs=1e-12)
-        assert r["empirical_gen"] <= 1.0
+    table = HypothesisSpace(np.array([[0.0, 1.0], [1.0, 0.0]])).loss_table
+    n, delta, eta, kl, d_grid = 200, 0.1, 0.3, 0.25, [1, 2, 4, 8]
+    gens = [0.01, -0.02, 0.03, 0.0]
+    rows = sweep_delay(model, table, n, delta, d_grid, eta, kl, gens)
+    assert [r["d"] for r in rows] == d_grid
+    for r, gen in zip(rows, gens):
+        d = r["d"]
+        rep = delay_bound(delayed_regret_bound(kl, eta, d, n),
+                          exact_phi(model, table, d), d, n, delta)
+        assert (r["phi_term"], r["deviation_term"], r["regret_term"],
+                r["total_bound"], r["empirical_gen"]) == (
+            rep.phi_term, rep.deviation_term, rep.regret_term, rep.total, gen)
+        assert r["phi_term"] == pytest.approx(0.5 * 0.5 ** d, abs=1e-12)
     # deviation grows with d while phi shrinks
     devs = [r["deviation_term"] for r in rows]
     assert devs == sorted(devs)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import resource
@@ -153,6 +154,46 @@ def test_sweep_delay_outputs_table_and_plot(tmp_path):
     assert svg.count("<polyline") == 2
 
 
+# sha256 of each sweep-delay file, recorded when bounds.sweep_delay still played
+# the games: CI's grid config, its ftrl-sqnorm copy and a copy on the default grid.
+# The copies share bytes, since no column depends on the learner played.
+GRID = {"process": {"transition": [[0.8, 0.2], [0.3, 0.7]]},
+        "loss": {"losses": [[0.0, 1.0], [1.0, 0.0]]},
+        "online": {"algorithm": "ewa", "eta": 0.3, "delay": 2},
+        "experiment": {"n": 100, "seed": 5, "d_grid": [1, 2, 4]}}
+FROZEN_SWEEP_DIGESTS = {
+    "grid": {
+        "sweep.csv": "34675ad0fb65b12f7a8254f89f6b222895a147945e8b414dacdee29daa9e1549",
+        "sweep.json": "c1adff8293cba33d1d9bbe504debf20fc505f478820b7dfdcecc7cbb05c52f36",
+        "sweep.svg": "a2128432ecf3833699dcc425eecc0c6d0ac29229b198c0f83b08f879fd62765b",
+    },
+    "ftrl-sqnorm": {
+        "sweep.csv": "34675ad0fb65b12f7a8254f89f6b222895a147945e8b414dacdee29daa9e1549",
+        "sweep.json": "c1adff8293cba33d1d9bbe504debf20fc505f478820b7dfdcecc7cbb05c52f36",
+        "sweep.svg": "a2128432ecf3833699dcc425eecc0c6d0ac29229b198c0f83b08f879fd62765b",
+    },
+    "default-grid": {
+        "sweep.csv": "5628db05f7cb00cde9ba83a44449a0aae52de91b246cdcbfd07fe0bc0ff44471",
+        "sweep.json": "a05894b0340e7bbb004a0ae59945519011ef07db132a14b5ecd0dd197058dad4",
+        "sweep.svg": "29990ced701c7b1034dd2323e487defb99a071adca02d4fd8488f749df787969",
+    },
+}
+
+
+@pytest.mark.parametrize("name", FROZEN_SWEEP_DIGESTS)
+def test_sweep_delay_bytes_frozen(tmp_path, name):
+    doc = json.loads(json.dumps(GRID))
+    if name == "ftrl-sqnorm":
+        doc["online"]["algorithm"] = "ftrl-sqnorm"
+    elif name == "default-grid":
+        del doc["experiment"]["d_grid"]
+    out = tmp_path / "out"
+    assert main(["sweep-delay", "--config", write_config(tmp_path, doc),
+                 "--out", str(out)]) == 0
+    assert {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+            for f in FROZEN_SWEEP_DIGESTS[name]} == FROZEN_SWEEP_DIGESTS[name]
+
+
 def test_sweep_delay_honours_learner_kind(tmp_path):
     rows = {}
     for kind in ("gibbs", "erm"):
@@ -245,8 +286,12 @@ def test_seed_override_changes_output(tmp_path):
 
 
 def test_exit_code_2_on_bad_input(tmp_path, capsys):
-    assert main(["simulate", "--config", str(tmp_path / "missing.json"),
-                 "--out", str(tmp_path / "o")]) == 2
+    # a config file that cannot be read exits 2 naming the file and the reason
+    for path, reason in [(tmp_path / "missing.json", "No such file or directory"),
+                         (tmp_path, "Is a directory")]:
+        assert main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"config file {str(path)!r}: {reason}" in capsys.readouterr().err
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["simulate", "--config", str(bad),
