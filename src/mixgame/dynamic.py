@@ -27,8 +27,8 @@ import numpy as np
 from .errors import ConfigSection, ValidationError, build_field
 from .game import GameTrace, play_costs
 from .learner import _ENUM_CAP, HypothesisSpace, _BlockLoss
-from .process import (ProcessModel, SamplePath, _cum_rows, _walk_chain,
-                      exact_phi, window_expectations)
+from .process import (ProcessModel, SamplePath, _walk_lockstep, exact_phi,
+                      window_expectations)
 
 _COMPOSITE_TOL = 1e-9
 _MC_HISTORY = 64  # stationary symbols sampled before each conditioning state
@@ -133,24 +133,25 @@ def dynamic_phi_mc(model: ProcessModel, dl, d: int, limit: np.ndarray,
                    n_samples: int, seed: int) -> tuple[float, float]:
     """Monte Carlo estimate of the dynamic phi_d for losses without exact paths.
 
-    Per conditioning state, one draw of ``n_samples`` rows of uniforms walks
-    each row ``_MC_HISTORY`` symbols back through the time-reversed chain and
-    d forward, and one ``values`` call scores the prefixes; the estimate is the
-    worst ``limit`` loss (the run's ``limit_test_losses``) minus conditional
-    mean, as in ``process.exact_phi``, with its standard error.
+    One draw gives each conditioning state ``n_samples`` rows of uniforms, and
+    all rows walk in lockstep ``_MC_HISTORY`` symbols back through the
+    time-reversed chain and d forward; per state one ``values`` call scores the
+    prefixes.  The estimate is the worst ``limit`` loss (the run's
+    ``limit_test_losses``) minus conditional mean, as in ``process.exact_phi``,
+    with its standard error.
     """
     pi = model.stationary
     reverse = (model.transition * pi[None, :]).T / pi[:, None]
-    rev_cum = _cum_rows(reverse / reverse.sum(axis=1, keepdims=True))
-    cum = _cum_rows(model.transition)
-    rng = np.random.default_rng(seed)
+    rev_cum = np.cumsum(reverse / reverse.sum(axis=1, keepdims=True), axis=1)[:, :-1]
+    cum = np.cumsum(model.transition, axis=1)[:, :-1]
+    s = np.repeat(np.arange(model.n_states), n_samples)
+    u = np.random.default_rng(seed).random((len(s), _MC_HISTORY + d))
+    history = _walk_lockstep(rev_cum, s, u[:, :_MC_HISTORY])[:, ::-1]
+    prefixes = np.hstack([history, s[:, None], _walk_lockstep(cum, s, u[:, _MC_HISTORY:])])
     worst_gap, worst_se = -np.inf, 0.0
-    for s in range(model.n_states):
-        u = rng.random((n_samples, _MC_HISTORY + d))
-        prefixes = np.array([_walk_chain(rev_cum, s, row[:_MC_HISTORY])[::-1] + [s]
-                             + _walk_chain(cum, s, row[_MC_HISTORY:]) for row in u])
+    for block in prefixes.reshape(model.n_states, n_samples, -1):
         # C order: the mean sums the samples one row at a time, not pairwise
-        losses = np.ascontiguousarray(dl.values(prefixes.T).T)
+        losses = np.ascontiguousarray(dl.values(block.T).T)
         gap = limit - losses.mean(axis=0)
         j = int(np.argmax(gap))
         if gap[j] > worst_gap:

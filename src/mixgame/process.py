@@ -5,11 +5,12 @@ stationary law comes from matrix powers, d-step conditional laws from
 ``transition**d``, and phi_d of a loss class is the worst-case gap between
 the stationary and the d-step conditional expected loss.  ``phi_table``
 steps the conditional expectations one transition per d and checks its last
-entry against the matrix-power value.  ``sample_path`` walks only the steps
-whose uniform moves some state; through the others the state carries.
-``window_expectations`` reduces a loss on L-symbol blocks to a static table,
-on which ``exact_phi`` reads a memory-m table; ``product_chain`` runs
-independent chains as one chain.
+entry against the matrix-power value.  ``sample_path`` bisects one path and
+walks only the steps whose uniform moves some state; through the others the
+state carries.  ``_walk_lockstep`` walks many rows (the Monte-Carlo phi's)
+with one numpy step per symbol for all of them.  ``window_expectations``
+reduces a loss on L-symbol blocks to a static table, on which ``exact_phi``
+reads a memory-m table; ``product_chain`` runs independent chains as one chain.
 
 ``DECAY_LAWS`` holds each phi_d decay law a ``MixingProfile`` can carry:
 its rate field, its phi_d, the abscissa its log-linear fit regresses
@@ -205,17 +206,12 @@ def sample_path(model: ProcessModel, n: int, seed: int) -> SamplePath:
     return SamplePath(symbols=_walk_moves(np.cumsum(start, axis=1)[:, :-1], u))
 
 
-def _cum_rows(rows: np.ndarray) -> list[list[float]]:
-    """The cumulative sums of each row without its last, for ``_walk_chain``."""
-    return np.cumsum(rows, axis=1)[:, :-1].tolist()
-
-
 def _walk_moves(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``_walk_chain`` from the last row of ``cum``, walking only the steps
     that can move; the symbols are the same.
 
-    ``cum`` holds the transition rows and then the start row, summed as
-    ``_cum_rows`` sums them.  From state s, ``bisect_right`` stays at s
+    ``cum`` holds the transition rows and then the start row, each summed
+    without its last entry.  From state s, ``bisect_right`` stays at s
     exactly when cum[s][s-1] <= x < cum[s][s] (state 0 has no lower bound,
     state S-1 no upper one).  So a uniform in
     [max_s cum[s][s-1], min_s cum[s][s]) maps every state to itself, and its
@@ -235,18 +231,29 @@ def _walk_moves(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
 def _walk_chain(cum_rows: list[list[float]], s: int, u: np.ndarray) -> list[int]:
     """States visited from state ``s``, one inverse-CDF step per uniform in ``u``.
 
-    ``cum_rows`` is ``_cum_rows`` of the transition rows.  Each step equals
-    ``searchsorted(cumsum(row), x, side="right")`` clipped to the last state,
-    at a fraction of the cost of a numpy call: ``bisect`` runs on Python
-    lists, and searching a row without its last entry does the clipping (the
-    last state takes every ``x`` at or beyond the second-to-last cumulative
-    sum, whatever rounding left in the row sum).
+    ``cum_rows`` lists each transition row's cumsum without its last entry.
+    Each step is ``searchsorted(cumsum(row), x, side="right")`` clipped to the
+    last state, at a fraction of the cost of a numpy call: ``bisect`` runs on
+    Python lists, and searching a row without its last entry does the clipping
+    (the last state takes every ``x`` at or beyond the second-to-last
+    cumulative sum, whatever rounding left in the row sum).
     """
     states = []
     for x in u.tolist():
         s = bisect_right(cum_rows[s], x)
         states.append(s)
     return states
+
+
+def _walk_lockstep(cum: np.ndarray, s: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``_walk_chain`` of each row of ``u`` from its start in ``s``, one numpy
+    step per column for all rows: the (R, k) states.  ``cum`` is the ndarray of
+    its rows.  Counting the entries above x is ``bisect_right`` also on the
+    all-NaN row of a reversed state of zero mass, where ``bisect`` goes right."""
+    out = np.empty(u.shape[::-1], dtype=np.int64)
+    for k, x in enumerate(u.T):
+        s = out[k] = cum.shape[1] - (cum[s] > x[:, None]).sum(axis=1)
+    return out.T
 
 
 def conditional_loss_expectations(model: ProcessModel, loss_table,

@@ -27,6 +27,12 @@ def regret_bound(h_gap, eta, alpha, dual_norm_sq_sum):
     return h_gap / eta + eta / (2.0 * alpha) * dual_norm_sq_sum
 
 
+# chains with a state of zero stationary mass: their reversed chain has an
+# all-NaN row there (0/0), which the Monte-Carlo phi conditions on
+TRANSIENT_CHAINS = ([[0.0, 1.0], [0.0, 1.0]],
+                    [[0.0, 0.5, 0.5], [0.0, 0.5, 0.5], [0.0, 0.2, 0.8]])
+
+
 def random_chain(rng, n_states=2, smoothing=0.05):
     """A random aperiodic, irreducible transition matrix."""
     T = rng.random((n_states, n_states)) + smoothing

@@ -11,10 +11,11 @@ from mixgame import (DiscountedLoss, HypothesisSpace, PosteriorDist, SizeError,
                      run_dynamic_game, sample_path, two_state_chain,
                      window_expectations)
 from mixgame.learner import _ENUM_CAP, _MAX_AXES
-from mixgame.process import _cum_rows, _walk_chain
+from mixgame.dynamic import _MC_HISTORY
+from mixgame.process import _walk_chain
 
-from conftest import (enumerated_block_expectations, limit_test_losses_mc,
-                      random_chain)
+from conftest import (TRANSIENT_CHAINS, enumerated_block_expectations,
+                      limit_test_losses_mc, random_chain)
 
 
 def xor_loss():
@@ -240,6 +241,88 @@ def test_dynamic_phi_mc_frozen():
         0.05920915114335967, 0.012505641162745888)
 
 
+def per_row_phi_mc(model, dl, d, limit, n_samples, seed):
+    """``dynamic_phi_mc`` with each row walked alone by ``_walk_chain``: per
+    conditioning state one draw of ``n_samples`` rows, each walked
+    ``_MC_HISTORY`` symbols back through the reversed chain and d forward."""
+    pi = model.stationary
+    reverse = (model.transition * pi[None, :]).T / pi[:, None]
+    rev_cum = np.cumsum(reverse / reverse.sum(axis=1, keepdims=True), axis=1)
+    rev_cum = rev_cum[:, :-1].tolist()
+    cum = np.cumsum(model.transition, axis=1)[:, :-1].tolist()
+    rng = np.random.default_rng(seed)
+    worst_gap, worst_se = -np.inf, 0.0
+    for s in range(model.n_states):
+        u = rng.random((n_samples, _MC_HISTORY + d))
+        prefixes = np.array([_walk_chain(rev_cum, s, row[:_MC_HISTORY])[::-1] + [s]
+                             + _walk_chain(cum, s, row[_MC_HISTORY:]) for row in u])
+        losses = np.ascontiguousarray(dl.values(prefixes.T).T)
+        gap = limit - losses.mean(axis=0)
+        j = int(np.argmax(gap))
+        if gap[j] > worst_gap:
+            worst_gap = float(gap[j])
+            worst_se = float(losses[:, j].std(ddof=1) / np.sqrt(n_samples))
+    return max(0.0, worst_gap), worst_se
+
+
+MC_MODEL = [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.25, 0.25, 0.5]]
+# cases at d = 1 whose loss reads the reversed walk (a memory-3 table reads one
+# reversed symbol, a discounted loss all of them): chain, loss, loss seed, MC
+# seed and (value, stderr), recorded with the per-row walks; the last two
+# chains have a state of zero stationary mass, whose reversed row is 0/0 (NaN)
+MC_REVERSED_CASES = {
+    "memory-3": (MC_MODEL, lambda rng: HypothesisSpace(rng.random((4, 3, 3, 3))),
+                 3, 11, (0.128437466995379, 0.04023138910356546)),
+    "discounted": (MC_MODEL, lambda rng: DiscountedLoss(0.6, 0.4, rng.random((3, 3))),
+                   5, 12, (0.08831840381203482, 0.011948240981444713)),
+    "absorbing": (TRANSIENT_CHAINS[0],
+                  lambda rng: HypothesisSpace(rng.random((3, 2, 2, 2))),
+                  6, 13, (0.3749855139305097, 0.0)),
+    "transient": (TRANSIENT_CHAINS[1],
+                  lambda rng: HypothesisSpace(rng.random((3, 3, 3, 3))),
+                  7, 14, (0.10776093714374901, 0.025431880624426854)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MC_REVERSED_CASES))
+def test_dynamic_phi_mc_frozen_where_the_reversed_walk_is_read(name):
+    transition, make_loss, loss_seed, seed, frozen = MC_REVERSED_CASES[name]
+    model, dl = build_markov(transition), make_loss(np.random.default_rng(loss_seed))
+    limit = limit_test_losses(dl, model)[0]
+    if np.all(model.stationary > 0):
+        assert dynamic_phi_mc(model, dl, 1, limit, n_samples=40, seed=seed) == frozen
+    else:
+        # the reversed chain divides 0/0 at the state of zero mass
+        with pytest.warns(RuntimeWarning, match="invalid value encountered"):
+            assert dynamic_phi_mc(model, dl, 1, limit, n_samples=40, seed=seed) == frozen
+
+
+def _mc_grid():
+    rng = np.random.default_rng(22)
+    chains = [random_chain(rng, S) for S in (2, 3, 4)]
+    chains += [build_markov([[0.0, 1.0, 0.0], [0.2, 0.6, 0.2], [0.1, 0.1, 0.8]]),
+               build_markov([[0.9, 0.1, 0.0], [0.0, 1e-3, 1 - 1e-3], [0.05, 0.0, 0.95]])]
+    chains += [build_markov(P) for P in TRANSIENT_CHAINS]
+    for model in chains:
+        S = model.n_states
+        losses = [HypothesisSpace(rng.random((2,) + (S,) * m)) for m in (1, 2, 3)]
+        losses.append(DiscountedLoss(0.5, 0.3, rng.random((2, S))))
+        for dl in losses:
+            yield model, dl
+
+
+def test_dynamic_phi_mc_equals_the_per_row_walks():
+    seed = 0
+    for model, dl in _mc_grid():
+        limit = limit_test_losses(dl, model)[0]
+        for d in (1, 2, 5):
+            for n_samples in (2, 57):
+                seed += 1
+                with np.errstate(invalid="ignore"):  # 0/0 at a state of zero mass
+                    assert dynamic_phi_mc(model, dl, d, limit, n_samples, seed) == \
+                        per_row_phi_mc(model, dl, d, limit, n_samples, seed)
+
+
 @pytest.mark.parametrize("dl", [
     HypothesisSpace(np.random.default_rng(8).random((3, 3, 3, 3))),
     DiscountedLoss(0.7, 0.3, np.random.default_rng(9).random((3, 3)))],
@@ -266,8 +349,8 @@ def test_walk_frozen_with_generator_position(n_states):
     for steps in (1, 7, 64):
         for seed in (0, 11):
             rng = np.random.default_rng(seed)
-            walk = _walk_chain(_cum_rows(model.transition), seed % n_states,
-                               rng.random(steps))
+            walk = _walk_chain(np.cumsum(model.transition, axis=1)[:, :-1].tolist(),
+                               seed % n_states, rng.random(steps))
             h.update(np.array(walk, dtype="<i8").tobytes())
             h.update(np.float64(rng.random()).tobytes())
     assert h.hexdigest()[:16] == FROZEN_WALK_DIGESTS[n_states]

@@ -14,9 +14,9 @@ from mixgame import (ConsistencyError, MixingProfile, ModelError, ProcessModel,
                      two_state_chain)
 from mixgame.cli import main
 from mixgame.experiments import config_from_dict, mixing_table
-from mixgame.process import _walk_chain, _walk_moves
+from mixgame.process import _walk_chain, _walk_lockstep, _walk_moves
 
-from conftest import build_iid, random_chain
+from conftest import TRANSIENT_CHAINS, build_iid, random_chain
 
 
 def test_stationary_law_frozen():
@@ -329,6 +329,52 @@ def test_walk_chain_matches_clipped_searchsorted():
             s = min(int(np.searchsorted(cum[s], x, side="right")), n_states - 1)
             expected.append(s)
         assert _walk_chain(cum[:, :-1].tolist(), 0, u) == expected
+
+
+def _lockstep_tables():
+    """Cumulative rows without their last entry, of forward and reversed
+    chains, as the Monte-Carlo phi builds them."""
+    models = list(_walk_families()) + [build_markov(P) for P in TRANSIENT_CHAINS]
+    for model in models:
+        yield np.cumsum(model.transition, axis=1)[:, :-1]
+        pi = model.stationary
+        with np.errstate(invalid="ignore"):
+            reverse = (model.transition * pi[None, :]).T / pi[:, None]
+            yield np.cumsum(reverse / reverse.sum(axis=1, keepdims=True), axis=1)[:, :-1]
+
+
+def _crafted_uniforms(rng, cum, starts, k):
+    """Uniforms that meet each row's walk at its current state's row: an entry
+    (a tie), the float just below one, 0, 1 - 2**-53, or a random draw."""
+    u = rng.random((len(starts), k))
+    rows = cum.tolist()
+    finite = [[x for x in row if not math.isnan(x)] for row in rows]
+    for r, s in enumerate(starts):
+        for j, pick in enumerate(rng.integers(6, size=k).tolist()):
+            if pick < 2 and finite[s]:
+                x = finite[s][rng.integers(len(finite[s]))]
+                u[r, j] = x if pick == 0 else np.nextafter(x, 0)
+            elif pick in (2, 3):
+                u[r, j] = (0.0, 1 - 2**-53)[pick - 2]
+            s = _walk_chain(rows, s, u[r, j:j + 1])[0]
+    return u
+
+
+def test_lockstep_walk_equals_each_row_walked_alone():
+    rng = np.random.default_rng(21)
+    nan_rows = 0
+    for cum in _lockstep_tables():
+        S = len(cum)
+        nan_rows += int(np.isnan(cum).any(axis=1).sum())
+        starts = np.repeat(np.arange(S), max(1, 40 // S))
+        for u in (rng.random((len(starts), 30)), _crafted_uniforms(rng, cum, starts, 30),
+                  rng.random((len(starts), 0))):
+            walked = _walk_lockstep(cum, starts, u)
+            assert walked.dtype == np.int64 and walked.shape == u.shape
+            rows = cum.tolist()
+            for s, row, states in zip(starts.tolist(), u, walked):
+                assert states.tolist() == _walk_chain(rows, s, row)
+    assert nan_rows == 2
 
 
 def test_replicate_seed_is_injective_over_small_range():
