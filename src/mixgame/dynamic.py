@@ -143,7 +143,7 @@ def dynamic_phi_mc(model: ProcessModel, dl, d: int, limit: np.ndarray,
     pi = model.stationary
     reverse = (model.transition * pi[None, :]).T / pi[:, None]
     rev_cum = np.cumsum(reverse / reverse.sum(axis=1, keepdims=True), axis=1)[:, :-1]
-    cum = np.cumsum(model.transition, axis=1)[:, :-1]
+    cum = model._walk_table[0][:-1]  # the forward rows, without the start row
     s = np.repeat(np.arange(model.n_states), n_samples)
     u = np.random.default_rng(seed).random((len(s), _MC_HISTORY + d))
     history = _walk_lockstep(rev_cum, s, u[:, :_MC_HISTORY])[:, ::-1]

@@ -6,7 +6,8 @@ Gen = Regret/n + M_n.  The config carries one loss, a table of memory m
 (static: m = 1) or a discounted loss, and every step reads it the same way.
 Exponential weights (FTRL with negative entropy) plays the closed form
 ``delayed_ewa_posteriors``, the game loop's ``ewa_step`` at every round at once;
-squared-norm FTRL plays the game loop.
+squared-norm FTRL plays the game loop.  A game's (n, W) arrays are (W, n) buffers,
+so each reduction runs over rounds, in the orders ``game`` states.
 Coverage is a column view of ``run_experiment``'s rows.  The delay sweep plays
 the configured learner at each grid delay, and ``bounds`` assembles its rows.
 Replicate k draws its RNG stream from the master seed via a splitmix64
@@ -104,24 +105,24 @@ def delayed_ewa_posteriors(costs: np.ndarray, prior_log: np.ndarray, eta: float,
     if d < 1:
         raise ValidationError("delay must be at least 1")
     n, W = costs.shape
-    S = np.zeros_like(costs)
+    S = np.zeros((W, n))  # hypothesis-major, as are the plays
     q = (n - 1) // d  # blocks of d rounds whose costs reach a later round
-    S[d:] = np.cumsum(costs[:q * d].reshape(q, d, W), axis=0).reshape(-1, W)[:n - d]
+    blocks = costs.T[:, :q * d].reshape(W, q, d)  # hypothesis, block, residue class
+    S[:, d:] = np.cumsum(blocks, axis=1).reshape(W, -1)[:, :n - d]
     with np.errstate(over="ignore", invalid="ignore"):  # GameTrace names a spoiled play
-        return ewa_step(prior_log, eta, S)
+        return ewa_step(prior_log, eta, S.T)
 
 
-def replicate(cfg: ExperimentConfig, seed: int, limit: np.ndarray):
-    """Play one delayed game on the path drawn from ``seed``, with ``limit`` the
-    loss's ``dyn.limit_test_losses``, then fit the comparator to the game's
-    loss rows; return the comparator and the parts of ``decompose``."""
+def replicate(cfg: ExperimentConfig, seed: int, limit: np.ndarray, prior: PosteriorDist):
+    """Play one delayed game from ``prior`` on the path drawn from ``seed``, with
+    ``limit`` the loss's ``dyn.limit_test_losses``, then fit the comparator to
+    the game's loss rows; return the comparator and the parts of ``decompose``."""
     path = sample_path(cfg.model, cfg.n, seed)
-    prior = PosteriorDist.uniform(cfg.loss.n_hypotheses)
     if cfg.algorithm == "ewa":
-        rows = cfg.loss.loss_rows(path.symbols)
-        plays = delayed_ewa_posteriors(rows - limit, prior.log_weights, cfg.eta,
-                                       cfg.delay)
-        trace = GameTrace(plays, rows, limit)
+        rows = np.asfortranarray(cfg.loss.loss_rows(path.symbols))
+        costs = rows - limit
+        plays = delayed_ewa_posteriors(costs, prior.log_weights, cfg.eta, cfg.delay)
+        trace = GameTrace(plays, rows, limit, costs)
     else:
         learner = make_learner(cfg.algorithm, prior, cfg.eta, d=cfg.delay)
         trace = dyn.run_dynamic_game(cfg.loss, path, learner, cfg.delay, limit)
@@ -145,10 +146,11 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list]:
     limit = dyn.limit_test_losses(cfg.loss, cfg.model)[0]
     phi = experiment_phi(cfg, limit)
     mn_bound = phi + bd.deviation_term(cfg.delay, cfg.n, cfg.delta)
+    prior = PosteriorDist.uniform(cfg.loss.n_hypotheses)
     rows, reports = [], []
     for k in range(cfg.replicates):
         seed = replicate_seed(cfg.seed, k)
-        comparator, parts = replicate(cfg, seed, limit)
+        comparator, parts = replicate(cfg, seed, limit, prior)
         gen_bound = parts["regret_over_n"] + mn_bound
         rows.append({"replicate": k, "seed": seed, "gen": parts["gen"],
                      "regret_over_n": parts["regret_over_n"],
@@ -159,7 +161,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list]:
         if k == 0:
             reports.append(bd.delay_bound(parts["regret"], phi, cfg.delay, cfg.n,
                                           cfg.delta, tag="delay-realized"))
-            kl = kl_divergence(comparator, PosteriorDist.uniform(cfg.loss.n_hypotheses))
+            kl = kl_divergence(comparator, prior)
             apriori = delayed_regret_bound(kl, cfg.eta, cfg.delay, cfg.n)
             reports.append(bd.delay_bound(apriori, phi, cfg.delay, cfg.n,
                                           cfg.delta, tag="delay-apriori"))

@@ -8,16 +8,19 @@ identity
     gen = regret/n + martingale
 
 holds exactly (it is algebra, not probability), and ``decompose`` asserts it.
+Its sums have fixed orders in any layout: over hypotheses in index order, the
+mean loss row in round order and the regret over its round-major flattening.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConsistencyError, ProtocolError, ValidationError
-from .learner import PosteriorDist
+from .learner import PosteriorDist, _round_mean
 
 _IDENTITY_TOL = 1e-10
 _SIMPLEX_TOL = 1e-8
@@ -28,22 +31,25 @@ class GameTrace:
     """One game: the learner's plays, the path's loss rows and the limit test loss.
 
     Construction checks every play, whichever learner made it (a play off the
-    simplex raises ProtocolError naming its round), then computes the costs.
+    simplex raises ProtocolError naming its round), computes the costs unless
+    passed, and stores each (n, W) array as the view of a contiguous (W, n) one.
     """
 
     posteriors: np.ndarray         # (n, W) learner plays
     loss_rows: np.ndarray          # (n, W) loss(w, Z_t) per round
     limit: np.ndarray              # (W,) limiting test losses
-    costs: np.ndarray = field(init=False)  # (n, W) cost vectors
+    costs: np.ndarray | None = None  # (n, W) cost vectors
 
     def __post_init__(self):
-        P, ones = self.posteriors, np.ones(self.posteriors.shape[1])
-        # row sums and negative-entry counts; NaN fails the first comparison
-        off = ~(np.abs(P @ ones - 1) <= _SIMPLEX_TOL) | ((P < -_SIMPLEX_TOL) @ ones > 0)
+        P, rows = map(np.asfortranarray, (self.posteriors, self.loss_rows))
+        costs = np.asfortranarray(rows - self.limit if self.costs is None else self.costs)
+        # sums over hypotheses in index order; NaN fails the first comparison
+        off = (~(np.abs(functools.reduce(np.add, P.T) - 1) <= _SIMPLEX_TOL)
+               | functools.reduce(np.logical_or, (P < -_SIMPLEX_TOL).T))
         if off.any():
             raise ProtocolError("learner emitted a non-simplex play at round "
                                 f"{int(np.argmax(off)) + 1}")
-        object.__setattr__(self, "costs", self.loss_rows - self.limit)
+        vars(self).update(posteriors=P, loss_rows=rows, costs=costs)  # frozen: set in __dict__
 
     @property
     def n(self) -> int:
@@ -58,12 +64,12 @@ def play_costs(loss_rows: np.ndarray, limit: np.ndarray, learner,
     been fed costs c_1 .. c_{t-d}, in order, through ``observe``.  Raises
     ProtocolError if a play leaves the simplex.
     """
-    loss_rows = np.asarray(loss_rows, dtype=float)
+    loss_rows = np.asfortranarray(loss_rows, dtype=float)
     n, W = loss_rows.shape
     if not 1 <= d <= n:
         raise ValidationError("need 1 <= d <= n")
     costs = loss_rows - limit
-    posts = np.empty((n, W))
+    posts = np.empty((W, n)).T
     with np.errstate(over="ignore", invalid="ignore"):  # GameTrace names a spoiled play
         for t in range(n):  # 0-indexed round
             try:
@@ -72,7 +78,7 @@ def play_costs(loss_rows: np.ndarray, limit: np.ndarray, learner,
                 posts[t] = np.nan
             if t + 1 >= d:
                 learner.observe(costs[t + 1 - d])
-    return GameTrace(posts, loss_rows, limit)
+    return GameTrace(posts, loss_rows, limit, costs)
 
 
 def decompose(trace: GameTrace, comparator: PosteriorDist) -> dict:
@@ -84,9 +90,9 @@ def decompose(trace: GameTrace, comparator: PosteriorDist) -> dict:
     play), signals an internal bug and raises ConsistencyError.
     """
     p_star = comparator.probs
-    gen = float(p_star @ (trace.limit - trace.loss_rows.mean(axis=0)))
-    regret = float(np.sum((trace.posteriors - p_star) * trace.costs))
-    mart = float(-np.mean(np.sum(trace.posteriors * trace.costs, axis=1)))
+    gen = float(p_star @ (trace.limit - _round_mean(trace.loss_rows)))
+    regret = float(np.sum(np.ascontiguousarray((trace.posteriors - p_star) * trace.costs)))
+    mart = float(-np.mean(functools.reduce(np.add, (trace.posteriors * trace.costs).T)))
     regret_over_n = regret / trace.n
     residual = gen - regret_over_n - mart
     if not abs(residual) <= _IDENTITY_TOL:

@@ -3,7 +3,7 @@
 A ``HypothesisSpace`` is the one table loss: its table has a hypothesis axis
 and m symbol axes, and reads the last m symbols (m = 1 is a static table);
 its forgetting coefficient B_d is exact from the table, 0 from d = m on.
-The statistical learners read a path's (n, W) ``loss_rows``, as the game does.
+The statistical learners read the mean of (n, W) ``loss_rows`` (``_round_mean``).
 
 All posterior arithmetic happens in natural-log space with logsumexp
 normalization so that inverse temperatures up to ~1e8 stay finite.
@@ -182,18 +182,26 @@ class PosteriorDist:
         return PosteriorDist(lw)
 
 
+def _round_mean(rows: np.ndarray) -> np.ndarray:
+    """The (W,) mean of (n, W) rows with the bits of a C-ordered ``mean(axis=0)`` in
+    any layout: summed in round order, and pairwise for a single hypothesis."""
+    if rows.shape[1] == 1:  # numpy sums one column pairwise in every layout
+        return rows.mean(axis=0)
+    return np.cumsum(rows, axis=0)[-1] / len(rows)
+
+
 def gibbs_posterior(loss_rows: np.ndarray, beta: float) -> PosteriorDist:
     """Gibbs tilt of the uniform prior: log-weights -beta * n * mean loss row."""
     if beta < 0:
         raise ValidationError("beta must be non-negative")
     n, W = loss_rows.shape
     return PosteriorDist(PosteriorDist.uniform(W).log_weights
-                         - beta * n * loss_rows.mean(axis=0))
+                         - beta * n * _round_mean(loss_rows))
 
 
 def erm(loss_rows: np.ndarray) -> PosteriorDist:
     """Dirac on the minimizer of the mean loss row; ties broken by lowest index."""
-    return PosteriorDist.dirac(int(np.argmin(loss_rows.mean(axis=0))),
+    return PosteriorDist.dirac(int(np.argmin(_round_mean(loss_rows))),
                                loss_rows.shape[1])
 
 

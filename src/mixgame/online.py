@@ -5,7 +5,8 @@ follow-the-regularized-leader with the negative-entropy regularizer, and
 follow-the-regularized-leader with the prior-centered half-squared-norm
 regularizer.  Each is delay-tolerant as d independent copies, one per residue
 class of rounds, held as one (d, W) array of per-class cost sums; a play is a
-function of its class's sum, ``ewa_step`` or ``ftrl_step``.
+function of its class's sum, ``ewa_step`` or ``ftrl_step``.  ``ewa_step``
+takes one sum or a sum per round, and sums over hypotheses in index order.
 """
 
 from __future__ import annotations
@@ -37,12 +38,11 @@ def project_simplex(v) -> np.ndarray:
 
 def ewa_step(prior_log: np.ndarray, eta: float, S: np.ndarray) -> np.ndarray:
     """The exponential-weights play softmax(prior_log - eta * S) of a (W,) cost
-    sum S, or one play per row of an (n, W) S; both give the same bits."""
-    lw = prior_log - eta * S
-    # the max is exact; a reduce over columns is fast on few of them
-    lw -= lw.max() if lw.ndim == 1 else functools.reduce(np.maximum, lw.T)[:, None]
-    p = np.exp(lw)
-    return p / p.sum(axis=-1, keepdims=True)
+    sum S, or one play per row of an (n, W) S; both give the same bits, as the
+    max and the normalizer reduce over hypotheses in index order in any layout."""
+    lw = (prior_log - eta * S).T  # hypotheses lead: (W,) or (W, n)
+    p = np.exp(lw - functools.reduce(np.maximum, lw))
+    return (p / functools.reduce(np.add, p)).T
 
 
 def ftrl_step(prior_probs: np.ndarray, eta: float, S: np.ndarray) -> np.ndarray:

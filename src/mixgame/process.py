@@ -6,9 +6,9 @@ stationary law comes from matrix powers, d-step conditional laws from
 the stationary and the d-step conditional expected loss.  ``phi_table``
 steps the conditional expectations one transition per d and checks its last
 entry against the matrix-power value.  ``sample_path`` bisects one path and
-walks only the steps whose uniform moves some state; through the others the
-state carries.  ``_walk_lockstep`` walks many rows (the Monte-Carlo phi's)
-with one numpy step per symbol for all of them.  ``window_expectations``
+walks only the steps whose uniform moves some state, on a table built once per
+model.  ``_walk_lockstep`` walks many rows (the Monte-Carlo phi's) with one
+numpy step per symbol for all of them.  ``window_expectations``
 reduces a loss on L-symbol blocks to a static table, on which ``exact_phi``
 reads a memory-m table; ``product_chain`` runs independent chains as one chain.
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -66,6 +66,18 @@ class ProcessModel:
     @property
     def n_states(self) -> int:
         return self.transition.shape[0]
+
+    @cached_property
+    def _walk_table(self) -> tuple:
+        """The transition rows and the start row, each summed without its last
+        entry, as an ndarray and as lists, and the [lo, hi) of ``_walk_moves``.
+        The stationary law is the row of a start state S, so the walk from S
+        draws Z_0 by the same inverse-CDF step as every later symbol."""
+        cum = np.cumsum(np.vstack([self.transition, self.stationary]), axis=1)[:, :-1]
+        # Python floats: a numpy scalar costs more per comparison with u
+        lo = max(cum[:-1].diagonal(-1).tolist(), default=-math.inf)
+        hi = min(cum[:-1].diagonal().tolist(), default=math.inf)
+        return cum, cum.tolist(), lo, hi
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,39 +204,25 @@ def product_chain(models) -> ProcessModel:
 
 
 def sample_path(model: ProcessModel, n: int, seed: int) -> SamplePath:
-    """Draw a length-n stationary path; deterministic in (model, n, seed).
-
-    A step whose uniform maps every state to itself is skipped, with the
-    symbols of the full walk (see ``_walk_moves``).
-    """
+    """Draw a length-n stationary path; deterministic in (model, n, seed).  A step
+    whose uniform maps every state to itself is skipped (see ``_walk_moves``)."""
     if n < 1:
         raise ValidationError("n must be at least 1")
-    u = np.random.default_rng(seed).random(n)
-    # the stationary law is the row of a start state S, so the walk from S
-    # draws Z_0 by the same inverse-CDF step as every later symbol
-    start = np.vstack([model.transition, model.stationary])
-    return SamplePath(symbols=_walk_moves(np.cumsum(start, axis=1)[:, :-1], u))
+    return SamplePath(symbols=_walk_moves(model, np.random.default_rng(seed).random(n)))
 
 
-def _walk_moves(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``_walk_chain`` from the last row of ``cum``, walking only the steps
-    that can move; the symbols are the same.
-
-    ``cum`` holds the transition rows and then the start row, each summed
-    without its last entry.  From state s, ``bisect_right`` stays at s
-    exactly when cum[s][s-1] <= x < cum[s][s] (state 0 has no lower bound,
-    state S-1 no upper one).  So a uniform in
-    [max_s cum[s][s-1], min_s cum[s][s]) maps every state to itself, and its
-    step is skipped: the state carries.  Step 0 leaves the start row and is
-    always walked.  Where that interval is empty, every step is walked.
-    """
-    P = cum[:-1]
-    # Python floats: a numpy scalar costs more per comparison with u
-    lo = max(P.diagonal(-1).tolist(), default=-math.inf)
-    hi = min(P.diagonal().tolist(), default=math.inf)
+def _walk_moves(model: ProcessModel, u: np.ndarray) -> np.ndarray:
+    """``_walk_chain`` of ``model._walk_table`` from its start row, walking only
+    the steps that can move; the symbols are the same.  From state s,
+    ``bisect_right`` on the table stays at s exactly when cum[s][s-1] <= x <
+    cum[s][s] (state 0 has no lower bound, state S-1 no upper one).  So a
+    uniform in [lo, hi) = [max_s cum[s][s-1], min_s cum[s][s]) maps every state
+    to itself, and its step is skipped: the state carries.  Step 0 leaves the
+    start row and is always walked; where [lo, hi) is empty, every step is."""
+    _, rows, lo, hi = model._walk_table
     moves = ~((lo <= u) & (u < hi))
     moves[0] = True
-    walked = np.array(_walk_chain(cum.tolist(), len(P), u[moves]), dtype=np.int64)
+    walked = np.array(_walk_chain(rows, model.n_states, u[moves]), dtype=np.int64)
     return walked[np.cumsum(moves) - 1]
 
 

@@ -85,7 +85,7 @@ def per_class_ewa_posteriors(costs, prior_log, eta, d):
     lw = prior_log[None, :] - eta * S
     lw -= functools.reduce(np.maximum, lw.T)[:, None]
     p = np.exp(lw)
-    return p / p.sum(axis=1, keepdims=True)
+    return p / functools.reduce(np.add, p.T)[:, None]
 
 
 def test_closed_form_wrapped_ewa_is_bit_identical_to_per_class_cumsums():
@@ -142,7 +142,7 @@ def test_coverage_modes_agree_between_fast_and_generic_paths():
     # replicate's closed form of wrapped EWA against its game loop, on each path
     for k in range(cfg.replicates):
         seed = replicate_seed(cfg.seed, k)
-        _, fast = replicate(cfg, seed, limit)
+        _, fast = replicate(cfg, seed, limit, prior)
         learner = make_learner("ewa", prior, cfg.eta, d=cfg.delay)
         trace = run_dynamic_game(cfg.loss, sample_path(cfg.model, cfg.n, seed),
                                  learner, cfg.delay, limit)
@@ -177,7 +177,7 @@ def test_each_path_builds_its_loss_rows_once(monkeypatch, algorithm):
         calls.append(len(symbols))
         return loss_rows(self, symbols)
     monkeypatch.setattr(HypothesisSpace, "loss_rows", counted)
-    replicate(cfg, 5, limit)
+    replicate(cfg, 5, limit, PosteriorDist.uniform(cfg.loss.n_hypotheses))
     assert calls == [cfg.n]
     delay_sweep(cfg)
     assert calls == [cfg.n, cfg.n]

@@ -312,9 +312,27 @@ def test_skipping_walk_on_the_edges_of_the_identity_interval(name, monkeypatch):
     for _ in range(20):
         u = rng.permutation(np.concatenate([edges * 5, rng.random(60)]))
         full = _walk_chain(cum.tolist(), model.n_states, u)
-        assert np.array_equal(_walk_moves(cum, u), full)
+        assert np.array_equal(_walk_moves(model, u), full)
         # step 0 and every uniform outside [lo, hi) is walked, and no other
         assert walked.pop() == 1 + sum(not lo <= x < hi for x in u[1:])
+    assert model._walk_table[2:] == (lo, hi)
+
+
+def test_sample_path_builds_its_walk_table_once_per_model(monkeypatch):
+    import mixgame.process as process
+    model = two_state_chain(0.3, 0.2)
+    walked = []
+    monkeypatch.setattr(process, "_walk_chain", lambda rows, s, u: walked.append(
+        rows) or _walk_chain(rows, s, u))
+    first = sample_path(model, 50, seed=0)
+    table = model._walk_table
+    second = sample_path(model, 50, seed=0)
+    # the second call walks the very list the first one built
+    assert model._walk_table is table and walked[0] is walked[1] is table[1]
+    assert np.array_equal(first.symbols, second.symbols)
+    # a model with the same matrices builds its own table, with the same entries
+    twin = two_state_chain(0.3, 0.2)
+    assert twin._walk_table is not table and twin._walk_table[1] == table[1]
 
 
 def test_walk_chain_matches_clipped_searchsorted():
