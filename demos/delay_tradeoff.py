@@ -13,8 +13,8 @@ with the bound at the closed-form tuned delay.
 
 import numpy as np
 
-from mixgame import (MixingProfile, PosteriorDist, delayed_regret_bound,
-                     kl_divergence, sample_path, tuned_bound)
+from mixgame import (MixingProfile, delayed_regret_bound, kl_divergence,
+                     sample_path, tuned_bound, uniform_prior)
 from mixgame.experiments import (config_from_dict, delay_sweep,
                                  statistical_posterior)
 
@@ -37,9 +37,9 @@ for r in rows:
 best = min(rows, key=lambda r: r["total_bound"])
 # phi_d = 0.5 * 0.9^d exactly: 0.9 is the chain's second eigenvalue
 profile = MixingProfile("geometric", C=0.5, tau=-1 / np.log(0.9))
-# the sweep's comparator: the learner's posterior on the master seed's loss rows
+# the sweep's comparator: the learner's posterior on the master seed's mean loss row
 loss_rows = cfg.loss.loss_rows(sample_path(cfg.model, cfg.n, cfg.seed).symbols)
-kl = kl_divergence(statistical_posterior(cfg, loss_rows), PosteriorDist.uniform(2))
+kl = kl_divergence(statistical_posterior(cfg, loss_rows.mean(axis=0)), uniform_prior(2))
 tuned = tuned_bound(profile, cfg.n, cfg.delta,
                     lambda d: delayed_regret_bound(kl, cfg.eta, d, cfg.n))
 print(f"\nsweep minimum at d={best['d']} (total {best['total_bound']:.4f})")

@@ -14,9 +14,9 @@ history-dependent costs.
 
 import numpy as np
 
-from mixgame import (HypothesisSpace, PosteriorDist, composite_phi_check,
-                     decompose, limit_test_losses, make_learner,
-                     run_dynamic_game, sample_path, two_state_chain)
+from mixgame import (HypothesisSpace, composite_phi_check, decompose,
+                     limit_test_losses, make_learner, run_dynamic_game,
+                     sample_path, two_state_chain, uniform_prior)
 
 x = np.array([[0.0, 1.0], [1.0, 0.0]])       # parity of the last two symbols
 loss = HypothesisSpace(np.stack([x, 1.0 - x]))  # memory 2: two symbol axes
@@ -38,9 +38,9 @@ for r in composite_phi_check(model, loss, [2, 4, 6, 8, 10]):
           f"{'ok' if r['ok'] else 'VIOLATED'}")
 
 path = sample_path(model, 500, seed=3)
-learner = make_learner("ewa", PosteriorDist.uniform(2), 0.4, d=4)
+learner = make_learner("ewa", uniform_prior(2), 0.4, d=4)
 trace = run_dynamic_game(loss, path, learner, 4, limits)
-parts = decompose(trace, PosteriorDist.uniform(2))
+parts = decompose(trace, uniform_prior(2))
 print(f"\ndelayed game on history-dependent costs (n=500, d=4):")
 print(f"  gen = {parts['gen']:+.6f}")
 print(f"  regret/n + M_n = {parts['regret_over_n'] + parts['martingale']:+.6f}")

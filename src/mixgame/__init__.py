@@ -13,8 +13,8 @@ from .process import (DECAY_LAWS, MixingProfile, ProcessModel, SamplePath,
                       fit_mixing_profile, model_from_json, phi_table,
                       product_chain, replicate_seed, sample_path,
                       two_state_chain, window_expectations)
-from .learner import (HypothesisSpace, PosteriorDist, erm, gibbs_posterior,
-                      kl_divergence)
+from .learner import (HypothesisSpace, erm, gibbs_posterior, kl_divergence,
+                      uniform_prior)
 from .game import GameTrace, decompose, play_costs
 from .online import (EWA, FTRL, delayed_regret_bound, ewa_step, ftrl_step,
                      make_learner, project_simplex)

@@ -1,7 +1,7 @@
 """Replicated experiment driver: config parsing, replicates, coverage, delay sweeps.
 
 Every replicate is one ``replicate`` call: path, delayed game, the comparator
-read from the game's loss rows, and the checked decomposition
+read from the game's mean loss row, and the checked decomposition
 Gen = Regret/n + M_n.  The config carries one loss, a table of memory m
 (static: m = 1) or a discounted loss, and every step reads it the same way.
 Exponential weights (FTRL with negative entropy) plays the closed form
@@ -25,7 +25,7 @@ from . import bounds as bd
 from . import dynamic as dyn
 from .errors import CONFIG_FIELDS, ConfigSection, ValidationError, _require, build_field
 from .game import GameTrace, decompose, play_costs
-from .learner import PosteriorDist, erm, gibbs_posterior, kl_divergence
+from .learner import _round_mean, erm, gibbs_posterior, kl_divergence, uniform_prior
 from .online import delayed_regret_bound, ewa_step, make_learner
 from .process import (DECAY_LAWS, PHI_FLOOR, ProcessModel, exact_phi,
                       fit_mixing_profile, model_from_json, phi_table,
@@ -86,12 +86,11 @@ def resolve_delay(delay_spec, model: ProcessModel, loss, n: int, d_max: int) -> 
     return fits[kind].tuned_delay(n) if fits else end  # no fit: first lag at the floor
 
 
-def statistical_posterior(cfg: ExperimentConfig,
-                          loss_rows: np.ndarray) -> PosteriorDist:
-    """The configured learner's posterior, from the mean of the (n, W) loss rows."""
+def statistical_posterior(cfg: ExperimentConfig, mean_row: np.ndarray) -> np.ndarray:
+    """The configured learner's posterior, from the (W,) mean of n = cfg.n loss rows."""
     if cfg.kind == "erm":
-        return erm(loss_rows)
-    return build_field("learner.beta", gibbs_posterior, loss_rows, cfg.beta)
+        return erm(mean_row)
+    return build_field("learner.beta", gibbs_posterior, mean_row, cfg.n, cfg.beta)
 
 
 def delayed_ewa_posteriors(costs: np.ndarray, prior_log: np.ndarray, eta: float,
@@ -113,20 +112,20 @@ def delayed_ewa_posteriors(costs: np.ndarray, prior_log: np.ndarray, eta: float,
         return ewa_step(prior_log, eta, S.T)
 
 
-def replicate(cfg: ExperimentConfig, seed: int, limit: np.ndarray, prior: PosteriorDist):
+def replicate(cfg: ExperimentConfig, seed: int, limit: np.ndarray, prior: np.ndarray):
     """Play one delayed game from ``prior`` on the path drawn from ``seed``, with
     ``limit`` the loss's ``dyn.limit_test_losses``, then fit the comparator to
-    the game's loss rows; return the comparator and the parts of ``decompose``."""
+    the game's mean loss row; return it and the parts of ``decompose``."""
     path = sample_path(cfg.model, cfg.n, seed)
     if cfg.algorithm == "ewa":
         rows = np.asfortranarray(cfg.loss.loss_rows(path.symbols))
         costs = rows - limit
-        plays = delayed_ewa_posteriors(costs, prior.log_weights, cfg.eta, cfg.delay)
+        plays = delayed_ewa_posteriors(costs, np.log(prior), cfg.eta, cfg.delay)
         trace = GameTrace(plays, rows, limit, costs)
     else:
         learner = make_learner(cfg.algorithm, prior, cfg.eta, d=cfg.delay)
         trace = dyn.run_dynamic_game(cfg.loss, path, learner, cfg.delay, limit)
-    comparator = statistical_posterior(cfg, trace.loss_rows)
+    comparator = statistical_posterior(cfg, trace.mean_row)
     return comparator, decompose(trace, comparator)
 
 
@@ -146,7 +145,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list]:
     limit = dyn.limit_test_losses(cfg.loss, cfg.model)[0]
     phi = experiment_phi(cfg, limit)
     mn_bound = phi + bd.deviation_term(cfg.delay, cfg.n, cfg.delta)
-    prior = PosteriorDist.uniform(cfg.loss.n_hypotheses)
+    prior = uniform_prior(cfg.loss.n_hypotheses)
     rows, reports = [], []
     for k in range(cfg.replicates):
         seed = replicate_seed(cfg.seed, k)
@@ -211,8 +210,8 @@ def delay_sweep(cfg: ExperimentConfig) -> list[dict]:
         _require(d <= cfg.n, f"experiment.d_grid[{i}]", "must lie in [1, n]")
     d_grid = cfg.d_grid or sorted({min(2**i, cfg.n) for i in range(7)})
     loss_rows = cfg.loss.loss_rows(sample_path(cfg.model, cfg.n, cfg.seed).symbols)
-    comparator = statistical_posterior(cfg, loss_rows)
-    prior = PosteriorDist.uniform(cfg.loss.n_hypotheses)
+    comparator = statistical_posterior(cfg, _round_mean(loss_rows))
+    prior = uniform_prior(cfg.loss.n_hypotheses)
     limit = dyn.limit_test_losses(cfg.loss, cfg.model)[0]
     gens = [decompose(play_costs(loss_rows, limit, make_learner(
         cfg.algorithm, prior, cfg.eta, d=d), d), comparator)["gen"] for d in d_grid]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, ProtocolError, ValidationError
-from .learner import PosteriorDist, _round_mean
+from .learner import _round_mean
 
 _IDENTITY_TOL = 1e-10
 _SIMPLEX_TOL = 1e-8
@@ -32,7 +32,8 @@ class GameTrace:
 
     Construction checks every play, whichever learner made it (a play off the
     simplex raises ProtocolError naming its round), computes the costs unless
-    passed, and stores each (n, W) array as the view of a contiguous (W, n) one.
+    passed and the (W,) ``mean_row`` that ``decompose`` and the comparator read,
+    and stores each (n, W) array as the view of a contiguous (W, n) one.
     """
 
     posteriors: np.ndarray         # (n, W) learner plays
@@ -49,7 +50,8 @@ class GameTrace:
         if off.any():
             raise ProtocolError("learner emitted a non-simplex play at round "
                                 f"{int(np.argmax(off)) + 1}")
-        vars(self).update(posteriors=P, loss_rows=rows, costs=costs)  # frozen: set in __dict__
+        vars(self).update(posteriors=P, loss_rows=rows, costs=costs,  # frozen: set in __dict__
+                          mean_row=_round_mean(rows))
 
     @property
     def n(self) -> int:
@@ -81,17 +83,18 @@ def play_costs(loss_rows: np.ndarray, limit: np.ndarray, learner,
     return GameTrace(posts, loss_rows, limit, costs)
 
 
-def decompose(trace: GameTrace, comparator: PosteriorDist) -> dict:
-    """Split the generalization gap into regret/n plus the martingale term.
+def decompose(trace: GameTrace, comparator: np.ndarray) -> dict:
+    """Split the generalization gap of the (W,) comparator P* into regret/n plus
+    the martingale term.
 
     gen = <P*, limit - mean loss row> is read from the raw loss rows, the
     regret is sum_t <P_t - P*, c_t> and M_n = -(1/n) sum_t <P_t, c_t>.  The
     identity is exact; a residual beyond 1e-10, or a NaN one (a NaN cost or
     play), signals an internal bug and raises ConsistencyError.
     """
-    p_star = comparator.probs
-    gen = float(p_star @ (trace.limit - _round_mean(trace.loss_rows)))
-    regret = float(np.sum(np.ascontiguousarray((trace.posteriors - p_star) * trace.costs)))
+    gen = float(comparator @ (trace.limit - trace.mean_row))
+    regret = float(np.sum(np.ascontiguousarray((trace.posteriors - comparator)
+                                               * trace.costs)))
     mart = float(-np.mean(functools.reduce(np.add, (trace.posteriors * trace.costs).T)))
     regret_over_n = regret / trace.n
     residual = gen - regret_over_n - mart

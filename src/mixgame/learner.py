@@ -3,10 +3,10 @@
 A ``HypothesisSpace`` is the one table loss: its table has a hypothesis axis
 and m symbol axes, and reads the last m symbols (m = 1 is a static table);
 its forgetting coefficient B_d is exact from the table, 0 from d = m on.
-The statistical learners read the mean of (n, W) ``loss_rows`` (``_round_mean``).
-
-All posterior arithmetic happens in natural-log space with logsumexp
-normalization so that inverse temperatures up to ~1e8 stay finite.
+Priors, comparators and plays are (W,) probability arrays.  The statistical
+learners read a game's (W,) mean loss row (``_round_mean`` of its loss rows):
+Gibbs is the ``online.ewa_step`` play of the uniform prior after n rounds of
+that row, so one shifted softmax computes every posterior; ERM is one-hot.
 """
 
 from __future__ import annotations
@@ -17,25 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeError, ValidationError
+from .online import ewa_step
 
 _ENUM_CAP = 10**6
 # numpy's limit on array axes; a length-L block table has L + 1 of them and
 # ``window_expectations`` contracts it through one more
 _MAX_AXES = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32
-
-
-def _logsumexp(a: np.ndarray) -> np.float64:
-    """log(sum(exp(a))) of a 1-D float array, -inf when ``a`` is empty.
-
-    A finite top term is shifted out and its exact 1 added by ``log1p``, so
-    tiny terms are not absorbed into it; else the direct formula is taken.
-    """
-    if a.size and math.isfinite(a[top := a.argmax()]):  # a NaN is the argmax
-        rest = np.exp(a - a[top])
-        rest[top] = 0.0
-        return a[top] + np.log1p(rest.sum())
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return np.log(np.exp(a).sum())
 
 
 class _BlockLoss:
@@ -141,47 +128,6 @@ class HypothesisSpace(_BlockLoss):
         return self._on_prefixes([padded[j:j + len(symbols)] for j in range(self.m)]).T
 
 
-@dataclass(frozen=True, eq=False)
-class PosteriorDist:
-    """A distribution over hypotheses stored as normalized log-weights."""
-
-    log_weights: np.ndarray
-
-    def __post_init__(self):
-        lw = np.asarray(self.log_weights, dtype=float)
-        norm = _logsumexp(lw)
-        # one scalar check, not a scan: NaN, +inf or all -inf log-weights
-        # (the empty vector too) leave no finite normalizer
-        if not math.isfinite(norm):
-            raise ValidationError(f"log-weights have no finite normalizer ({norm})")
-        object.__setattr__(self, "log_weights", lw - norm)
-
-    @property
-    def probs(self) -> np.ndarray:
-        return np.exp(self.log_weights)
-
-    def __len__(self) -> int:
-        return len(self.log_weights)
-
-    @staticmethod
-    def from_probs(p) -> "PosteriorDist":
-        p = np.asarray(p, dtype=float)
-        if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-8):
-            raise ValidationError("not a probability vector")
-        with np.errstate(divide="ignore"):
-            return PosteriorDist(np.log(p))
-
-    @staticmethod
-    def uniform(W: int) -> "PosteriorDist":
-        return PosteriorDist(np.zeros(W))
-
-    @staticmethod
-    def dirac(w: int, W: int) -> "PosteriorDist":
-        lw = np.full(W, -np.inf)
-        lw[w] = 0.0
-        return PosteriorDist(lw)
-
-
 def _round_mean(rows: np.ndarray) -> np.ndarray:
     """The (W,) mean of (n, W) rows with the bits of a C-ordered ``mean(axis=0)`` in
     any layout: summed in round order, and pairwise for a single hypothesis."""
@@ -190,25 +136,34 @@ def _round_mean(rows: np.ndarray) -> np.ndarray:
     return np.cumsum(rows, axis=0)[-1] / len(rows)
 
 
-def gibbs_posterior(loss_rows: np.ndarray, beta: float) -> PosteriorDist:
-    """Gibbs tilt of the uniform prior: log-weights -beta * n * mean loss row."""
+def uniform_prior(W: int) -> np.ndarray:
+    """The uniform distribution on W hypotheses, built so that its ``np.log``, the
+    log prior that EWA and Gibbs tilt, is -log1p(W - 1) in every entry."""
+    return np.exp(np.full(W, -np.log1p(W - 1)))
+
+
+def gibbs_posterior(mean_row: np.ndarray, n: int, beta: float) -> np.ndarray:
+    """Gibbs tilt of the uniform prior by n rounds of the (W,) mean loss row: the
+    EWA play ``ewa_step(log prior, beta * n, mean_row)``; a non-finite play is a
+    ValidationError."""
     if beta < 0:
         raise ValidationError("beta must be non-negative")
-    n, W = loss_rows.shape
-    return PosteriorDist(PosteriorDist.uniform(W).log_weights
-                         - beta * n * _round_mean(loss_rows))
+    with np.errstate(over="ignore", invalid="ignore"):
+        play = ewa_step(np.log(uniform_prior(len(mean_row))), beta * n, mean_row)
+    if not np.isfinite(play).all():
+        raise ValidationError(f"the Gibbs play is not finite: beta * n = {beta * n:g} "
+                              "overflows, or a mean loss is not finite")
+    return play
 
 
-def erm(loss_rows: np.ndarray) -> PosteriorDist:
-    """Dirac on the minimizer of the mean loss row; ties broken by lowest index."""
-    return PosteriorDist.dirac(int(np.argmin(_round_mean(loss_rows))),
-                               loss_rows.shape[1])
+def erm(mean_row: np.ndarray) -> np.ndarray:
+    """One-hot at the minimizer of the (W,) mean loss row; ties broken by lowest index."""
+    return (np.arange(len(mean_row)) == np.argmin(mean_row)).astype(float)
 
 
-def kl_divergence(p: PosteriorDist, q: PosteriorDist) -> float:
-    """KL(p || q) with the 0*log(0) = 0 convention; inf if p escapes q's support."""
-    pp = p.probs
-    mask = pp > 0
-    if np.any(np.isinf(q.log_weights[mask])):
-        return float("inf")
-    return float(np.sum(pp[mask] * (p.log_weights[mask] - q.log_weights[mask])))
+def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
+    """KL(p || q) of (W,) probability arrays with the 0*log(0) = 0 convention;
+    inf if p escapes q's support, where the log of q's 0 is -inf."""
+    mask = p > 0
+    with np.errstate(divide="ignore"):
+        return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))

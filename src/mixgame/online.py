@@ -5,8 +5,10 @@ follow-the-regularized-leader with the negative-entropy regularizer, and
 follow-the-regularized-leader with the prior-centered half-squared-norm
 regularizer.  Each is delay-tolerant as d independent copies, one per residue
 class of rounds, held as one (d, W) array of per-class cost sums; a play is a
-function of its class's sum, ``ewa_step`` or ``ftrl_step``.  ``ewa_step``
-takes one sum or a sum per round, and sums over hypotheses in index order.
+function of its class's sum, ``ewa_step`` or ``ftrl_step``.  A prior and every
+play are (W,) probability arrays; EWA tilts the prior's log, taken once.
+``ewa_step`` takes one sum or a sum per round, and sums over hypotheses in index
+order; it is also the softmax of every Gibbs posterior.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .learner import PosteriorDist
 
 
 def project_simplex(v) -> np.ndarray:
@@ -64,13 +65,15 @@ class _ClassSums:
     tracer wraps the methods a class itself holds.
     """
 
-    def __init__(self, prior: PosteriorDist, eta: float, d: int = 1):
+    def __init__(self, prior: np.ndarray, eta: float, d: int = 1):
         if eta <= 0:
             raise ValidationError("eta must be positive")
         if d < 1:
             raise ValidationError("delay must be at least 1")
-        self.prior, self.eta = prior, eta
-        self._sums = np.zeros((d, len(prior)))
+        self.prior, self.eta = np.asarray(prior, dtype=float), eta
+        with np.errstate(divide="ignore"):  # a hypothesis the prior gives no mass
+            self.prior_log = np.log(self.prior)
+        self._sums = np.zeros((d, len(self.prior)))
         self._acted = self._observed = 0
 
     def _next_sum(self) -> np.ndarray:
@@ -87,7 +90,7 @@ class EWA(_ClassSums):
     """Exponential weights; plays the ``ewa_step`` of its class's cost sum."""
 
     def act(self) -> np.ndarray:
-        return ewa_step(self.prior.log_weights, self.eta, self._next_sum())
+        return ewa_step(self.prior_log, self.eta, self._next_sum())
 
     def observe(self, cost: np.ndarray) -> None:
         self._add(cost)
@@ -97,7 +100,7 @@ class FTRL(_ClassSums):
     """Squared-norm FTRL; plays the ``ftrl_step`` of its class's cost sum."""
 
     def act(self) -> np.ndarray:
-        return ftrl_step(self.prior.probs, self.eta, self._next_sum())
+        return ftrl_step(self.prior, self.eta, self._next_sum())
 
     def observe(self, cost: np.ndarray) -> None:
         self._add(cost)
@@ -107,7 +110,7 @@ class FTRL(_ClassSums):
 LEARNERS = {"ewa": EWA, "ftrl-sqnorm": FTRL}
 
 
-def make_learner(algorithm: str, prior: PosteriorDist, eta: float,
+def make_learner(algorithm: str, prior: np.ndarray, eta: float,
                  d: int = 1):
     """Build the delay-d learner of a config triple."""
     if algorithm not in LEARNERS:

@@ -16,7 +16,7 @@ def build_iid(probs):
 
 def instance_regrets(trace, comparator, d):
     """Per-residue-class regrets; their sum is the total regret exactly."""
-    diff = trace.posteriors - comparator.probs[None, :]
+    diff = trace.posteriors - comparator[None, :]
     per_round = np.sum(diff * trace.costs, axis=1)
     return np.array([per_round[i::d].sum() for i in range(d)])
 

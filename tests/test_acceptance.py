@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 
 from mixgame import (EWA, GameTrace, HypothesisSpace, MixingProfile,
-                     PosteriorDist, composite_phi_check,
+                     composite_phi_check,
                      conditional_loss_expectations, decompose, deviation_term,
                      ewa_step, exact_block_beta, exact_phi,
                      fit_mixing_profile, limit_test_losses,
                      make_learner, phi_table, play_costs, product_chain,
                      project_simplex, run_dynamic_game, sample_path,
-                     two_state_chain, window_expectations)
+                     two_state_chain, uniform_prior, window_expectations)
 from mixgame.cli import main as cli_main
 from mixgame.experiments import (config_from_dict, coverage_experiment,
                                  delay_sweep, delayed_ewa_posteriors)
@@ -49,7 +49,7 @@ def test_01_regret_decomposition_identity_randomized():
         algorithm = ("ewa", "ewa", "ftrl-sqnorm")[i % 3]
         n_hyp = int(rng.integers(2, 6))
         path = sample_path(model, n, seed=1000 + i)
-        learner = make_learner(algorithm, PosteriorDist.uniform(n_hyp),
+        learner = make_learner(algorithm, uniform_prior(n_hyp),
                                float(rng.uniform(0.05, 1.0)), d=d)
         if i % 2 == 0:
             loss = random_space(rng, n_hyp, n_states)
@@ -58,7 +58,7 @@ def test_01_regret_decomposition_identity_randomized():
                                        int(rng.integers(1, 4)))
         trace = run_dynamic_game(loss, path, learner, d,
                                  limit_test_losses(loss, model)[0])
-        comparator = PosteriorDist.from_probs(rng.dirichlet(np.ones(n_hyp)))
+        comparator = rng.dirichlet(np.ones(n_hyp))
         parts = decompose(trace, comparator)
         residual = abs(parts["gen"] - parts["regret_over_n"]
                        - parts["martingale"])
@@ -74,14 +74,14 @@ def test_02_ewa_regret_never_exceeds_its_bound():
     """Realized regret vs the best expert stays below KL/eta + eta/2 * sum."""
     rng = np.random.default_rng(202)
     etas = np.geomspace(0.01, 10.0, 7)
-    prior = PosteriorDist.uniform(4)
+    prior = uniform_prior(4)
     violations = 0
     for _ in range(1000):
         costs = rng.uniform(-1, 1, size=(40, 4))
         sup_sq = float(np.sum(np.abs(costs).max(axis=1) ** 2))
         best = costs.sum(axis=0).min()
         for eta in etas:
-            posts = delayed_ewa_posteriors(costs, prior.log_weights, eta, 1)
+            posts = delayed_ewa_posteriors(costs, np.log(prior), eta, 1)
             regret = float(np.sum(posts * costs)) - best
             if regret > regret_bound(math.log(4), eta, 1.0, sup_sq) + 1e-12:
                 violations += 1
@@ -94,14 +94,14 @@ def test_03_delayed_wrapper_exactness_and_bound():
     """Round-robin wrapper: regret splits exactly across instances and obeys
     the d-scaled bound; d=1 is the base learner verbatim."""
     rng = np.random.default_rng(303)
-    prior = PosteriorDist.uniform(4)
+    prior = uniform_prior(4)
     eta = 0.3
     for trial in range(50):
         n = int(rng.integers(30, 120))
         costs = rng.uniform(-1, 1, size=(n, 4))
         d = int(rng.choice([2, 4, 8]))
         trace = play_costs(costs, np.zeros(4), make_learner("ewa", prior, eta, d=d), d)
-        dirac = PosteriorDist.dirac(int(np.argmin(costs.sum(axis=0))), 4)
+        dirac = np.eye(4)[np.argmin(costs.sum(axis=0))]
         total = decompose(trace, dirac)["regret"]
         per = instance_regrets(trace, dirac, d)
         assert abs(total - per.sum()) < 1e-12
@@ -111,7 +111,7 @@ def test_03_delayed_wrapper_exactness_and_bound():
     costs = rng.uniform(-1, 1, size=(60, 4))
     wrapped = play_costs(costs, np.zeros(4), make_learner("ewa", prior, eta, d=1), 1)
     S = np.vstack([np.zeros(4), np.cumsum(costs, axis=0)[:-1]])
-    assert all(np.array_equal(play, ewa_step(prior.log_weights, eta, S_t))
+    assert all(np.array_equal(play, ewa_step(np.log(prior), eta, S_t))
                for play, S_t in zip(wrapped.posteriors, S))
     _report("[3/13] delayed round-robin wrapper: exact per-instance regret "
             "split, d-scaled bound, transparent at d=1")
@@ -141,11 +141,11 @@ def test_04_ftrl_entropy_equals_ewa_and_projection_oracle():
         n, W = int(rng.integers(10, 60)), int(rng.integers(2, 5))
         costs = rng.uniform(-1, 1, size=(n, W))
         eta = float(rng.uniform(0.05, 2.0))
-        prior = PosteriorDist.from_probs(rng.dirichlet(np.ones(W)))
+        prior = rng.dirichlet(np.ones(W))
         # the entropic FTRL argmin after cumulative cost S is the softmax of
         # prior_log - eta * S, the closed form of the d = 1 wrapper
         a = EWA(prior, eta)
-        argmins = delayed_ewa_posteriors(costs, prior.log_weights, eta, 1)
+        argmins = delayed_ewa_posteriors(costs, np.log(prior), eta, 1)
         for c, argmin in zip(costs, argmins):
             np.testing.assert_array_equal(a.act(), argmin)
             a.observe(c)
@@ -259,12 +259,12 @@ def test_martingale_bound_exact_over_every_path(flip, d, eta, tails):
     prob, rows, limit, plays, mn = _wrapped_ewa_martingale(model, loss, d, eta, n)
     assert abs(prob.sum() - 1.0) < 1e-12
     k = 12345  # one path through the package's own plays and accounting
-    prior_log = PosteriorDist.uniform(2).log_weights
+    prior_log = np.log(uniform_prior(2))
     np.testing.assert_allclose(
         delayed_ewa_posteriors(rows[k] - limit, prior_log, eta, d), plays[k],
         rtol=0, atol=1e-15)
     trace = GameTrace(plays[k], rows[k], limit)
-    assert decompose(trace, PosteriorDist.uniform(2))["martingale"] == pytest.approx(
+    assert decompose(trace, uniform_prior(2))["martingale"] == pytest.approx(
         mn[k], rel=0, abs=1e-15)
     phi, dev = exact_phi(model, loss.loss_table, d), deviation_term(d, n, delta)
     tail = [float(prob[mn > phi + dev * cut].sum()) for cut in (1.0, 0.5, 0.25)]
@@ -353,10 +353,10 @@ def test_11_memory1_losses_reduce_to_the_static_machinery():
                    - exact_phi(model, table, 2 * d)) < 1e-12
     path = sample_path(model, 200, seed=5)
     t_dyn = run_dynamic_game(dl, path,
-                             make_learner("ewa", PosteriorDist.uniform(3),
+                             make_learner("ewa", uniform_prior(3),
                                           0.4, d=3), 3, limits)
     t_static = play_costs(table[:, path.symbols].T, table @ model.stationary,
-                          make_learner("ewa", PosteriorDist.uniform(3),
+                          make_learner("ewa", uniform_prior(3),
                                        0.4, d=3), 3)
     np.testing.assert_array_equal(t_dyn.costs, t_static.costs)
     assert all(np.array_equal(a, b) for a, b in zip(t_dyn.posteriors,

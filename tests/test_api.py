@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from mixgame import (DECAY_LAWS, ExperimentConfig, GameTrace, HypothesisSpace,
-                     PosteriorDist, SamplePath, config_from_dict, two_state_chain)
+                     SamplePath, config_from_dict, two_state_chain)
 from mixgame.dynamic import LOSS_SCHEMAS
 from mixgame.online import LEARNERS
 from mixgame.errors import CONFIG_FIELDS
@@ -116,12 +116,11 @@ def _config():
 
 @pytest.mark.parametrize("make", [
     lambda: HypothesisSpace([[0.0, 1.0], [1.0, 0.0]]),
-    lambda: PosteriorDist.uniform(2),
     lambda: two_state_chain(0.2, 0.3),
     lambda: SamplePath(np.zeros(3, dtype=np.int64)),
     lambda: GameTrace(np.full((2, 2), 0.5), np.zeros((2, 2)), np.zeros(2)),
     _config,
-], ids=["HypothesisSpace", "PosteriorDist", "ProcessModel", "SamplePath",
+], ids=["HypothesisSpace", "ProcessModel", "SamplePath",
         "GameTrace", "ExperimentConfig"])
 def test_array_holding_values_compare_and_hash_by_identity(make):
     a, b = make(), make()

@@ -4,12 +4,12 @@ import itertools
 import numpy as np
 import pytest
 
-from mixgame import (DiscountedLoss, HypothesisSpace, PosteriorDist, SizeError,
+from mixgame import (DiscountedLoss, HypothesisSpace, SizeError,
                      ValidationError, build_markov, composite_phi_check,
                      decompose, dynamic_phi_mc, exact_block_beta,
                      exact_phi, limit_test_losses, loss_from_json, make_learner,
                      run_dynamic_game, sample_path, two_state_chain,
-                     window_expectations)
+                     uniform_prior, window_expectations)
 from mixgame.learner import _ENUM_CAP, _MAX_AXES
 from mixgame.dynamic import _MC_HISTORY
 from mixgame.process import _walk_chain
@@ -429,10 +429,10 @@ def test_dynamic_game_decomposition_identity():
     rng = np.random.default_rng(15)
     model = random_chain(rng, 2)
     path = sample_path(model, 120, seed=3)
-    learner = make_learner("ewa", PosteriorDist.uniform(2), 0.3, d=4)
+    learner = make_learner("ewa", uniform_prior(2), 0.3, d=4)
     trace = run_dynamic_game(xor_loss(), path, learner, 4,
                              limit_test_losses(xor_loss(), model)[0])
-    comparator = PosteriorDist.from_probs(rng.dirichlet(np.ones(2)))
+    comparator = rng.dirichlet(np.ones(2))
     parts = decompose(trace, comparator)
     assert abs(parts["gen"] - parts["regret_over_n"] - parts["martingale"]) \
         < 1e-12

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixgame import (DECAY_LAWS, HypothesisSpace, PosteriorDist, ValidationError,
-                     decompose, limit_test_losses, make_learner, play_costs,
-                     replicate_seed, run_dynamic_game, sample_path)
+from mixgame import (DECAY_LAWS, HypothesisSpace, ValidationError, decompose,
+                     limit_test_losses, make_learner, play_costs, replicate_seed,
+                     run_dynamic_game, sample_path, uniform_prior)
 from mixgame.cli import main
 from mixgame.experiments import (config_from_dict, coverage_experiment,
                                  decay_fits, delay_sweep, delayed_ewa_posteriors,
@@ -67,11 +67,11 @@ def test_closed_form_wrapped_ewa_matches_game_loop():
         for W in (1, 2, 3, 9, 50):
             for d in sorted(d for d in {1, 2, 3, 7, 73, n} if d <= n):
                 costs = rng.uniform(-1, 1, size=(n, W))
-                prior = PosteriorDist.from_probs(rng.dirichlet(np.ones(W)))
+                prior = rng.dirichlet(np.ones(W))
                 eta = float(rng.uniform(0.05, 2.0))
                 loop = play_costs(costs, np.zeros(W),
                                   make_learner("ewa", prior, eta, d=d), d)
-                closed = delayed_ewa_posteriors(costs, prior.log_weights, eta, d)
+                closed = delayed_ewa_posteriors(costs, np.log(prior), eta, d)
                 assert np.array_equal(loop.posteriors, closed), (n, W, d)
 
 
@@ -93,7 +93,7 @@ def test_closed_form_wrapped_ewa_is_bit_identical_to_per_class_cumsums():
     spoiled = 0
     for n in (1, 2, 7, 150, 2000):
         for W in (1, 2, 3, 9):
-            prior_log = PosteriorDist.uniform(W).log_weights
+            prior_log = np.log(uniform_prior(W))
             for d in (1, 2, 3, 7, 73, n, n + 1):
                 costs = rng.uniform(-1, 1, size=(n, W))
                 with_inf = costs.copy()
@@ -110,12 +110,12 @@ def test_closed_form_wrapped_ewa_is_bit_identical_to_per_class_cumsums():
 
 def test_closed_form_wrapped_ewa_rejects_a_delay_below_1_and_plays_the_prior_past_n():
     costs = np.random.default_rng(3).uniform(-1, 1, size=(5, 2))
-    prior = PosteriorDist.uniform(2)
+    prior = uniform_prior(2)
     for d in (0, -2):
         with pytest.raises(ValidationError, match="delay must be at least 1"):
-            delayed_ewa_posteriors(costs, prior.log_weights, 0.4, d)
+            delayed_ewa_posteriors(costs, np.log(prior), 0.4, d)
     for d in (5, 6, 100):  # no cost arrives before the last round
-        plays = delayed_ewa_posteriors(costs, prior.log_weights, 0.4, d)
+        plays = delayed_ewa_posteriors(costs, np.log(prior), 0.4, d)
         assert np.array_equal(plays, np.full((5, 2), 0.5))
 
 
@@ -138,7 +138,7 @@ def test_coverage_modes_agree_between_fast_and_generic_paths():
     doc["experiment"]["replicates"] = 3
     cfg = config_from_dict(doc)
     limit = limit_test_losses(cfg.loss, cfg.model)[0]
-    prior = PosteriorDist.uniform(cfg.loss.n_hypotheses)
+    prior = uniform_prior(cfg.loss.n_hypotheses)
     # replicate's closed form of wrapped EWA against its game loop, on each path
     for k in range(cfg.replicates):
         seed = replicate_seed(cfg.seed, k)
@@ -146,7 +146,7 @@ def test_coverage_modes_agree_between_fast_and_generic_paths():
         learner = make_learner("ewa", prior, cfg.eta, d=cfg.delay)
         trace = run_dynamic_game(cfg.loss, sample_path(cfg.model, cfg.n, seed),
                                  learner, cfg.delay, limit)
-        slow = decompose(trace, statistical_posterior(cfg, trace.loss_rows))
+        slow = decompose(trace, statistical_posterior(cfg, trace.mean_row))
         for key in ("gen", "regret_over_n", "martingale"):
             assert fast[key] == slow[key]
 
@@ -177,7 +177,7 @@ def test_each_path_builds_its_loss_rows_once(monkeypatch, algorithm):
         calls.append(len(symbols))
         return loss_rows(self, symbols)
     monkeypatch.setattr(HypothesisSpace, "loss_rows", counted)
-    replicate(cfg, 5, limit, PosteriorDist.uniform(cfg.loss.n_hypotheses))
+    replicate(cfg, 5, limit, uniform_prior(cfg.loss.n_hypotheses))
     assert calls == [cfg.n]
     delay_sweep(cfg)
     assert calls == [cfg.n, cfg.n]

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mixgame import (EWA, PosteriorDist, ValidationError, delayed_regret_bound,
-                     ftrl_step, make_learner, play_costs, project_simplex)
+from mixgame import (EWA, ValidationError, delayed_regret_bound, ftrl_step,
+                     make_learner, play_costs, project_simplex, uniform_prior)
 from mixgame.online import LEARNERS
 
 from conftest import regret_bound
@@ -49,20 +49,20 @@ def test_project_simplex_optimality_vs_random_feasible_points():
 
 def test_ewa_step_is_cost_tilted_softmax():
     rng = np.random.default_rng(2)
-    prior = PosteriorDist.from_probs(rng.dirichlet(np.ones(3)))
+    prior = rng.dirichlet(np.ones(3))
     cost = rng.normal(size=3)
     learner = EWA(prior, eta=0.7)
     learner.observe(cost)
     np.testing.assert_allclose(
-        learner.act(), softmax(np.log(prior.probs) - 0.7 * cost), atol=1e-12)
+        learner.act(), softmax(np.log(prior) - 0.7 * cost), atol=1e-12)
 
 
 def test_ftrl_sqnorm_step_is_projected_prior_minus_cost():
     rng = np.random.default_rng(4)
-    prior = PosteriorDist.from_probs(rng.dirichlet(np.ones(4)))
+    prior = rng.dirichlet(np.ones(4))
     cum = rng.normal(size=4)
-    np.testing.assert_array_equal(ftrl_step(prior.probs, 0.3, cum),
-                                  project_simplex(prior.probs - 0.3 * cum))
+    np.testing.assert_array_equal(ftrl_step(prior, 0.3, cum),
+                                  project_simplex(prior - 0.3 * cum))
 
 
 @pytest.mark.parametrize("d", [1, 3, 7])
@@ -73,13 +73,13 @@ def test_wrapped_ftrl_sqnorm_plays_the_projection_of_its_residue_class_cost(d):
         n, W = int(rng.integers(10, 60)), int(rng.integers(2, 6))
         costs = rng.uniform(-1, 1, size=(n, W))
         eta = float(rng.uniform(0.05, 2.0))
-        prior = PosteriorDist.from_probs(rng.dirichlet(np.ones(W)))
+        prior = rng.dirichlet(np.ones(W))
         learner = make_learner("ftrl-sqnorm", prior, eta, d)
         plays = play_costs(costs, np.zeros(W), learner, d).posteriors
         S = np.zeros_like(costs)
         for t in range(d, n):
             S[t] = S[t - d] + costs[t - d]
-        oracle = [project_simplex(prior.probs - eta * s) for s in S]
+        oracle = [project_simplex(prior - eta * s) for s in S]
         np.testing.assert_array_equal(plays, oracle)
 
 
@@ -95,7 +95,7 @@ def test_ewa_realized_regret_within_bound():
     rng = np.random.default_rng(5)
     costs = rng.uniform(-1, 1, size=(60, 4))
     eta = 0.2
-    plays = _run_stream(EWA(PosteriorDist.uniform(4), eta), costs)
+    plays = _run_stream(EWA(uniform_prior(4), eta), costs)
     regret = np.sum(plays * costs) - costs.sum(axis=0).min()
     bound = regret_bound(np.log(4), eta, 1.0,
                          float(np.sum(np.abs(costs).max(axis=1) ** 2)))
@@ -125,7 +125,7 @@ def test_each_residue_class_plays_as_a_delay_1_learner(algorithm, d):
     # class i of a delay-d learner sees costs[i::d] and nothing else
     rng = np.random.default_rng(6)
     costs = rng.uniform(-1, 1, size=(20, 3))
-    prior = PosteriorDist.from_probs(rng.dirichlet(np.ones(3)))
+    prior = rng.dirichlet(np.ones(3))
     plays = _run_stream(LEARNERS[algorithm](prior, 0.5, d), costs)
     for i in range(d):
         solo = _run_stream(LEARNERS[algorithm](prior, 0.5), costs[i::d])
@@ -133,7 +133,7 @@ def test_each_residue_class_plays_as_a_delay_1_learner(algorithm, d):
 
 
 def test_make_learner_names_and_validation():
-    prior = PosteriorDist.uniform(2)
+    prior = uniform_prior(2)
     for name in ("ewa", "ftrl-sqnorm"):
         learner = make_learner(name, prior, eta=0.1, d=2)
         assert learner.act().shape == (2,)

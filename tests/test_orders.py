@@ -15,8 +15,8 @@ import itertools
 import numpy as np
 import pytest
 
-from mixgame import (DiscountedLoss, GameTrace, HypothesisSpace, PosteriorDist,
-                     decompose, erm, ewa_step, gibbs_posterior, sample_path)
+from mixgame import (DiscountedLoss, GameTrace, HypothesisSpace, decompose, erm,
+                     ewa_step, gibbs_posterior, sample_path)
 from mixgame.experiments import delayed_ewa_posteriors
 from mixgame.learner import _round_mean
 
@@ -53,7 +53,7 @@ def oracle_decompose(plays, rows, limit, p_star):
 
 
 def _game(rng, n, W, kind):
-    """Random C-ordered loss rows of one loss kind, a limit, d, eta and a prior."""
+    """Random C-ordered loss rows of one loss kind, a limit, d, eta and a log prior."""
     model = random_chain(rng, n_states=3)
     if kind == "static":
         loss = HypothesisSpace(rng.random((W, 3)))
@@ -66,8 +66,8 @@ def _game(rng, n, W, kind):
     limit = rng.random(W)
     d = int(rng.integers(1, n + 1))
     eta = float(rng.uniform(0.05, 3.0))
-    prior = PosteriorDist.from_probs(rng.dirichlet(np.ones(W)))
-    return rows, limit, d, eta, prior
+    prior_log = np.log(rng.dirichlet(np.ones(W)))
+    return rows, limit, d, eta, prior_log
 
 
 def _cases():
@@ -86,25 +86,26 @@ def _close(got, want, W):
 
 def test_plays_comparators_and_parts_match_the_c_ordered_oracle():
     moved = 0
-    for case, (rows, limit, d, eta, prior) in _cases():
+    for case, (rows, limit, d, eta, prior_log) in _cases():
         n, W, _ = case
-        plays = delayed_ewa_posteriors(rows - limit, prior.log_weights, eta, d)
-        want = oracle_plays(rows - limit, prior.log_weights, eta, d)
+        plays = delayed_ewa_posteriors(rows - limit, prior_log, eta, d)
+        want = oracle_plays(rows - limit, prior_log, eta, d)
         assert _close(plays, want, W), case
         moved += not np.array_equal(plays, want)
         # the comparators read the mean loss row, with the oracle's bits at every W
         beta = float(np.random.default_rng(n * W).uniform(0.0, 2.0))
         mean = rows.mean(axis=0)
         assert np.array_equal(_round_mean(rows), mean), case
-        gibbs = gibbs_posterior(rows, beta)
-        tilted = PosteriorDist.uniform(W).log_weights - beta * n * mean
-        assert np.array_equal(gibbs.log_weights, PosteriorDist(tilted).log_weights)
-        assert np.array_equal(erm(rows).log_weights,
-                              PosteriorDist.dirac(int(np.argmin(mean)), W).log_weights)
-        parts = decompose(GameTrace(plays, rows, limit), gibbs)
+        trace = GameTrace(plays, rows, limit)
+        assert np.array_equal(trace.mean_row, mean), case
+        gibbs = gibbs_posterior(mean, n, beta)
+        uniform_log = np.full(W, -np.log1p(W - 1))
+        assert np.array_equal(gibbs, ewa_step(uniform_log, beta * n, mean)), case
+        assert np.array_equal(erm(mean), np.eye(W)[np.argmin(mean)]), case
+        parts = decompose(trace, gibbs)
         # the oracle's own plays: only the order of each sum is compared
         exact = decompose(GameTrace(want, rows, limit), gibbs)
-        oracle = oracle_decompose(want, rows, limit, gibbs.probs)
+        oracle = oracle_decompose(want, rows, limit, gibbs)
         # the regret sums n rounds (|regret| reaches 730 here, where one ulp
         # is 1.1e-13), so from W = 8 on its per-round value is compared
         for key in ("gen", "regret" if W <= 7 else "regret_over_n", "martingale"):
@@ -118,21 +119,23 @@ def test_plays_comparators_and_parts_match_the_c_ordered_oracle():
 def test_c_and_f_ordered_inputs_give_the_same_bits(kind):
     rng = np.random.default_rng(len(kind))
     for n, W in itertools.product(NS, WS):
-        rows, limit, d, eta, prior = _game(rng, n, W, kind)
+        rows, limit, d, eta, prior_log = _game(rng, n, W, kind)
         costs = rows - limit
-        plays = delayed_ewa_posteriors(costs, prior.log_weights, eta, d)
+        plays = delayed_ewa_posteriors(costs, prior_log, eta, d)
         assert np.array_equal(delayed_ewa_posteriors(np.asfortranarray(costs),
-                                                     prior.log_weights, eta, d), plays)
+                                                     prior_log, eta, d), plays)
         S = np.cumsum(costs, axis=0)
-        assert np.array_equal(ewa_step(prior.log_weights, eta, np.asfortranarray(S)),
-                              ewa_step(prior.log_weights, eta, S))
+        assert np.array_equal(ewa_step(prior_log, eta, np.asfortranarray(S)),
+                              ewa_step(prior_log, eta, S))
         # each round's 1-D play is its row of the (n, W) plays
-        assert np.array_equal(ewa_step(prior.log_weights, eta, S[-1]),
-                              ewa_step(prior.log_weights, eta, S)[-1])
-        comparator = gibbs_posterior(rows, 0.5)
+        assert np.array_equal(ewa_step(prior_log, eta, S[-1]),
+                              ewa_step(prior_log, eta, S)[-1])
         F = np.asfortranarray(rows)
-        assert np.array_equal(gibbs_posterior(F, 0.5).log_weights, comparator.log_weights)
-        assert np.array_equal(erm(F).probs, erm(rows).probs)
-        c_parts = decompose(GameTrace(np.ascontiguousarray(plays), rows, limit), comparator)
-        f_parts = decompose(GameTrace(np.asfortranarray(plays), F, limit), comparator)
+        c_trace = GameTrace(np.ascontiguousarray(plays), rows, limit)
+        f_trace = GameTrace(np.asfortranarray(plays), F, limit)
+        # the comparators read the mean loss row, the same bits in either layout
+        assert np.array_equal(f_trace.mean_row, c_trace.mean_row), (n, W)
+        comparator = gibbs_posterior(c_trace.mean_row, n, 0.5)
+        c_parts = decompose(c_trace, comparator)
+        f_parts = decompose(f_trace, comparator)
         assert c_parts == f_parts, (n, W)
