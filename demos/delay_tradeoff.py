@@ -43,5 +43,5 @@ kl = kl_divergence(statistical_posterior(cfg, loss_rows.mean(axis=0)), uniform_p
 tuned = tuned_bound(profile, cfg.n, cfg.delta,
                     lambda d: delayed_regret_bound(kl, cfg.eta, d, cfg.n))
 print(f"\nsweep minimum at d={best['d']} (total {best['total_bound']:.4f})")
-print(f"closed-form tuned delay d={tuned.d} (total {tuned.total:.4f}) — no "
+print(f"closed-form tuned delay d={tuned['d']} (total {tuned['total']:.4f}) — no "
       "sweep required, and its total is within a constant factor of the minimum")

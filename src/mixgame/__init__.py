@@ -18,8 +18,7 @@ from .learner import (HypothesisSpace, erm, gibbs_posterior, kl_divergence,
 from .game import GameTrace, decompose, play_costs
 from .online import (EWA, FTRL, delayed_regret_bound, ewa_step, ftrl_step,
                      make_learner, project_simplex)
-from .bounds import (BoundReport, delay_bound, deviation_term, sweep_delay,
-                     tuned_bound)
+from .bounds import delay_bound, deviation_term, sweep_delay, tuned_bound
 from .dynamic import (DiscountedLoss, composite_phi_check, dynamic_phi_mc,
                       exact_block_beta, limit_test_losses, loss_from_json,
                       run_dynamic_game)

@@ -1,6 +1,6 @@
 """Closed-form generalization bounds at a delay, tuned to a profile, and swept.
 
-Every bound is assembled into a BoundReport with the three-term structure
+Every bound is one row dict with the three-term structure
 regret_term + phi_term + deviation_term = total.  ``delay_bound`` takes
 phi_d at a given delay; ``tuned_bound`` is ``delay_bound`` at the delay a
 MixingProfile tunes, paying the profile's own phi_d there, with the regret
@@ -13,35 +13,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 from .errors import ValidationError
 from .online import delayed_regret_bound
 from .process import MixingProfile, ProcessModel, exact_phi
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """One evaluated bound: a provenance tag, its components and their sum."""
-
-    tag: str
-    n: int
-    d: int
-    delta: float
-    regret_term: float
-    phi_term: float
-    deviation_term: float
-    total: float = field(init=False)
-
-    def __post_init__(self):
-        if self.phi_term < 0 or self.deviation_term < 0:
-            raise ValidationError("phi and deviation terms must be non-negative")
-        object.__setattr__(
-            self, "total", self.regret_term + self.phi_term + self.deviation_term)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def deviation_term(d: int, n: int, delta: float) -> float:
@@ -58,19 +34,23 @@ def deviation_term(d: int, n: int, delta: float) -> float:
 
 
 def delay_bound(regret_value: float, phi_d: float, d: int, n: int, delta: float,
-                tag: str = "delay") -> BoundReport:
-    """Assemble regret/n + phi_d + deviation; regret_value is cumulative regret.
+                tag: str = "delay") -> dict:
+    """The bound row of regret/n + phi_d + deviation; regret_value is the
+    cumulative regret.
 
     The caller chooses whether regret_value is a realized regret or an
-    a-priori bound, and should tag the report accordingly.
+    a-priori bound, and should tag the row accordingly.
     """
-    return BoundReport(n=n, d=d, delta=delta, regret_term=regret_value / n,
-                       phi_term=phi_d, deviation_term=deviation_term(d, n, delta),
-                       tag=tag)
+    regret_term, deviation = regret_value / n, deviation_term(d, n, delta)
+    if not phi_d >= 0:  # NaN fails too
+        raise ValidationError("phi_d must be non-negative")
+    return {"tag": tag, "n": n, "d": d, "delta": delta, "regret_term": regret_term,
+            "phi_term": phi_d, "deviation_term": deviation,
+            "total": regret_term + phi_d + deviation}
 
 
 def tuned_bound(profile: MixingProfile, n: int, delta: float,
-                regret: Callable[[int], float], tag_prefix: str = "") -> BoundReport:
+                regret: Callable[[int], float], tag_prefix: str = "") -> dict:
     """``delay_bound`` at d = ``profile.tuned_delay(n)``, phi_d = ``profile.phi(d)``.
 
     ``regret`` maps d to a cumulative regret; the tag is ``tag_prefix`` + kind.
@@ -91,8 +71,8 @@ def sweep_delay(model: ProcessModel, loss_table, n: int, delta: float, d_grid,
     rows = []
     for d, gen in zip(d_grid, gens):
         phi = exact_phi(model, loss_table, d)
-        rep = delay_bound(delayed_regret_bound(kl, eta, d, n), phi, d, n, delta)
-        rows.append({"d": d, "phi_term": phi, "deviation_term": rep.deviation_term,
-                     "regret_term": rep.regret_term, "total_bound": rep.total,
+        row = delay_bound(delayed_regret_bound(kl, eta, d, n), phi, d, n, delta)
+        rows.append({"d": d, "phi_term": phi, "deviation_term": row["deviation_term"],
+                     "regret_term": row["regret_term"], "total_bound": row["total"],
                      "empirical_gen": gen})
     return rows

@@ -38,13 +38,12 @@ def _config(args) -> xp.ExperimentConfig:
 
 
 def cmd_simulate(args) -> None:
-    rows, reports = xp.run_experiment(_config(args))
-    reports = [r.to_dict() for r in reports]
+    rows, bound_rows = xp.run_experiment(_config(args))
     write_json(args.out / "summary.json",
                {"header": list(rows[0]), "rows": [list(r.values()) for r in rows],
-                "reports": reports})
+                "reports": bound_rows})
     write_csv(args.out / "summary.csv", rows)
-    write_csv(args.out / "bound_reports.csv", reports)
+    write_csv(args.out / "bound_reports.csv", bound_rows)
 
 
 def cmd_coverage(args) -> None:
@@ -92,7 +91,7 @@ def cmd_bounds(args) -> None:
     spec = ConfigSection(doc.get("bounds", {}) if isinstance(doc, dict) else None,
                          "bounds")
     n, delta = spec["n"], spec["delta"]
-    delay_rows = []  # each maps (regret at d, tag prefix) to its report
+    delay_rows = []  # each maps (regret at d, tag prefix) to its bound row
     if "phi_d" in spec:
         _require(spec["d"] <= n, "bounds.d", f"must lie in [1, {n}]")
         delay_rows.append(lambda regret, prefix, d=spec["d"]: bd.delay_bound(
@@ -106,9 +105,9 @@ def cmd_bounds(args) -> None:
         **{k: spec[k] for k in keys}), key), prefix)
                for key, (prefix, keys) in REGRET_SOURCES.items() if key in spec
                ] or [(lambda d: spec["regret"], "")]
-    reports = [row(*source).to_dict() for row in delay_rows for source in sources]
-    write_json(args.out / "bounds.json", reports)
-    write_csv(args.out / "bounds.csv", reports)
+    rows = [row(*source) for row in delay_rows for source in sources]
+    write_json(args.out / "bounds.json", rows)
+    write_csv(args.out / "bounds.csv", rows)
 
 
 def cmd_dynamic(args) -> None:

@@ -139,14 +139,14 @@ def experiment_phi(cfg: ExperimentConfig, limit: np.ndarray) -> float:
     return phi
 
 
-def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list]:
+def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     """Run all replicates; return one summary row dict per replicate and the
-    bound reports of replicate 0."""
+    bound rows of replicate 0."""
     limit = dyn.limit_test_losses(cfg.loss, cfg.model)[0]
     phi = experiment_phi(cfg, limit)
     mn_bound = phi + bd.deviation_term(cfg.delay, cfg.n, cfg.delta)
     prior = uniform_prior(cfg.loss.n_hypotheses)
-    rows, reports = [], []
+    rows, bound_rows = [], []
     for k in range(cfg.replicates):
         seed = replicate_seed(cfg.seed, k)
         comparator, parts = replicate(cfg, seed, limit, prior)
@@ -158,13 +158,13 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list]:
                      "violated_mn": parts["martingale"] > mn_bound,
                      "violated_gen": parts["gen"] > gen_bound})
         if k == 0:
-            reports.append(bd.delay_bound(parts["regret"], phi, cfg.delay, cfg.n,
-                                          cfg.delta, tag="delay-realized"))
+            bound_rows.append(bd.delay_bound(parts["regret"], phi, cfg.delay, cfg.n,
+                                             cfg.delta, tag="delay-realized"))
             kl = kl_divergence(comparator, prior)
             apriori = delayed_regret_bound(kl, cfg.eta, cfg.delay, cfg.n)
-            reports.append(bd.delay_bound(apriori, phi, cfg.delay, cfg.n,
-                                          cfg.delta, tag="delay-apriori"))
-    return rows, reports
+            bound_rows.append(bd.delay_bound(apriori, phi, cfg.delay, cfg.n,
+                                             cfg.delta, tag="delay-apriori"))
+    return rows, bound_rows
 
 
 # coverage mode -> run_experiment columns: the bounded value, its bound, the flag

@@ -86,9 +86,6 @@ class SamplePath:
 
     symbols: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.symbols)
-
 
 class DecayLaw(NamedTuple):
     """One phi_d decay law, in terms of the profile's C and rate."""

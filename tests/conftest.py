@@ -100,10 +100,10 @@ def algebraic_rate_sandwich(C, r, n, delta):
     when no clamp applies, which lowers phi_d by at most (1+1/x)^{-r} and
     raises the deviation by at most sqrt(1+1/x).
     """
-    rep = tuned_bound(MixingProfile("algebraic", C=C, r=r), n, delta,
+    row = tuned_bound(MixingProfile("algebraic", C=C, r=r), n, delta,
                       lambda d: 0.0)
     e = 1.0 / (1.0 + 2.0 * r)
     x = (C * C * n) ** e
-    assert x <= rep.d < x + 1 and rep.d < n  # no clamp
+    assert x <= row["d"] < x + 1 and row["d"] < n  # no clamp
     rate = C**e * (1.0 + math.sqrt(2.0 * math.log(1.0 / delta))) * n ** (-r * e)
-    return (1.0 + 1.0 / x) ** -r, rep.total / rate, math.sqrt(1.0 + 1.0 / x)
+    return (1.0 + 1.0 / x) ** -r, row["total"] / rate, math.sqrt(1.0 + 1.0 / x)

@@ -45,62 +45,65 @@ def test_blocking_tail_bound_frozen():
 
 
 def test_delay_bound_report_totals():
-    rep = delay_bound(regret_value=5.0, phi_d=0.02, d=4, n=100, delta=0.1)
-    assert rep.regret_term == pytest.approx(0.05)
-    assert rep.phi_term == pytest.approx(0.02)
-    assert rep.total == pytest.approx(rep.regret_term + rep.phi_term
-                                      + rep.deviation_term, abs=1e-15)
+    row = delay_bound(regret_value=5.0, phi_d=0.02, d=4, n=100, delta=0.1)
+    # the keys in the order of the bounds.csv and bound_reports.csv columns
+    assert list(row) == ["tag", "n", "d", "delta", "regret_term", "phi_term",
+                         "deviation_term", "total"]
+    assert row["regret_term"] == pytest.approx(0.05)
+    assert row["phi_term"] == pytest.approx(0.02)
+    assert row["total"] == row["regret_term"] + row["phi_term"] + row["deviation_term"]
 
 
 def test_geometric_bound_frozen():
-    rep = tuned_bound(geometric(), n=1000, delta=0.05, regret=no_regret)
-    assert rep.tag == "geometric" and rep.d == 14
+    row = tuned_bound(geometric(), n=1000, delta=0.05, regret=no_regret)
+    assert row["tag"] == "geometric" and row["d"] == 14
     # the bound at its own delay: e^{-7} <= C/n, deviation_term(14) <= the
     # closed form sqrt(2 (tau ln n + 1) ln(1/delta) / n)
-    assert rep.phi_term == pytest.approx(math.exp(-7.0), abs=1e-15)
-    assert rep.deviation_term == pytest.approx(deviation_term(14, 1000, 0.05),
-                                               abs=1e-15)
-    assert rep.total == pytest.approx(0.29053319274829326, abs=1e-12)
-    assert rep.total <= 0.2989372522115134  # the closed form C/n + deviation
+    assert row["phi_term"] == pytest.approx(math.exp(-7.0), abs=1e-15)
+    assert row["deviation_term"] == pytest.approx(
+        deviation_term(14, 1000, 0.05), abs=1e-15)
+    assert row["total"] == pytest.approx(0.29053319274829326, abs=1e-12)
+    assert row["total"] <= 0.2989372522115134  # the closed form C/n + deviation
 
 
 def test_algebraic_bound_frozen():
-    rep = tuned_bound(MixingProfile("algebraic", C=1.0, r=1.0), n=1000,
+    row = tuned_bound(MixingProfile("algebraic", C=1.0, r=1.0), n=1000,
                       delta=0.05, regret=no_regret)
-    assert rep.tag == "algebraic" and rep.d == 10
+    assert row["tag"] == "algebraic" and row["d"] == 10
     # C d^-r + deviation_term(d) at d = 10
-    assert rep.phi_term == pytest.approx(0.1, abs=1e-15)
-    assert rep.total == pytest.approx(0.3447746830680817, abs=1e-12)
+    assert row["phi_term"] == pytest.approx(0.1, abs=1e-15)
+    assert row["total"] == pytest.approx(0.3447746830680817, abs=1e-12)
     # the paper's rate C (1 + sqrt(ln(1/delta))) n^(-r/(1+2r)) is below the
     # bound at the tuned delay, so it is not a bound there
     assert (1.0 + math.sqrt(math.log(20))) * 1000 ** (-1 / 3) == pytest.approx(
         0.2730818382602286, abs=1e-15)
-    assert 0.2730818382602286 < rep.total
+    assert 0.2730818382602286 < row["total"]
 
 
 def test_ewa_geometric_bound_frozen():
-    rep = tuned_bound(geometric(), n=10**4, delta=0.05,
+    row = tuned_bound(geometric(), n=10**4, delta=0.05,
                       regret=lambda d: delayed_regret_bound(math.log(2), 0.1,
                                                             d, 10**4),
                       tag_prefix="ewa-")
-    assert rep.tag == "ewa-geometric"
-    assert rep.regret_term == pytest.approx(0.06316979643063896, abs=1e-12)
-    assert rep.d == 19 and rep.phi_term == pytest.approx(math.exp(-9.5), abs=1e-15)
-    assert rep.deviation_term == pytest.approx(deviation_term(19, 10**4, 0.05),
-                                               abs=1e-15)
-    assert rep.total == pytest.approx(0.16993945900362306, abs=1e-12)
-    assert rep.total <= 0.17113931026939383  # with the closed form
+    assert row["tag"] == "ewa-geometric"
+    assert row["regret_term"] == pytest.approx(0.06316979643063896, abs=1e-12)
+    assert row["d"] == 19
+    assert row["phi_term"] == pytest.approx(math.exp(-9.5), abs=1e-15)
+    assert row["deviation_term"] == pytest.approx(
+        deviation_term(19, 10**4, 0.05), abs=1e-15)
+    assert row["total"] == pytest.approx(0.16993945900362306, abs=1e-12)
+    assert row["total"] <= 0.17113931026939383  # with the closed form
 
 
 def test_ftrl_geometric_bound_frozen():
-    rep = tuned_bound(geometric(), n=10**4, delta=0.05,
+    row = tuned_bound(geometric(), n=10**4, delta=0.05,
                       regret=lambda d: delayed_regret_bound(
                           0.5, 0.1, d, 10**4, alpha=1.0, B=1.0),
                       tag_prefix="ftrl-")
-    assert rep.tag == "ftrl-geometric"
-    assert rep.regret_term == pytest.approx(0.0595, abs=1e-12)
-    assert rep.total == pytest.approx(0.16626966257298412, abs=1e-12)
-    assert rep.total <= 0.16746951383875486  # with the closed form
+    assert row["tag"] == "ftrl-geometric"
+    assert row["regret_term"] == pytest.approx(0.0595, abs=1e-12)
+    assert row["total"] == pytest.approx(0.16626966257298412, abs=1e-12)
+    assert row["total"] <= 0.16746951383875486  # with the closed form
 
 
 def test_tuned_delays_frozen_and_clamped():
@@ -141,9 +144,9 @@ def test_bounds_command_clamped_geometric_row(tmp_path):
     assert row["tag"] == "geometric" and row["d"] == 50
     assert row["phi_term"] == pytest.approx(2.0 * math.exp(-50 / 60), abs=1e-15)
     at_d = delay_bound(0.0, 2.0 * math.exp(-50 / 60), 50, 50, 0.9)
-    assert row["total"] >= at_d.total
+    assert row["total"] >= at_d["total"]
     # and, with the deviation paid at d = n, it is that bound
-    assert row["total"] == pytest.approx(at_d.total, abs=1e-15)
+    assert row["total"] == pytest.approx(at_d["total"], abs=1e-15)
 
 
 @pytest.mark.parametrize("spec, profile", [
@@ -160,7 +163,7 @@ def test_bounds_command_overflowing_delay_is_clamped_to_n(tmp_path, spec,
     [row] = json.loads((tmp_path / "bounds.json").read_text())
     assert row["d"] == 1000
     assert row == delay_bound(0.0, profile.phi(1000), 1000, 1000, 0.05,
-                              tag=profile.kind).to_dict()
+                              tag=profile.kind)
 
 
 @pytest.mark.parametrize("spec, rows", [
@@ -205,11 +208,12 @@ def test_sweep_delay_rows_are_consistent():
     assert [r["d"] for r in rows] == d_grid
     for r, gen in zip(rows, gens):
         d = r["d"]
-        rep = delay_bound(delayed_regret_bound(kl, eta, d, n),
+        row = delay_bound(delayed_regret_bound(kl, eta, d, n),
                           exact_phi(model, table, d), d, n, delta)
         assert (r["phi_term"], r["deviation_term"], r["regret_term"],
                 r["total_bound"], r["empirical_gen"]) == (
-            rep.phi_term, rep.deviation_term, rep.regret_term, rep.total, gen)
+            row["phi_term"], row["deviation_term"], row["regret_term"],
+            row["total"], gen)
         assert r["phi_term"] == pytest.approx(0.5 * 0.5 ** d, abs=1e-12)
     # deviation grows with d while phi shrinks
     devs = [r["deviation_term"] for r in rows]
@@ -225,3 +229,7 @@ def test_bound_inputs_validated():
         delayed_regret_bound(0.5, -0.1, 4, 100)
     with pytest.raises(ValidationError):
         tuned_bound(MixingProfile("exponential", C=1.0), 100, 0.05, no_regret)
+    # phi_d < 0 is False for NaN, which would make the total NaN
+    for phi_d in (math.nan, -0.01):
+        with pytest.raises(ValidationError, match="phi_d"):
+            delay_bound(1.0, phi_d, 2, 10, 0.1)

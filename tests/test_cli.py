@@ -154,46 +154,66 @@ def test_sweep_delay_outputs_table_and_plot(tmp_path):
     assert svg.count("<polyline") == 2
 
 
-# sha256 of each sweep-delay file, recorded when bounds.sweep_delay still played
-# the games: CI's grid config, its ftrl-sqnorm copy and a copy on the default grid.
-# The copies share bytes, since no column depends on the learner played.  The csv
-# and json digests were re-recorded when the Gibbs comparator became an
-# ``ewa_step`` softmax: its KL and gap moved, no value by more than 1.1e-14.
+# sha256 of each file a subcommand writes, per (subcommand, config).  The
+# sweep-delay digests were recorded when bounds.sweep_delay still played the
+# games, on CI's grid config, its ftrl-sqnorm copy and a copy on the default
+# grid; the copies share bytes, since no column depends on the learner played.
+# Their csv and json digests were re-recorded when the Gibbs comparator became
+# an ``ewa_step`` softmax: its KL and gap moved, no value by more than 1.1e-14.
+# The simulate runs (CI's memory-2 config, with EWA and with FTRL-sqnorm) and
+# the bounds run (every row kind) pin the bound rows and their CSV header order.
 GRID = {"process": {"transition": [[0.8, 0.2], [0.3, 0.7]]},
         "loss": {"losses": [[0.0, 1.0], [1.0, 0.0]]},
         "online": {"algorithm": "ewa", "eta": 0.3, "delay": 2},
         "experiment": {"n": 100, "seed": 5, "d_grid": [1, 2, 4]}}
-FROZEN_SWEEP_DIGESTS = {
-    "grid": {
-        "sweep.csv": "6d43e7116955cf87bd51a3d770dc4f4c9e84b9f60df6cb50e20853d390b6ef17",
-        "sweep.json": "490534ce492d23154ff2c4a820a5e66a74962b382db5601458f9d64ae30dd5f5",
-        "sweep.svg": "a2128432ecf3833699dcc425eecc0c6d0ac29229b198c0f83b08f879fd62765b",
-    },
-    "ftrl-sqnorm": {
-        "sweep.csv": "6d43e7116955cf87bd51a3d770dc4f4c9e84b9f60df6cb50e20853d390b6ef17",
-        "sweep.json": "490534ce492d23154ff2c4a820a5e66a74962b382db5601458f9d64ae30dd5f5",
-        "sweep.svg": "a2128432ecf3833699dcc425eecc0c6d0ac29229b198c0f83b08f879fd62765b",
-    },
-    "default-grid": {
-        "sweep.csv": "c81ccf8098fc3e604b1d9159b29108d1c8496e2a059770618dcc7e2b6e9e1a6c",
-        "sweep.json": "a5be7ad6278f90c1f48782711c6ea558e6790d482d55dccd9a3ee9728fd1541c",
-        "sweep.svg": "29990ced701c7b1034dd2323e487defb99a071adca02d4fd8488f749df787969",
-    },
+MEMORY2 = {"process": {"transition": [[0.8, 0.2], [0.3, 0.7]]},
+           "loss": {"kind": "memory-table", "m": 2,
+                    "table": [[[0.4, 0.6], [0.5, 0.5]], [[0.5, 0.45], [0.55, 0.5]]]},
+           "learner": {"kind": "erm"},
+           "online": {"algorithm": "ewa", "eta": 0.3, "delay": 2},
+           "experiment": {"n": 200, "replicates": 2, "delta": 0.1, "seed": 5}}
+SQNORM = {"online": {"algorithm": "ftrl-sqnorm", "eta": 0.3, "delay": 2}}
+GRID_FILES = {
+    "sweep.csv": "6d43e7116955cf87bd51a3d770dc4f4c9e84b9f60df6cb50e20853d390b6ef17",
+    "sweep.json": "490534ce492d23154ff2c4a820a5e66a74962b382db5601458f9d64ae30dd5f5",
+    "sweep.svg": "a2128432ecf3833699dcc425eecc0c6d0ac29229b198c0f83b08f879fd62765b",
+}
+FROZEN_RUNS = {  # id -> (subcommand, config, the sha256 of each file it writes)
+    "sweep-delay-grid": ("sweep-delay", GRID, GRID_FILES),
+    "sweep-delay-ftrl-sqnorm": ("sweep-delay", {**GRID, **SQNORM}, GRID_FILES),
+    "sweep-delay-default-grid": (
+        "sweep-delay", {**GRID, "experiment": {"n": 100, "seed": 5}}, {
+            "sweep.csv": "c81ccf8098fc3e604b1d9159b29108d1c8496e2a059770618dcc7e2b6e9e1a6c",
+            "sweep.json": "a5be7ad6278f90c1f48782711c6ea558e6790d482d55dccd9a3ee9728fd1541c",
+            "sweep.svg": "29990ced701c7b1034dd2323e487defb99a071adca02d4fd8488f749df787969",
+        }),
+    "simulate-memory2-ewa": ("simulate", MEMORY2, {
+        "summary.json": "2b866e2dd8fef680b5ca4328734fc7d03aa0f0c335279aedea3be0dcd72edf6b",
+        "summary.csv": "2a4d34b0a28645019397fb9089df2d94303403ae069a88a8ea9d7ad481f61e49",
+        "bound_reports.csv": "5de61d17afff72bd72b48ae439f02e8fb7bc6ca7cc82738457b05a8261634a64",
+    }),
+    "simulate-memory2-ftrl-sqnorm": ("simulate", {**MEMORY2, **SQNORM}, {
+        "summary.json": "a5a9ba8bfa4c9cd53acfcb45666cd38d2632e9484fa2cc615770c1ea356d614c",
+        "summary.csv": "0cc9b6bcf234f01f3f81e52104efacfe3055021bdc79a0114e0c96cf33fcd7bf",
+        "bound_reports.csv": "4c66f25f6d42ba322d14dc21c08bdbd5776ac22a542106ef010d08274bf464e3",
+    }),
+    "bounds-every-row": ("bounds", {"bounds": {
+        "n": 1000, "delta": 0.05, "phi_d": 0.05, "d": 4, "tau": 2.0, "r": 1.0,
+        "kl": 0.5, "h_gap": 0.7, "eta": 0.1}}, {
+        "bounds.json": "716bc29e8bbd89fc18bfda33dede07fcb8d68db4b71cd2c0fda5b43d263cdc0a",
+        "bounds.csv": "2b710f71a518c929b0ab57d06a84689ed451f1702e95770ec8ebb9dc03dfde59",
+    }),
 }
 
 
-@pytest.mark.parametrize("name", FROZEN_SWEEP_DIGESTS)
-def test_sweep_delay_bytes_frozen(tmp_path, name):
-    doc = json.loads(json.dumps(GRID))
-    if name == "ftrl-sqnorm":
-        doc["online"]["algorithm"] = "ftrl-sqnorm"
-    elif name == "default-grid":
-        del doc["experiment"]["d_grid"]
+@pytest.mark.parametrize("name", FROZEN_RUNS)
+def test_output_bytes_frozen(tmp_path, name):
+    command, doc, digests = FROZEN_RUNS[name]
     out = tmp_path / "out"
-    assert main(["sweep-delay", "--config", write_config(tmp_path, doc),
+    assert main([command, "--config", write_config(tmp_path, doc),
                  "--out", str(out)]) == 0
     assert {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
-            for f in FROZEN_SWEEP_DIGESTS[name]} == FROZEN_SWEEP_DIGESTS[name]
+            for f in digests} == digests
 
 
 def test_sweep_delay_honours_learner_kind(tmp_path):

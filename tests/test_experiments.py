@@ -121,16 +121,16 @@ def test_closed_form_wrapped_ewa_rejects_a_delay_below_1_and_plays_the_prior_pas
 
 def test_run_experiment_rows_reproduce_decomposition():
     cfg = config_from_dict(base_config())
-    rows, reports = run_experiment(cfg)
+    rows, bound_rows = run_experiment(cfg)
     assert len(rows) == cfg.replicates
     for row in rows:
         gen, regret_over_n, mn = row["gen"], row["regret_over_n"], row["martingale"]
         assert abs(gen - regret_over_n - mn) < 1e-10
-    tags = [r.tag for r in reports]
+    tags = [r["tag"] for r in bound_rows]
     assert "delay-realized" in tags
-    # the realized report reads replicate 0's regret from its decomposition
-    realized = reports[tags.index("delay-realized")]
-    assert realized.regret_term == rows[0]["regret_over_n"]
+    # the realized row reads replicate 0's regret from its decomposition
+    realized = bound_rows[tags.index("delay-realized")]
+    assert realized["regret_term"] == rows[0]["regret_over_n"]
 
 
 def test_coverage_modes_agree_between_fast_and_generic_paths():

@@ -86,9 +86,9 @@ profiles = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(profiles, st.integers(1, 10**12), st.floats(1e-12, 1 - 1e-12), regrets)
 def test_tuned_rows_are_delay_bounds_at_the_tuned_delay(profile, n, delta, regret):
-    rep = tuned_bound(profile, n, delta, regret)
+    row = tuned_bound(profile, n, delta, regret)
     d = profile.tuned_delay(n)
-    assert rep == delay_bound(regret(d), profile.phi(d), d, n, delta,
+    assert row == delay_bound(regret(d), profile.phi(d), d, n, delta,
                               tag=profile.kind)
     tau_log_n = math.inf if profile.tau is None else profile.tau * math.log(n)
     if tau_log_n <= n:
@@ -96,4 +96,4 @@ def test_tuned_rows_are_delay_bounds_at_the_tuned_delay(profile, n, delta, regre
         # d <= tau ln n + 1; at d = n the C/n guarantee does not hold
         closed = profile.C / n + math.sqrt(
             2.0 * (tau_log_n + 1.0) * math.log(1.0 / delta) / n)
-        assert rep.phi_term + rep.deviation_term <= closed
+        assert row["phi_term"] + row["deviation_term"] <= closed
