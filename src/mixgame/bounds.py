@@ -42,6 +42,8 @@ def delay_bound(regret_value: float, phi_d: float, d: int, n: int, delta: float,
     a-priori bound, and should tag the row accordingly.
     """
     regret_term, deviation = regret_value / n, deviation_term(d, n, delta)
+    if not math.isfinite(regret_value):
+        raise ValidationError("regret_value must be finite")
     if not phi_d >= 0:  # NaN fails too
         raise ValidationError("phi_d must be non-negative")
     return {"tag": tag, "n": n, "d": d, "delta": delta, "regret_term": regret_term,

@@ -118,6 +118,7 @@ def cmd_dynamic(args) -> None:
                           cfg.loss, d_grid))
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mixgame",
@@ -140,14 +141,15 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         for flag, options in flags.items():
             p.add_argument(flag, **options)
-        p.set_defaults(func=func)
+        p.set_defaults(handler=func.__name__)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        # looked up per call, so a handler patched after the build is the one run
+        globals()[args.handler](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

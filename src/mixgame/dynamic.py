@@ -134,11 +134,12 @@ def dynamic_phi_mc(model: ProcessModel, dl, d: int, limit: np.ndarray,
     """Monte Carlo estimate of the dynamic phi_d for losses without exact paths.
 
     One draw gives each conditioning state ``n_samples`` rows of uniforms, and
-    all rows walk in lockstep ``_MC_HISTORY`` symbols back through the
-    time-reversed chain and d forward; per state one ``values`` call scores the
-    prefixes.  The estimate is the worst ``limit`` loss (the run's
-    ``limit_test_losses``) minus conditional mean, as in ``process.exact_phi``,
-    with its standard error.
+    all rows walk in lockstep d symbols forward and, through the time-reversed
+    chain, back as far as the loss reads: a memory-m table's window holds
+    max(0, m - 1 - d) symbols before the state, a discounted loss ``_MC_HISTORY``.
+    Per state one ``values`` call scores the prefixes.  The estimate is the worst
+    ``limit`` loss (the run's ``limit_test_losses``) minus conditional mean, as
+    in ``process.exact_phi``, with its standard error.
     """
     pi = model.stationary
     reverse = (model.transition * pi[None, :]).T / pi[:, None]
@@ -146,7 +147,9 @@ def dynamic_phi_mc(model: ProcessModel, dl, d: int, limit: np.ndarray,
     cum = model._walk_table[0][:-1]  # the forward rows, without the start row
     s = np.repeat(np.arange(model.n_states), n_samples)
     u = np.random.default_rng(seed).random((len(s), _MC_HISTORY + d))
-    history = _walk_lockstep(rev_cum, s, u[:, :_MC_HISTORY])[:, ::-1]
+    # the walk back reads the first head uniforms, the forward walk the last d
+    head = min(_MC_HISTORY, max(0, getattr(dl, "m", math.inf) - 1 - d))
+    history = _walk_lockstep(rev_cum, s, u[:, :head])[:, ::-1]
     prefixes = np.hstack([history, s[:, None], _walk_lockstep(cum, s, u[:, _MC_HISTORY:])])
     worst_gap, worst_se = -np.inf, 0.0
     for block in prefixes.reshape(model.n_states, n_samples, -1):

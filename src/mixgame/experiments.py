@@ -162,8 +162,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
                                              cfg.delta, tag="delay-realized"))
             kl = kl_divergence(comparator, prior)
             apriori = delayed_regret_bound(kl, cfg.eta, cfg.delay, cfg.n)
-            bound_rows.append(bd.delay_bound(apriori, phi, cfg.delay, cfg.n,
-                                             cfg.delta, tag="delay-apriori"))
+            bound_rows.append(build_field("online.eta", bd.delay_bound, apriori, phi,
+                                          cfg.delay, cfg.n, cfg.delta, "delay-apriori"))
     return rows, bound_rows
 
 
@@ -215,5 +215,6 @@ def delay_sweep(cfg: ExperimentConfig) -> list[dict]:
     limit = dyn.limit_test_losses(cfg.loss, cfg.model)[0]
     gens = [decompose(play_costs(loss_rows, limit, make_learner(
         cfg.algorithm, prior, cfg.eta, d=d), d), comparator)["gen"] for d in d_grid]
-    return bd.sweep_delay(cfg.model, cfg.loss.loss_table, cfg.n, cfg.delta, d_grid,
-                          cfg.eta, kl_divergence(comparator, prior), gens)
+    return build_field("online.eta", bd.sweep_delay, cfg.model, cfg.loss.loss_table,
+                       cfg.n, cfg.delta, d_grid, cfg.eta,
+                       kl_divergence(comparator, prior), gens)

@@ -233,3 +233,7 @@ def test_bound_inputs_validated():
     for phi_d in (math.nan, -0.01):
         with pytest.raises(ValidationError, match="phi_d"):
             delay_bound(1.0, phi_d, 2, 10, 0.1)
+    # an overflowing a-priori regret would make the total inf
+    for regret in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="regret_value"):
+            delay_bound(regret, 0.1, 2, 10, 0.1)

@@ -12,7 +12,7 @@ import pytest
 
 from mixgame import (HypothesisSpace, build_markov, erm, limit_test_losses,
                      sample_path)
-from mixgame.cli import main
+from mixgame.cli import build_parser, main
 from mixgame.learner import _MAX_AXES
 
 
@@ -162,6 +162,9 @@ def test_sweep_delay_outputs_table_and_plot(tmp_path):
 # an ``ewa_step`` softmax: its KL and gap moved, no value by more than 1.1e-14.
 # The simulate runs (CI's memory-2 config, with EWA and with FTRL-sqnorm) and
 # the bounds run (every row kind) pin the bound rows and their CSV header order.
+# The two Monte-Carlo simulate runs were recorded when dynamic_phi_mc walked
+# every row 64 symbols back: the memory-2 config at delay 1 reads no reversed
+# symbol, and CI's memory-3 config at delay 1 reads one.
 GRID = {"process": {"transition": [[0.8, 0.2], [0.3, 0.7]]},
         "loss": {"losses": [[0.0, 1.0], [1.0, 0.0]]},
         "online": {"algorithm": "ewa", "eta": 0.3, "delay": 2},
@@ -172,6 +175,11 @@ MEMORY2 = {"process": {"transition": [[0.8, 0.2], [0.3, 0.7]]},
            "learner": {"kind": "erm"},
            "online": {"algorithm": "ewa", "eta": 0.3, "delay": 2},
            "experiment": {"n": 200, "replicates": 2, "delta": 0.1, "seed": 5}}
+MEMORY3 = {"process": {"transition": [[0.8, 0.2], [0.3, 0.7]]},
+           "loss": {"kind": "memory-table", "m": 3,
+                    "table": np.random.default_rng(0).random((2, 2, 2, 2)).tolist()},
+           "online": {"delay": 1},
+           "experiment": {"n": 200, "replicates": 2, "seed": 5}}
 SQNORM = {"online": {"algorithm": "ftrl-sqnorm", "eta": 0.3, "delay": 2}}
 GRID_FILES = {
     "sweep.csv": "6d43e7116955cf87bd51a3d770dc4f4c9e84b9f60df6cb50e20853d390b6ef17",
@@ -197,6 +205,17 @@ FROZEN_RUNS = {  # id -> (subcommand, config, the sha256 of each file it writes)
         "summary.csv": "0cc9b6bcf234f01f3f81e52104efacfe3055021bdc79a0114e0c96cf33fcd7bf",
         "bound_reports.csv": "4c66f25f6d42ba322d14dc21c08bdbd5776ac22a542106ef010d08274bf464e3",
     }),
+    "simulate-memory2-mc": ("simulate", {
+        **MEMORY2, "online": {"algorithm": "ewa", "eta": 0.3, "delay": 1}}, {
+        "summary.json": "34616db44ed902426f216c831549cda2dfdbb8305605f0913dcb398ad381190c",
+        "summary.csv": "b1c86cd91e836a13d6497877771951511c9e6873cf264f92b86de708f83a4940",
+        "bound_reports.csv": "42fa669ac73a15d078be9298966f9071d55ab4cbb5cc75932e54942e03017262",
+    }),
+    "simulate-memory3-mc": ("simulate", MEMORY3, {
+        "summary.json": "63fc77559b5ed5d5e19dcf214637617e90cfb4a621304483e773e336b4eeeebb",
+        "summary.csv": "dd34b00c8ec1c6e31bb421149db6f67fa971b6434904575b7d4cab0e6174d817",
+        "bound_reports.csv": "6bbea894d27781a25ad347bdb71e16be2c4b9b199282b7709beeddc6b9612486",
+    }),
     "bounds-every-row": ("bounds", {"bounds": {
         "n": 1000, "delta": 0.05, "phi_d": 0.05, "d": 4, "tau": 2.0, "r": 1.0,
         "kl": 0.5, "h_gap": 0.7, "eta": 0.1}}, {
@@ -214,6 +233,23 @@ def test_output_bytes_frozen(tmp_path, name):
                  "--out", str(out)]) == 0
     assert {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
             for f in digests} == digests
+
+
+def test_one_process_runs_main_twice_with_no_flag_carried_over(tmp_path):
+    # the parser is built once per process; each call parses a fresh namespace
+    assert build_parser() is build_parser()
+    _, doc, digests = FROZEN_RUNS["sweep-delay-grid"]
+    grid, memory = write_config(tmp_path, doc), write_config(tmp_path, MEMORY2, "m.json")
+    runs = [("sweep-delay", grid, "--seed", "111"), ("coverage", memory, "--mode", "gen"),
+            ("sweep-delay", grid), ("coverage", memory)]
+    outs = [tmp_path / f"out-{i}" for i in range(len(runs))]
+    for (command, cfg, *flags), out in zip(runs, outs):
+        assert main([command, "--config", cfg, "--out", str(out), *flags]) == 0
+    sweeps = [{f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in digests}
+              for out in outs[::2]]
+    assert sweeps[0] != digests and sweeps[1] == digests  # the config's seed again
+    assert [json.loads((out / "coverage_summary.json").read_text())["mode"]
+            for out in outs[1::2]] == ["gen", "mn"]
 
 
 def test_sweep_delay_honours_learner_kind(tmp_path):
@@ -513,17 +549,27 @@ def test_an_overflowing_beta_exits_2_naming_its_field(tmp_path, capsys, command)
 @pytest.mark.parametrize("command, doc, name", [
     ("bounds", {"bounds": {"n": 1, "delta": 0.1, "phi_d": 1e308, "d": 1,
                            "regret": 1e308}}, "bounds.json"),
-    ("simulate", dict(static_config(n=50), online={"eta": 1e-320}), "summary.json"),
 ])
 def test_a_non_finite_json_value_exits_3_naming_the_file(tmp_path, capsys, command,
                                                          doc, name):
-    # regret/n + phi_d, and the a-priori regret from kl / eta, overflow to inf;
-    # JSON has no token for it
+    # regret/n + phi_d overflows to inf; JSON has no token for it
     out = tmp_path / "out"
     assert main([command, "--config", write_config(tmp_path, doc),
                  "--out", str(out)]) == 3
     assert str(out / name) in capsys.readouterr().err
     assert not out.exists()  # the JSON file is written first, and not at all
+
+
+@pytest.mark.parametrize("command", ["simulate", "coverage", "sweep-delay"])
+def test_an_overflowing_eta_exits_2_naming_its_field(tmp_path, capsys, command):
+    # the a-priori regret kl / eta overflows to inf; coverage computes the
+    # bound rows too, as it is a column view of simulate's run
+    doc = dict(static_config(n=50), online={"eta": 1e-320})
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, doc),
+                 "--out", str(out)]) == 2
+    assert "config field 'online.eta'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bounds", [

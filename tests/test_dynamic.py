@@ -307,6 +307,8 @@ def _mc_grid():
         S = model.n_states
         losses = [HypothesisSpace(rng.random((2,) + (S,) * m)) for m in (1, 2, 3)]
         losses.append(DiscountedLoss(0.5, 0.3, rng.random((2, S))))
+        # at d = 1 its window holds two symbols of the reversed walk
+        losses.append(HypothesisSpace(rng.random((2,) + (S,) * 4)))
         for dl in losses:
             yield model, dl
 
