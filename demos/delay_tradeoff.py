@@ -13,8 +13,8 @@ with the bound at the closed-form tuned delay.
 
 import numpy as np
 
-from mixgame import (MixingProfile, delayed_regret_bound, kl_divergence,
-                     sample_path, tuned_bound, uniform_prior)
+from mixgame import (MixingProfile, delay_bound, delayed_regret_bound,
+                     kl_divergence, sample_path, uniform_prior)
 from mixgame.experiments import (config_from_dict, delay_sweep,
                                  statistical_posterior)
 
@@ -40,8 +40,9 @@ profile = MixingProfile("geometric", C=0.5, tau=-1 / np.log(0.9))
 # the sweep's comparator: the learner's posterior on the master seed's mean loss row
 loss_rows = cfg.loss.loss_rows(sample_path(cfg.model, cfg.n, cfg.seed).symbols)
 kl = kl_divergence(statistical_posterior(cfg, loss_rows.mean(axis=0)), uniform_prior(2))
-tuned = tuned_bound(profile, cfg.n, cfg.delta,
-                    lambda d: delayed_regret_bound(kl, cfg.eta, d, cfg.n))
+d = profile.tuned_delay(cfg.n)
+tuned = delay_bound(delayed_regret_bound(kl, cfg.eta, d, cfg.n), profile.phi(d), d,
+                    cfg.n, cfg.delta, tag=profile.kind)
 print(f"\nsweep minimum at d={best['d']} (total {best['total_bound']:.4f})")
 print(f"closed-form tuned delay d={tuned['d']} (total {tuned['total']:.4f}) — no "
       "sweep required, and its total is within a constant factor of the minimum")

@@ -14,8 +14,8 @@ history-dependent costs.
 
 import numpy as np
 
-from mixgame import (HypothesisSpace, composite_phi_check, decompose,
-                     limit_test_losses, make_learner, run_dynamic_game,
+from mixgame import (EWA, HypothesisSpace, composite_phi_check, decompose,
+                     limit_test_losses, run_dynamic_game,
                      sample_path, two_state_chain, uniform_prior)
 
 x = np.array([[0.0, 1.0], [1.0, 0.0]])       # parity of the last two symbols
@@ -38,7 +38,7 @@ for r in composite_phi_check(model, loss, [2, 4, 6, 8, 10]):
           f"{'ok' if r['ok'] else 'VIOLATED'}")
 
 path = sample_path(model, 500, seed=3)
-learner = make_learner("ewa", uniform_prior(2), 0.4, d=4)
+learner = EWA(uniform_prior(2), 0.4, d=4)
 trace = run_dynamic_game(loss, path, learner, 4, limits)
 parts = decompose(trace, uniform_prior(2))
 print(f"\ndelayed game on history-dependent costs (n=500, d=4):")

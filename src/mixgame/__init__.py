@@ -17,8 +17,8 @@ from .learner import (HypothesisSpace, erm, gibbs_posterior, kl_divergence,
                       uniform_prior)
 from .game import GameTrace, decompose, play_costs
 from .online import (EWA, FTRL, delayed_regret_bound, ewa_step, ftrl_step,
-                     make_learner, project_simplex)
-from .bounds import delay_bound, deviation_term, sweep_delay, tuned_bound
+                     project_simplex)
+from .bounds import delay_bound, deviation_term, sweep_delay
 from .dynamic import (DiscountedLoss, composite_phi_check, dynamic_phi_mc,
                       exact_block_beta, limit_test_losses, loss_from_json,
                       run_dynamic_game)

@@ -1,10 +1,10 @@
-"""Closed-form generalization bounds at a delay, tuned to a profile, and swept.
+"""Closed-form generalization bounds at a delay, and swept along a grid.
 
 Every bound is one row dict with the three-term structure
-regret_term + phi_term + deviation_term = total.  ``delay_bound`` takes
-phi_d at a given delay; ``tuned_bound`` is ``delay_bound`` at the delay a
-MixingProfile tunes, paying the profile's own phi_d there, with the regret
-read at that delay (``online.delayed_regret_bound`` holds at every d).
+regret_term + phi_term + deviation_term = total, built by ``delay_bound`` from
+phi_d at a given delay.  A tuned row is ``delay_bound`` at d =
+``profile.tuned_delay(n)`` with phi_d = ``profile.phi(d)`` and the regret read
+at that d (``online.delayed_regret_bound`` holds at every d).
 ``sweep_delay`` assembles one row per grid delay around the game gaps that
 ``experiments.delay_sweep`` plays; no function here plays a game.
 """
@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Callable
 
 from .errors import ValidationError
 from .online import delayed_regret_bound
-from .process import MixingProfile, ProcessModel, exact_phi
+from .process import ProcessModel, exact_phi
 
 
 def deviation_term(d: int, n: int, delta: float) -> float:
@@ -41,25 +40,15 @@ def delay_bound(regret_value: float, phi_d: float, d: int, n: int, delta: float,
     The caller chooses whether regret_value is a realized regret or an
     a-priori bound, and should tag the row accordingly.
     """
-    regret_term, deviation = regret_value / n, deviation_term(d, n, delta)
+    deviation = deviation_term(d, n, delta)  # checks 1 <= d <= n, so n >= 1
     if not math.isfinite(regret_value):
         raise ValidationError("regret_value must be finite")
     if not phi_d >= 0:  # NaN fails too
         raise ValidationError("phi_d must be non-negative")
+    regret_term = regret_value / n
     return {"tag": tag, "n": n, "d": d, "delta": delta, "regret_term": regret_term,
             "phi_term": phi_d, "deviation_term": deviation,
             "total": regret_term + phi_d + deviation}
-
-
-def tuned_bound(profile: MixingProfile, n: int, delta: float,
-                regret: Callable[[int], float], tag_prefix: str = "") -> dict:
-    """``delay_bound`` at d = ``profile.tuned_delay(n)``, phi_d = ``profile.phi(d)``.
-
-    ``regret`` maps d to a cumulative regret; the tag is ``tag_prefix`` + kind.
-    """
-    d = profile.tuned_delay(n)
-    return delay_bound(regret(d), profile.phi(d), d, n, delta,
-                       tag=tag_prefix + profile.kind)
 
 
 def sweep_delay(model: ProcessModel, loss_table, n: int, delta: float, d_grid,

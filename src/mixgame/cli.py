@@ -1,7 +1,7 @@
 """Command-line experiment driver: one table of subcommands and their flags.
 
-``mixgame bounds`` is one loop over delay rows and regret sources.  Every
-table is a list of row dicts, written as CSV under the first row's keys.
+``mixgame bounds`` loops over delay points, and at each over regret sources.
+Every table is a list of row dicts, written as CSV under the first row's keys.
 Exit codes: 0 success, 2 validation error, 3 runtime error or out of memory.
 """
 
@@ -68,22 +68,11 @@ def cmd_mixing(args) -> None:
                {"fits": result["fits"], "fit_skipped": result["fit_skipped"]})
 
 
-# `mixgame bounds` writes one row per delay row and regret source.  The delay
-# rows are the given phi_d at d, then each decay law whose rate the section
+# `mixgame bounds` writes one row per delay point and regret source.  The delay
+# points are the given phi_d at d, then each decay law whose rate the section
 # holds, at its tuned delay.  Regret sources: bounds field -> (tag prefix, the
 # fields beside it that ``delayed_regret_bound`` reads); with none, the plain regret.
 REGRET_SOURCES = {"kl": ("ewa-", ()), "h_gap": ("ftrl-", ("alpha", "B"))}
-
-
-def _finite_regret(regret, key: str):
-    """``regret`` checked at each d.  It reads bounds fields only, so one that
-    overflows is a config error, as a Gibbs beta * n that overflows is."""
-    def at(d: int) -> float:
-        value = regret(d)
-        _require(math.isfinite(value), "bounds",
-                 f"{key} / eta or eta * n overflows the a-priori regret at d = {d}")
-        return value
-    return at
 
 
 def cmd_bounds(args) -> None:
@@ -91,21 +80,29 @@ def cmd_bounds(args) -> None:
     spec = ConfigSection(doc.get("bounds", {}) if isinstance(doc, dict) else None,
                          "bounds")
     n, delta = spec["n"], spec["delta"]
-    delay_rows = []  # each maps (regret at d, tag prefix) to its bound row
+    points = []  # (d, phi_d, tag) of each delay row
     if "phi_d" in spec:
         _require(spec["d"] <= n, "bounds.d", f"must lie in [1, {n}]")
-        delay_rows.append(lambda regret, prefix, d=spec["d"]: bd.delay_bound(
-            regret(d), spec["phi_d"], d, n, delta, tag=prefix + "delay"))
-    delay_rows += [functools.partial(bd.tuned_bound, MixingProfile(
-        kind, C=spec["C"], **{law.rate: spec[law.rate]}), n, delta)
-        for kind, law in DECAY_LAWS.items() if law.rate in spec]
-    _require(delay_rows, "bounds", "no evaluable bound found")
-    sources = [(_finite_regret(functools.partial(
-        delayed_regret_bound, spec[key], spec["eta"], n=n,
-        **{k: spec[k] for k in keys}), key), prefix)
-               for key, (prefix, keys) in REGRET_SOURCES.items() if key in spec
-               ] or [(lambda d: spec["regret"], "")]
-    rows = [row(*source) for row in delay_rows for source in sources]
+        points.append((spec["d"], spec["phi_d"], "delay"))
+    for kind, law in DECAY_LAWS.items():
+        if law.rate in spec:
+            profile = MixingProfile(kind, C=spec["C"], **{law.rate: spec[law.rate]})
+            d = profile.tuned_delay(n)
+            points.append((d, profile.phi(d), kind))
+    _require(points, "bounds", "no evaluable bound found")
+    sources = [(key, prefix, spec[key], spec["eta"], {k: spec[k] for k in keys})
+               for key, (prefix, keys) in REGRET_SOURCES.items() if key in spec]
+    rows = []
+    for d, phi_d, tag in points:
+        if not sources:
+            rows.append(bd.delay_bound(spec["regret"], phi_d, d, n, delta, tag=tag))
+        for key, prefix, h_gap, eta, extra in sources:
+            value = delayed_regret_bound(h_gap, eta, d, n, **extra)
+            # it reads bounds fields only, so an overflow is a config error, as
+            # a Gibbs beta * n that overflows is
+            _require(math.isfinite(value), "bounds",
+                     f"{key} / eta or eta * n overflows the a-priori regret at d = {d}")
+            rows.append(bd.delay_bound(value, phi_d, d, n, delta, tag=prefix + tag))
     write_json(args.out / "bounds.json", rows)
     write_csv(args.out / "bounds.csv", rows)
 

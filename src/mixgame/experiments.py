@@ -26,7 +26,7 @@ from . import dynamic as dyn
 from .errors import CONFIG_FIELDS, ConfigSection, ValidationError, _require, build_field
 from .game import GameTrace, decompose, play_costs
 from .learner import _round_mean, erm, gibbs_posterior, kl_divergence, uniform_prior
-from .online import delayed_regret_bound, ewa_step, make_learner
+from .online import LEARNERS, delayed_regret_bound, ewa_step
 from .process import (DECAY_LAWS, PHI_FLOOR, ProcessModel, exact_phi,
                       fit_mixing_profile, model_from_json, phi_table,
                       replicate_seed, sample_path)
@@ -123,7 +123,7 @@ def replicate(cfg: ExperimentConfig, seed: int, limit: np.ndarray, prior: np.nda
         plays = delayed_ewa_posteriors(costs, np.log(prior), cfg.eta, cfg.delay)
         trace = GameTrace(plays, rows, limit, costs)
     else:
-        learner = make_learner(cfg.algorithm, prior, cfg.eta, d=cfg.delay)
+        learner = LEARNERS[cfg.algorithm](prior, cfg.eta, cfg.delay)
         trace = dyn.run_dynamic_game(cfg.loss, path, learner, cfg.delay, limit)
     comparator = statistical_posterior(cfg, trace.mean_row)
     return comparator, decompose(trace, comparator)
@@ -213,8 +213,8 @@ def delay_sweep(cfg: ExperimentConfig) -> list[dict]:
     comparator = statistical_posterior(cfg, _round_mean(loss_rows))
     prior = uniform_prior(cfg.loss.n_hypotheses)
     limit = dyn.limit_test_losses(cfg.loss, cfg.model)[0]
-    gens = [decompose(play_costs(loss_rows, limit, make_learner(
-        cfg.algorithm, prior, cfg.eta, d=d), d), comparator)["gen"] for d in d_grid]
+    gens = [decompose(play_costs(loss_rows, limit, LEARNERS[cfg.algorithm](
+        prior, cfg.eta, d), d), comparator)["gen"] for d in d_grid]
     return build_field("online.eta", bd.sweep_delay, cfg.model, cfg.loss.loss_table,
                        cfg.n, cfg.delta, d_grid, cfg.eta,
                        kl_divergence(comparator, prior), gens)

@@ -7,6 +7,7 @@ regularizer.  Each is delay-tolerant as d independent copies, one per residue
 class of rounds, held as one (d, W) array of per-class cost sums; a play is a
 function of its class's sum, ``ewa_step`` or ``ftrl_step``.  A prior and every
 play are (W,) probability arrays; EWA tilts the prior's log, taken once.
+``LEARNERS[algorithm](prior, eta, d)`` builds the learner a config names.
 ``ewa_step`` takes one sum or a sum per round, and sums over hypotheses in index
 order; it is also the softmax of every Gibbs posterior.
 """
@@ -108,14 +109,6 @@ class FTRL(_ClassSums):
 
 # online.algorithm -> its learner, built from (prior, eta, d)
 LEARNERS = {"ewa": EWA, "ftrl-sqnorm": FTRL}
-
-
-def make_learner(algorithm: str, prior: np.ndarray, eta: float,
-                 d: int = 1):
-    """Build the delay-d learner of a config triple."""
-    if algorithm not in LEARNERS:
-        raise ValidationError(f"unknown algorithm {algorithm!r}")
-    return LEARNERS[algorithm](prior, eta, d)
 
 
 def delayed_regret_bound(h_gap: float, eta: float, d: int, n: int,

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from mixgame import (HypothesisSpace, MixingProfile, build_markov, tuned_bound,
+from mixgame import (HypothesisSpace, MixingProfile, build_markov, delay_bound,
                      two_state_chain)
 
 
@@ -100,8 +100,9 @@ def algebraic_rate_sandwich(C, r, n, delta):
     when no clamp applies, which lowers phi_d by at most (1+1/x)^{-r} and
     raises the deviation by at most sqrt(1+1/x).
     """
-    row = tuned_bound(MixingProfile("algebraic", C=C, r=r), n, delta,
-                      lambda d: 0.0)
+    profile = MixingProfile("algebraic", C=C, r=r)
+    d = profile.tuned_delay(n)
+    row = delay_bound(0.0, profile.phi(d), d, n, delta, tag=profile.kind)
     e = 1.0 / (1.0 + 2.0 * r)
     x = (C * C * n) ** e
     assert x <= row["d"] < x + 1 and row["d"] < n  # no clamp

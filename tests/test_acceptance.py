@@ -17,10 +17,11 @@ from mixgame import (EWA, GameTrace, HypothesisSpace, MixingProfile,
                      conditional_loss_expectations, decompose, deviation_term,
                      ewa_step, exact_block_beta, exact_phi,
                      fit_mixing_profile, limit_test_losses,
-                     make_learner, phi_table, play_costs, product_chain,
+                     phi_table, play_costs, product_chain,
                      project_simplex, run_dynamic_game, sample_path,
                      two_state_chain, uniform_prior, window_expectations)
 from mixgame.cli import main as cli_main
+from mixgame.online import LEARNERS
 from mixgame.experiments import (config_from_dict, coverage_experiment,
                                  delay_sweep, delayed_ewa_posteriors)
 
@@ -49,8 +50,8 @@ def test_01_regret_decomposition_identity_randomized():
         algorithm = ("ewa", "ewa", "ftrl-sqnorm")[i % 3]
         n_hyp = int(rng.integers(2, 6))
         path = sample_path(model, n, seed=1000 + i)
-        learner = make_learner(algorithm, uniform_prior(n_hyp),
-                               float(rng.uniform(0.05, 1.0)), d=d)
+        learner = LEARNERS[algorithm](uniform_prior(n_hyp),
+                                      float(rng.uniform(0.05, 1.0)), d=d)
         if i % 2 == 0:
             loss = random_space(rng, n_hyp, n_states)
         else:
@@ -100,7 +101,7 @@ def test_03_delayed_wrapper_exactness_and_bound():
         n = int(rng.integers(30, 120))
         costs = rng.uniform(-1, 1, size=(n, 4))
         d = int(rng.choice([2, 4, 8]))
-        trace = play_costs(costs, np.zeros(4), make_learner("ewa", prior, eta, d=d), d)
+        trace = play_costs(costs, np.zeros(4), EWA(prior, eta, d=d), d)
         dirac = np.eye(4)[np.argmin(costs.sum(axis=0))]
         total = decompose(trace, dirac)["regret"]
         per = instance_regrets(trace, dirac, d)
@@ -109,7 +110,7 @@ def test_03_delayed_wrapper_exactness_and_bound():
     # at d = 1 the wrapper is exponential weights itself: round t plays the
     # softmax of prior_log - eta * S_t, S_t the sum of the costs before t
     costs = rng.uniform(-1, 1, size=(60, 4))
-    wrapped = play_costs(costs, np.zeros(4), make_learner("ewa", prior, eta, d=1), 1)
+    wrapped = play_costs(costs, np.zeros(4), EWA(prior, eta, d=1), 1)
     S = np.vstack([np.zeros(4), np.cumsum(costs, axis=0)[:-1]])
     assert all(np.array_equal(play, ewa_step(np.log(prior), eta, S_t))
                for play, S_t in zip(wrapped.posteriors, S))
@@ -352,12 +353,9 @@ def test_11_memory1_losses_reduce_to_the_static_machinery():
         assert abs(exact_block_beta(model, dl, d)
                    - exact_phi(model, table, 2 * d)) < 1e-12
     path = sample_path(model, 200, seed=5)
-    t_dyn = run_dynamic_game(dl, path,
-                             make_learner("ewa", uniform_prior(3),
-                                          0.4, d=3), 3, limits)
+    t_dyn = run_dynamic_game(dl, path, EWA(uniform_prior(3), 0.4, d=3), 3, limits)
     t_static = play_costs(table[:, path.symbols].T, table @ model.stationary,
-                          make_learner("ewa", uniform_prior(3),
-                                       0.4, d=3), 3)
+                          EWA(uniform_prior(3), 0.4, d=3), 3)
     np.testing.assert_array_equal(t_dyn.costs, t_static.costs)
     assert all(np.array_equal(a, b) for a, b in zip(t_dyn.posteriors,
                                                     t_static.posteriors))

@@ -6,14 +6,10 @@ import pytest
 
 from mixgame import (HypothesisSpace, MixingProfile, ValidationError,
                      delay_bound, delayed_regret_bound, deviation_term, exact_phi,
-                     sweep_delay, tuned_bound, two_state_chain)
+                     sweep_delay, two_state_chain)
 from mixgame.cli import main
 
 from conftest import algebraic_rate_sandwich
-
-
-def no_regret(d):
-    return 0.0
 
 
 def geometric(C=1.0, tau=2.0):
@@ -55,7 +51,9 @@ def test_delay_bound_report_totals():
 
 
 def test_geometric_bound_frozen():
-    row = tuned_bound(geometric(), n=1000, delta=0.05, regret=no_regret)
+    profile = geometric()
+    d = profile.tuned_delay(1000)
+    row = delay_bound(0.0, profile.phi(d), d, 1000, 0.05, tag=profile.kind)
     assert row["tag"] == "geometric" and row["d"] == 14
     # the bound at its own delay: e^{-7} <= C/n, deviation_term(14) <= the
     # closed form sqrt(2 (tau ln n + 1) ln(1/delta) / n)
@@ -67,8 +65,9 @@ def test_geometric_bound_frozen():
 
 
 def test_algebraic_bound_frozen():
-    row = tuned_bound(MixingProfile("algebraic", C=1.0, r=1.0), n=1000,
-                      delta=0.05, regret=no_regret)
+    profile = MixingProfile("algebraic", C=1.0, r=1.0)
+    d = profile.tuned_delay(1000)
+    row = delay_bound(0.0, profile.phi(d), d, 1000, 0.05, tag=profile.kind)
     assert row["tag"] == "algebraic" and row["d"] == 10
     # C d^-r + deviation_term(d) at d = 10
     assert row["phi_term"] == pytest.approx(0.1, abs=1e-15)
@@ -81,10 +80,10 @@ def test_algebraic_bound_frozen():
 
 
 def test_ewa_geometric_bound_frozen():
-    row = tuned_bound(geometric(), n=10**4, delta=0.05,
-                      regret=lambda d: delayed_regret_bound(math.log(2), 0.1,
-                                                            d, 10**4),
-                      tag_prefix="ewa-")
+    profile = geometric()
+    d = profile.tuned_delay(10**4)
+    row = delay_bound(delayed_regret_bound(math.log(2), 0.1, d, 10**4),
+                      profile.phi(d), d, 10**4, 0.05, tag="ewa-" + profile.kind)
     assert row["tag"] == "ewa-geometric"
     assert row["regret_term"] == pytest.approx(0.06316979643063896, abs=1e-12)
     assert row["d"] == 19
@@ -96,10 +95,10 @@ def test_ewa_geometric_bound_frozen():
 
 
 def test_ftrl_geometric_bound_frozen():
-    row = tuned_bound(geometric(), n=10**4, delta=0.05,
-                      regret=lambda d: delayed_regret_bound(
-                          0.5, 0.1, d, 10**4, alpha=1.0, B=1.0),
-                      tag_prefix="ftrl-")
+    profile = geometric()
+    d = profile.tuned_delay(10**4)
+    row = delay_bound(delayed_regret_bound(0.5, 0.1, d, 10**4, alpha=1.0, B=1.0),
+                      profile.phi(d), d, 10**4, 0.05, tag="ftrl-" + profile.kind)
     assert row["tag"] == "ftrl-geometric"
     assert row["regret_term"] == pytest.approx(0.0595, abs=1e-12)
     assert row["total"] == pytest.approx(0.16626966257298412, abs=1e-12)
@@ -228,7 +227,10 @@ def test_bound_inputs_validated():
     with pytest.raises(ValidationError):
         delayed_regret_bound(0.5, -0.1, 4, 100)
     with pytest.raises(ValidationError):
-        tuned_bound(MixingProfile("exponential", C=1.0), 100, 0.05, no_regret)
+        MixingProfile("exponential", C=1.0)
+    # n = 0 fails the 1 <= d <= n check before regret / n divides by it
+    with pytest.raises(ValidationError, match="d <= n"):
+        delay_bound(0.0, 0.1, 1, 0, 0.1)
     # phi_d < 0 is False for NaN, which would make the total NaN
     for phi_d in (math.nan, -0.01):
         with pytest.raises(ValidationError, match="phi_d"):

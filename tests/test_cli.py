@@ -380,6 +380,11 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
                                "kl": 0.5}}, "bounds.eta"),
         ("bounds", {"bounds": {"n": 100, "delta": 0.1, "phi_d": 0.05, "d": 4,
                                "alpha": "x"}}, "bounds.alpha"),
+        # no phi_d and no decay rate: no row to write
+        ("bounds", {"bounds": {"n": 100, "delta": 0.1}}, "bounds"),
+        ("bounds", {"bounds": {"n": 100, "delta": 0.1, "phi_d": 0.05, "d": 101}},
+         "bounds.d"),
+        ("bounds", {"bounds": {"n": 100, "delta": 0.1, "phi_d": 0.05}}, "bounds.d"),
         ("mixing", static_config(d_max=1), "experiment.d_max"),
         ("mixing", static_config(d_max=2), "experiment.d_max"),
         # integers beyond the 10**9 ceiling

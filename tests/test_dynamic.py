@@ -4,10 +4,10 @@ import itertools
 import numpy as np
 import pytest
 
-from mixgame import (DiscountedLoss, HypothesisSpace, SizeError,
+from mixgame import (EWA, DiscountedLoss, HypothesisSpace, SizeError,
                      ValidationError, build_markov, composite_phi_check,
                      decompose, dynamic_phi_mc, exact_block_beta,
-                     exact_phi, limit_test_losses, loss_from_json, make_learner,
+                     exact_phi, limit_test_losses, loss_from_json,
                      run_dynamic_game, sample_path, two_state_chain,
                      uniform_prior, window_expectations)
 from mixgame.learner import _ENUM_CAP, _MAX_AXES
@@ -431,7 +431,7 @@ def test_dynamic_game_decomposition_identity():
     rng = np.random.default_rng(15)
     model = random_chain(rng, 2)
     path = sample_path(model, 120, seed=3)
-    learner = make_learner("ewa", uniform_prior(2), 0.3, d=4)
+    learner = EWA(uniform_prior(2), 0.3, d=4)
     trace = run_dynamic_game(xor_loss(), path, learner, 4,
                              limit_test_losses(xor_loss(), model)[0])
     comparator = rng.dirichlet(np.ones(2))

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixgame import (DECAY_LAWS, HypothesisSpace, ValidationError, decompose,
-                     limit_test_losses, make_learner, play_costs, replicate_seed,
+from mixgame import (DECAY_LAWS, EWA, HypothesisSpace, ValidationError, decompose,
+                     limit_test_losses, play_costs, replicate_seed,
                      run_dynamic_game, sample_path, uniform_prior)
 from mixgame.cli import main
 from mixgame.experiments import (config_from_dict, coverage_experiment,
@@ -69,8 +69,7 @@ def test_closed_form_wrapped_ewa_matches_game_loop():
                 costs = rng.uniform(-1, 1, size=(n, W))
                 prior = rng.dirichlet(np.ones(W))
                 eta = float(rng.uniform(0.05, 2.0))
-                loop = play_costs(costs, np.zeros(W),
-                                  make_learner("ewa", prior, eta, d=d), d)
+                loop = play_costs(costs, np.zeros(W), EWA(prior, eta, d=d), d)
                 closed = delayed_ewa_posteriors(costs, np.log(prior), eta, d)
                 assert np.array_equal(loop.posteriors, closed), (n, W, d)
 
@@ -143,7 +142,7 @@ def test_coverage_modes_agree_between_fast_and_generic_paths():
     for k in range(cfg.replicates):
         seed = replicate_seed(cfg.seed, k)
         _, fast = replicate(cfg, seed, limit, prior)
-        learner = make_learner("ewa", prior, cfg.eta, d=cfg.delay)
+        learner = EWA(prior, cfg.eta, d=cfg.delay)
         trace = run_dynamic_game(cfg.loss, sample_path(cfg.model, cfg.n, seed),
                                  learner, cfg.delay, limit)
         slow = decompose(trace, statistical_posterior(cfg, trace.mean_row))

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from mixgame import (ConsistencyError, GameTrace, ProtocolError, decompose,
-                     limit_test_losses, make_learner, play_costs, sample_path,
-                     uniform_prior)
+from mixgame import (EWA, ConsistencyError, GameTrace, ProtocolError, decompose,
+                     limit_test_losses, play_costs, sample_path, uniform_prior)
+from mixgame.online import LEARNERS
 
 from conftest import instance_regrets, random_chain, random_space
 
@@ -13,7 +13,7 @@ def _setup(seed=0, n=80, d=3, algorithm="ewa"):
     model = random_chain(rng, 2)
     space = random_space(rng, 4, 2)
     path = sample_path(model, n, seed=seed + 1)
-    learner = make_learner(algorithm, uniform_prior(4), 0.4, d=d)
+    learner = LEARNERS[algorithm](uniform_prior(4), 0.4, d=d)
     trace = play_costs(space.loss_rows(path.symbols),
                        limit_test_losses(space, model)[0], learner, d)
     return model, space, path, trace
@@ -64,8 +64,8 @@ def test_delay_contract_cost_at_t_affects_plays_from_t_plus_d():
     bumped = costs.copy()
     bumped[t_hit, 0] += 0.5  # a shift of every entry would not move a softmax
     prior = uniform_prior(3)
-    ref = play_costs(costs, np.zeros(3), make_learner("ewa", prior, 0.5, d=d), d)
-    alt = play_costs(bumped, np.zeros(3), make_learner("ewa", prior, 0.5, d=d), d)
+    ref = play_costs(costs, np.zeros(3), EWA(prior, 0.5, d=d), d)
+    alt = play_costs(bumped, np.zeros(3), EWA(prior, 0.5, d=d), d)
     for t in range(30):
         same = np.array_equal(ref.posteriors[t], alt.posteriors[t])
         affected = t >= t_hit + d and t % d == t_hit % d
@@ -94,7 +94,7 @@ def test_ftrl_sqnorm_game_also_satisfies_identity():
 def test_indicator_game_costs_are_centered_losses(symmetric_quarter_chain,
                                                   indicator_space):
     path = sample_path(symmetric_quarter_chain, 10, seed=2)
-    learner = make_learner("ewa", uniform_prior(2), 0.1, d=1)
+    learner = EWA(uniform_prior(2), 0.1, d=1)
     trace = play_costs(indicator_space.loss_rows(path.symbols),
                        limit_test_losses(indicator_space, symmetric_quarter_chain)[0],
                        learner, 1)
@@ -115,7 +115,7 @@ def test_decompose_rejects_a_nan_cost():
 def test_a_nan_play_is_a_protocol_error():
     # a NaN cost in round 1 makes every later EWA play NaN; NaN fails the
     # simplex check itself, so round 2 (the first to see that cost) is named
-    learner = make_learner("ewa", uniform_prior(2), 0.4, d=1)
+    learner = EWA(uniform_prior(2), 0.4, d=1)
     costs = np.array([[np.nan, 0.2], [0.1, 0.3], [0.4, 0.0]])
     with pytest.raises(ProtocolError, match="round 2"):
         play_costs(costs, np.zeros(2), learner, 1)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mixgame import (EWA, ValidationError, delayed_regret_bound, ftrl_step,
-                     make_learner, play_costs, project_simplex, uniform_prior)
+from mixgame import (EWA, FTRL, ValidationError, delayed_regret_bound, ftrl_step,
+                     play_costs, project_simplex, uniform_prior)
 from mixgame.online import LEARNERS
 
 from conftest import regret_bound
@@ -74,7 +74,7 @@ def test_wrapped_ftrl_sqnorm_plays_the_projection_of_its_residue_class_cost(d):
         costs = rng.uniform(-1, 1, size=(n, W))
         eta = float(rng.uniform(0.05, 2.0))
         prior = rng.dirichlet(np.ones(W))
-        learner = make_learner("ftrl-sqnorm", prior, eta, d)
+        learner = FTRL(prior, eta, d)
         plays = play_costs(costs, np.zeros(W), learner, d).posteriors
         S = np.zeros_like(costs)
         for t in range(d, n):
@@ -132,13 +132,10 @@ def test_each_residue_class_plays_as_a_delay_1_learner(algorithm, d):
         np.testing.assert_array_equal(plays[i::d], solo)
 
 
-def test_make_learner_names_and_validation():
+def test_learners_build_from_their_names_and_validate_eta():
     prior = uniform_prior(2)
     for name in ("ewa", "ftrl-sqnorm"):
-        learner = make_learner(name, prior, eta=0.1, d=2)
+        learner = LEARNERS[name](prior, eta=0.1, d=2)
         assert learner.act().shape == (2,)
-    for name in ("mystery", "ftrl-entropy"):
-        with pytest.raises(ValidationError):
-            make_learner(name, prior, eta=0.1)
     with pytest.raises(ValidationError):
-        make_learner("ewa", prior, eta=-1.0)
+        EWA(prior, eta=-1.0)
