@@ -11,8 +11,8 @@ from .errors import (ConsistencyError, MixgameError, ModelError, ProtocolError,
 from .process import (DECAY_LAWS, MixingProfile, ProcessModel, SamplePath,
                       build_markov, conditional_loss_expectations, exact_phi,
                       fit_mixing_profile, model_from_json, phi_table,
-                      product_chain, replicate_seed, sample_path,
-                      two_state_chain, window_expectations)
+                      replicate_seed, sample_path, two_state_chain,
+                      window_expectations)
 from .learner import (HypothesisSpace, erm, gibbs_posterior, kl_divergence,
                       uniform_prior)
 from .game import GameTrace, decompose, play_costs

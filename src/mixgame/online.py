@@ -9,12 +9,14 @@ function of its class's sum, ``ewa_step`` or ``ftrl_step``.  A prior and every
 play are (W,) probability arrays; EWA tilts the prior's log, taken once.
 ``LEARNERS[algorithm](prior, eta, d)`` builds the learner a config names.
 ``ewa_step`` takes one sum or a sum per round, and sums over hypotheses in index
-order; it is also the softmax of every Gibbs posterior.
+order in either layout: one accumulate down a (W,) play, one reduce over the
+rows of the C-ordered (W, n) plays.  Its numpy call count does not grow with W.
+It is also the softmax of every Gibbs posterior.
 """
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 
 import numpy as np
@@ -29,8 +31,8 @@ def project_simplex(v) -> np.ndarray:
     u = np.sort(v)[::-1]
     # NaN sorts to the front of u, as +inf does, and -inf to the back
     if math.isfinite(u[0]) and math.isfinite(u[-1]):
-        css = np.cumsum(u) - 1.0
-        (above,) = np.nonzero(u - css / np.arange(1, len(v) + 1) > 0)
+        css = np.add.accumulate(u) - 1.0
+        (above,) = (u - css / np.arange(1.0, len(v) + 1) > 0).nonzero()
         if len(above) and math.isfinite(css[-1]):
             rho = int(above[-1]) + 1
             return np.maximum(v - css[rho - 1] / rho, 0.0)
@@ -40,11 +42,19 @@ def project_simplex(v) -> np.ndarray:
 
 def ewa_step(prior_log: np.ndarray, eta: float, S: np.ndarray) -> np.ndarray:
     """The exponential-weights play softmax(prior_log - eta * S) of a (W,) cost
-    sum S, or one play per row of an (n, W) S; both give the same bits, as the
-    max and the normalizer reduce over hypotheses in index order in any layout."""
-    lw = (prior_log - eta * S).T  # hypotheses lead: (W,) or (W, n)
-    p = np.exp(lw - functools.reduce(np.maximum, lw))
-    return (p / functools.reduce(np.add, p)).T
+    sum S, or one play per row of an (n, W) S, in a fixed number of numpy calls.
+
+    Both give the same bits, in any layout of S.  The max is exact in any
+    order, and the normalizer adds hypotheses in index order: down a (W,) array
+    by an accumulate, and over the rows of the C-ordered (W, n) one by a reduce,
+    which numpy runs row by row.  At n = 1 numpy's reduce would sum pairwise, so
+    a (W, 1) array accumulates too.
+    """
+    lw = np.subtract(prior_log, eta * S, order="F").T  # (W,) or C-ordered (W, n)
+    lw -= np.maximum.reduce(lw)
+    p = np.exp(lw, out=lw)
+    p /= np.add.reduce(p) if p.size > len(p) else np.add.accumulate(p)[-1]
+    return p.T
 
 
 def ftrl_step(prior_probs: np.ndarray, eta: float, S: np.ndarray) -> np.ndarray:
@@ -74,24 +84,20 @@ class _ClassSums:
         self.prior, self.eta = np.asarray(prior, dtype=float), eta
         with np.errstate(divide="ignore"):  # a hypothesis the prior gives no mass
             self.prior_log = np.log(self.prior)
-        self._sums = np.zeros((d, len(self.prior)))
-        self._acted = self._observed = 0
-
-    def _next_sum(self) -> np.ndarray:
-        row = self._acted % len(self._sums)
-        self._acted += 1
-        return self._sums[row]
+        sums = np.zeros((d, len(self.prior)))
+        # views of the rows in turn: one cycle plays them, the other adds to them
+        self._play_rows, self._cost_rows = itertools.cycle(sums), itertools.cycle(sums)
 
     def _add(self, cost) -> None:
-        self._sums[self._observed % len(self._sums)] += cost
-        self._observed += 1
+        row = next(self._cost_rows)
+        row += cost
 
 
 class EWA(_ClassSums):
     """Exponential weights; plays the ``ewa_step`` of its class's cost sum."""
 
     def act(self) -> np.ndarray:
-        return ewa_step(self.prior_log, self.eta, self._next_sum())
+        return ewa_step(self.prior_log, self.eta, next(self._play_rows))
 
     def observe(self, cost: np.ndarray) -> None:
         self._add(cost)
@@ -101,7 +107,7 @@ class FTRL(_ClassSums):
     """Squared-norm FTRL; plays the ``ftrl_step`` of its class's cost sum."""
 
     def act(self) -> np.ndarray:
-        return ftrl_step(self.prior, self.eta, self._next_sum())
+        return ftrl_step(self.prior, self.eta, next(self._play_rows))
 
     def observe(self, cost: np.ndarray) -> None:
         self._add(cost)

@@ -10,7 +10,7 @@ walks only the steps whose uniform moves some state, on a table built once per
 model.  ``_walk_lockstep`` walks many rows (the Monte-Carlo phi's) with one
 numpy step per symbol for all of them.  ``window_expectations``
 reduces a loss on L-symbol blocks to a static table, on which ``exact_phi``
-reads a memory-m table; ``product_chain`` runs independent chains as one chain.
+reads a memory-m table.
 
 ``DECAY_LAWS`` holds each phi_d decay law a ``MixingProfile`` can carry:
 its rate field, its phi_d, the abscissa its log-linear fit regresses
@@ -23,18 +23,17 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import (INT_CEILING, ConfigSection, ConsistencyError, ModelError,
-                     SizeError, ValidationError, build_field)
+                     ValidationError, build_field)
 
 _ROW_SUM_TOL = 1e-9
 _STATIONARY_TOL = 1e-12
 _MAX_SQUARINGS = 200
-_PRODUCT_STATE_CAP = 10**4
 _PHI_DRIFT_TOL = 1e-12
 PHI_FLOOR = 1e-15  # a phi_d at or below it is the rounding noise of a zero gap
 _MASK64 = (1 << 64) - 1
@@ -184,20 +183,6 @@ def build_markov(transition) -> ProcessModel:
 def two_state_chain(p: float, q: float) -> ProcessModel:
     """The two-state chain with flip probabilities p (from 0) and q (from 1)."""
     return build_markov([[1 - p, p], [q, 1 - q]])
-
-
-def product_chain(models) -> ProcessModel:
-    """Independent chains run side by side, the first as the slowest index.
-
-    State (s_1, ..., s_K) is the row-major index into the np.kron of the
-    transition matrices, and the np.kron of the stationary laws is invariant.
-    """
-    size = math.prod(m.n_states for m in models)
-    if size > _PRODUCT_STATE_CAP:
-        raise SizeError(f"product state count {size} exceeds cap {_PRODUCT_STATE_CAP}")
-    return ProcessModel(
-        transition=reduce(np.kron, [m.transition for m in models], np.ones((1, 1))),
-        stationary=reduce(np.kron, [m.stationary for m in models], np.ones(1)))
 
 
 def sample_path(model: ProcessModel, n: int, seed: int) -> SamplePath:

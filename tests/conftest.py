@@ -1,17 +1,36 @@
+import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from mixgame import (HypothesisSpace, MixingProfile, build_markov, delay_bound,
-                     two_state_chain)
+from mixgame import (HypothesisSpace, MixingProfile, ProcessModel, SizeError,
+                     build_markov, delay_bound, two_state_chain)
+
+PRODUCT_STATE_CAP = 10**4
 
 
 def build_iid(probs):
     """An i.i.d. source, i.e. a chain whose every row is the marginal."""
     p = np.asarray(probs, dtype=float)
     return build_markov(np.tile(p, (len(p), 1)))
+
+
+def product_chain(models) -> ProcessModel:
+    """Independent chains run side by side, the first as the slowest index.
+
+    State (s_1, ..., s_K) is the row-major index into the np.kron of the
+    transition matrices, and the np.kron of the stationary laws is invariant.
+    """
+    size = math.prod(m.n_states for m in models)
+    if size > PRODUCT_STATE_CAP:
+        raise SizeError(f"product state count {size} exceeds cap {PRODUCT_STATE_CAP}")
+    return ProcessModel(
+        transition=functools.reduce(np.kron, [m.transition for m in models],
+                                    np.ones((1, 1))),
+        stationary=functools.reduce(np.kron, [m.stationary for m in models],
+                                    np.ones(1)))
 
 
 def instance_regrets(trace, comparator, d):

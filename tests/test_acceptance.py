@@ -17,8 +17,8 @@ from mixgame import (EWA, GameTrace, HypothesisSpace, MixingProfile,
                      conditional_loss_expectations, decompose, deviation_term,
                      ewa_step, exact_block_beta, exact_phi,
                      fit_mixing_profile, limit_test_losses,
-                     phi_table, play_costs, product_chain,
-                     project_simplex, run_dynamic_game, sample_path,
+                     phi_table, play_costs, project_simplex,
+                     run_dynamic_game, sample_path,
                      two_state_chain, uniform_prior, window_expectations)
 from mixgame.cli import main as cli_main
 from mixgame.online import LEARNERS
@@ -26,7 +26,7 @@ from mixgame.experiments import (config_from_dict, coverage_experiment,
                                  delay_sweep, delayed_ewa_posteriors)
 
 from conftest import (algebraic_rate_sandwich, build_iid, instance_regrets,
-                      random_chain, random_space, regret_bound)
+                      product_chain, random_chain, random_space, regret_bound)
 
 
 def _report(line):

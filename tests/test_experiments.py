@@ -61,10 +61,11 @@ def test_auto_geometric_delay_matches_eigenvalue_tuning():
 
 def test_closed_form_wrapped_ewa_matches_game_loop():
     # bit for bit: both apply online.ewa_step to sums added in the same order;
-    # d = n plays the prior at every round, and n < 2d leaves a partial block
+    # d = n plays the prior at every round, and n < 2d leaves a partial block.
+    # W = 400 plays past any fixed unrolling of the sum over hypotheses.
     rng = np.random.default_rng(27)
     for n in (1, 2, 7, 150, 2000):
-        for W in (1, 2, 3, 9, 50):
+        for W in (1, 2, 3, 9, 50) + ((400,) if n <= 150 else ()):
             for d in sorted(d for d in {1, 2, 3, 7, 73, n} if d <= n):
                 costs = rng.uniform(-1, 1, size=(n, W))
                 prior = rng.dirichlet(np.ones(W))

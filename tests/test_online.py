@@ -1,3 +1,6 @@
+import statistics
+import time
+
 import numpy as np
 import pytest
 
@@ -55,6 +58,25 @@ def test_ewa_step_is_cost_tilted_softmax():
     learner.observe(cost)
     np.testing.assert_allclose(
         learner.act(), softmax(np.log(prior) - 0.7 * cost), atol=1e-12)
+
+
+def test_ewa_act_cost_does_not_grow_with_the_hypothesis_count():
+    # a play is a fixed number of numpy calls, so at W = 400 it costs well
+    # under 10x a play at W = 2; one numpy call per hypothesis costs about 90x
+    def median_act_s(W):
+        learner = EWA(uniform_prior(W), eta=0.3, d=3)
+        for cost in np.random.default_rng(W).uniform(-1, 1, size=(3, W)):
+            learner.observe(cost)
+        batches = []
+        for _ in range(41):
+            start = time.perf_counter()
+            for _ in range(25):
+                learner.act()
+            batches.append(time.perf_counter() - start)
+        return statistics.median(batches) / 25
+
+    median_act_s(2)  # warm up
+    assert median_act_s(400) < 10 * median_act_s(2)
 
 
 def test_ftrl_sqnorm_step_is_projected_prior_minus_cost():

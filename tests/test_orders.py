@@ -7,7 +7,9 @@ package sums over hypotheses in index order, which numpy's sums are for fewer
 than 8 hypotheses, and over rounds as the C-ordered mean does: in round order,
 pairwise for one hypothesis.  So at W <= 7 every play, comparator and part of
 ``decompose`` has the oracle's bits; from W = 8 on the plays, M_n and the
-regret may move in the last bits; and no value depends on the layout.
+regret may move in the last bits; and no value depends on the layout.  The
+layout test also plays W = 400 at n <= 150, n = 1 included, where numpy's own
+reduce over hypotheses would sum pairwise.
 """
 
 import itertools
@@ -118,7 +120,7 @@ def test_plays_comparators_and_parts_match_the_c_ordered_oracle():
 @pytest.mark.parametrize("kind", LOSSES)
 def test_c_and_f_ordered_inputs_give_the_same_bits(kind):
     rng = np.random.default_rng(len(kind))
-    for n, W in itertools.product(NS, WS):
+    for n, W in [*itertools.product(NS, WS), *((n, 400) for n in NS if n <= 150)]:
         rows, limit, d, eta, prior_log = _game(rng, n, W, kind)
         costs = rows - limit
         plays = delayed_ewa_posteriors(costs, prior_log, eta, d)

@@ -10,13 +10,12 @@ from mixgame import (ConsistencyError, MixingProfile, ModelError, ProcessModel,
                      SizeError, ValidationError, build_markov,
                      conditional_loss_expectations, exact_phi,
                      fit_mixing_profile, model_from_json, phi_table,
-                     product_chain, replicate_seed, sample_path,
-                     two_state_chain)
+                     replicate_seed, sample_path, two_state_chain)
 from mixgame.cli import main
 from mixgame.experiments import config_from_dict, mixing_table
 from mixgame.process import _walk_chain, _walk_lockstep, _walk_moves
 
-from conftest import TRANSIENT_CHAINS, build_iid, random_chain
+from conftest import TRANSIENT_CHAINS, build_iid, product_chain, random_chain
 
 
 def test_stationary_law_frozen():
