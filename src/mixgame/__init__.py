@@ -9,10 +9,9 @@ tuned delays, and Monte-Carlo-checks their coverage.
 from .errors import (ConsistencyError, MixgameError, ModelError, ProtocolError,
                      SizeError, ValidationError)
 from .process import (DECAY_LAWS, MixingProfile, ProcessModel, SamplePath,
-                      build_markov, conditional_loss_expectations, exact_phi,
-                      fit_mixing_profile, model_from_json, phi_table,
-                      replicate_seed, sample_path, two_state_chain,
-                      window_expectations)
+                      build_markov, exact_phi, fit_mixing_profile,
+                      model_from_json, phi_table, replicate_seed, sample_path,
+                      two_state_chain, window_expectations)
 from .learner import (HypothesisSpace, erm, gibbs_posterior, kl_divergence,
                       uniform_prior)
 from .game import GameTrace, decompose, play_costs

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigSection, ValidationError, build_field
 from .game import GameTrace, play_costs
-from .learner import _ENUM_CAP, HypothesisSpace, _BlockLoss
+from .learner import _ENUM_CAP, HypothesisSpace, _BlockLoss, _round_mean
 from .process import (ProcessModel, SamplePath, _walk_lockstep, exact_phi,
                       window_expectations)
 
@@ -153,9 +153,8 @@ def dynamic_phi_mc(model: ProcessModel, dl, d: int, limit: np.ndarray,
     prefixes = np.hstack([history, s[:, None], _walk_lockstep(cum, s, u[:, _MC_HISTORY:])])
     worst_gap, worst_se = -np.inf, 0.0
     for block in prefixes.reshape(model.n_states, n_samples, -1):
-        # C order: the mean sums the samples one row at a time, not pairwise
-        losses = np.ascontiguousarray(dl.values(block.T).T)
-        gap = limit - losses.mean(axis=0)
+        losses = dl.values(block.T).T
+        gap = limit - _round_mean(losses)
         j = int(np.argmax(gap))
         if gap[j] > worst_gap:
             worst_gap = float(gap[j])

@@ -8,19 +8,20 @@ identity
     gen = regret/n + martingale
 
 holds exactly (it is algebra, not probability), and ``decompose`` asserts it.
-Its sums have fixed orders in any layout: over hypotheses in index order, the
-mean loss row in round order and the regret over its round-major flattening.
+Its sums have fixed orders in any layout: over hypotheses in index order (the
+one ``online._sum_hypotheses``), the mean loss row in round order and the regret
+over its round-major flattening.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConsistencyError, ProtocolError, ValidationError
 from .learner import _round_mean
+from .online import _sum_hypotheses
 
 _IDENTITY_TOL = 1e-10
 _SIMPLEX_TOL = 1e-8
@@ -44,9 +45,9 @@ class GameTrace:
     def __post_init__(self):
         P, rows = map(np.asfortranarray, (self.posteriors, self.loss_rows))
         costs = np.asfortranarray(rows - self.limit if self.costs is None else self.costs)
-        # sums over hypotheses in index order; NaN fails the first comparison
-        off = (~(np.abs(functools.reduce(np.add, P.T) - 1) <= _SIMPLEX_TOL)
-               | functools.reduce(np.logical_or, (P < -_SIMPLEX_TOL).T))
+        # NaN fails the first comparison
+        off = (~(np.abs(_sum_hypotheses(P.T) - 1) <= _SIMPLEX_TOL)
+               | (P < -_SIMPLEX_TOL).any(axis=1))
         if off.any():
             raise ProtocolError("learner emitted a non-simplex play at round "
                                 f"{int(np.argmax(off)) + 1}")
@@ -95,7 +96,7 @@ def decompose(trace: GameTrace, comparator: np.ndarray) -> dict:
     gen = float(comparator @ (trace.limit - trace.mean_row))
     regret = float(np.sum(np.ascontiguousarray((trace.posteriors - comparator)
                                                * trace.costs)))
-    mart = float(-np.mean(functools.reduce(np.add, (trace.posteriors * trace.costs).T)))
+    mart = float(-np.mean(_sum_hypotheses((trace.posteriors * trace.costs).T)))
     regret_over_n = regret / trace.n
     residual = gen - regret_over_n - mart
     if not abs(residual) <= _IDENTITY_TOL:

@@ -8,10 +8,9 @@ class of rounds, held as one (d, W) array of per-class cost sums; a play is a
 function of its class's sum, ``ewa_step`` or ``ftrl_step``.  A prior and every
 play are (W,) probability arrays; EWA tilts the prior's log, taken once.
 ``LEARNERS[algorithm](prior, eta, d)`` builds the learner a config names.
-``ewa_step`` takes one sum or a sum per round, and sums over hypotheses in index
-order in either layout: one accumulate down a (W,) play, one reduce over the
-rows of the C-ordered (W, n) plays.  Its numpy call count does not grow with W.
-It is also the softmax of every Gibbs posterior.
+``ewa_step`` takes one sum or a sum per round and is the softmax of every Gibbs
+posterior.  It and a game's accounting add hypotheses by ``_sum_hypotheses``, in
+index order and in a numpy call count that does not grow with W.
 """
 
 from __future__ import annotations
@@ -40,20 +39,24 @@ def project_simplex(v) -> np.ndarray:
                           "onto the simplex")
 
 
+def _sum_hypotheses(a: np.ndarray) -> np.ndarray:
+    """Add the hypotheses of a (W,) array, or of each column of a C-ordered (W, n)
+    one, in index order in one numpy call: a reduce, which numpy runs row by row,
+    or an accumulate down a (W,) or (W, 1) array, which the reduce sums pairwise."""
+    return np.add.reduce(a) if a.size > len(a) else np.add.accumulate(a)[-1]
+
+
 def ewa_step(prior_log: np.ndarray, eta: float, S: np.ndarray) -> np.ndarray:
     """The exponential-weights play softmax(prior_log - eta * S) of a (W,) cost
     sum S, or one play per row of an (n, W) S, in a fixed number of numpy calls.
 
-    Both give the same bits, in any layout of S.  The max is exact in any
-    order, and the normalizer adds hypotheses in index order: down a (W,) array
-    by an accumulate, and over the rows of the C-ordered (W, n) one by a reduce,
-    which numpy runs row by row.  At n = 1 numpy's reduce would sum pairwise, so
-    a (W, 1) array accumulates too.
+    Both give the same bits, in any layout of S: the max is exact in any order,
+    and the normalizer is the ``_sum_hypotheses`` of the C-ordered weights.
     """
     lw = np.subtract(prior_log, eta * S, order="F").T  # (W,) or C-ordered (W, n)
     lw -= np.maximum.reduce(lw)
     p = np.exp(lw, out=lw)
-    p /= np.add.reduce(p) if p.size > len(p) else np.add.accumulate(p)[-1]
+    p /= _sum_hypotheses(p)
     return p.T
 
 

@@ -3,14 +3,14 @@
 Everything here is exact linear algebra on row-stochastic matrices: the
 stationary law comes from matrix powers, d-step conditional laws from
 ``transition**d``, and phi_d of a loss class is the worst-case gap between
-the stationary and the d-step conditional expected loss.  ``phi_table``
-steps the conditional expectations one transition per d and checks its last
-entry against the matrix-power value.  ``sample_path`` bisects one path and
-walks only the steps whose uniform moves some state, on a table built once per
-model.  ``_walk_lockstep`` walks many rows (the Monte-Carlo phi's) with one
-numpy step per symbol for all of them.  ``window_expectations``
-reduces a loss on L-symbol blocks to a static table, on which ``exact_phi``
-reads a memory-m table.
+the stationary and the d-step conditional expected loss: ``exact_phi`` takes
+one matrix power, and ``phi_table`` steps the conditional expectations one
+transition per d and checks its last entry against ``exact_phi``.
+``window_expectations`` reduces a loss on L-symbol blocks to a static table,
+on which ``exact_phi`` reads a memory-m table.  ``sample_path`` bisects one path
+and walks only the steps whose uniform moves some state, on a table built once
+per model.  ``_walk_lockstep`` walks many rows (the Monte-Carlo phi's) with one
+numpy step per symbol for all of them.
 
 ``DECAY_LAWS`` holds each phi_d decay law a ``MixingProfile`` can carry:
 its rate field, its phi_d, the abscissa its log-linear fit regresses
@@ -236,20 +236,6 @@ def _walk_lockstep(cum: np.ndarray, s: np.ndarray, u: np.ndarray) -> np.ndarray:
     return out.T
 
 
-def conditional_loss_expectations(model: ProcessModel, loss_table,
-                                  d: int) -> np.ndarray:
-    """E[loss(w, Z_t) | Z_{t-d} = s] for every (s, w), via the d-th matrix power."""
-    if d < 1:
-        raise ValidationError("d must be at least 1")
-    if d > INT_CEILING:
-        raise ValidationError(f"d exceeds the matrix-power budget {INT_CEILING}")
-    L = np.asarray(loss_table, dtype=float)
-    if L.ndim > 2:
-        raise ValidationError(f"a memory-{L.ndim - 1} table is not static; use exact_phi")
-    Pd = np.linalg.matrix_power(model.transition, d)
-    return Pd @ L.T  # (states, W)
-
-
 def window_expectations(model: ProcessModel, table) -> np.ndarray:
     """F[w, s] = E[table[w, Z_1, ..., Z_L] | Z_1 = s] for a (W,) + (S,)*L table.
 
@@ -271,8 +257,10 @@ def exact_phi(model: ProcessModel, loss_table, d: int) -> float:
     m = max(1, np.ndim(loss_table) - 1)
     if d < m:
         raise ValidationError(f"exact phi_d of a memory-{m} table needs d >= {m}")
+    if d > INT_CEILING:
+        raise ValidationError(f"d exceeds the matrix-power budget {INT_CEILING}")
     F = window_expectations(model, loss_table)
-    cond = conditional_loss_expectations(model, F, d - m + 1)
+    cond = np.linalg.matrix_power(model.transition, d - m + 1) @ F.T  # (states, W)
     return max(0.0, float(np.max(F @ model.stationary - cond)))
 
 

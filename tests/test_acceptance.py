@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from mixgame import (EWA, GameTrace, HypothesisSpace, MixingProfile,
-                     composite_phi_check,
-                     conditional_loss_expectations, decompose, deviation_term,
+                     composite_phi_check, decompose, deviation_term,
                      ewa_step, exact_block_beta, exact_phi,
                      fit_mixing_profile, limit_test_losses,
                      phi_table, play_costs, project_simplex,
@@ -182,7 +181,7 @@ def test_05_exact_mixing_oracle_closed_form_and_linearity():
     def gap_matrix(alpha, d):
         table = np.clip(base_losses[:, :, None] + alpha * vals, 0, 1).reshape(W, -1)
         test_vec = table @ m.stationary
-        return test_vec[None, :] - conditional_loss_expectations(m, table, d)
+        return test_vec[None, :] - np.linalg.matrix_power(m.transition, d) @ table.T
 
     for d in (1, 2, 5):
         g0, g1, g2 = (gap_matrix(a, d) for a in (0.0, 0.1, 0.2))
@@ -343,11 +342,9 @@ def test_11_memory1_losses_reduce_to_the_static_machinery():
     for d in (1, 2, 4, 8):
         # the dynamic route's window table, at lag d - m + 1 = d
         windows = window_expectations(model, dl.loss_table)
-        np.testing.assert_allclose(
-            conditional_loss_expectations(model, windows, d),
-            conditional_loss_expectations(model, table, d), atol=1e-12)
-        static_gap = table @ model.stationary - np.linalg.matrix_power(
-            model.transition, d) @ table.T
+        Pd = np.linalg.matrix_power(model.transition, d)
+        np.testing.assert_allclose(Pd @ windows.T, Pd @ table.T, atol=1e-12)
+        static_gap = table @ model.stationary - Pd @ table.T
         assert abs(exact_phi(model, dl.loss_table, d)
                    - max(0.0, float(np.max(static_gap)))) < 1e-12
         assert abs(exact_block_beta(model, dl, d)

@@ -164,7 +164,10 @@ def test_sweep_delay_outputs_table_and_plot(tmp_path):
 # the bounds run (every row kind) pin the bound rows and their CSV header order.
 # The two Monte-Carlo simulate runs were recorded when dynamic_phi_mc walked
 # every row 64 symbols back: the memory-2 config at delay 1 reads no reversed
-# symbol, and CI's memory-3 config at delay 1 reads one.
+# symbol, and CI's memory-3 config at delay 1 reads one.  The W = 9 simulate
+# runs (CI's wide config at n = 300 and, at delay 1, at n = 1, with EWA and with
+# FTRL-sqnorm) pin the index order of every sum over hypotheses: from 8
+# hypotheses on, numpy's pairwise sum gives other bits.
 GRID = {"process": {"transition": [[0.8, 0.2], [0.3, 0.7]]},
         "loss": {"losses": [[0.0, 1.0], [1.0, 0.0]]},
         "online": {"algorithm": "ewa", "eta": 0.3, "delay": 2},
@@ -181,6 +184,18 @@ MEMORY3 = {"process": {"transition": [[0.8, 0.2], [0.3, 0.7]]},
            "online": {"delay": 1},
            "experiment": {"n": 200, "replicates": 2, "seed": 5}}
 SQNORM = {"online": {"algorithm": "ftrl-sqnorm", "eta": 0.3, "delay": 2}}
+WIDE = {"process": {"transition": [[0.8, 0.2], [0.3, 0.7]]},
+        "loss": {"losses": np.random.default_rng(9).random((9, 2)).tolist()},
+        "online": {"algorithm": "ewa", "eta": 0.3, "delay": 4},
+        "experiment": {"n": 300, "replicates": 3, "seed": 5}}
+WIDE_N1 = {**WIDE, "online": {**WIDE["online"], "delay": 1},
+           "experiment": {**WIDE["experiment"], "n": 1}}
+
+
+def ftrl_sqnorm(doc):
+    return {**doc, "online": {**doc["online"], "algorithm": "ftrl-sqnorm"}}
+
+
 GRID_FILES = {
     "sweep.csv": "6d43e7116955cf87bd51a3d770dc4f4c9e84b9f60df6cb50e20853d390b6ef17",
     "sweep.json": "490534ce492d23154ff2c4a820a5e66a74962b382db5601458f9d64ae30dd5f5",
@@ -215,6 +230,26 @@ FROZEN_RUNS = {  # id -> (subcommand, config, the sha256 of each file it writes)
         "summary.json": "63fc77559b5ed5d5e19dcf214637617e90cfb4a621304483e773e336b4eeeebb",
         "summary.csv": "dd34b00c8ec1c6e31bb421149db6f67fa971b6434904575b7d4cab0e6174d817",
         "bound_reports.csv": "6bbea894d27781a25ad347bdb71e16be2c4b9b199282b7709beeddc6b9612486",
+    }),
+    "simulate-wide-ewa": ("simulate", WIDE, {
+        "summary.json": "4de3b1599ca0cf99c922f53459af28c16cfd4b45db970ee519c4c353a2f9035a",
+        "summary.csv": "dff92ef3f11e6117c64c4cddc039eae10d475add89909a7c5c8102aa2f5890e1",
+        "bound_reports.csv": "bdc5b984853c2628be1aee76a2f4a9c2e36881ca2e7f5068049441af48e806ec",
+    }),
+    "simulate-wide-ftrl-sqnorm": ("simulate", ftrl_sqnorm(WIDE), {
+        "summary.json": "3cba84ccbc30d527d6c765e03282ead5d9d582878b16ede05078a0202fb2952e",
+        "summary.csv": "d2ca36f4c54e1a458c3dd49c708f5cdfbc208aeb0d0b5eac577513e8a9ada7e6",
+        "bound_reports.csv": "b6719e0dd4f82a0505da8bd3749af652654eb4127a652b25432b4ba6c52b00e3",
+    }),
+    "simulate-wide-n1-ewa": ("simulate", WIDE_N1, {
+        "summary.json": "091f2092e2f53e743cece7a328442caba55b2aa84dc0351b0f0b191e7ecd414a",
+        "summary.csv": "189852dade5f8299558a2eec8cc68d260951d88498390c98889ffd348da83a24",
+        "bound_reports.csv": "d688bea047657831268bdee1609c520ce9732a75f72681a1858f323465504701",
+    }),
+    "simulate-wide-n1-ftrl-sqnorm": ("simulate", ftrl_sqnorm(WIDE_N1), {
+        "summary.json": "14d7af65da918a0f94330d3b55494eb2ca0e8c9a8b1d50a929189f473183d3cc",
+        "summary.csv": "6613b1361475b81cde29ca42777c90be76dd7c7ac039630835af45b0a81953ce",
+        "bound_reports.csv": "b1f4f6057fbff77105921d58899ad48182b4c913cf6fd3753272d276fb02b1d3",
     }),
     "bounds-every-row": ("bounds", {"bounds": {
         "n": 1000, "delta": 0.05, "phi_d": 0.05, "d": 4, "tau": 2.0, "r": 1.0,

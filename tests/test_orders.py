@@ -9,7 +9,8 @@ pairwise for one hypothesis.  So at W <= 7 every play, comparator and part of
 ``decompose`` has the oracle's bits; from W = 8 on the plays, M_n and the
 regret may move in the last bits; and no value depends on the layout.  The
 layout test also plays W = 400 at n <= 150, n = 1 included, where numpy's own
-reduce over hypotheses would sum pairwise.
+reduce over hypotheses would sum pairwise.  ``online._sum_hypotheses``, the one
+sum over hypotheses, is checked on its own against a left-to-right Python sum.
 """
 
 import itertools
@@ -21,6 +22,7 @@ from mixgame import (DiscountedLoss, GameTrace, HypothesisSpace, decompose, erm,
                      ewa_step, gibbs_posterior, sample_path)
 from mixgame.experiments import delayed_ewa_posteriors
 from mixgame.learner import _round_mean
+from mixgame.online import _sum_hypotheses
 
 from conftest import random_chain
 
@@ -141,3 +143,26 @@ def test_c_and_f_ordered_inputs_give_the_same_bits(kind):
         c_parts = decompose(c_trace, comparator)
         f_parts = decompose(f_trace, comparator)
         assert c_parts == f_parts, (n, W)
+
+
+def left_to_right(column):
+    """Python's float additions, one hypothesis at a time (``sum`` may compensate)."""
+    total = column[0]
+    for x in column[1:]:
+        total += x
+    return total
+
+
+@pytest.mark.parametrize("W", [9, 400])
+def test_sum_hypotheses_adds_in_index_order(W):
+    rng = np.random.default_rng(W)
+    pairwise = 0
+    for n in (1, 7, 150):
+        # magnitudes 16 decades apart, so that every order of addition rounds apart
+        a = rng.random((W, n)) * 10.0 ** rng.uniform(-8, 8, (W, 1))
+        want = [left_to_right(column) for column in a.T.tolist()]
+        assert _sum_hypotheses(a).tolist() == want, n
+        assert _sum_hypotheses(np.ascontiguousarray(a[:, :1])).tolist() == want[:1], n
+        assert _sum_hypotheses(a[:, 0].copy()) == want[0], n
+        pairwise += sum(np.add.reduce(c) != w for c, w in zip(a.T.copy(), want))
+    assert pairwise > 0  # numpy's own sum of a (W,) array is another order

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from mixgame import (ConsistencyError, MixingProfile, ModelError, ProcessModel,
-                     SizeError, ValidationError, build_markov,
-                     conditional_loss_expectations, exact_phi,
+                     SizeError, ValidationError, build_markov, exact_phi,
                      fit_mixing_profile, model_from_json, phi_table,
                      replicate_seed, sample_path, two_state_chain)
 from mixgame.cli import main
+from mixgame.errors import INT_CEILING
 from mixgame.experiments import config_from_dict, mixing_table
 from mixgame.process import _walk_chain, _walk_lockstep, _walk_moves
 
@@ -138,7 +138,7 @@ def test_phi_gap_unclamped_vs_exact_phi():
     model = random_chain(rng, 3)
     losses = rng.random((2, 3))
     for d in (1, 2, 5):
-        cond = conditional_loss_expectations(model, losses, d)
+        cond = np.linalg.matrix_power(model.transition, d) @ losses.T
         gap = float(np.max(losses @ model.stationary - cond))
         assert exact_phi(model, losses, d) == max(0.0, gap)
 
@@ -185,19 +185,31 @@ def test_static_kernels_refuse_a_memory_table():
     table = np.full((2, 2, 2), 0.5)
     with pytest.raises(ValidationError, match="needs d >= 2"):
         exact_phi(model, table, 1)
-    for kernel, d in ((phi_table, 4), (phi_table, 0),
-                      (conditional_loss_expectations, 4)):
+    for d in (4, 0):
         with pytest.raises(ValidationError, match="memory-2 table is not static"):
-            kernel(model, table, d)
+            phi_table(model, table, d)
+
+
+def test_d_past_the_matrix_power_budget_is_refused_before_any_power(monkeypatch):
+    def no_power(*args):
+        raise AssertionError("a matrix power ran")
+
+    monkeypatch.setattr(np.linalg, "matrix_power", no_power)
+    model = two_state_chain(0.25, 0.25)
+    for kernel in (exact_phi, phi_table):
+        with pytest.raises(ValidationError,
+                           match=f"d exceeds the matrix-power budget {INT_CEILING}"):
+            kernel(model, np.eye(2), INT_CEILING + 1)
 
 
 def test_conditional_expectations_converge_to_test_loss():
+    # phi_d of a table and of its complement, whose gaps are the table's
+    # negated, both vanish: every E[loss | Z_{t-d} = s] is the test loss
     rng = np.random.default_rng(5)
     model = random_chain(rng, 3)
     losses = rng.random((2, 3))
-    cond = conditional_loss_expectations(model, losses, 200)
-    np.testing.assert_allclose(cond, np.tile(losses @ model.stationary, (3, 1)),
-                               atol=1e-12)
+    assert exact_phi(model, losses, 200) <= 1e-12
+    assert exact_phi(model, 1.0 - losses, 200) <= 1e-12
 
 
 def test_sample_path_deterministic_and_stationary():
