@@ -11,10 +11,14 @@ play are (W,) probability arrays; EWA tilts the prior's log, taken once.
 ``ewa_step`` takes one sum or a sum per round and is the softmax of every Gibbs
 posterior.  It and a game's accounting add hypotheses by ``_sum_hypotheses``, in
 index order and in a numpy call count that does not grow with W.
+``ftrl_step`` projects by ``project_simplex``, in such a count too: the thresholds
+are the accumulate of the descending sort, minus 1, divided by the ranks 1..W,
+and the last one below its sorted entry is itself subtracted from the point.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -23,20 +27,40 @@ import numpy as np
 from .errors import ValidationError
 
 
+@functools.cache
+def _ranks(W: int) -> np.ndarray:
+    """The read-only ranks 1.0, ..., W that divide a projection's sums."""
+    k = np.arange(1.0, W + 1)
+    k.flags.writeable = False
+    return k
+
+
 def project_simplex(v) -> np.ndarray:
-    """Euclidean projection onto the simplex via sort-and-threshold; a point
-    too large for it (a non-finite entry or sum, say) is a ValidationError."""
+    """Euclidean projection onto the simplex via sort-and-threshold, in a numpy
+    call count that does not grow with W; an empty point, or one too large for
+    it (a non-finite entry or sum, say), is a ValidationError.
+
+    With u the entries in descending order, theta_k = (u_1 + ... + u_k - 1) / k:
+    the accumulate of u, minus 1, divided by the ranks.  rho is the last k with
+    u_k > theta_k, and the play is max(v - theta_rho, 0).
+    """
     v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
-    # NaN sorts to the front of u, as +inf does, and -inf to the back
-    if math.isfinite(u[0]) and math.isfinite(u[-1]):
-        css = np.add.accumulate(u) - 1.0
-        (above,) = (u - css / np.arange(1.0, len(v) + 1) > 0).nonzero()
-        if len(above) and math.isfinite(css[-1]):
-            rho = int(above[-1]) + 1
-            return np.maximum(v - css[rho - 1] / rho, 0.0)
-    raise ValidationError("cannot project a non-finite or overflowing point "
-                          "onto the simplex")
+    u = v.copy()
+    u.sort()
+    W = len(u)
+    # NaN sorts to the back of u, as +inf does, and -inf to the front
+    if W and math.isfinite(u[0]) and math.isfinite(u[-1]):
+        u = u[::-1]
+        theta = np.add.accumulate(u)
+        theta -= 1.0
+        theta /= _ranks(W)
+        # for finite values u_k - theta_k > 0 exactly when u_k > theta_k
+        (above,) = (u > theta).nonzero()
+        if len(above) and math.isfinite(theta[-1]):
+            p = v - theta[above[-1]]
+            return np.maximum(p, 0.0, out=p)
+    raise ValidationError("cannot project an empty, non-finite or overflowing "
+                          "point onto the simplex")
 
 
 def _sum_hypotheses(a: np.ndarray) -> np.ndarray:
@@ -80,8 +104,8 @@ class _ClassSums:
     """
 
     def __init__(self, prior: np.ndarray, eta: float, d: int = 1):
-        if eta <= 0:
-            raise ValidationError("eta must be positive")
+        if not 0 < eta < math.inf:  # NaN fails it
+            raise ValidationError("eta must be positive and finite")
         if d < 1:
             raise ValidationError("delay must be at least 1")
         self.prior, self.eta = np.asarray(prior, dtype=float), eta
@@ -124,6 +148,6 @@ def delayed_regret_bound(h_gap: float, eta: float, d: int, n: int,
                          alpha: float = 1.0, B: float = 1.0) -> float:
     """d * h_gap/eta + eta * B^2 * n / (2 alpha): the d per-class copies'
     bounds summed, for costs of dual norm <= B; EWA is h_gap = KL, B = alpha = 1."""
-    if eta <= 0 or alpha <= 0 or B < 0 or d < 1 or n < 1:
-        raise ValidationError("need eta > 0, alpha > 0, B >= 0, d >= 1, n >= 1")
+    if not 0 < eta < math.inf or alpha <= 0 or B < 0 or d < 1 or n < 1:
+        raise ValidationError("need 0 < eta < inf, alpha > 0, B >= 0, d >= 1, n >= 1")
     return d * h_gap / eta + eta * B * B * n / (2.0 * alpha)

@@ -32,9 +32,10 @@ def test_project_simplex_fixed_points_and_feasibility():
 
 
 @pytest.mark.parametrize("point", [[np.nan, 0.0], [np.inf, 0.0],
-                                   [-np.inf, 0.5], [5e307, -5e307]])
+                                   [-np.inf, 0.5], [5e307, -5e307], []])
 def test_project_simplex_rejects_a_non_finite_or_overflowing_point(point):
-    # the last point is finite, but rounding leaves no entry above the threshold
+    # 5e307 is finite, but rounding leaves no entry above the threshold; an
+    # empty point has no entry at all
     with pytest.raises(ValidationError, match="non-finite or overflowing"):
         project_simplex(np.array(point))
 
@@ -65,6 +66,26 @@ def test_ewa_act_cost_does_not_grow_with_the_hypothesis_count():
     # under 10x a play at W = 2; one numpy call per hypothesis costs about 90x
     def median_act_s(W):
         learner = EWA(uniform_prior(W), eta=0.3, d=3)
+        for cost in np.random.default_rng(W).uniform(-1, 1, size=(3, W)):
+            learner.observe(cost)
+        batches = []
+        for _ in range(41):
+            start = time.perf_counter()
+            for _ in range(25):
+                learner.act()
+            batches.append(time.perf_counter() - start)
+        return statistics.median(batches) / 25
+
+    median_act_s(2)  # warm up
+    assert median_act_s(400) < 10 * median_act_s(2)
+
+
+def test_ftrl_act_cost_does_not_grow_with_the_hypothesis_count():
+    # a projection is a fixed number of numpy calls, so a play at W = 400 costs
+    # about 1.7x a play at W = 2; a Python comparison per hypothesis, to find
+    # rho, costs over 10x
+    def median_act_s(W):
+        learner = FTRL(uniform_prior(W), eta=0.3, d=3)
         for cost in np.random.default_rng(W).uniform(-1, 1, size=(3, W)):
             learner.observe(cost)
         batches = []
@@ -161,3 +182,15 @@ def test_learners_build_from_their_names_and_validate_eta():
         assert learner.act().shape == (2,)
     with pytest.raises(ValidationError):
         EWA(prior, eta=-1.0)
+
+
+@pytest.mark.parametrize("eta", [np.nan, np.inf])
+def test_a_nan_or_infinite_eta_is_refused(eta):
+    # NaN passes a plain eta <= 0: EWA would play [nan, nan], FTRL fail at its
+    # first act, and the bound be nan (inf at eta = inf)
+    prior = uniform_prior(2)
+    for learner in LEARNERS.values():
+        with pytest.raises(ValidationError, match="eta"):
+            learner(prior, eta, 2)
+    with pytest.raises(ValidationError, match="eta"):
+        delayed_regret_bound(0.5, eta, 2, 100)

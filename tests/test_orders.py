@@ -11,15 +11,19 @@ regret may move in the last bits; and no value depends on the layout.  The
 layout test also plays W = 400 at n <= 150, n = 1 included, where numpy's own
 reduce over hypotheses would sum pairwise.  ``online._sum_hypotheses``, the one
 sum over hypotheses, is checked on its own against a left-to-right Python sum.
+The FTRL play's simplex projection is checked bit for bit against the formula
+it replaced.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from mixgame import (DiscountedLoss, GameTrace, HypothesisSpace, decompose, erm,
-                     ewa_step, gibbs_posterior, sample_path)
+from mixgame import (DiscountedLoss, GameTrace, HypothesisSpace, ValidationError,
+                     decompose, erm, ewa_step, gibbs_posterior, project_simplex,
+                     sample_path)
 from mixgame.experiments import delayed_ewa_posteriors
 from mixgame.learner import _round_mean
 from mixgame.online import _sum_hypotheses
@@ -166,3 +170,46 @@ def test_sum_hypotheses_adds_in_index_order(W):
         assert _sum_hypotheses(a[:, 0].copy()) == want[0], n
         pairwise += sum(np.add.reduce(c) != w for c, w in zip(a.T.copy(), want))
     assert pairwise > 0  # numpy's own sum of a (W,) array is another order
+
+
+def oracle_project_simplex(v) -> np.ndarray:
+    """The projection as it was first written, verbatim."""
+    v = np.asarray(v, dtype=float)
+    u = np.sort(v)[::-1]
+    # NaN sorts to the front of u, as +inf does, and -inf to the back
+    if math.isfinite(u[0]) and math.isfinite(u[-1]):
+        css = np.add.accumulate(u) - 1.0
+        (above,) = (u - css / np.arange(1.0, len(v) + 1) > 0).nonzero()
+        if len(above) and math.isfinite(css[-1]):
+            rho = int(above[-1]) + 1
+            return np.maximum(v - css[rho - 1] / rho, 0.0)
+    raise ValidationError("cannot project a non-finite or overflowing point "
+                          "onto the simplex")
+
+
+def _points_to_project(rng, W):
+    for scale in 10.0 ** np.arange(-3, 4):
+        normal = rng.normal(size=(20, W)) * scale
+        yield from normal
+        yield from np.round(normal, 1)  # ties, and zeros of either sign
+    yield from rng.dirichlet(np.ones(W), size=20)  # already on the simplex
+    yield from np.eye(W)[rng.permutation(W)[:20]]  # one-hots
+    yield from -np.abs(rng.normal(size=(20, W)))  # all negative
+
+
+@pytest.mark.parametrize("W", [1, 2, 3, 9, 50, 400])
+def test_project_simplex_has_the_bits_of_the_formula_it_replaced(W):
+    rng = np.random.default_rng(100 + W)
+    for i, point in enumerate(_points_to_project(rng, W)):
+        want = oracle_project_simplex(point).tobytes()
+        assert project_simplex(point).tobytes() == want, i
+
+
+@pytest.mark.parametrize("point", [[np.nan, 0.0], [0.0, np.inf], [-np.inf, 0.5],
+                                   [1e300, 5.0]])
+def test_project_simplex_refuses_what_the_formula_it_replaced_refuses(point):
+    # [1e300, 5.0] is finite, but 1e300 - 1 rounds to 1e300: no entry exceeds
+    # its threshold
+    for project in (project_simplex, oracle_project_simplex):
+        with pytest.raises(ValidationError, match="non-finite or overflowing"):
+            project(np.array(point))
