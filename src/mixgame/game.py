@@ -45,10 +45,11 @@ class GameTrace:
     def __post_init__(self):
         P, rows = map(np.asfortranarray, (self.posteriors, self.loss_rows))
         costs = np.asfortranarray(rows - self.limit if self.costs is None else self.costs)
-        # NaN fails the first comparison
-        off = (~(np.abs(_sum_hypotheses(P.T) - 1) <= _SIMPLEX_TOL)
-               | (P < -_SIMPLEX_TOL).any(axis=1))
-        if off.any():
+        slack = np.abs(_sum_hypotheses(P.T) - 1)
+        # two scalars test every play, and a NaN fails both comparisons; the
+        # per-round mask is built only to name the first bad round
+        if not (slack.max() <= _SIMPLEX_TOL and P.min() >= -_SIMPLEX_TOL):
+            off = ~(slack <= _SIMPLEX_TOL) | (P < -_SIMPLEX_TOL).any(axis=1)
             raise ProtocolError("learner emitted a non-simplex play at round "
                                 f"{int(np.argmax(off)) + 1}")
         vars(self).update(posteriors=P, loss_rows=rows, costs=costs,  # frozen: set in __dict__
@@ -96,7 +97,9 @@ def decompose(trace: GameTrace, comparator: np.ndarray) -> dict:
     gen = float(comparator @ (trace.limit - trace.mean_row))
     regret = float(np.sum(np.ascontiguousarray((trace.posteriors - comparator)
                                                * trace.costs)))
-    mart = float(-np.mean(_sum_hypotheses((trace.posteriors * trace.costs).T)))
+    # np.add.reduce / n is np.mean's sum and division, without its Python wrapper
+    mart = float(-(np.add.reduce(_sum_hypotheses((trace.posteriors * trace.costs).T))
+                   / trace.n))
     regret_over_n = regret / trace.n
     residual = gen - regret_over_n - mart
     if not abs(residual) <= _IDENTITY_TOL:

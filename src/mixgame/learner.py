@@ -3,6 +3,10 @@
 A ``HypothesisSpace`` is the one table loss: its table has a hypothesis axis
 and m symbol axes, and reads the last m symbols (m = 1 is a static table);
 its forgetting coefficient B_d is exact from the table, 0 from d = m on.
+Its losses on any set of windows are one ``take`` from the (A^m, W) view of
+the table at each window's row-major index, built by Horner's rule; they come
+back hypothesis-innermost, as fancy indexing laid them out, so the (n, W) loss
+rows are C-ordered.
 Priors, comparators and plays are (W,) probability arrays.  The statistical
 learners read a game's (W,) mean loss row (``_round_mean`` of its loss rows):
 Gibbs is the ``online.ewa_step`` play of the uniform prior after n rounds of
@@ -25,6 +29,15 @@ _ENUM_CAP = 10**6
 _MAX_AXES = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32
 
 
+def _symbols(symbols, A: int) -> np.ndarray:
+    """The symbols as an array, refused unless each lies in range(A): the
+    window index of a table loss would read another window's row."""
+    symbols = np.asarray(symbols)
+    if symbols.size and not (0 <= symbols.min() and symbols.max() < A):
+        raise ValidationError(f"symbols must lie in range({A})")
+    return symbols
+
+
 class _BlockLoss:
     """What every loss shares: its value on one prefix or on all blocks.
 
@@ -41,9 +54,10 @@ class _BlockLoss:
         return max(1, math.floor(min(_MAX_AXES - 2, longest)))
 
     def values(self, prefix) -> np.ndarray:
-        """Loss of every hypothesis on the given prefix, a (W,) vector; on an
-        (L, k) block of k length-L prefixes, one per column, a (W, k) array."""
-        prefix = np.asarray(prefix)
+        """Loss of every hypothesis on the given prefix of symbols in range(A), a
+        (W,) vector; on an (L, k) block of k length-L prefixes, one per column,
+        a (W, k) array."""
+        prefix = _symbols(prefix, self.alphabet)
         if len(prefix) == 0:
             raise ValidationError("prefix must be non-empty")
         return self._on_prefixes(prefix)
@@ -116,16 +130,24 @@ class HypothesisSpace(_BlockLoss):
 
     def _on_prefixes(self, z) -> np.ndarray:
         # z[j] holds symbol j of every prefix; a short window pads with z[0]
-        cols = tuple(z[max(0, j)] for j in range(len(z) - self.m, len(z)))
-        return self.loss_table[(slice(None),) + cols]
+        flat = z[max(0, len(z) - self.m)]
+        for j in range(len(z) - self.m + 1, len(z)):
+            flat = flat * self.alphabet + z[max(0, j)]
+        rows = self.loss_table.reshape(self.n_hypotheses, -1).T.take(flat, axis=0)
+        # the hypothesis axis to the front, where fancy indexing put it: innermost
+        return rows.transpose(-1, *range(rows.ndim - 1))
 
     def loss_rows(self, symbols) -> np.ndarray:
-        """(n, W) losses of the running prefixes, vectorized over rounds."""
-        symbols = np.asarray(symbols)
-        # round t reads the m-window ending at z_t of the symbols left-padded
-        # with m - 1 copies of z_0, the padding rule of _on_prefixes
-        padded = np.concatenate([np.repeat(symbols[:1], self.m - 1), symbols])
-        return self._on_prefixes([padded[j:j + len(symbols)] for j in range(self.m)]).T
+        """(n, W) losses of the running prefixes of a path's symbols, each in
+        range(A), vectorized over rounds; a C-ordered array, the hypothesis
+        innermost."""
+        symbols = _symbols(symbols, self.alphabet)
+        # round t reads the m-window ending at z_t of the symbols left-padded with
+        # m - 1 copies of z_0, the padding rule of _on_prefixes; only the windows
+        # that reach back past z_0 are copies
+        shifted = [np.concatenate([np.repeat(symbols[:1], k), symbols])[:len(symbols)]
+                   for k in range(self.m - 1, 0, -1)]
+        return self._on_prefixes([*shifted, symbols]).T
 
 
 def _round_mean(rows: np.ndarray) -> np.ndarray:

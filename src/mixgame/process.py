@@ -9,8 +9,9 @@ transition per d and checks its last entry against ``exact_phi``.
 ``window_expectations`` reduces a loss on L-symbol blocks to a static table,
 on which ``exact_phi`` reads a memory-m table.  ``sample_path`` bisects one path
 and walks only the steps whose uniform moves some state, on a table built once
-per model.  ``_walk_lockstep`` walks many rows (the Monte-Carlo phi's) with one
-numpy step per symbol for all of them.
+per model; each symbol is then read from the walked states at the running
+count of moving steps.  ``_walk_lockstep`` walks many rows (the Monte-Carlo
+phi's) with one numpy step per symbol for all of them.
 
 ``DECAY_LAWS`` holds each phi_d decay law a ``MixingProfile`` can carry:
 its rate field, its phi_d, the abscissa its log-linear fit regresses
@@ -204,8 +205,11 @@ def _walk_moves(model: ProcessModel, u: np.ndarray) -> np.ndarray:
     _, rows, lo, hi = model._walk_table
     moves = ~((lo <= u) & (u < hi))
     moves[0] = True
-    walked = np.array(_walk_chain(rows, model.n_states, u[moves]), dtype=np.int64)
-    return walked[np.cumsum(moves) - 1]
+    walked = np.fromiter(_walk_chain(rows, model.n_states, u[moves]), np.int64)
+    # step t carries the state of the last walked step at or before it
+    index = np.add.accumulate(moves, dtype=np.intp)
+    index -= 1
+    return walked[index]
 
 
 def _walk_chain(cum_rows: list[list[float]], s: int, u: np.ndarray) -> list[int]:

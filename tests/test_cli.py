@@ -167,7 +167,10 @@ def test_sweep_delay_outputs_table_and_plot(tmp_path):
 # symbol, and CI's memory-3 config at delay 1 reads one.  The W = 9 simulate
 # runs (CI's wide config at n = 300 and, at delay 1, at n = 1, with EWA and with
 # FTRL-sqnorm) pin the index order of every sum over hypotheses: from 8
-# hypotheses on, numpy's pairwise sum gives other bits.
+# hypotheses on, numpy's pairwise sum gives other bits.  The coverage runs pin
+# the loss-row gather: CI's flip-0.05 chain at n = 100 and delay 7 (most steps
+# skipped by the walk, and a partial last block of rounds) and the memory-3
+# table; the mixing run pins a 3-state phi_d table and its fits.
 GRID = {"process": {"transition": [[0.8, 0.2], [0.3, 0.7]]},
         "loss": {"losses": [[0.0, 1.0], [1.0, 0.0]]},
         "online": {"algorithm": "ewa", "eta": 0.3, "delay": 2},
@@ -188,6 +191,14 @@ WIDE = {"process": {"transition": [[0.8, 0.2], [0.3, 0.7]]},
         "loss": {"losses": np.random.default_rng(9).random((9, 2)).tolist()},
         "online": {"algorithm": "ewa", "eta": 0.3, "delay": 4},
         "experiment": {"n": 300, "replicates": 3, "seed": 5}}
+FLIP = {"process": {"transition": [[0.95, 0.05], [0.05, 0.95]]},
+        "loss": {"losses": [[0.0, 1.0], [1.0, 0.0]]},
+        "online": {"algorithm": "ewa", "eta": 0.3, "delay": 7},
+        "experiment": {"n": 100, "replicates": 3, "seed": 5}}
+MIXING3 = {"process": {"transition": [[0.6, 0.3, 0.1], [0.2, 0.7, 0.1],
+                                      [0.3, 0.2, 0.5]]},
+           "loss": {"losses": [[0.1, 0.9, 0.4], [0.8, 0.2, 0.5]]},
+           "experiment": {"n": 1000}}
 WIDE_N1 = {**WIDE, "online": {**WIDE["online"], "delay": 1},
            "experiment": {**WIDE["experiment"], "n": 1}}
 
@@ -201,7 +212,7 @@ GRID_FILES = {
     "sweep.json": "490534ce492d23154ff2c4a820a5e66a74962b382db5601458f9d64ae30dd5f5",
     "sweep.svg": "a2128432ecf3833699dcc425eecc0c6d0ac29229b198c0f83b08f879fd62765b",
 }
-FROZEN_RUNS = {  # id -> (subcommand, config, the sha256 of each file it writes)
+FROZEN_RUNS = {  # id -> (subcommand and flags, config, the sha256 of each file it writes)
     "sweep-delay-grid": ("sweep-delay", GRID, GRID_FILES),
     "sweep-delay-ftrl-sqnorm": ("sweep-delay", {**GRID, **SQNORM}, GRID_FILES),
     "sweep-delay-default-grid": (
@@ -251,6 +262,18 @@ FROZEN_RUNS = {  # id -> (subcommand, config, the sha256 of each file it writes)
         "summary.csv": "6613b1361475b81cde29ca42777c90be76dd7c7ac039630835af45b0a81953ce",
         "bound_reports.csv": "b1f4f6057fbff77105921d58899ad48182b4c913cf6fd3753272d276fb02b1d3",
     }),
+    "coverage-flip-gen": ("coverage --mode gen", FLIP, {
+        "coverage.csv": "feb87007adef3b82604f7171395e8cd36e36dd6e18faa72163213f05a4215f5d",
+        "coverage_summary.json": "09a77539d1574538c9f72450b0cbdb39ce79fd9bf9614c016d0e869e9c01420f",
+    }),
+    "coverage-memory3-gen": ("coverage --mode gen", MEMORY3, {
+        "coverage.csv": "23527175b9ec6deabb435a2af7717754611b7cd5d5d8705ee52a2eba9c42aaed",
+        "coverage_summary.json": "11120413885c526c815d982f6414112a334bb67c2ae7e92e40672a009e6ab7ee",
+    }),
+    "mixing-3-state": ("mixing", MIXING3, {
+        "mixing.csv": "2b38b8a91a0891b9d741bf28db45e2cba8f5dfe287c62751f4c15333ace4553d",
+        "mixing_fits.json": "b6089398e5b4189a8d462fd9655dcc337335be9125f599a19d2cf95e2032649a",
+    }),
     "bounds-every-row": ("bounds", {"bounds": {
         "n": 1000, "delta": 0.05, "phi_d": 0.05, "d": 4, "tau": 2.0, "r": 1.0,
         "kl": 0.5, "h_gap": 0.7, "eta": 0.1}}, {
@@ -264,7 +287,7 @@ FROZEN_RUNS = {  # id -> (subcommand, config, the sha256 of each file it writes)
 def test_output_bytes_frozen(tmp_path, name):
     command, doc, digests = FROZEN_RUNS[name]
     out = tmp_path / "out"
-    assert main([command, "--config", write_config(tmp_path, doc),
+    assert main([*command.split(), "--config", write_config(tmp_path, doc),
                  "--out", str(out)]) == 0
     assert {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
             for f in digests} == digests
@@ -559,7 +582,7 @@ def test_a_bad_delay_grid_exits_2_naming_its_field(tmp_path, capsys, command,
     doc = static_config(**experiment)
     if loss is not None:
         doc["loss"] = loss
-    assert main([command, "--config", write_config(tmp_path, doc),
+    assert main([*command.split(), "--config", write_config(tmp_path, doc),
                  "--out", str(tmp_path / "o")]) == 2
     assert f"config field {field!r}" in capsys.readouterr().err
 
@@ -581,7 +604,7 @@ def test_an_overflowing_beta_exits_2_naming_its_field(tmp_path, capsys, command)
     doc = static_config()
     doc["loss"] = {"losses": [[0.1, 1.0], [1.0, 0.1]]}
     doc["learner"] = {"kind": "gibbs", "beta": 1e308}
-    assert main([command, "--config", write_config(tmp_path, doc),
+    assert main([*command.split(), "--config", write_config(tmp_path, doc),
                  "--out", str(tmp_path / "o")]) == 2
     assert "config field 'learner.beta'" in capsys.readouterr().err
 
@@ -594,7 +617,7 @@ def test_a_non_finite_json_value_exits_3_naming_the_file(tmp_path, capsys, comma
                                                          doc, name):
     # regret/n + phi_d overflows to inf; JSON has no token for it
     out = tmp_path / "out"
-    assert main([command, "--config", write_config(tmp_path, doc),
+    assert main([*command.split(), "--config", write_config(tmp_path, doc),
                  "--out", str(out)]) == 3
     assert str(out / name) in capsys.readouterr().err
     assert not out.exists()  # the JSON file is written first, and not at all
@@ -606,7 +629,7 @@ def test_an_overflowing_eta_exits_2_naming_its_field(tmp_path, capsys, command):
     # bound rows too, as it is a column view of simulate's run
     doc = dict(static_config(n=50), online={"eta": 1e-320})
     out = tmp_path / "out"
-    assert main([command, "--config", write_config(tmp_path, doc),
+    assert main([*command.split(), "--config", write_config(tmp_path, doc),
                  "--out", str(out)]) == 2
     assert "config field 'online.eta'" in capsys.readouterr().err
     assert not out.exists()

@@ -119,3 +119,22 @@ def test_a_nan_play_is_a_protocol_error():
     costs = np.array([[np.nan, 0.2], [0.1, 0.3], [0.4, 0.0]])
     with pytest.raises(ProtocolError, match="round 2"):
         play_costs(costs, np.zeros(2), learner, 1)
+
+
+@pytest.mark.parametrize("bad", [[1.5, -0.5], [0.5, 0.5 + 2e-8], [np.nan, 1.0]],
+                         ids=["negative-entry", "row-sum", "nan"])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_the_play_check_names_the_first_bad_round(bad, order):
+    plays = np.full((9, 2), 0.5)
+    # within the 1e-8 tolerance: a row sum off by 5e-9, and an entry of -5e-9
+    plays[1] = [0.5 + 5e-9, 0.5]
+    plays[2] = [1.0 + 5e-9, -5e-9]
+    rows, limit = np.zeros((9, 2)), np.zeros(2)
+    GameTrace(np.asarray(plays, order=order), rows, limit)
+    for t in (4, 6, 7):  # 0-indexed: rounds 5, 7 and 8
+        plays[t] = bad
+    with pytest.raises(ProtocolError, match="at round 5$"):
+        GameTrace(np.asarray(plays, order=order), rows, limit)
+    plays[0] = bad
+    with pytest.raises(ProtocolError, match="at round 1$"):
+        GameTrace(np.asarray(plays, order=order), rows, limit)

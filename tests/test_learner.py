@@ -149,3 +149,18 @@ def test_an_overflowing_gibbs_play_names_beta_n_and_warns_of_nothing(mean):
 def test_the_uniform_priors_log_is_minus_log1p_bit_for_bit():
     for W in range(1, 2001):
         assert np.array_equal(np.log(uniform_prior(W)), np.full(W, -np.log1p(W - 1))), W
+
+
+@pytest.mark.parametrize("symbol", [-1, 2])
+def test_a_symbol_outside_the_alphabet_is_refused(symbol):
+    # at m = 2 the window (0, 2) has the index 2 * 0 + 2, that of the window
+    # (1, 0), and (0, -1) the index of the last window: both are refused
+    space = HypothesisSpace(np.random.default_rng(2).random((3, 2, 2)))
+    for read in (space.loss_rows, space.values):
+        with pytest.raises(ValidationError, match=r"range\(2\)"):
+            read([0, symbol])
+    with pytest.raises(ValidationError, match=r"range\(2\)"):
+        space.values(np.array([[0, 1], [1, symbol]]))
+    dl = DiscountedLoss(0.9, 0.05, [[0.5, 0.6]])
+    with pytest.raises(ValidationError, match=r"range\(2\)"):
+        dl.values([symbol])

@@ -11,8 +11,9 @@ regret may move in the last bits; and no value depends on the layout.  The
 layout test also plays W = 400 at n <= 150, n = 1 included, where numpy's own
 reduce over hypotheses would sum pairwise.  ``online._sum_hypotheses``, the one
 sum over hypotheses, is checked on its own against a left-to-right Python sum.
-The FTRL play's simplex projection is checked bit for bit against the formula
-it replaced.
+The FTRL play's simplex projection, and the one ``take`` that gathers a table
+loss's rows, are checked bit for bit against the formulas they replaced; the
+gather keeps their strides too.
 """
 
 import itertools
@@ -213,3 +214,55 @@ def test_project_simplex_refuses_what_the_formula_it_replaced_refuses(point):
     for project in (project_simplex, oracle_project_simplex):
         with pytest.raises(ValidationError, match="non-finite or overflowing"):
             project(np.array(point))
+
+
+def oracle_on_prefixes(self, z) -> np.ndarray:
+    """``HypothesisSpace._on_prefixes`` as fancy indexing wrote it, verbatim."""
+    # z[j] holds symbol j of every prefix; a short window pads with z[0]
+    cols = tuple(z[max(0, j)] for j in range(len(z) - self.m, len(z)))
+    return self.loss_table[(slice(None),) + cols]
+
+
+def oracle_loss_rows(self, symbols) -> np.ndarray:
+    """``HypothesisSpace.loss_rows`` on fancy indexing, verbatim."""
+    symbols = np.asarray(symbols)
+    # round t reads the m-window ending at z_t of the symbols left-padded
+    # with m - 1 copies of z_0, the padding rule of _on_prefixes
+    padded = np.concatenate([np.repeat(symbols[:1], self.m - 1), symbols])
+    return self._on_prefixes([padded[j:j + len(symbols)] for j in range(self.m)]).T
+
+
+class OracleSpace(HypothesisSpace):
+    """A table loss whose ``values`` and ``block_table`` read the oracle gather."""
+
+    _on_prefixes = oracle_on_prefixes
+    loss_rows = oracle_loss_rows
+
+
+def _same_array(got, want):
+    return (got.shape, got.strides, got.tobytes()) == (want.shape, want.strides,
+                                                      want.tobytes())
+
+
+@pytest.mark.parametrize("W", [1, 2, 3, 9, 50])
+def test_one_take_gathers_the_bits_and_strides_of_fancy_indexing(W):
+    rng = np.random.default_rng(300 + W)
+    for A, m in itertools.product((1, 2, 4), (1, 2, 3)):
+        table = rng.random((W,) + (A,) * m)
+        loss, oracle = HypothesisSpace(table), OracleSpace(table)
+        for n in (1, 2, 7, 150):  # n < m pads every window of a round
+            symbols = rng.integers(A, size=n)
+            case = (A, m, n)
+            assert _same_array(loss.loss_rows(symbols), oracle.loss_rows(symbols)), case
+            for L in range(1, m + 2):  # L < m pads, L = m + 1 reads the last m
+                # k = n prefixes as columns, contiguous or strided as the
+                # Monte-Carlo phi passes them
+                for block in (rng.integers(A, size=(L, n)), rng.integers(A, size=(n, L)).T):
+                    assert _same_array(loss.values(block), oracle.values(block)), \
+                        (*case, L, block.strides)
+                # one prefix: fancy indexing read its (W,) losses as a view of the
+                # table, strided by A^m, and the take copies them; the bits agree
+                prefix = rng.integers(A, size=L)
+                assert loss.values(prefix).tobytes() == oracle.values(prefix).tobytes()
+        for L in range(1, m + 2):
+            assert _same_array(loss.block_table(L), oracle.block_table(L)), (A, m, L)
