@@ -59,7 +59,9 @@ def config_value(value, name: str, kind, *, low: float = -math.inf,
     would read as 1/0), NaN, infinities or floats that int would change
     (2.5).  ``low`` and ``high`` are inclusive bounds, exclusive ones when
     ``strict``; ``high`` defaults to ``INT_CEILING`` for an int and to
-    infinity otherwise.  Every error names the field.
+    infinity otherwise.  Every error names the field.  An int or a float is
+    read in plain Python, with no numpy call: a ``numbers.Real`` that is not a
+    bool, passed through ``kind``; only a list is read through numpy.
     """
     if isinstance(kind, list):
         _require(isinstance(value, list), name, "must be a list")
@@ -76,15 +78,19 @@ def config_value(value, name: str, kind, *, low: float = -math.inf,
         high = INT_CEILING if kind is int else math.inf
     number = None
     try:
-        leaves = np.array(value, dtype=object)  # a ragged list keeps lists as leaves
-        if isinstance(value, list) == (kind is list) and all(
-                issubclass(leaf_type, numbers.Real) and not issubclass(leaf_type, bool)
-                for leaf_type in set(map(type, leaves.reshape(-1)))):
-            number = leaves.astype(float) if kind is list else kind(value)
+        if kind is not list:
+            if isinstance(value, numbers.Real) and not isinstance(value, bool):
+                number = kind(value)
+        elif isinstance(value, list):
+            leaves = np.array(value, dtype=object)  # a ragged list keeps lists as leaves
+            if all(issubclass(leaf_type, numbers.Real) and not issubclass(leaf_type, bool)
+                   for leaf_type in set(map(type, leaves.ravel().tolist()))):
+                number = leaves.astype(float)
     except (ValueError, OverflowError):  # non-finite as int, huge int as float
         pass
     readable = number is not None and (
-        number == value if kind is int else np.all(np.isfinite(number)))
+        number == value if kind is int
+        else math.isfinite(number) if kind is float else np.isfinite(number).all())
     if not readable:  # the message is built only on failure: a long list is slow
         what = "a rectangular list of finite numbers" if kind is list else kind.__name__
         raise ValidationError(f"config field {name!r}: cannot read "
@@ -92,7 +98,8 @@ def config_value(value, name: str, kind, *, low: float = -math.inf,
     inside = ((low < number) & (number < high) if strict
               else (low <= number) & (number <= high))
     left, right = ("(", ")") if strict else ("[", "]")
-    _require(np.all(inside), name, f"must lie in {left}{low}, {high}{right}")
+    _require(inside.all() if kind is list else inside, name,
+             f"must lie in {left}{low}, {high}{right}")
     return number
 
 

@@ -15,6 +15,7 @@ that row, so one shifted softmax computes every posterior; ERM is one-hot.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -164,6 +165,14 @@ def uniform_prior(W: int) -> np.ndarray:
     return np.exp(np.full(W, -np.log1p(W - 1)))
 
 
+@functools.cache
+def _uniform_log_prior(W: int) -> np.ndarray:
+    """The read-only ``np.log`` of ``uniform_prior(W)``, the log prior Gibbs tilts."""
+    log_prior = np.log(uniform_prior(W))
+    log_prior.flags.writeable = False
+    return log_prior
+
+
 def gibbs_posterior(mean_row: np.ndarray, n: int, beta: float) -> np.ndarray:
     """Gibbs tilt of the uniform prior by n rounds of the (W,) mean loss row: the
     EWA play ``ewa_step(log prior, beta * n, mean_row)``; a non-finite play is a
@@ -171,7 +180,7 @@ def gibbs_posterior(mean_row: np.ndarray, n: int, beta: float) -> np.ndarray:
     if beta < 0:
         raise ValidationError("beta must be non-negative")
     with np.errstate(over="ignore", invalid="ignore"):
-        play = ewa_step(np.log(uniform_prior(len(mean_row))), beta * n, mean_row)
+        play = ewa_step(_uniform_log_prior(len(mean_row)), beta * n, mean_row)
     if not np.isfinite(play).all():
         raise ValidationError(f"the Gibbs play is not finite: beta * n = {beta * n:g} "
                               "overflows, or a mean loss is not finite")

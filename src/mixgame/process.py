@@ -5,13 +5,25 @@ stationary law comes from matrix powers, d-step conditional laws from
 ``transition**d``, and phi_d of a loss class is the worst-case gap between
 the stationary and the d-step conditional expected loss: ``exact_phi`` takes
 one matrix power, and ``phi_table`` steps the conditional expectations one
-transition per d and checks its last entry against ``exact_phi``.
+transition per d and checks its last entry against ``exact_phi``.  Both take a
+hypothesis's gap at the minimum over states of its conditional losses: fl(t - c)
+does not rise as c rises, so max_s fl(t_w - c_sw) is fl(t_w - min_s c_sw) bit for
+bit for finite losses (a NaN in a column is its minimum, so NaN either way).
 ``window_expectations`` reduces a loss on L-symbol blocks to a static table,
-on which ``exact_phi`` reads a memory-m table.  ``sample_path`` bisects one path
-and walks only the steps whose uniform moves some state, on a table built once
-per model; each symbol is then read from the walked states at the running
-count of moving steps.  ``_walk_lockstep`` walks many rows (the Monte-Carlo
-phi's) with one numpy step per symbol for all of them.
+on which ``exact_phi`` reads a memory-m table.
+
+``sample_path`` draws one path by inverse-CDF steps, ``bisect_right`` of the
+state's cumulative row, on a table built once per model, and bisects only the
+steps that depend on the state before them.  A uniform in [lo, hi) maps every
+state to itself: the step is skipped and the state carries.  One in
+[low[j], high[j]) sends every state to j, where high[j] is the least j-th and
+low[j] the largest (j-1)-th cumulative sum of the forward rows (low[0] = -inf,
+high[S-1] = inf): a step counts the row entries at or below u, and the rows
+do not decrease, so every row counts j there.  Step 0 leaves the start row
+and the other steps are bisected, each from the state of the moving step
+before it.  Each symbol is then read at the running count of moving steps.
+``_walk_lockstep`` walks many rows (the Monte-Carlo phi's) with one numpy step
+per symbol for all of them.
 
 ``DECAY_LAWS`` holds each phi_d decay law a ``MixingProfile`` can carry:
 its rate field, its phi_d, the abscissa its log-linear fit regresses
@@ -70,14 +82,16 @@ class ProcessModel:
     @cached_property
     def _walk_table(self) -> tuple:
         """The transition rows and the start row, each summed without its last
-        entry, as an ndarray and as lists, and the [lo, hi) of ``_walk_moves``.
-        The stationary law is the row of a start state S, so the walk from S
-        draws Z_0 by the same inverse-CDF step as every later symbol."""
+        entry, as an ndarray and as lists; then ``_walk_moves``' [lo, hi), and
+        its low and high, the column maxima (after -inf) and minima of the
+        forward rows.  The stationary law is the row of a start state S, so the
+        walk from S draws Z_0 by the same inverse-CDF step as every later symbol."""
         cum = np.cumsum(np.vstack([self.transition, self.stationary]), axis=1)[:, :-1]
         # Python floats: a numpy scalar costs more per comparison with u
         lo = max(cum[:-1].diagonal(-1).tolist(), default=-math.inf)
         hi = min(cum[:-1].diagonal().tolist(), default=math.inf)
-        return cum, cum.tolist(), lo, hi
+        low = np.concatenate([[-math.inf], cum[:-1].max(axis=0)])
+        return cum, cum.tolist(), lo, hi, low, cum[:-1].min(axis=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,53 +201,47 @@ def two_state_chain(p: float, q: float) -> ProcessModel:
 
 
 def sample_path(model: ProcessModel, n: int, seed: int) -> SamplePath:
-    """Draw a length-n stationary path; deterministic in (model, n, seed).  A step
-    whose uniform maps every state to itself is skipped (see ``_walk_moves``)."""
+    """Draw a length-n stationary path; deterministic in (model, n, seed).  Only
+    the steps that depend on the state before them are bisected (see
+    ``_walk_moves``)."""
     if n < 1:
         raise ValidationError("n must be at least 1")
     return SamplePath(symbols=_walk_moves(model, np.random.default_rng(seed).random(n)))
 
 
 def _walk_moves(model: ProcessModel, u: np.ndarray) -> np.ndarray:
-    """``_walk_chain`` of ``model._walk_table`` from its start row, walking only
-    the steps that can move; the symbols are the same.  From state s,
-    ``bisect_right`` on the table stays at s exactly when cum[s][s-1] <= x <
-    cum[s][s] (state 0 has no lower bound, state S-1 no upper one).  So a
-    uniform in [lo, hi) = [max_s cum[s][s-1], min_s cum[s][s]) maps every state
-    to itself, and its step is skipped: the state carries.  Step 0 leaves the
-    start row and is always walked; where [lo, hi) is empty, every step is."""
-    _, rows, lo, hi = model._walk_table
+    """The states of the inverse-CDF walk of ``u`` from the start row, bisecting
+    only the steps that depend on the state before them (see the module
+    docstring): a step whose uniform is in [lo, hi) carries the state, and of
+    the other (moving) steps one with low[j] <= x < high[j] takes j."""
+    _, rows, lo, hi, low, high = model._walk_table
     moves = ~((lo <= u) & (u < hi))
     moves[0] = True
-    walked = np.fromiter(_walk_chain(rows, model.n_states, u[moves]), np.int64)
-    # step t carries the state of the last walked step at or before it
+    x = u[moves]
+    # the one j with high[j-1] <= x < high[j]; it takes every state if low[j] <= x
+    states = high.searchsorted(x, side="right")
+    walk = low[states] > x
+    walk[0] = True
+    # led by the start state, so the moving step k follows entry k
+    before = [model.n_states, *states.tolist()]
+    walked = []
+    for k, xk in zip(walk.nonzero()[0].tolist(), x[walk].tolist()):
+        before[k + 1] = s = bisect_right(rows[before[k]], xk)
+        walked.append(s)
+    states[walk] = walked
+    # step t carries the state of the last moving step at or before it
     index = np.add.accumulate(moves, dtype=np.intp)
     index -= 1
-    return walked[index]
-
-
-def _walk_chain(cum_rows: list[list[float]], s: int, u: np.ndarray) -> list[int]:
-    """States visited from state ``s``, one inverse-CDF step per uniform in ``u``.
-
-    ``cum_rows`` lists each transition row's cumsum without its last entry.
-    Each step is ``searchsorted(cumsum(row), x, side="right")`` clipped to the
-    last state, at a fraction of the cost of a numpy call: ``bisect`` runs on
-    Python lists, and searching a row without its last entry does the clipping
-    (the last state takes every ``x`` at or beyond the second-to-last
-    cumulative sum, whatever rounding left in the row sum).
-    """
-    states = []
-    for x in u.tolist():
-        s = bisect_right(cum_rows[s], x)
-        states.append(s)
-    return states
+    return states[index]
 
 
 def _walk_lockstep(cum: np.ndarray, s: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``_walk_chain`` of each row of ``u`` from its start in ``s``, one numpy
-    step per column for all rows: the (R, k) states.  ``cum`` is the ndarray of
-    its rows.  Counting the entries above x is ``bisect_right`` also on the
-    all-NaN row of a reversed state of zero mass, where ``bisect`` goes right."""
+    """The inverse-CDF walk of each row of ``u`` from its start in ``s``, one
+    numpy step per column for all rows: the (R, k) states.  ``cum`` holds each
+    transition row's cumsum without its last entry, so a step is
+    ``bisect_right`` of the state's row, clipped to the last state.  Counting
+    the entries above x is ``bisect_right`` also on the all-NaN row of a
+    reversed state of zero mass, where ``bisect`` goes right."""
     out = np.empty(u.shape[::-1], dtype=np.int64)
     for k, x in enumerate(u.T):
         s = out[k] = cum.shape[1] - (cum[s] > x[:, None]).sum(axis=1)
@@ -265,7 +273,7 @@ def exact_phi(model: ProcessModel, loss_table, d: int) -> float:
         raise ValidationError(f"d exceeds the matrix-power budget {INT_CEILING}")
     F = window_expectations(model, loss_table)
     cond = np.linalg.matrix_power(model.transition, d - m + 1) @ F.T  # (states, W)
-    return max(0.0, float(np.max(F @ model.stationary - cond)))
+    return max(0.0, float(np.max(F @ model.stationary - cond.min(axis=0))))
 
 
 def phi_table(model: ProcessModel, loss_table, d_max: int) -> np.ndarray:
@@ -284,12 +292,15 @@ def phi_table(model: ProcessModel, loss_table, d_max: int) -> np.ndarray:
     if d_max < 1:
         return np.empty(0)
     reference = exact_phi(model, L, d_max)  # also enforces the d budget
-    test = L @ model.stationary  # (W,)
+    L = np.atleast_2d(L)  # a (states,) table is one hypothesis: the same products
     cond = L.T  # (states, W)
-    table = np.empty(d_max)
-    for d in range(d_max):
+    lows = np.empty((d_max, len(L)))  # each C_d's minimum over states
+    for low in lows:
         cond = model.transition @ cond
-        table[d] = max(0.0, float(np.max(test - cond)))
+        cond.min(axis=0, out=low)
+    gaps = np.max(L @ model.stationary - lows, axis=1)
+    # max(0.0, x) is x where x > 0.0, else 0.0: a NaN or -0.0 gap reads +0.0
+    table = np.where(gaps > 0.0, gaps, 0.0)
     drift = abs(table[-1] - reference)
     if drift > _PHI_DRIFT_TOL:
         raise ConsistencyError(

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -50,6 +51,23 @@ def regret_bound(h_gap, eta, alpha, dual_norm_sq_sum):
 # all-NaN row there (0/0), which the Monte-Carlo phi conditions on
 TRANSIENT_CHAINS = ([[0.0, 1.0], [0.0, 1.0]],
                     [[0.0, 0.5, 0.5], [0.0, 0.5, 0.5], [0.0, 0.2, 0.8]])
+
+
+def walk_chain(cum_rows, s, u):
+    """The full walk: states visited from state ``s``, one inverse-CDF step per
+    uniform in ``u``, every step bisected.
+
+    ``cum_rows`` lists each transition row's cumsum without its last entry.
+    Each step is ``searchsorted(cumsum(row), x, side="right")`` clipped to the
+    last state: searching a row without its last entry does the clipping (the
+    last state takes every ``x`` at or beyond the second-to-last cumulative
+    sum, whatever rounding left in the row sum).
+    """
+    states = []
+    for x in np.asarray(u).tolist():
+        s = bisect_right(cum_rows[s], x)
+        states.append(s)
+    return states
 
 
 def random_chain(rng, n_states=2, smoothing=0.05):

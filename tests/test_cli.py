@@ -170,7 +170,12 @@ def test_sweep_delay_outputs_table_and_plot(tmp_path):
 # hypotheses on, numpy's pairwise sum gives other bits.  The coverage runs pin
 # the loss-row gather: CI's flip-0.05 chain at n = 100 and delay 7 (most steps
 # skipped by the walk, and a partial last block of rounds) and the memory-3
-# table; the mixing run pins a 3-state phi_d table and its fits.
+# table; the mixing run pins a 3-state phi_d table and its fits.  Three more runs
+# were recorded while every step of a path was bisected and every phi_d was the
+# maximum of its S x W gaps: coverage on the anti-persistent chain, whose swap
+# steps depend on the state before them; coverage at an auto-geometric delay,
+# whose phi_d table is computed while the config is read; and a mixing table of
+# losses with -0.0 entries and an all-zero hypothesis row.
 GRID = {"process": {"transition": [[0.8, 0.2], [0.3, 0.7]]},
         "loss": {"losses": [[0.0, 1.0], [1.0, 0.0]]},
         "online": {"algorithm": "ewa", "eta": 0.3, "delay": 2},
@@ -199,6 +204,18 @@ MIXING3 = {"process": {"transition": [[0.6, 0.3, 0.1], [0.2, 0.7, 0.1],
                                       [0.3, 0.2, 0.5]]},
            "loss": {"losses": [[0.1, 0.9, 0.4], [0.8, 0.2, 0.5]]},
            "experiment": {"n": 1000}}
+SWAP = {"process": {"transition": [[0.2, 0.8], [0.7, 0.3]]},
+        "loss": {"losses": [[0.0, 1.0], [1.0, 0.0]]},
+        "online": {"algorithm": "ewa", "eta": 0.3, "delay": 3},
+        "experiment": {"n": 500, "replicates": 4, "seed": 5}}
+AUTO_GEOMETRIC = {"process": {"transition": [[0.8, 0.2], [0.3, 0.7]]},
+                  "loss": {"losses": [[0.1, 0.9], [0.7, 0.2]]},
+                  "online": {"algorithm": "ewa", "eta": 0.3, "delay": "auto-geometric"},
+                  "experiment": {"n": 400, "replicates": 3, "seed": 5}}
+SIGNED_ZERO = {"process": MIXING3["process"],
+               "loss": {"losses": [[-0.0, 1.0, -0.0], [0.0, -0.0, 0.0],
+                                   [0.5, -0.0, 1.0]]},
+               "experiment": {"n": 1000}}
 WIDE_N1 = {**WIDE, "online": {**WIDE["online"], "delay": 1},
            "experiment": {**WIDE["experiment"], "n": 1}}
 
@@ -273,6 +290,18 @@ FROZEN_RUNS = {  # id -> (subcommand and flags, config, the sha256 of each file 
     "mixing-3-state": ("mixing", MIXING3, {
         "mixing.csv": "2b38b8a91a0891b9d741bf28db45e2cba8f5dfe287c62751f4c15333ace4553d",
         "mixing_fits.json": "b6089398e5b4189a8d462fd9655dcc337335be9125f599a19d2cf95e2032649a",
+    }),
+    "coverage-swap-gen": ("coverage --mode gen", SWAP, {
+        "coverage.csv": "4eb35645c74202c2d99b5b5ce38698815662092ff7a3f82fc6fd065823645bd9",
+        "coverage_summary.json": "ef8b3ce71cd8adaebcab00875c14d980e741c3f38b48dee993ce257def8123ce",
+    }),
+    "coverage-auto-geometric": ("coverage --mode gen", AUTO_GEOMETRIC, {
+        "coverage.csv": "8f9294444083044273f2360a31ba3c1aa61c68664dc530707e8dd91b79fee561",
+        "coverage_summary.json": "09a77539d1574538c9f72450b0cbdb39ce79fd9bf9614c016d0e869e9c01420f",
+    }),
+    "mixing-signed-zero": ("mixing", SIGNED_ZERO, {
+        "mixing.csv": "d8092fc646103da938350ec0c3b51a8e4c4adfcd4ae3b5a8b8a5f6c9e45ae1c5",
+        "mixing_fits.json": "5d410a5110205b00fea87cab20bd138abebd96d162b3ff5607e32937fb0531ba",
     }),
     "bounds-every-row": ("bounds", {"bounds": {
         "n": 1000, "delta": 0.05, "phi_d": 0.05, "d": 4, "tau": 2.0, "r": 1.0,

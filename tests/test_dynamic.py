@@ -12,10 +12,9 @@ from mixgame import (EWA, DiscountedLoss, HypothesisSpace, SizeError,
                      uniform_prior, window_expectations)
 from mixgame.learner import _ENUM_CAP, _MAX_AXES
 from mixgame.dynamic import _MC_HISTORY
-from mixgame.process import _walk_chain
 
 from conftest import (TRANSIENT_CHAINS, enumerated_block_expectations,
-                      limit_test_losses_mc, random_chain)
+                      limit_test_losses_mc, random_chain, walk_chain)
 
 
 def xor_loss():
@@ -242,7 +241,7 @@ def test_dynamic_phi_mc_frozen():
 
 
 def per_row_phi_mc(model, dl, d, limit, n_samples, seed):
-    """``dynamic_phi_mc`` with each row walked alone by ``_walk_chain``: per
+    """``dynamic_phi_mc`` with each row walked alone by ``walk_chain``: per
     conditioning state one draw of ``n_samples`` rows, each walked
     ``_MC_HISTORY`` symbols back through the reversed chain and d forward."""
     pi = model.stationary
@@ -254,8 +253,8 @@ def per_row_phi_mc(model, dl, d, limit, n_samples, seed):
     worst_gap, worst_se = -np.inf, 0.0
     for s in range(model.n_states):
         u = rng.random((n_samples, _MC_HISTORY + d))
-        prefixes = np.array([_walk_chain(rev_cum, s, row[:_MC_HISTORY])[::-1] + [s]
-                             + _walk_chain(cum, s, row[_MC_HISTORY:]) for row in u])
+        prefixes = np.array([walk_chain(rev_cum, s, row[:_MC_HISTORY])[::-1] + [s]
+                             + walk_chain(cum, s, row[_MC_HISTORY:]) for row in u])
         losses = np.ascontiguousarray(dl.values(prefixes.T).T)
         gap = limit - losses.mean(axis=0)
         j = int(np.argmax(gap))
@@ -351,7 +350,7 @@ def test_walk_frozen_with_generator_position(n_states):
     for steps in (1, 7, 64):
         for seed in (0, 11):
             rng = np.random.default_rng(seed)
-            walk = _walk_chain(np.cumsum(model.transition, axis=1)[:, :-1].tolist(),
+            walk = walk_chain(np.cumsum(model.transition, axis=1)[:, :-1].tolist(),
                                seed % n_states, rng.random(steps))
             h.update(np.array(walk, dtype="<i8").tobytes())
             h.update(np.float64(rng.random()).tobytes())

@@ -15,6 +15,7 @@ from mixgame import (DECAY_LAWS, EWA, HypothesisSpace, ValidationError, decompos
                      limit_test_losses, play_costs, replicate_seed,
                      run_dynamic_game, sample_path, uniform_prior)
 from mixgame.cli import main
+from mixgame.errors import CONFIG_FIELDS, config_value
 from mixgame.experiments import (config_from_dict, coverage_experiment,
                                  decay_fits, delay_sweep, delayed_ewa_posteriors,
                                  mixing_table, replicate, resolve_delay,
@@ -256,6 +257,85 @@ def test_resolve_delay_rejects_out_of_range():
     doc = base_config(online={"algorithm": "ewa", "eta": 0.3, "delay": 61})
     with pytest.raises(ValidationError, match="online.delay"):
         config_from_dict(doc)
+
+
+# What config_value returned or raised for an int field, a float field and the
+# int-or-choice online.delay, recorded while every scalar was read through numpy
+# (a string is the message after "config field '<field>': "; numpy scalars read
+# by the installed numpy's repr)
+NAN, INF = float("nan"), float("inf")
+SCALAR_READS = [
+    ('experiment.n', True, 'cannot read True as int'),
+    ('experiment.n', False, 'cannot read False as int'),
+    ('experiment.n', '1', "cannot read '1' as int"),
+    ('experiment.n', None, 'missing'),
+    ('experiment.n', [1], 'cannot read [1] as int'),
+    ('experiment.n', {}, 'cannot read {} as int'),
+    ('experiment.n', 2.5, 'cannot read 2.5 as int'),
+    ('experiment.n', 2.0, 2),
+    ('experiment.n', 10**400, 'must lie in [1, 1000000000]'),
+    ('experiment.n', 1e300, 'must lie in [1, 1000000000]'),
+    ('experiment.n', NAN, 'cannot read nan as int'),
+    ('experiment.n', INF, 'cannot read inf as int'),
+    ('experiment.n', -INF, 'cannot read -inf as int'),
+    ('experiment.n', np.float64(0.3), f"cannot read {np.float64(0.3)!r} as int"),
+    ('experiment.n', np.int64(5), 5),
+    ('experiment.n', np.bool_(True), f"cannot read {np.bool_(True)!r} as int"),
+    ('online.eta', True, 'cannot read True as float'),
+    ('online.eta', False, 'cannot read False as float'),
+    ('online.eta', '1', "cannot read '1' as float"),
+    ('online.eta', None, 'missing'),
+    ('online.eta', [1], 'cannot read [1] as float'),
+    ('online.eta', {}, 'cannot read {} as float'),
+    ('online.eta', 2.5, 2.5),
+    ('online.eta', 2.0, 2.0),
+    ('online.eta', 10**400, 'cannot read 100000000000000000...0000000000000000000 as float'),
+    ('online.eta', 1e300, 1e300),
+    ('online.eta', NAN, 'cannot read nan as float'),
+    ('online.eta', INF, 'cannot read inf as float'),
+    ('online.eta', -INF, 'cannot read -inf as float'),
+    ('online.eta', np.float64(0.3), 0.3),
+    ('online.eta', np.int64(5), 5.0),
+    ('online.eta', np.bool_(True), f"cannot read {np.bool_(True)!r} as float"),
+    ('online.delay', True, 'cannot read True as int'),
+    ('online.delay', False, 'cannot read False as int'),
+    ('online.delay', '1', "must be one of int, 'auto-geometric', 'auto-algebraic'"),
+    ('online.delay', None, 'missing'),
+    ('online.delay', [1], 'cannot read [1] as int'),
+    ('online.delay', {}, 'cannot read {} as int'),
+    ('online.delay', 2.5, 'cannot read 2.5 as int'),
+    ('online.delay', 2.0, 2),
+    ('online.delay', 10**400, 'must lie in [1, 1000000000]'),
+    ('online.delay', 1e300, 'must lie in [1, 1000000000]'),
+    ('online.delay', NAN, 'cannot read nan as int'),
+    ('online.delay', INF, 'cannot read inf as int'),
+    ('online.delay', -INF, 'cannot read -inf as int'),
+    ('online.delay', np.float64(0.3), f"cannot read {np.float64(0.3)!r} as int"),
+    ('online.delay', np.int64(5), 5),
+    ('online.delay', np.bool_(True), f"cannot read {np.bool_(True)!r} as int"),
+]
+
+
+@pytest.mark.parametrize("field, value, want", SCALAR_READS)
+def test_config_scalars_read_as_recorded(field, value, want):
+    kind, _, limits = CONFIG_FIELDS[field]
+    if isinstance(want, str):
+        with pytest.raises(ValidationError) as err:
+            config_value(value, field, kind, **limits)
+        assert str(err.value) == f"config field {field!r}: {want}"
+    else:
+        got = config_value(value, field, kind, **limits)
+        assert type(got) is type(want) and got == want
+
+
+@pytest.mark.parametrize("value", [(1,), np.array(5.0), np.array([5.0])])
+def test_a_config_scalar_is_a_real_number_not_a_sequence_or_array(value):
+    # read through numpy, a tuple or a 1-element array raised TypeError and a
+    # 0-d array was read; no JSON value is any of them
+    for field in ("experiment.n", "online.eta"):
+        kind, _, limits = CONFIG_FIELDS[field]
+        with pytest.raises(ValidationError, match=f"{field}': cannot read"):
+            config_value(value, field, kind, **limits)
 
 
 X = [[0.0, 1.0], [1.0, 0.0]]

@@ -13,7 +13,9 @@ reduce over hypotheses would sum pairwise.  ``online._sum_hypotheses``, the one
 sum over hypotheses, is checked on its own against a left-to-right Python sum.
 The FTRL play's simplex projection, and the one ``take`` that gathers a table
 loss's rows, are checked bit for bit against the formulas they replaced; the
-gather keeps their strides too.
+gather keeps their strides too.  So are the gap kernels ``exact_phi`` and
+``phi_table``, which take each d's gap at the column minimum of the conditional
+expectations where the formulas they replaced took the maximum of every gap.
 """
 
 import itertools
@@ -22,12 +24,15 @@ import math
 import numpy as np
 import pytest
 
-from mixgame import (DiscountedLoss, GameTrace, HypothesisSpace, ValidationError,
-                     decompose, erm, ewa_step, gibbs_posterior, project_simplex,
-                     sample_path)
+from mixgame import (ConsistencyError, DiscountedLoss, GameTrace, HypothesisSpace,
+                     ProcessModel, ValidationError, build_markov, decompose, erm,
+                     ewa_step, exact_phi, gibbs_posterior, phi_table, project_simplex,
+                     sample_path, window_expectations)
+from mixgame.errors import INT_CEILING
 from mixgame.experiments import delayed_ewa_posteriors
 from mixgame.learner import _round_mean
 from mixgame.online import _sum_hypotheses
+from mixgame.process import _PHI_DRIFT_TOL
 
 from conftest import random_chain
 
@@ -266,3 +271,128 @@ def test_one_take_gathers_the_bits_and_strides_of_fancy_indexing(W):
                 assert loss.values(prefix).tobytes() == oracle.values(prefix).tobytes()
         for L in range(1, m + 2):
             assert _same_array(loss.block_table(L), oracle.block_table(L)), (A, m, L)
+
+
+def oracle_exact_phi(model, loss_table, d: int) -> float:
+    """``exact_phi`` as the maximum of every gap wrote it, verbatim."""
+    m = max(1, np.ndim(loss_table) - 1)
+    if d < m:
+        raise ValidationError(f"exact phi_d of a memory-{m} table needs d >= {m}")
+    if d > INT_CEILING:
+        raise ValidationError(f"d exceeds the matrix-power budget {INT_CEILING}")
+    F = window_expectations(model, loss_table)
+    cond = np.linalg.matrix_power(model.transition, d - m + 1) @ F.T  # (states, W)
+    return max(0.0, float(np.max(F @ model.stationary - cond)))
+
+
+def oracle_phi_table(model, loss_table, d_max: int) -> np.ndarray:
+    """``phi_table`` as the maximum of every gap wrote it, verbatim but for the
+    name of its reference."""
+    L = np.asarray(loss_table, dtype=float)
+    if L.ndim > 2:
+        raise ValidationError(f"a memory-{L.ndim - 1} table is not static; use exact_phi")
+    if d_max < 1:
+        return np.empty(0)
+    reference = oracle_exact_phi(model, L, d_max)  # also enforces the d budget
+    test = L @ model.stationary  # (W,)
+    cond = L.T  # (states, W)
+    table = np.empty(d_max)
+    for d in range(d_max):
+        cond = model.transition @ cond
+        table[d] = max(0.0, float(np.max(test - cond)))
+    drift = abs(table[-1] - reference)
+    if drift > _PHI_DRIFT_TOL:
+        raise ConsistencyError(
+            f"phi table drifted from the matrix-power value at d_max={d_max}: "
+            f"stepped {table[-1]:.17g}, exact {reference:.17g}, drift {drift:.3e}")
+    if np.any(np.diff(table) > _PHI_DRIFT_TOL):
+        raise ConsistencyError("phi table rises with d")
+    return table
+
+
+def _outcome(kernel, *args):
+    """The bits a kernel returns, or the ConsistencyError it raises."""
+    try:
+        return np.asarray(kernel(*args), dtype=float).tobytes()
+    except ConsistencyError as err:
+        return str(err)
+
+
+def _gap_chains(rng, S):
+    """Lazy, absorbing, anti-persistent and random chains on S states."""
+    rest = random_chain(rng, S).transition
+    absorbing = 0.5 * rest
+    absorbing[:, -1] += 0.5
+    absorbing[-1] = np.eye(S)[-1]
+    away = (np.ones((S, S)) - np.eye(S)) / max(S - 1, 1) if S > 1 else np.ones((1, 1))
+    for P in (0.9 * np.eye(S) + 0.1 * rest, absorbing, 0.9 * away + 0.1 * rest, rest):
+        yield build_markov(P)
+
+
+def _gap_losses(rng, W, S):
+    """Raw losses, and losses rounded to tenths (ties, zeros), each zero's sign
+    drawn at random; at W >= 2 one hypothesis row is all zeros."""
+    raw = rng.random((W, S))
+    tied = np.round(rng.random((W, S)), 1)
+    zeros = tied == 0.0
+    tied[zeros] = np.where(rng.random(zeros.sum()) < 0.5, -0.0, 0.0)
+    if W >= 2:
+        tied[1] = np.where(rng.random(S) < 0.5, -0.0, 0.0)
+    return raw, tied
+
+
+@pytest.mark.parametrize("S", [1, 2, 3, 9, 200])
+def test_gap_kernels_have_the_bits_of_the_formulas_they_replaced(S):
+    rng = np.random.default_rng(400 + S)
+    for model, W in itertools.product(_gap_chains(rng, S), (1, 2, 50)):
+        for L in _gap_losses(rng, W, S):
+            for d_max in (1, 2, 30, 100):
+                case = (W, d_max)
+                assert _outcome(phi_table, model, L, d_max) == _outcome(
+                    oracle_phi_table, model, L, d_max), case
+                assert _outcome(exact_phi, model, L, d_max) == _outcome(
+                    oracle_exact_phi, model, L, d_max), case
+            # a (states,) table is one hypothesis
+            assert _outcome(phi_table, model, L[0], 30) == _outcome(
+                oracle_phi_table, model, L[0], 30)
+            if S <= 9:  # a memory-2 table, at its first lag and a late one
+                table = rng.random((W, S, S))
+                for d in (2, 30):
+                    assert _outcome(exact_phi, model, table, d) == _outcome(
+                        oracle_exact_phi, model, table, d), (W, d)
+
+
+def _hand_built_gaps():
+    """Models built without ``build_markov`` whose gaps come out NaN, or at a
+    zero of either sign."""
+    P = np.array([[0.9, 0.1], [0.2, 0.8]])
+    losses = np.array([[0.0, 1.0], [-0.0, -0.0], [0.5, 0.5]])
+    # NaN in the stationary law: every test loss is NaN
+    yield ProcessModel(P, np.array([np.nan, 0.5])), losses
+    # NaN in a transition row: the conditional losses of that row are NaN
+    yield ProcessModel(np.array([[0.9, 0.1], [np.nan, 0.8]]), np.array([2 / 3, 1 / 3])), losses
+    # a hypothesis whose losses are NaN beside two that are not
+    yield ProcessModel(P, np.array([2 / 3, 1 / 3])), np.array([[0.0, 1.0], [np.nan, 0.0],
+                                                             [0.2, 0.1]])
+    # zero losses against a stationary law of either sign: every gap is a zero
+    for pi in ([2 / 3, 1 / 3], [-2 / 3, -1 / 3], [-0.0, 1.0]):
+        yield ProcessModel(P, np.array(pi)), np.array([[0.0, -0.0], [-0.0, -0.0]])
+    # equal test and conditional losses: an i.i.d. row gives gaps of exactly 0
+    yield ProcessModel(np.array([[0.25, 0.75], [0.25, 0.75]]), np.array([0.25, 0.75])), losses
+
+
+def test_nan_and_zero_gaps_clamp_as_max_does():
+    # max(0.0, x) reads a NaN gap as 0.0, and a zero of either sign as +0.0; the
+    # products sum from +0.0, so no gap comes out -0.0, and the table is +0.0
+    nan_tables = 0
+    for model, losses in _hand_built_gaps():
+        for d_max in (1, 2, 30):
+            table = phi_table(model, losses, d_max)
+            assert table.tobytes() == oracle_phi_table(model, losses, d_max).tobytes()
+            assert not np.signbit(table).any() and not np.isnan(table).any()
+            assert np.float64(exact_phi(model, losses, d_max)).tobytes() == np.float64(
+                oracle_exact_phi(model, losses, d_max)).tobytes()
+        with np.errstate(invalid="ignore"):
+            nan_tables += bool(np.isnan(losses @ model.stationary
+                                        - model.transition @ losses.T).any())
+    assert nan_tables == 3

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -13,9 +14,10 @@ from mixgame import (ConsistencyError, MixingProfile, ModelError, ProcessModel,
 from mixgame.cli import main
 from mixgame.errors import INT_CEILING
 from mixgame.experiments import config_from_dict, mixing_table
-from mixgame.process import _walk_chain, _walk_lockstep, _walk_moves
+from mixgame.process import _walk_lockstep, _walk_moves
 
-from conftest import TRANSIENT_CHAINS, build_iid, product_chain, random_chain
+from conftest import (TRANSIENT_CHAINS, build_iid, product_chain, random_chain,
+                      walk_chain)
 
 
 def test_stationary_law_frozen():
@@ -301,45 +303,115 @@ def test_sample_path_equals_the_full_walk():
         for n in (1, 2, 7, 2000):
             for seed in (0, 3):
                 u = np.random.default_rng(seed).random(n)
-                full = _walk_chain(cum, model.n_states, u)
+                full = walk_chain(cum, model.n_states, u)
                 symbols = sample_path(model, n, seed).symbols
                 assert symbols.dtype == np.int64
                 assert np.array_equal(symbols, full)
     assert skipping >= 10
 
 
+def _coalescing_intervals(model):
+    """low[j] = max_s cum[s][j-1] and high[j] = min_s cum[s][j] of the forward
+    rows, with the row cumsums written out: a uniform in [low[j], high[j]) sends
+    every state to j.  low has S entries (low[0] = -inf), high S - 1."""
+    cum = [list(itertools.accumulate(row)) for row in model.transition.tolist()]
+    S = model.n_states
+    low = [-math.inf] + [max(row[j - 1] for row in cum) for j in range(1, S)]
+    high = [min(row[j] for row in cum) for j in range(S - 1)]
+    return low, high
+
+
+def _state_free_steps(model):
+    """Whether the step of a uniform maps every state to itself or sends every
+    state to one state, so that it does not depend on the state before it."""
+    lo, hi = _identity_interval(model)
+    low, high = _coalescing_intervals(model)
+    intervals = [(lo, hi), *zip(low, high + [math.inf])]
+    return lambda x: any(a <= x < b for a, b in intervals)
+
+
+def _edge_uniforms(model):
+    """0, 1, beyond 1, and every finite bound of the identity and coalescing
+    intervals with the float just below it."""
+    lo, hi = _identity_interval(model)
+    low, high = _coalescing_intervals(model)
+    bounds = [b for b in (lo, hi, *low, *high) if math.isfinite(b)]
+    return [0.0, 1.0, np.nextafter(1.0, 2), 1.5,
+            *bounds, *(np.nextafter(b, 0) for b in bounds)]
+
+
+def _count_bisections(monkeypatch, record=len):
+    """Patch the walk's ``bisect_right`` to append ``record(row)`` to a list."""
+    import mixgame.process as process
+    calls = []
+
+    def counted(row, x):
+        calls.append(record(row))
+        return bisect_right(row, x)
+    monkeypatch.setattr(process, "bisect_right", counted)
+    return calls
+
+
+def _check_walk_on_the_edges(model, monkeypatch, seed):
+    cum = np.cumsum(np.vstack([model.transition, model.stationary]), axis=1)[:, :-1]
+    edges = _edge_uniforms(model)
+    state_free = _state_free_steps(model)
+    bisected = _count_bisections(monkeypatch)
+    rng = np.random.default_rng(seed)
+    for k in range(20):
+        # every edge at first, then 40 of them, each beside 60 random draws
+        picked = edges * 5 if k == 0 else rng.choice(edges, 40).tolist()
+        u = rng.permutation(np.concatenate([picked, rng.random(60)]))
+        full = walk_chain(cum.tolist(), model.n_states, u)
+        assert np.array_equal(_walk_moves(model, u), full)
+        # step 0 and every step that depends on the state before it is
+        # bisected, and no other
+        assert len(bisected) == 1 + sum(not state_free(x) for x in u[1:].tolist())
+        bisected.clear()
+    low, high = _coalescing_intervals(model)
+    table = model._walk_table
+    assert table[2:4] == _identity_interval(model)
+    assert table[4].tolist() == low and table[5].tolist() == high
+
+
 @pytest.mark.parametrize("name", sorted(SKIP_CHAINS))
 def test_skipping_walk_on_the_edges_of_the_identity_interval(name, monkeypatch):
-    import mixgame.process as process
-    model = SKIP_CHAINS[name]()
-    lo, hi = _identity_interval(model)
-    cum = np.cumsum(np.vstack([model.transition, model.stationary]), axis=1)[:, :-1]
-    edges = [0.0, lo, np.nextafter(lo, 0), np.nextafter(hi, 0), hi, 1.0,
-             np.nextafter(1.0, 2), 1.5]
-    walked = []
-    monkeypatch.setattr(process, "_walk_chain", lambda rows, s, u: walked.append(
-        len(u)) or _walk_chain(rows, s, u))
-    rng = np.random.default_rng(len(name))
-    for _ in range(20):
-        u = rng.permutation(np.concatenate([edges * 5, rng.random(60)]))
-        full = _walk_chain(cum.tolist(), model.n_states, u)
-        assert np.array_equal(_walk_moves(model, u), full)
-        # step 0 and every uniform outside [lo, hi) is walked, and no other
-        assert walked.pop() == 1 + sum(not lo <= x < hi for x in u[1:])
-    assert model._walk_table[2:] == (lo, hi)
+    _check_walk_on_the_edges(SKIP_CHAINS[name](), monkeypatch, len(name))
+
+
+# chains whose moving steps are bisected, coalesce or both
+WALK_CHAINS = {
+    "persistent 2": lambda: two_state_chain(0.1, 0.05),
+    # no uniform maps every state to itself: each in [0.2, 0.7) swaps the states
+    "swap": lambda: build_markov([[0.2, 0.8], [0.7, 0.3]]),
+    # [low[1], high[1]) = [0.5, 0.3) is empty: no uniform sends every state to 1
+    "3 states": lambda: build_markov([[0.5, 0.3, 0.2], [0.1, 0.2, 0.7],
+                                      [0.3, 0.6, 0.1]]),
+    "lazy 4": SKIP_CHAINS["lazy 4"],
+    "lazy 200": SKIP_CHAINS["lazy 200"],
+    "1 state": lambda: build_markov([[1.0]]),
+}
+
+
+@pytest.mark.parametrize("name", WALK_CHAINS)
+def test_walk_bisects_only_the_steps_that_depend_on_the_state(name, monkeypatch):
+    model = WALK_CHAINS[name]()
+    _check_walk_on_the_edges(model, monkeypatch, 100 + len(name))
+    low, high = _coalescing_intervals(model)
+    empty = sum(a >= b for a, b in zip(low, high + [math.inf]))
+    assert empty == {"swap": 0, "3 states": 1, "1 state": 0}.get(name, empty)
 
 
 def test_sample_path_builds_its_walk_table_once_per_model(monkeypatch):
-    import mixgame.process as process
     model = two_state_chain(0.3, 0.2)
-    walked = []
-    monkeypatch.setattr(process, "_walk_chain", lambda rows, s, u: walked.append(
-        rows) or _walk_chain(rows, s, u))
+    rows = _count_bisections(monkeypatch, record=lambda row: row)
     first = sample_path(model, 50, seed=0)
     table = model._walk_table
     second = sample_path(model, 50, seed=0)
-    # the second call walks the very list the first one built
-    assert model._walk_table is table and walked[0] is walked[1] is table[1]
+    # every moving step but step 0 coalesces on this chain, and each call
+    # bisects the very start row the first one built
+    assert model._walk_table is table and rows[0] is rows[1] is table[1][-1]
+    assert len(rows) == 2
     assert np.array_equal(first.symbols, second.symbols)
     # a model with the same matrices builds its own table, with the same entries
     twin = two_state_chain(0.3, 0.2)
@@ -357,7 +429,7 @@ def test_walk_chain_matches_clipped_searchsorted():
         for x in u:
             s = min(int(np.searchsorted(cum[s], x, side="right")), n_states - 1)
             expected.append(s)
-        assert _walk_chain(cum[:, :-1].tolist(), 0, u) == expected
+        assert walk_chain(cum[:, :-1].tolist(), 0, u) == expected
 
 
 def _lockstep_tables():
@@ -385,7 +457,7 @@ def _crafted_uniforms(rng, cum, starts, k):
                 u[r, j] = x if pick == 0 else np.nextafter(x, 0)
             elif pick in (2, 3):
                 u[r, j] = (0.0, 1 - 2**-53)[pick - 2]
-            s = _walk_chain(rows, s, u[r, j:j + 1])[0]
+            s = walk_chain(rows, s, u[r, j:j + 1])[0]
     return u
 
 
@@ -402,7 +474,7 @@ def test_lockstep_walk_equals_each_row_walked_alone():
             assert walked.dtype == np.int64 and walked.shape == u.shape
             rows = cum.tolist()
             for s, row, states in zip(starts.tolist(), u, walked):
-                assert states.tolist() == _walk_chain(rows, s, row)
+                assert states.tolist() == walk_chain(rows, s, row)
     assert nan_rows == 2
 
 
